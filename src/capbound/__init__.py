@@ -29,7 +29,7 @@ from .bounds import (
     theorem_bound,
 )
 from .capsearch import (
-    CapSet,
+    PointSet,
     SearchResult,
     complete_triple,
     decode_point,
@@ -41,14 +41,12 @@ from .fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
 from .qnomial import (
     QNomialRow,
     mspace_size,
-    qnomial,
     qnomial_row,
     series_coeff_bound,
 )
 from .verifier import (
     FieldPoly,
     Monomial,
-    PointSet,
     VerifierReport,
     clp_split,
     eval_poly,

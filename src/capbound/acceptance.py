@@ -24,11 +24,10 @@ from .asymptotics import (
     verify_recurrence,
 )
 from .bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
-from .capsearch import max_capset
+from .capsearch import PointSet, max_capset
 from .fixedpoint import BigFixed
 from .qnomial import qnomial, qnomial_row, series_coeff_bound
 from .verifier import (
-    PointSet,
     eval_poly,
     expand_neg_sum,
     clp_split,
@@ -47,7 +46,8 @@ class CriterionResult:
     warning: str | None = None
 
 
-def _ulp(value: BigFixed, pinned: str) -> Fraction:
+def ulp_distance(value: BigFixed, pinned: str) -> Fraction:
+    """Distance from a pinned decimal string in units of its last place."""
     ref = BigFixed.from_decimal(pinned)
     return abs((value - ref).as_fraction()) * 10**ref.scale
 
@@ -85,8 +85,9 @@ def _c1_recurrence(level: str) -> CriterionResult:
 
 
 def _c2_root_digits(level: str) -> CriterionResult:
-    root_ulp = _ulp(characteristic_root(18), golden.CHARACTERISTIC_ROOT_DIGITS)
-    alpha_ulp = _ulp(alpha(19), golden.ALPHA_DIGITS)
+    root_ulp = ulp_distance(characteristic_root(18),
+                            golden.CHARACTERISTIC_ROOT_DIGITS)
+    alpha_ulp = ulp_distance(alpha(19), golden.ALPHA_DIGITS)
     ok = root_ulp <= 1 and alpha_ulp <= 1
     return CriterionResult(
         "2_root_and_alpha_digits", ok,
@@ -98,7 +99,7 @@ def _c3_growth_table(level: str) -> CriterionResult:
     failures = []
     for q, pinned in golden.GROWTH_TABLE.items():
         value = growth_constant(q)
-        dist = _ulp(value, pinned)
+        dist = ulp_distance(value, pinned)
         if dist > 1:
             failures.append(f"q={q}: computed {value.decimal()[:len(pinned) + 3]}"
                             f" vs pinned {pinned} ({float(dist):.2f} ulp)")
@@ -156,10 +157,10 @@ def _c7_proof_core(level: str) -> CriterionResult:
         (1, 1, PointSet(3, 1, (0, 1))),
     ]
     witness2 = max_capset(2).witness
-    cases += [(2, d, PointSet(3, 2, witness2.points)) for d in (2, 3)]
+    cases += [(2, d, witness2) for d in (2, 3)]
     if level == "full":
         witness3 = max_capset(3).witness
-        cases += [(3, d, PointSet(3, 3, witness3.points)) for d in (3, 4)]
+        cases += [(3, d, witness3) for d in (3, 4)]
     for n, d, ps in cases:
         report = verify_support_bound(n, d, ps)
         if not report.all_ok:

@@ -1,69 +1,83 @@
 """Exact maximum progression-free subsets of F_3^n by branch and bound.
 
-Points are encoded as base-3 integers, first coordinate most significant,
-so numeric order on indices equals lexicographic order on vectors.  The
-search is a depth-first branch and bound over points in that canonical
-order.  Affine symmetry (translations plus invertible linear maps, both
-preserving a + b + c = 0) is quotiented out by a coordinate-opening
-normalization: the first point is 0, and whenever the walk first leaves
-the span of the coordinates used so far, the new point is the next unit
-vector.  The pruning bound combines the remaining candidate count, caps
-per hyperplane slice, and caps on the not-yet-opened coordinate shells,
-all grounded in the exhaustively proven lower-dimensional maxima.
+Points of F_p^n are encoded as base-p integers, first coordinate most
+significant, so numeric order on indices equals lexicographic order on
+vectors; PointSet holds a subset in that encoding for any prime p, and
+the search works in its p = 3 case.  The search is a depth-first branch
+and bound over points in that canonical order.  Affine symmetry
+(translations plus invertible linear maps, both preserving a + b + c = 0)
+is quotiented out by a coordinate-opening normalization: the first point
+is 0, and whenever the walk first leaves the span of the coordinates used
+so far, the new point is the next unit vector.  The pruning bound
+combines the remaining candidate count, caps per hyperplane slice, and
+caps on the not-yet-opened coordinate shells, all grounded in the
+exhaustively proven lower-dimensional maxima.
 """
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 
-def encode_point(coords: tuple[int, ...] | list[int]) -> int:
-    """Base-3 index of a coordinate vector, first coordinate most significant."""
+def encode_point(coords: tuple[int, ...] | list[int], p: int = 3) -> int:
+    """Base-p index of a coordinate vector, first coordinate most significant."""
     value = 0
     for c in coords:
-        if not 0 <= c <= 2:
-            raise ValueError(f"coordinate {c} outside F_3")
-        value = value * 3 + c
+        if not 0 <= c < p:
+            raise ValueError(f"coordinate {c} outside F_{p}")
+        value = value * p + c
     return value
 
 
-def decode_point(index: int, n: int) -> tuple[int, ...]:
+def decode_point(index: int, n: int, p: int = 3) -> tuple[int, ...]:
     coords = [0] * n
     for i in range(n - 1, -1, -1):
-        index, coords[i] = divmod(index, 3)
+        index, coords[i] = divmod(index, p)
     return tuple(coords)
 
 
 @dataclass(frozen=True)
-class CapSet:
-    """A subset of F_3^n as a sorted tuple of base-3 point indices."""
+class PointSet:
+    """A duplicate-free subset of F_p^n, stored as sorted base-p indices."""
 
+    p: int
     n: int
     points: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        size = 3**self.n
-        if any(not 0 <= p < size for p in self.points):
-            raise ValueError(f"point index outside [0, 3^{self.n})")
+        size = self.p**self.n
+        if any(not 0 <= x < size for x in self.points):
+            raise ValueError(f"point index outside [0, {self.p}^{self.n})")
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate points")
         object.__setattr__(self, "points", tuple(sorted(self.points)))
+
+    @classmethod
+    def from_vectors(cls, vectors, p: int) -> "PointSet":
+        vectors = list(vectors)
+        if not vectors:
+            raise ValueError("cannot infer dimension from an empty vector list")
+        n = len(vectors[0])
+        return cls(p, n, tuple(encode_point(v, p) for v in vectors))
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     def vectors(self) -> list[tuple[int, ...]]:
-        return [decode_point(p, self.n) for p in self.points]
+        return [decode_point(x, self.n, self.p) for x in self.points]
+
+    def complement(self) -> "PointSet":
+        members = set(self.points)
+        rest = tuple(x for x in range(self.p**self.n) if x not in members)
+        return PointSet(self.p, self.n, rest)
 
 
 @dataclass(frozen=True)
 class SearchResult:
     n: int
     max_size: int
-    witness: CapSet
+    witness: PointSet
     nodes_explored: int
     proven_optimal: bool
     fixed_prefix: tuple[int, ...]
@@ -81,13 +95,16 @@ def complete_triple(a: int, b: int, n: int) -> int:
     return c
 
 
-def is_progression_free(A: CapSet) -> bool:
-    """True iff no three pairwise-distinct members of A sum to zero.
+def is_progression_free(A: PointSet) -> bool:
+    """True iff no three pairwise-distinct members of A sum to zero (p = 3).
 
     In F_3, a + a + c = 0 forces c = -2a = a, so the point completing a
     pair of distinct members is automatically distinct from both; checking
     every unordered pair against membership is therefore exhaustive.
     """
+    if A.p != 3:
+        raise ValueError(
+            f"progression-freeness is checked over F_3, not F_{A.p}")
     pts = A.points
     members = set(pts)
     n = A.n
@@ -114,12 +131,8 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _TargetFound(Exception):
-    pass
-
-
 class _Shared:
-    """Best-so-far state common to all workers of one search."""
+    """Tables and best-so-far state of one search."""
 
     def __init__(self, n: int):
         size = 3**n
@@ -149,20 +162,15 @@ class _Shared:
             for j, v in enumerate(self.digits[x]):
                 self.slice_mask[j][v] |= self.bit[x]
         self.best_size = 0
-        self.best_sets: list[tuple[int, ...]] = []
-        self.lock = threading.Lock()
+        self.best: tuple[int, ...] = ()
 
     def record(self, chosen: list[int]) -> None:
-        with self.lock:
-            if len(chosen) > self.best_size:
-                self.best_size = len(chosen)
-                self.best_sets = [tuple(chosen)]
-            elif len(chosen) == self.best_size:
-                self.best_sets.append(tuple(chosen))
+        self.best_size = len(chosen)
+        self.best = tuple(chosen)
 
 
 class _Walker:
-    """One depth-first walk; owns its node counter and budget slice.
+    """The depth-first walk; owns the node counter and the budget.
 
     A node is (chosen, cands, k): every chosen point lies in U_k, the span
     of the last k coordinates, and cands holds the still-eligible points
@@ -173,20 +181,11 @@ class _Walker:
     on the unit vector 3^k.
     """
 
-    def __init__(self, shared: _Shared, node_budget: int | None,
-                 stop_at: int | None = None):
+    def __init__(self, shared: _Shared, node_budget: int | None):
         self.shared = shared
         self.node_budget = node_budget
-        self.stop_at = stop_at
         self.nodes = 0
         self.counts = [[0] * 3 for _ in range(shared.n)]
-
-    def run_task(self, chosen: list[int], cands: int, k: int) -> None:
-        self.counts = [[0] * 3 for _ in range(self.shared.n)]
-        for x in chosen:
-            for j, v in enumerate(self.shared.digits[x]):
-                self.counts[j][v] += 1
-        self.dfs(list(chosen), cands, k)
 
     def dfs(self, chosen: list[int], cands: int, k: int) -> None:
         self.nodes += 1
@@ -195,8 +194,6 @@ class _Walker:
         shared = self.shared
         if len(chosen) > shared.best_size:
             shared.record(chosen)
-            if self.stop_at is not None and shared.best_size >= self.stop_at:
-                raise _TargetFound
         depth = len(chosen)
         best = shared.best_size
         n = shared.n
@@ -264,31 +261,7 @@ def _proven_max(n: int) -> int:
     return 1 if n == 0 else max_capset(n).max_size
 
 
-def _expand(shared: _Shared, state: tuple[list[int], int, int]
-            ) -> list[tuple[list[int], int, int]]:
-    """Children of a search node in canonical order, for splitting work."""
-    chosen, cands, k = state
-    out = []
-    rest = cands
-    while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
-        rest ^= low
-        narrowed = rest
-        for a in chosen:
-            narrowed &= shared.notbit[shared.table[x][a]]
-        out.append((chosen + [x], narrowed, k))
-    if k < shared.n:
-        x = shared.pow3[k]
-        narrowed = shared.opening_mask[k]
-        for a in chosen:
-            narrowed &= shared.notbit[shared.table[x][a]]
-        out.append((chosen + [x], narrowed, k + 1))
-    return out
-
-
-def max_capset(n: int, node_budget: int | None = None,
-               workers: int = 1) -> SearchResult:
+def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     """Exhaustive search for a maximum progression-free subset of F_3^n.
 
     Translation puts 0 in some maximum set, and the coordinate-opening
@@ -296,67 +269,43 @@ def max_capset(n: int, node_budget: int | None = None,
     so the walk starts from chosen = [0] with no coordinate opened.  The
     witness is the lexicographically least maximum set: the normalized
     escapes are exactly the lex-minimal choices, the DFS runs in canonical
-    order, and subtrees containing a strictly larger set are never pruned.
-    With workers > 1 the subtrees a few levels down run on a thread pool;
-    max_size and proven_optimal are schedule-independent, and the witness
-    is the lexicographically least maximum set recorded.  A node_budget
-    forces single-threaded execution so the cutoff is reproducible; when
-    it triggers, max_size is a valid lower bound and proven_optimal is
-    False.
+    order, subtrees containing a strictly larger set are never pruned, and
+    only a strictly larger set replaces the recorded one.  When
+    node_budget triggers, max_size is a valid lower bound and
+    proven_optimal is False.
+
+    The slice cap of F_3^n needs the proven maximum of F_3^(n-1), so n = 5
+    rests on the n = 4 proof (about a minute) and then runs without end
+    unless budgeted; n >= 6 would need the unbudgeted n = 5 maximum.
+    Unbudgeted n = 5 and every n >= 6 are refused before any table is
+    built.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    if n >= 6:
+        raise ValueError(
+            f"search at n={n} is out of reach: its slice cap needs the "
+            f"proven n={n - 1} maximum, and no search here proves n >= 5")
+    if n == 5 and node_budget is None:
+        raise ValueError(
+            "search at n=5 needs a node budget: the exhaustive walk does "
+            "not finish in practical time, so only a budgeted lower bound "
+            "is available")
     shared = _Shared(n)
-    root = ([0], 0, 0)
     shared.record([0])
+    walker = _Walker(shared, node_budget)
+    for counts in walker.counts:
+        counts[0] = 1  # the root point 0 has every coordinate 0
     exhausted = False
-    total_nodes = 0
-
-    if node_budget is not None or workers <= 1:
-        walker = _Walker(shared, node_budget)
-        try:
-            walker.run_task(*root)
-        except _BudgetExhausted:
-            exhausted = True
-        total_nodes = walker.nodes
-    else:
-        tasks = [root]
-        for _ in range(4):
-            if len(tasks) >= workers:
-                break
-            tasks = [child for task in tasks
-                     for child in (_expand(shared, task) or [task])]
-        walkers = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for task in tasks:
-                walker = _Walker(shared, None)
-                walkers.append(walker)
-                futures.append(pool.submit(walker.run_task, *task))
-            for fut in futures:
-                fut.result()
-        # The racing best-size updates make which maxima get recorded
-        # schedule-dependent, so re-find the witness deterministically:
-        # seed the bound one below the proven maximum and take the first
-        # (hence lexicographically least) maximum-size set of a fresh
-        # single-threaded pass.
-        target = shared.best_size
-        shared.best_size = target - 1
-        shared.best_sets = []
-        finder = _Walker(shared, None, stop_at=target)
-        try:
-            finder.run_task(*root)
-        except _TargetFound:
-            pass
-        total_nodes = sum(w.nodes for w in walkers) + finder.nodes
-
-    witness = CapSet(n, min(s for s in shared.best_sets
-                            if len(s) == shared.best_size))
+    try:
+        walker.dfs([0], 0, 0)
+    except _BudgetExhausted:
+        exhausted = True
     return SearchResult(
         n=n,
         max_size=shared.best_size,
-        witness=witness,
-        nodes_explored=total_nodes,
+        witness=PointSet(3, n, shared.best),
+        nodes_explored=walker.nodes,
         proven_optimal=not exhausted,
         fixed_prefix=(0, 1) if n == 1 else (0, 1, 3),
     )

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from fractions import Fraction
 
 from . import acceptance, golden
 from .asymptotics import (
@@ -29,7 +27,7 @@ from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theore
 from .capsearch import is_progression_free, max_capset
 from .fixedpoint import BigFixed
 from .qnomial import qnomial
-from .verifier import PointSet, format_pointset, parse_pointset, verify_support_bound
+from .verifier import format_pointset, parse_pointset, verify_support_bound
 
 
 def _bigfixed_json(value: BigFixed) -> dict:
@@ -49,15 +47,8 @@ def _bound_json(report: BoundReport) -> dict:
     }
 
 
-def ulp_distance(value: BigFixed, pinned: str) -> Fraction:
-    """Distance from a pinned decimal string in units of its last place."""
-    ref = BigFixed.from_decimal(pinned)
-    diff = abs((value - ref).as_fraction())
-    return diff * 10**ref.scale
-
-
 def _digit_check(name: str, value: BigFixed, pinned: str) -> dict:
-    dist = ulp_distance(value, pinned)
+    dist = acceptance.ulp_distance(value, pinned)
     return {
         "name": name,
         "pass": dist <= 1,
@@ -136,16 +127,10 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_table(args) -> tuple[dict, list[dict]]:
-    qs = [q for q in _prime_powers(args.qmin, args.qmax)]
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            constants = list(pool.map(growth_constant, qs))
-    else:
-        constants = [growth_constant(q) for q in qs]
     rows = []
     checks = []
-    for q, value in zip(qs, constants):
+    for q in _prime_powers(args.qmin, args.qmax):
+        value = growth_constant(q)
         pinned = golden.GROWTH_TABLE.get(q)
         row = {"q": q, "constant": _bigfixed_json(value)}
         if pinned is not None:
@@ -189,13 +174,12 @@ def _cmd_verify_recurrence(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_search(args) -> tuple[dict, list[dict]]:
-    result = max_capset(args.n, node_budget=args.budget, workers=args.threads)
+    result = max_capset(args.n, node_budget=args.budget)
     witness_lines = [" ".join(str(c) for c in v)
                      for v in result.witness.vectors()]
     if args.out:
-        ps = PointSet(3, args.n, result.witness.points)
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_pointset(ps))
+            fh.write(format_pointset(result.witness))
     checks = [{
         "name": "witness_progression_free",
         "pass": is_progression_free(result.witness),
@@ -218,8 +202,7 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
         if ps.n != args.n:
             raise ValueError(f"point file has dimension {ps.n}, --n is {args.n}")
     else:
-        witness = max_capset(args.n).witness
-        ps = PointSet(3, args.n, witness.points)
+        ps = max_capset(args.n).witness
     report = verify_support_bound(args.n, args.d, ps)
     result = {
         "n": report.n, "d": report.d, "set_size": report.set_size,
@@ -256,7 +239,6 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    cpu = os.cpu_count() or 1
     top = argparse.ArgumentParser(
         prog="capbound",
         description="Exact bounds for progression-free subsets of F_q^n, "
@@ -287,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="growth constants vs pinned references")
     p.add_argument("--qmin", type=int, default=4)
     p.add_argument("--qmax", type=int, default=31)
-    p.add_argument("--threads", type=int, default=cpu)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("alpha", help="base-3 growth constant digits")
@@ -305,10 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="maximum progression-free set search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int,
-                   help="node budget; forces a single-threaded walk")
-    p.add_argument("--threads", type=int, default=1,
-                   help="subtree workers; 1 (default) is fastest under the "
-                        "GIL and makes the node count reproducible")
+                   help="node budget, required at n=5 (n >= 6 is refused); "
+                        "a walk cut short reports a lower bound")
     p.add_argument("--out", help="write the witness in point-file format")
     p.set_defaults(func=_cmd_search)
 

@@ -5,6 +5,12 @@ saddle-point root finding, exact coefficient ratios); these copies exist
 so the CLI and the acceptance suite can diff fresh computations against a
 fixed reference.  Digit strings are compared at +-1 unit in their last
 place.
+
+The growth-table strings are truncated, not rounded: an mpmath oracle
+puts every one of the 15 between 0.05 and 0.97 units in the last place
+below the true constant, never above.  A truncated string can sit almost
+a full unit from the value it stands for, which is why the tolerance is
+1 ulp and not 0.5.
 """
 from __future__ import annotations
 

@@ -25,8 +25,8 @@ class QNomialRow:
 
 
 # Cache of finished rows plus, per q, the top of the ladder we have climbed
-# so far.  Guarded by a lock so concurrent callers (e.g. the CLI thread
-# pool) share work safely; rows handed out are immutable tuples.
+# so far.  Guarded by a lock so concurrent callers share work safely;
+# rows handed out are immutable tuples.
 _lock = threading.Lock()
 _rows: dict[tuple[int, int], tuple[int, ...]] = {}
 _ladder: dict[int, tuple[int, list[int]]] = {}

@@ -17,64 +17,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
-from .capsearch import CapSet, is_progression_free
+from .capsearch import PointSet, is_progression_free
 from .qnomial import mspace_size
 
 Monomial = tuple[int, ...]
-
-
-def encode_point_p(coords: tuple[int, ...] | list[int], p: int) -> int:
-    """Base-p index of a coordinate vector, first coordinate most significant."""
-    value = 0
-    for c in coords:
-        if not 0 <= c < p:
-            raise ValueError(f"coordinate {c} outside F_{p}")
-        value = value * p + c
-    return value
-
-
-def decode_point_p(index: int, n: int, p: int) -> tuple[int, ...]:
-    coords = [0] * n
-    for i in range(n - 1, -1, -1):
-        index, coords[i] = divmod(index, p)
-    return tuple(coords)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """A duplicate-free subset of F_p^n, stored as sorted base-p indices."""
-
-    p: int
-    n: int
-    points: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        size = self.p**self.n
-        if any(not 0 <= x < size for x in self.points):
-            raise ValueError(f"point index outside [0, {self.p}^{self.n})")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("duplicate points")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
-
-    @classmethod
-    def from_vectors(cls, vectors, p: int) -> "PointSet":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("cannot infer dimension from an empty vector list")
-        n = len(vectors[0])
-        return cls(p, n, tuple(encode_point_p(v, p) for v in vectors))
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def vectors(self) -> list[tuple[int, ...]]:
-        return [decode_point_p(x, self.n, self.p) for x in self.points]
-
-    def complement(self) -> "PointSet":
-        members = set(self.points)
-        rest = tuple(x for x in range(self.p**self.n) if x not in members)
-        return PointSet(self.p, self.n, rest)
 
 
 def parse_pointset(text: str, p: int = 3) -> PointSet:
@@ -161,40 +107,19 @@ def monomials_up_to(n: int, d: int, p: int) -> list[Monomial]:
     return out
 
 
-def rank_mod_p(M: list[list[int]], p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination."""
-    if not M:
-        return 0
-    mat = [[x % p for x in row] for row in M]
-    rows, cols = len(mat), len(mat[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(rows):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _rref(M: list[list[int]], cols: int,
+          p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of M over F_p and its pivot columns.
 
-
-def _nullspace_mod_p(M: list[list[int]], cols: int, p: int) -> list[list[int]]:
-    """Basis of the right null space of M over F_p (list of column vectors).
-
-    Reduced row echelon form; one basis vector per free column, so the
-    basis is deterministic given the column order.
+    Stops once every row holds a pivot: the remaining columns are then
+    free and the form is already reduced.
     """
     mat = [[x % p for x in row] for row in M]
     pivot_cols: list[int] = []
-    rank = 0
     for col in range(cols):
+        rank = len(pivot_cols)
+        if rank == len(mat):
+            break
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
@@ -206,16 +131,14 @@ def _nullspace_mod_p(M: list[list[int]], cols: int, p: int) -> list[list[int]]:
                 f = mat[r][col]
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         pivot_cols.append(col)
-        rank += 1
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [0] * cols
-        vec[free] = 1
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = (-mat[r][free]) % p
-        basis.append(vec)
-    return basis
+    return mat, pivot_cols
+
+
+def rank_mod_p(M: list[list[int]], p: int) -> int:
+    """Rank of a matrix over F_p by Gaussian elimination."""
+    if not M:
+        return 0
+    return len(_rref(M, len(M[0]), p)[1])
 
 
 def vanishing_space_basis(n: int, d: int, S: PointSet,
@@ -234,9 +157,21 @@ def vanishing_space_basis(n: int, d: int, S: PointSet,
     for vec in S.vectors():
         powers = [[pow(c, e, p) for e in range(p)] for c in vec]
         rows.append([_prod_mod(powers, m, p) for m in monos])
-    basis_vecs = _nullspace_mod_p(rows, len(monos), p)
-    return [FieldPoly(p, n, {monos[i]: v for i, v in enumerate(vec) if v})
-            for vec in basis_vecs]
+    # One basis vector per free column of the RREF, so the basis is
+    # deterministic given the column order.
+    mat, pivot_cols = _rref(rows, len(monos), p)
+    pivots = set(pivot_cols)
+    basis = []
+    for free in range(len(monos)):
+        if free in pivots:
+            continue
+        vec = [0] * len(monos)
+        vec[free] = 1
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[r][free] % p
+        basis.append(FieldPoly(p, n, {monos[i]: v
+                                      for i, v in enumerate(vec) if v}))
+    return basis
 
 
 def _prod_mod(powers: list[list[int]], mono: Monomial, p: int) -> int:
@@ -377,7 +312,7 @@ def verify_support_bound(n: int, d: int, A: PointSet, p: int = 3) -> VerifierRep
         raise ValueError("verification is specific to p=3")
     if A.p != 3 or A.n != n:
         raise ValueError("point set does not match (n, p)")
-    if not is_progression_free(CapSet(n, A.points)):
+    if not is_progression_free(A):
         raise ValueError("the point set is not progression-free")
 
     basis = vanishing_space_basis(n, d, A.complement(), p=3)

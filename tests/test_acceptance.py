@@ -136,6 +136,9 @@ def test_criterion_6_oracle_domination():
     big_elapsed = time.monotonic() - big_started
     sizes[4] = result4.max_size
     assert result4.proven_optimal
+    # the lexicographically least maximum set, pinned
+    assert result4.witness.points == (0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 32,
+                                      35, 38, 47, 59, 65, 66, 67, 71, 77)
     assert result4.max_size <= theorem_bound(4).value
     assert result4.max_size <= optimal_bound(4).value
     ok = sizes == expected and big_elapsed < 600.0

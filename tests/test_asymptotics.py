@@ -136,8 +136,15 @@ def test_growth_table_mpmath_oracle():
             places = len(pinned.partition(".")[2])
             return abs(mpmath.mpf(pinned) - value) * mpmath.mpf(10) ** places
 
+        def shortfall(pinned, value):
+            # true minus pinned, in units of the pinned string's last place
+            places = len(pinned.partition(".")[2])
+            return (value - mpmath.mpf(pinned)) * mpmath.mpf(10) ** places
+
         for q, pinned in golden.GROWTH_TABLE.items():
             assert ulps(pinned, constant(q)) <= 1, q
+            # every entry is truncated: at or below the constant, by < 1 ulp
+            assert 0 <= shortfall(pinned, constant(q)) < 1, q
         # the reference's former q=8 string, one digit off
         assert ulps("7.0015547549940074584", constant(8)) > 2
 

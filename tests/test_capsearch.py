@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from capbound.capsearch import (
-    CapSet,
+    PointSet,
     complete_triple,
     decode_point,
     encode_point,
@@ -22,7 +22,7 @@ def brute_force_max(n: int) -> int:
     best = 0
     for k in range(3**n, 0, -1):
         for subset in combinations(points, k):
-            if is_progression_free(CapSet(n, subset)):
+            if is_progression_free(PointSet(3, n, subset)):
                 return k
     return best
 
@@ -56,6 +56,12 @@ def test_encode_decode_roundtrip():
     assert encode_point((1, 2)) == 5
     with pytest.raises(ValueError):
         encode_point((0, 3))
+    for p in (2, 5):
+        for idx in range(p**3):
+            assert encode_point(decode_point(idx, 3, p), p) == idx
+    assert encode_point((1, 4), 5) == 9
+    with pytest.raises(ValueError):
+        encode_point((0, 5), 5)
 
 
 def test_complete_triple_examples():
@@ -80,7 +86,7 @@ def test_completion_avoids_the_pair():
     (2, tuple(range(9)), False),
 ])
 def test_is_progression_free(n, points, expected):
-    assert is_progression_free(CapSet(n, points)) is expected
+    assert is_progression_free(PointSet(3, n, points)) is expected
 
 
 def test_brute_force_agreement_small():
@@ -113,11 +119,21 @@ def test_budget_cutoff():
     assert is_progression_free(result.witness)
 
 
-def test_workers_agree_with_single_thread():
-    solo = max_capset(3)
-    pooled = max_capset(3, workers=4)
-    assert pooled.max_size == solo.max_size
-    assert pooled.proven_optimal
+def test_lex_least_witnesses_pinned():
+    # the first maximum set the canonical-order walk meets is the
+    # lexicographically least one; pruning changes must not move it
+    expected = {1: (0, 1), 2: (0, 1, 3, 4),
+                3: (0, 1, 3, 4, 9, 10, 14, 17, 23)}
+    for n, points in expected.items():
+        assert max_capset(n).witness == PointSet(3, n, points)
+
+
+def test_out_of_reach_dimensions_refused_at_once():
+    with pytest.raises(ValueError, match="node budget"):
+        max_capset(5)
+    for n, budget in ((6, None), (6, 10)):
+        with pytest.raises(ValueError, match="out of reach"):
+            max_capset(n, node_budget=budget)
 
 
 def test_affine_maps_preserve_the_property():
@@ -130,13 +146,15 @@ def test_affine_maps_preserve_the_property():
         moved = [tuple((v[p] + s) % 3 for p, s in zip(perm, shift))
                  for v in vectors]
         assert is_progression_free(
-            CapSet(3, tuple(encode_point(v) for v in moved)))
+            PointSet(3, 3, tuple(encode_point(v) for v in moved)))
 
 
 def test_capset_validation():
     with pytest.raises(ValueError):
-        CapSet(1, (0, 3))
+        PointSet(3, 1, (0, 3))
     with pytest.raises(ValueError):
-        CapSet(1, (0, 0))
+        PointSet(3, 1, (0, 0))
+    with pytest.raises(ValueError):
+        is_progression_free(PointSet(5, 1, (0, 1)))
     with pytest.raises(ValueError):
         max_capset(0)

@@ -104,7 +104,7 @@ def test_verify_recurrence_command(capsys):
 def test_table_known_reference_defect(capsys):
     # named for the q=8 reference digit that was once one off; the full
     # table now passes every check, q=8_matches_reference included
-    code, report, _ = run_cli(capsys, "table", "--threads", "1")
+    code, report, _ = run_cli(capsys, "table")
     assert code == 0
     rows = report["result"]["rows"]
     assert [r["q"] for r in rows] == [4, 5, 7, 8, 9, 11, 13, 16, 17, 19,
@@ -115,8 +115,7 @@ def test_table_known_reference_defect(capsys):
 
 
 def test_table_subrange_passes(capsys):
-    code, report, _ = run_cli(capsys, "table", "--qmin", "9", "--qmax", "31",
-                              "--threads", "2")
+    code, report, _ = run_cli(capsys, "table", "--qmin", "9", "--qmax", "31")
     assert code == 0
     assert [r["q"] for r in report["result"]["rows"]] == \
         [9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
@@ -125,8 +124,7 @@ def test_table_subrange_passes(capsys):
 
 def test_search_writes_pointset(tmp_path, capsys):
     out = tmp_path / "witness.txt"
-    code, report, _ = run_cli(capsys, "search", "--n", "2", "--threads", "1",
-                              "--out", str(out))
+    code, report, _ = run_cli(capsys, "search", "--n", "2", "--out", str(out))
     assert code == 0
     assert report["result"]["max_size"] == 4
     assert report["result"]["proven_optimal"] is True
@@ -139,6 +137,30 @@ def test_search_with_budget(capsys):
     code, report, _ = run_cli(capsys, "search", "--n", "3", "--budget", "10")
     assert code == 0
     assert report["result"]["proven_optimal"] is False
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("search", "--n", "5"), "needs a node budget"),
+    (("search", "--n", "6", "--budget", "10"), "out of reach"),
+    (("verify-clp", "--n", "5", "--d", "2", "--from-search"),
+     "needs a node budget"),
+])
+def test_search_out_of_reach_exit_2(capsys, argv, reason):
+    # refused before any search table is built, so this returns at once
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--threads", "2"],
+    ["table", "--threads", "2"],
+])
+def test_threads_option_removed(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_verify_clp_from_file(tmp_path, capsys):

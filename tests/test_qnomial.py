@@ -127,3 +127,12 @@ def test_domain_errors():
         series_coeff_bound(4, 3)
     with pytest.raises(ValueError):
         series_coeff_bound(1, 3)
+
+
+def test_package_attribute_is_the_submodule():
+    # the package does not re-export the function under the module's name
+    import types
+
+    import capbound
+    assert isinstance(capbound.qnomial, types.ModuleType)
+    assert capbound.qnomial.qnomial(6, 4) == 90
