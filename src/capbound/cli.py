@@ -3,13 +3,17 @@ machine-readable JSON report on stdout.
 
 Exit codes: 0 when every reported check passes (or there are none),
 1 when some check fails, 2 for usage and domain errors (message on
-stderr, no JSON).  Arbitrary-precision integers are serialized as decimal
-strings; fixed-point values as {mantissa, scale, decimal}.
+stderr, no JSON).  A reader that closes stdout early (`| head`) cuts the
+report short but changes neither the exit code nor stderr.
+Arbitrary-precision integers are serialized as decimal strings of any
+length; fixed-point values as {mantissa, scale, decimal}.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -306,8 +310,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-to-decimal digit limit (4300 digits by
+    default, Python >= 3.10.7) while one command runs, then restore it.
+    Row sizes are capped by qnomial.MAX_ROW_BITS, and digit counts are
+    what the user asked for."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    with _unlimited_int_digits():
+        return _run(args)
+
+
+def _run(args) -> int:
     started = time.monotonic()
     try:
         result, checks = args.func(args)
@@ -323,7 +350,16 @@ def main(argv: list[str] | None = None) -> int:
         "checks": checks,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    print(json.dumps(report, indent=2))
+    text = json.dumps(report, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at /dev/null so that the flush
+        # at interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if all(c["pass"] for c in checks) else 1
 
 

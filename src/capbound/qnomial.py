@@ -1,15 +1,35 @@
 """Exact coefficient rows of (1 + x + ... + x^(q-1))^n and derived counts.
 
 Everything here is arbitrary-precision integer arithmetic; no floating
-point, no modular shortcuts.  Rows are cached per (n, q) within a process,
-and a per-q "ladder" keeps the highest row computed so far, so walking n
-upward (the common access pattern) costs one sliding-window update per
-step instead of a recomputation from scratch.
+point in any value, no modular shortcuts.
+
+Rows come from the P-recursive (holonomic) recurrence of f = P^n with
+P = 1 + x + ... + x^(q-1).  Differentiating gives P * f' = n * P' * f,
+and reading off the coefficient of x^(k-1) gives, for a_k = [x^k] f,
+
+    a_0 = 1,   k * a_k = sum_{j=1..min(q-1, k)} (j*n - k + j) * a_(k-j).
+
+So each entry costs q - 1 multiplications by small integers and one
+division by k, and a row of length (q-1)n + 1 costs O(q^2 n) big-integer
+operations instead of the O(q n^2) of multiplying by P one factor at a
+time.  Every division is checked: a nonzero remainder raises
+ArithmeticError rather than flooring.  The whole row is computed by the
+recurrence, so its symmetry and its total q^n stay independent checks.
+
+Finished rows are cached per (n, q) for the life of the process, because
+bound sweeps ask for the same rows again and again.  A row whose
+estimated size ((q-1)n + 1) * n * log2(q) bits exceeds MAX_ROW_BITS is
+refused with ValueError before anything is allocated.
 """
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
+
+# Ceiling on the estimated size of one row: 2^30 bits, i.e. 128 MiB.  It
+# admits n = 18,000 at q = 3 (coefficients of about 8,600 digits) and
+# refuses n = 10^5 at q = 3, whose row would take about 4 GB.
+MAX_ROW_BITS = 2**30
 
 
 @dataclass(frozen=True)
@@ -24,12 +44,7 @@ class QNomialRow:
         assert len(self.coeffs) == (self.q - 1) * self.n + 1
 
 
-# Cache of finished rows plus, per q, the top of the ladder we have climbed
-# so far.  Guarded by a lock so concurrent callers share work safely;
-# rows handed out are immutable tuples.
-_lock = threading.Lock()
 _rows: dict[tuple[int, int], tuple[int, ...]] = {}
-_ladder: dict[int, tuple[int, list[int]]] = {}
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -39,43 +54,37 @@ def _check_nq(n: int, q: int) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
-def _advance(row: list[int], m: int, q: int) -> list[int]:
-    """One multiplication by (1 + x + ... + x^(q-1)): row for m-1 -> row for m.
-
-    Uses the sliding window sum new[k] = sum_{j=k-q+1..k} old[j], maintained
-    incrementally, so each entry costs O(1) big-integer additions.
-    """
-    old_len = len(row)
-    new = [0] * ((q - 1) * m + 1)
-    window = 0
-    for k in range(len(new)):
-        if k < old_len:
-            window += row[k]
-        if 0 <= k - q < old_len:
-            window -= row[k - q]
-        new[k] = window
-    return new
+def _recurrence_row(n: int, q: int) -> list[int]:
+    """All coefficients of P^n from the order-(q-1) recurrence, exactly."""
+    top = (q - 1) * n
+    row = [1] + [0] * top
+    for k in range(1, top + 1):
+        total = 0
+        for j in range(1, min(q - 1, k) + 1):
+            total += (j * (n + 1) - k) * row[k - j]
+        value, rest = divmod(total, k)
+        if rest:
+            raise ArithmeticError(
+                f"recurrence division not exact at n={n}, q={q}, k={k}")
+        row[k] = value
+    return row
 
 
 def qnomial_row(n: int, q: int = 3) -> QNomialRow:
-    """Exact row of coefficients of (1 + x + ... + x^(q-1))^n."""
+    """Exact row of coefficients of (1 + x + ... + x^(q-1))^n.
+
+    Raises ValueError if the row's estimated size is over MAX_ROW_BITS.
+    """
     _check_nq(n, q)
-    with _lock:
-        cached = _rows.get((n, q))
-        if cached is not None:
-            return QNomialRow(n, q, cached)
-        top_n, top_row = _ladder.get(q, (0, [1]))
-        if top_n > n:
-            # Ladder is above the request; rebuild from the ground.  Cheap
-            # relative to the work that raised the ladder in the first place.
-            top_n, top_row = 0, [1]
-        row = top_row
-        for m in range(top_n + 1, n + 1):
-            row = _advance(row, m, q)
-        _ladder[q] = (n, row)
-        coeffs = tuple(row)
-        _rows[(n, q)] = coeffs
-    return QNomialRow(n, q, coeffs)
+    cached = _rows.get((n, q))
+    if cached is None:
+        bits = ((q - 1) * n + 1) * n * math.log2(q)
+        if bits > MAX_ROW_BITS:
+            raise ValueError(
+                f"row n={n}, q={q} would take about {bits / 2**23:.0f} MiB, "
+                f"over the {MAX_ROW_BITS // 2**23} MiB row ceiling")
+        cached = _rows[(n, q)] = tuple(_recurrence_row(n, q))
+    return QNomialRow(n, q, cached)
 
 
 def qnomial(n: int, k: int, q: int = 3) -> int:
@@ -123,6 +132,4 @@ def series_coeff_bound(n: int, q: int) -> int:
 
 def clear_cache() -> None:
     """Drop all cached rows (mainly for memory-sensitive callers and tests)."""
-    with _lock:
-        _rows.clear()
-        _ladder.clear()
+    _rows.clear()

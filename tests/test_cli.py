@@ -1,12 +1,19 @@
 """End-to-end CLI checks: JSON shape, exit codes, file interop, and the
 stability of repeated invocations."""
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import capbound
 from capbound.cli import main
 from capbound.qnomial import qnomial
 from capbound.verifier import parse_pointset
+from test_qnomial import inclusion_exclusion
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +35,32 @@ def test_qnomial_big_value_survives_json(capsys):
     code, report, _ = run_cli(capsys, "qnomial", "--n", "400", "--k", "400")
     assert code == 0
     assert int(report["result"]["value"]) == qnomial(400, 400, 3)
+
+
+def parse_decimal(text: str) -> int:
+    """int(text) in 1000-digit chunks, below the interpreter's digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_qnomial_value_past_4300_digits(capsys):
+    code, report, _ = run_cli(capsys, "qnomial", "--n", "10000", "--k", "6666")
+    assert code == 0
+    value = report["result"]["value"]
+    assert len(value) > 4300
+    assert parse_decimal(value) == inclusion_exclusion(10000, 6666, 3)
+
+
+def test_oversized_row_exit_2_at_once(capsys):
+    started = time.monotonic()
+    code, report, err = run_cli(capsys, "qnomial", "--n", "1000000",
+                                "--k", "0")
+    assert time.monotonic() - started < 2.0
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "ceiling" in err
 
 
 def test_bound_optimize(capsys):
@@ -68,6 +101,33 @@ def test_alpha_command(capsys):
     assert report["result"]["alpha"]["decimal"] == "2.7551046130236330002"
     assert report["result"]["alpha"]["scale"] == 19
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_alpha_10000_digits(capsys):
+    code, report, _ = run_cli(capsys, "alpha", "--digits", "10000")
+    assert code == 0
+    alpha = report["result"]["alpha"]
+    assert alpha["scale"] == 10000 and len(alpha["decimal"]) == 10002
+    assert alpha["decimal"].startswith("2.7551046130236330002")
+    assert alpha["mantissa"] == alpha["decimal"].replace(".", "")
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_closed_stdout_leaves_no_traceback():
+    # the report (about 150 kB) outgrows the pipe buffer, so the child is
+    # still writing when the reader stops after 100 bytes
+    src = str(Path(capbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "capbound.cli", "alpha", "--digits", "25000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = child.stdout.read(100)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 0
+    child.stderr.close()
+    assert head.startswith(b"{")
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_leading_constant_command(capsys):

@@ -1,9 +1,14 @@
-"""Row computation against a direct convolution oracle, plus the exact
-invariants (symmetry, total mass, sliding recurrence, saturation)."""
+"""Row computation against a direct convolution oracle and a math.comb
+inclusion-exclusion oracle, plus the exact invariants (symmetry, total
+mass, sliding recurrence, saturation) and the row-size ceiling."""
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import capbound.qnomial as qnomial_module
 from capbound.qnomial import (
     clear_cache,
     mspace_size,
@@ -25,6 +30,30 @@ def expand_row(n: int, q: int) -> list[int]:
     return row
 
 
+def inclusion_exclusion(n: int, k: int, q: int) -> int:
+    """Oracle: [x^k] ((1 - x^q) / (1 - x))^n
+    = sum_i (-1)^i C(n, i) C(k - q*i + n - 1, n - 1).
+
+    Both binomials start from math.comb and step to the next term by the
+    exact ratios C(n, i+1) = C(n, i) (n-i)/(i+1) and
+    C(m-1, r) = C(m, r) (m-r)/m, which keeps n = 10^4 under a second.
+    """
+    if n == 0:
+        return int(k == 0)
+    terms = min(n, k // q) + 1
+    m = k + n - 1
+    a, b = 1, math.comb(m, n - 1)
+    total = 0
+    for i in range(terms):
+        total += (-1) ** i * a * b
+        if i + 1 < terms:
+            a = a * (n - i) // (i + 1)
+            for _ in range(q):
+                b = b * (m - n + 1) // m
+                m -= 1
+    return total
+
+
 @pytest.mark.parametrize("n,q,expected", [
     (0, 3, [1]),
     (2, 3, [1, 2, 3, 2, 1]),
@@ -41,12 +70,56 @@ def test_rows_match_expansion_oracle(q):
         assert list(qnomial_row(n, q).coeffs) == expand_row(n, q)
 
 
+@settings(deadline=None)
+@given(n=st.integers(0, 40), q=st.integers(2, 31))
+def test_rows_match_expansion_oracle_differential(n, q):
+    assert list(qnomial_row(n, q).coeffs) == expand_row(n, q)
+
+
+@pytest.mark.parametrize("n,k,q", [
+    (2400, 1600, 3),
+    (330, 1, 25),
+    (330, 2640, 25),
+    (330, 3960, 25),
+    (330, 7000, 25),
+])
+def test_large_coefficients_match_inclusion_exclusion(n, k, q):
+    assert qnomial(n, k, q) == inclusion_exclusion(n, k, q)
+
+
+def test_inclusion_exclusion_oracle_small():
+    for q in (2, 3, 5):
+        for n in range(0, 8):
+            row = expand_row(n, q)
+            assert [inclusion_exclusion(n, k, q) for k in range(len(row))] == row
+
+
+def test_inexact_division_raises(monkeypatch):
+    # a remainder must stop the row, never be floored away
+    clear_cache()
+    monkeypatch.setattr(qnomial_module, "divmod",
+                        lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        qnomial_row(4, 3)
+    monkeypatch.undo()
+    assert list(qnomial_row(4, 3).coeffs) == expand_row(4, 3)
+
+
+def test_row_ceiling_refuses_before_building():
+    # an n = 10^5, q = 3 row would take about 4 GB
+    with pytest.raises(ValueError, match="ceiling"):
+        qnomial_row(10**5, 3)
+    with pytest.raises(ValueError, match="ceiling"):
+        mspace_size(10**6, 2, 3)
+    assert qnomial(10**6, -1, 3) == 0
+
+
 def test_row_caching_is_invisible():
     clear_cache()
     first = qnomial_row(12, 3).coeffs
     again = qnomial_row(12, 3).coeffs
     assert first == again == tuple(expand_row(12, 3))
-    # climbing down after climbing up still gives correct rows
+    # a smaller row asked for after a larger one is still exact
     qnomial_row(30, 3)
     assert list(qnomial_row(7, 3).coeffs) == expand_row(7, 3)
 
