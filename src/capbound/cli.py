@@ -194,6 +194,7 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
         "max_size": result.max_size,
         "witness": witness_lines,
         "nodes_explored": result.nodes_explored,
+        "prunes": result.prunes,
         "proven_optimal": result.proven_optimal,
         "fixed_prefix": list(result.fixed_prefix),
     }, checks

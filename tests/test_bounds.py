@@ -27,9 +27,12 @@ def test_optimal_bound_values():
 
 
 def test_optimal_dominates_every_d():
-    for n in range(0, 61, 5):
-        best = optimal_bound(n).value
-        assert all(bound_for_d(n, d).value >= best for d in range(2 * n + 1))
+    # the one-pass minimizer against bound_for_d, first d on ties
+    for n in range(0, 61):
+        values = [bound_for_d(n, d).value for d in range(2 * n + 1)]
+        best = min(values)
+        report = optimal_bound(n)
+        assert (report.d, report.value) == (values.index(best), best)
 
 
 @pytest.mark.parametrize("n,expected", [(3, 30), (6, 504), (1, 3), (0, 3)])

@@ -8,6 +8,9 @@ import pytest
 
 from capbound.capsearch import (
     PointSet,
+    _hyperplane_masks,
+    _PackedSlices,
+    _completion_moves,
     complete_triple,
     decode_point,
     encode_point,
@@ -110,6 +113,70 @@ def test_witnesses_are_progression_free_and_sized():
 def test_monotone_in_dimension():
     sizes = [max_capset(n).max_size for n in (1, 2, 3)]
     assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hyperplane_masks_are_every_direction(n):
+    size = 3**n
+    everything = (1 << size) - 1
+    directions = _hyperplane_masks(n)
+    assert len(directions) == (size - 1) // 2
+    assert len(set(directions)) == len(directions)
+    for masks in directions:
+        assert masks[0] | masks[1] | masks[2] == everything
+        assert sum(m.bit_count() for m in masks) == size
+        for mask in masks:
+            assert mask.bit_count() == 3**(n - 1)
+            points = [x for x in range(size) if mask >> x & 1]
+            # closed under completing triples: an affine hyperplane
+            for i, a in enumerate(points):
+                for b in points[i + 1:]:
+                    assert mask >> complete_triple(a, b, n) & 1
+    for j in range(n):
+        coordinate = tuple(
+            sum(1 << x for x in range(size) if decode_point(x, n)[j] == v)
+            for v in range(3))
+        assert coordinate in directions
+
+
+@pytest.mark.parametrize("n,cap", [(1, 1), (2, 2), (3, 4), (4, 9)])
+def test_packed_slice_bound_matches_direct_sums(n, cap):
+    # the packed field arithmetic against plain per-direction sums
+    rng = random.Random(n)
+    directions = _hyperplane_masks(n)
+    packed = _PackedSlices(directions, n, cap)
+    for _ in range(400):
+        density = rng.random()
+        reach = sum(1 << x for x in range(3**n) if rng.random() < density)
+        best = rng.randrange(3 * cap + 1)
+        bounds = [sum(min(cap, (reach & m).bit_count()) for m in masks)
+                  for masks in directions]
+        cutting = [u for u, bound in enumerate(bounds) if bound <= best]
+        expected = cutting[0] if cutting else -1
+        assert packed.cutting_direction(reach, best) == expected
+
+
+def test_completion_moves_match_complete_triple():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        moves = _completion_moves(n)
+        negate = [encode_point([-c % 3 for c in decode_point(a, n)])
+                  for a in range(3**n)]
+        for _ in range(100):
+            chosen = rng.sample(range(3**n), rng.randint(1, 3**n))
+            x = rng.randrange(3**n)
+            moved = sum(1 << negate[a] for a in chosen)
+            for lifted, up, dropped, down in moves[x]:
+                moved = ((moved & lifted) << up) | ((moved & dropped) >> down)
+            assert moved == sum(1 << complete_triple(x, a, n) for a in chosen)
+
+
+def test_prune_counts_repeat():
+    first, second = max_capset(3), max_capset(3)
+    assert first.prunes == second.prunes
+    assert set(first.prunes) == {"cardinality", "slice"}
+    assert first.prunes["slice"] > 0
+    assert first.nodes_explored == second.nodes_explored
 
 
 def test_budget_cutoff():

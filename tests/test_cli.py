@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import capbound
+from capbound.capsearch import max_capset
 from capbound.cli import main
 from capbound.qnomial import qnomial
 from capbound.verifier import parse_pointset
@@ -191,6 +192,13 @@ def test_search_writes_pointset(tmp_path, capsys):
     assert report["result"]["witness"] == ["0 0", "0 1", "1 0", "1 1"]
     ps = parse_pointset(out.read_text())
     assert ps.points == (0, 1, 3, 4)
+
+
+def test_search_reports_prune_counts(capsys):
+    result = run_cli(capsys, "search", "--n", "3")[1]["result"]
+    search = max_capset(3)
+    assert result["nodes_explored"] == search.nodes_explored
+    assert result["prunes"] == search.prunes
 
 
 def test_search_with_budget(capsys):
