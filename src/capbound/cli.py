@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import acceptance, golden
 from .asymptotics import (
@@ -49,6 +50,17 @@ def _bound_json(report: BoundReport) -> dict:
         "identities": [{"name": name, "pass": ok}
                        for name, ok in report.identities],
     }
+
+
+def _json_default(value):
+    """Exact ratios as floats (every verdict is decided on the exact value
+    first) and fixed-point values spelled out, for verify-all's measured
+    values."""
+    if isinstance(value, Fraction):
+        return float(value)
+    if isinstance(value, BigFixed):
+        return _bigfixed_json(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _digit_check(name: str, value: BigFixed, pinned: str) -> dict:
@@ -236,7 +248,9 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
               for c in criteria]
     result = {"level": args.level,
               "criteria": [{"name": c.name, "pass": c.passed,
-                            "warning": c.warning, "detail": c.detail}
+                            "warning": c.warning, "detail": c.detail,
+                            "measured": c.measured,
+                            "elapsed_ms": round(c.elapsed_s * 1000, 3)}
                            for c in criteria]}
     return result, checks
 
@@ -351,7 +365,7 @@ def _run(args) -> int:
         "checks": checks,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, default=_json_default)
     try:
         print(text)
         sys.stdout.flush()

@@ -35,6 +35,17 @@ RECURRENCE_COEFFS = (
     * (11 * n + 9) * (4 * n + 7) * (n + 2),
 )
 
+# Lexicographically least maximum cap sets of F_3^n, as encoded points
+# (capsearch.encode_point): the first maximum set the search's canonical
+# walk meets.  Criterion 6 checks the search against them.
+LEX_LEAST_WITNESSES = {
+    1: (0, 1),
+    2: (0, 1, 3, 4),
+    3: (0, 1, 3, 4, 9, 10, 14, 17, 23),
+    4: (0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 32, 35, 38, 47, 59, 65, 66, 67,
+        71, 77),
+}
+
 # Leading constant and first 1/n correction of
 #   sharp_bound(n) ~ C * alpha^n / sqrt(n) * (1 + c1/n + ...).
 # The pinned C is trustworthy to ~10 significant digits; the closed form

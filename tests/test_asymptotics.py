@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capbound import golden
+from capbound.acceptance import leading_constant_digit_check, ulp_distance
 from capbound.asymptotics import (
     alpha,
     characteristic_root,
@@ -19,11 +20,6 @@ from capbound.asymptotics import (
     verify_recurrence,
 )
 from capbound.fixedpoint import BigFixed
-
-
-def ulp_between(value: BigFixed, pinned: str) -> Fraction:
-    ref = BigFixed.from_decimal(pinned)
-    return abs((value - ref).as_fraction()) * 10**ref.scale
 
 
 def test_middle_coefficients():
@@ -57,8 +53,8 @@ def test_recurrence_validates_input():
 
 
 def test_characteristic_root_digits():
-    assert ulp_between(characteristic_root(18),
-                       golden.CHARACTERISTIC_ROOT_DIGITS) <= 1
+    assert ulp_distance(characteristic_root(18),
+                        golden.CHARACTERISTIC_ROOT_DIGITS) <= 1
 
 
 def test_characteristic_root_satisfies_quadratic():
@@ -74,7 +70,7 @@ def test_characteristic_root_satisfies_quadratic():
 
 
 def test_alpha_digits_and_cube():
-    assert ulp_between(alpha(19), golden.ALPHA_DIGITS) <= 1
+    assert ulp_distance(alpha(19), golden.ALPHA_DIGITS) <= 1
     cube = alpha(40).pow_int(3)
     assert abs((cube - characteristic_root(40)).as_fraction()) \
         < Fraction(1, 10**36)
@@ -115,7 +111,7 @@ def test_growth_constants_monotone_and_below_q():
 def test_growth_table_census():
     # every entry within 1 ulp of the pinned digits
     for q, pinned in golden.GROWTH_TABLE.items():
-        assert ulp_between(growth_constant(q), pinned) <= 1, q
+        assert ulp_distance(growth_constant(q), pinned) <= 1, q
 
 
 def test_growth_table_mpmath_oracle():
@@ -168,6 +164,19 @@ def test_leading_constant_closed_form_digits():
     rel = abs((leading_constant(19) - pinned).as_fraction()
               / pinned.as_fraction())
     assert rel < Fraction(1, 10**10)
+
+
+def test_leading_constant_digit_check_exact_agreement():
+    # the pinned string itself agrees in all 20 of its significant digits
+    ok, detail = leading_constant_digit_check(
+        BigFixed.from_decimal(golden.LEADING_CONSTANT_DIGITS))
+    assert ok
+    assert "20 significant digits agree" in detail
+    ok, detail = leading_constant_digit_check(leading_constant(19))
+    assert ok
+    assert "10 significant digits agree" in detail
+    ok, detail = leading_constant_digit_check(leading_constant(8))
+    assert not ok
 
 
 def test_leading_constant_empirical_small_ladder():

@@ -258,6 +258,25 @@ def test_verify_clp_dimension_mismatch(tmp_path, capsys):
     assert code == 2 and "dimension" in err
 
 
+def test_verify_all_quick(capsys):
+    code, report, _ = run_cli(capsys, "verify-all", "--level", "quick")
+    assert code == 0
+    criteria = report["result"]["criteria"]
+    assert [c["name"] for c in criteria] == [
+        "1_recurrence_exact", "2_root_and_alpha_digits", "3_growth_table",
+        "4_method_independence", "5_identity_chain", "6_oracle_domination",
+        "7_proof_core", "8_leading_constant", "9_first_correction",
+        "10_property_suites"]
+    assert all(c["pass"] for c in criteria)
+    assert all(c["elapsed_ms"] >= 0 for c in criteria)
+    measured = {c["name"]: c["measured"] for c in criteria}
+    assert measured["2_root_and_alpha_digits"]["alpha_ulp"] <= 1
+    assert measured["6_oracle_domination"]["runs"]["3"]["witness"] == [
+        0, 1, 3, 4, 9, 10, 14, 17, 23]
+    assert measured["8_leading_constant"]["value"]["decimal"].startswith(
+        "3.326762746")
+
+
 def test_missing_file_exit_2(capsys):
     code, report, err = run_cli(capsys, "verify-clp", "--n", "2", "--d", "2",
                                 "--set", "/nonexistent/file.txt")
