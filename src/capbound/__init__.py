@@ -42,6 +42,7 @@ from .qnomial import (
     QNomialRow,
     mspace_size,
     qnomial_row,
+    row_prefix,
     series_coeff_bound,
 )
 from .verifier import (

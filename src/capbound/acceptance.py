@@ -232,10 +232,8 @@ def c8_leading_constant(level: str) -> CriterionResult:
 
 @_timed
 def c9_first_correction(level: str) -> CriterionResult:
-    if level != "full":
-        return CriterionResult("9_first_correction", True,
-                               "runs at full level only (needs rows to 2400)")
-    estimate = first_correction_estimate(2400)
+    n_max = 2400 if level == "full" else 600
+    estimate = first_correction_estimate(n_max)
     target = golden.FIRST_CORRECTION
     rel = abs(estimate - target) / abs(target)
     detail = (f"estimate {estimate:.6f} vs pinned {target} "
@@ -243,7 +241,7 @@ def c9_first_correction(level: str) -> CriterionResult:
     within = rel <= 0.05 and estimate < 0
     return CriterionResult(
         "9_first_correction", True, detail,
-        {"n_max": 2400, "estimate": estimate, "rel": rel},
+        {"n_max": n_max, "estimate": estimate, "rel": rel},
         None if within else f"outside the 5% tolerance: {detail}")
 
 

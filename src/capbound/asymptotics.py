@@ -26,10 +26,15 @@ from typing import Callable
 from . import golden
 from .bounds import sharp_bound
 from .fixedpoint import BigFixed, isqrt_newton, pi
-from .qnomial import qnomial
+from .qnomial import qnomial, row_prefix
 
 DEFAULT_DIGITS = 40
 GUARD = 10
+# Largest n_max verify_recurrence accepts.  Each d(n) takes 2n recurrence
+# steps on integers of about 4.75n bits, so the check grows like n_max^3
+# in time while its memory stays a few MB: n_max = 1000 takes about 1 s
+# and 2000 about 6 s (Python 3.11, one core of a shared VM).
+RECURRENCE_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,12 @@ class SaddleResult:
 
 
 def trinomial_middle(n: int) -> int:
-    """d(n) = coefficient of x^(2n) in (1+x+x^2)^(3n), exact."""
-    return qnomial(3 * n, 2 * n, 3)
+    """d(n) = coefficient of x^(2n) in (1+x+x^2)^(3n), exact.
+
+    Computed from the row prefix up to x^(2n), outside the row cache:
+    the rows (3n, 3) serve nothing else, and caching them all made
+    verify_recurrence(2000) hold several GB."""
+    return row_prefix(3 * n, 3, 2 * n)[-1]
 
 
 def verify_recurrence(n_max: int,
@@ -57,19 +66,25 @@ def verify_recurrence(n_max: int,
     """Evaluate the three-term recurrence combination exactly for
     n = 0..n_max-2 and report whether every value is zero.
 
-    d is injectable so a deliberately corrupted sequence can demonstrate
-    that the check actually detects failures.
+    Each d(n) is computed once and only the three terms of the current
+    combination are kept.  n_max is capped at RECURRENCE_MAX_N.  d is
+    injectable so a deliberately corrupted sequence can demonstrate that
+    the check actually detects failures.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if not 2 <= n_max <= RECURRENCE_MAX_N:
+        raise ValueError(f"n_max must be in [2, {RECURRENCE_MAX_N}], "
+                         f"got {n_max}")
     if d is None:
         d = trinomial_middle
     c0, c1, c2 = golden.RECURRENCE_COEFFS
     first_failure = None
+    d0, d1 = d(0), d(1)
     for n in range(n_max - 1):
-        if c0(n) * d(n) + c1(n) * d(n + 1) + c2(n) * d(n + 2) != 0:
+        d2 = d(n + 2)
+        if c0(n) * d0 + c1(n) * d1 + c2(n) * d2 != 0:
             first_failure = n
             break
+        d0, d1 = d1, d2
     return RecurrenceCheck(n_max=n_max, all_zero=first_failure is None,
                            first_failure=first_failure)
 

@@ -7,6 +7,9 @@ stderr, no JSON).  A reader that closes stdout early (`| head`) cuts the
 report short but changes neither the exit code nor stderr.
 Arbitrary-precision integers are serialized as decimal strings of any
 length; fixed-point values as {mantissa, scale, decimal}.
+
+The acceptance battery is imported only by the commands that use it, so
+the other commands do not pay for loading it at every start.
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ import sys
 import time
 from fractions import Fraction
 
-from . import acceptance, golden
+from . import golden
 from .asymptotics import (
+    RECURRENCE_MAX_N,
     alpha,
     characteristic_root,
     growth_constant,
@@ -64,6 +68,8 @@ def _json_default(value):
 
 
 def _digit_check(name: str, value: BigFixed, pinned: str) -> dict:
+    from . import acceptance
+
     dist = acceptance.ulp_distance(value, pinned)
     return {
         "name": name,
@@ -175,6 +181,8 @@ def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
     value = leading_constant(args.digits)
     checks = []
     if args.digits >= 12:
+        from . import acceptance
+
         ok, detail = acceptance.leading_constant_digit_check(value)
         checks.append({"name": "matches_reference_to_10_significant_digits",
                        "pass": ok, "detail": detail})
@@ -228,6 +236,7 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
         "rank": report.rank,
         "diagonal_ok": report.diagonal_ok, "rank_ok": report.rank_ok,
         "support_ok": report.support_ok, "bound_ok": report.bound_ok,
+        "timings_ms": report.timings_ms, "counters": report.counters,
     }
     checks = [
         {"name": "pair_matrix_diagonal", "pass": report.diagonal_ok,
@@ -243,6 +252,8 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
+    from . import acceptance
+
     criteria = acceptance.run_all(level=args.level)
     checks = [{"name": c.name, "pass": c.passed, "detail": c.detail}
               for c in criteria]
@@ -299,7 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_leading_constant)
 
     p = sub.add_parser("verify-recurrence", help="exact recurrence check")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=int, required=True,
+                   help=f"check n = 0..nmax-2; nmax in [2, "
+                        f"{RECURRENCE_MAX_N}] (time grows like nmax^3)")
     p.set_defaults(func=_cmd_verify_recurrence)
 
     p = sub.add_parser("search", help="maximum progression-free set search")

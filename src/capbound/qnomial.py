@@ -17,9 +17,11 @@ ArithmeticError rather than flooring.  The whole row is computed by the
 recurrence, so its symmetry and its total q^n stay independent checks.
 
 Finished rows are cached per (n, q) for the life of the process, because
-bound sweeps ask for the same rows again and again.  A row whose
-estimated size ((q-1)n + 1) * n * log2(q) bits exceeds MAX_ROW_BITS is
-refused with ValueError before anything is allocated.
+bound sweeps ask for the same rows again and again.  row_prefix runs the
+same recurrence up to a given k outside the cache, for one-off
+coefficients.  A row whose estimated size ((q-1)n + 1) * n * log2(q)
+bits exceeds MAX_ROW_BITS is refused with ValueError before anything is
+allocated; a prefix is held to the same ceiling.
 """
 from __future__ import annotations
 
@@ -54,9 +56,16 @@ def _check_nq(n: int, q: int) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
-def _recurrence_row(n: int, q: int) -> list[int]:
-    """All coefficients of P^n from the order-(q-1) recurrence, exactly."""
-    top = (q - 1) * n
+def _check_size(n: int, q: int, length: int) -> None:
+    bits = length * n * math.log2(q)
+    if bits > MAX_ROW_BITS:
+        raise ValueError(
+            f"row n={n}, q={q} would take about {bits / 2**23:.0f} MiB, "
+            f"over the {MAX_ROW_BITS // 2**23} MiB row ceiling")
+
+
+def _recurrence_row(n: int, q: int, top: int) -> list[int]:
+    """Coefficients 0..top of P^n from the order-(q-1) recurrence, exactly."""
     row = [1] + [0] * top
     for k in range(1, top + 1):
         total = 0
@@ -78,13 +87,22 @@ def qnomial_row(n: int, q: int = 3) -> QNomialRow:
     _check_nq(n, q)
     cached = _rows.get((n, q))
     if cached is None:
-        bits = ((q - 1) * n + 1) * n * math.log2(q)
-        if bits > MAX_ROW_BITS:
-            raise ValueError(
-                f"row n={n}, q={q} would take about {bits / 2**23:.0f} MiB, "
-                f"over the {MAX_ROW_BITS // 2**23} MiB row ceiling")
-        cached = _rows[(n, q)] = tuple(_recurrence_row(n, q))
+        top = (q - 1) * n
+        _check_size(n, q, top + 1)
+        cached = _rows[(n, q)] = tuple(_recurrence_row(n, q, top))
     return QNomialRow(n, q, cached)
+
+
+def row_prefix(n: int, q: int, top: int) -> list[int]:
+    """Coefficients 0..top of (1 + x + ... + x^(q-1))^n, computed by the
+    same recurrence but neither read from nor stored in the row cache:
+    for one-off coefficients of rows no caller asks for twice.  The
+    ceiling applies to the prefix's estimated size."""
+    _check_nq(n, q)
+    if not 0 <= top <= (q - 1) * n:
+        raise ValueError(f"top={top} is outside [0, {(q - 1) * n}]")
+    _check_size(n, q, top + 1)
+    return _recurrence_row(n, q, top)
 
 
 def qnomial(n: int, k: int, q: int = 3) -> int:

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import capbound.qnomial as qnomial_module
 from capbound import golden
 from capbound.acceptance import leading_constant_digit_check, ulp_distance
 from capbound.asymptotics import (
+    RECURRENCE_MAX_N,
     alpha,
     characteristic_root,
     first_correction_estimate,
@@ -50,6 +52,19 @@ def test_recurrence_detects_corruption():
 def test_recurrence_validates_input():
     with pytest.raises(ValueError):
         verify_recurrence(1)
+
+
+def test_recurrence_ceiling_refused_at_once():
+    with pytest.raises(ValueError, match=str(RECURRENCE_MAX_N)):
+        verify_recurrence(RECURRENCE_MAX_N + 1)
+
+
+def test_recurrence_leaves_the_row_cache_alone():
+    # the rows (3n, 3) are computed as prefixes and dropped; caching them
+    # all took about 1 GB at n_max = 1000
+    qnomial_module.clear_cache()
+    assert verify_recurrence(60).all_zero
+    assert not qnomial_module._rows
 
 
 def test_characteristic_root_digits():

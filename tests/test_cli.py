@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import capbound
+from capbound import golden
 from capbound.capsearch import max_capset
 from capbound.cli import main
-from capbound.qnomial import qnomial
+from capbound.qnomial import mspace_size, qnomial
 from capbound.verifier import parse_pointset
 from test_qnomial import inclusion_exclusion
 
@@ -250,6 +251,44 @@ def test_verify_clp_from_search(capsys):
     assert report["result"]["support_cap"] == 2
 
 
+def test_verify_clp_reports_cost(tmp_path, capsys):
+    out = tmp_path / "w.txt"
+    run_cli(capsys, "search", "--n", "3", "--out", str(out))
+    for _ in range(2):
+        code, report, _ = run_cli(capsys, "verify-clp", "--n", "3", "--d",
+                                  "4", "--set", str(out))
+        assert code == 0
+    result = report["result"]
+    assert set(result["timings_ms"]) == {"table", "nullspace",
+                                         "pair_matrices", "ranks", "supports"}
+    assert all(t >= 0 for t in result["timings_ms"].values())
+    counters = result["counters"]
+    assert counters["eval_matrix_rows"] == 27 - 9
+    assert counters["eval_matrix_cols"] == mspace_size(3, 4, 3) == 23
+    assert (counters["eval_matrix_rank"] + counters["dim_v"]
+            == counters["eval_matrix_cols"])
+    assert counters["dim_v"] == result["dim_v"]
+    assert counters["pair_entries"] == result["dim_v"] * 9 * 9
+    assert counters["table_cached"] is True
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("verify-clp", "--n", "7", "--d", "2", "--set", "POINTS"),
+     "out of reach for the verifier"),
+    (("verify-recurrence", "--nmax", "2001"), "n_max must be in [2, 2000]"),
+])
+def test_ceilings_exit_2(tmp_path, capsys, argv, reason):
+    points = tmp_path / "p7.txt"
+    points.write_text("0 0 0 0 0 0 0\n0 0 0 0 0 0 1\n")
+    argv = [str(points) if a == "POINTS" else a for a in argv]
+    started = time.perf_counter()
+    code, report, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and reason in err
+
+
 def test_verify_clp_dimension_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0\n0 1\n")
@@ -275,6 +314,12 @@ def test_verify_all_quick(capsys):
         0, 1, 3, 4, 9, 10, 14, 17, 23]
     assert measured["8_leading_constant"]["value"]["decimal"].startswith(
         "3.326762746")
+    # criterion 9 computes its estimate at quick level too
+    assert measured["9_first_correction"]["n_max"] == 600
+    estimate = measured["9_first_correction"]["estimate"]
+    target = golden.FIRST_CORRECTION
+    assert estimate < 0 and abs(estimate - target) <= 0.05 * abs(target)
+    assert criteria[8]["warning"] is None
 
 
 def test_missing_file_exit_2(capsys):

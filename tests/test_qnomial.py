@@ -14,6 +14,7 @@ from capbound.qnomial import (
     mspace_size,
     qnomial,
     qnomial_row,
+    row_prefix,
     series_coeff_bound,
 )
 
@@ -71,8 +72,13 @@ def test_rows_match_expansion_oracle(q):
 
 
 @settings(deadline=None)
-@given(n=st.integers(0, 40), q=st.integers(2, 31))
-def test_rows_match_expansion_oracle_differential(n, q):
+@given(n=st.integers(0, 40), q=st.integers(2, 31), data=st.data())
+def test_rows_match_expansion_oracle_differential(n, q, data):
+    clear_cache()
+    top = data.draw(st.integers(0, (q - 1) * n))
+    # a prefix neither reads nor fills the row cache
+    assert row_prefix(n, q, top) == expand_row(n, q)[:top + 1]
+    assert (n, q) not in qnomial_module._rows
     assert list(qnomial_row(n, q).coeffs) == expand_row(n, q)
 
 
@@ -109,6 +115,10 @@ def test_row_ceiling_refuses_before_building():
     # an n = 10^5, q = 3 row would take about 4 GB
     with pytest.raises(ValueError, match="ceiling"):
         qnomial_row(10**5, 3)
+    with pytest.raises(ValueError, match="ceiling"):
+        row_prefix(10**5, 3, 10**5)
+    with pytest.raises(ValueError, match="outside"):
+        row_prefix(4, 3, 9)
     with pytest.raises(ValueError, match="ceiling"):
         mspace_size(10**6, 2, 3)
     assert qnomial(10**6, -1, 3) == 0

@@ -2,13 +2,18 @@
 a brute-force vanishing-count oracle, a determinant oracle for ranks, and
 the split/reconstruction and eval/expand consistency properties."""
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capbound.capsearch import max_capset
+from capbound import golden, verifier
+from capbound.capsearch import decode_point, max_capset
 from capbound.qnomial import mspace_size
 from capbound.verifier import (
+    VERIFY_MAX_N,
     FieldPoly,
     PointSet,
     clp_split,
@@ -199,6 +204,95 @@ def test_verify_support_bound_preconditions():
         verify_support_bound(1, 1, PointSet(3, 1, (0, 1, 2)))
     with pytest.raises(ValueError):
         verify_support_bound(1, 1, PointSet(3, 1, (0, 1)), p=5)
+    for d in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            verify_support_bound(1, d, PointSet(3, 1, (0, 1)))
+    # the packed linear algebra is F_3 only
+    with pytest.raises(ValueError, match="F_3 only"):
+        rank_mod_p([[1, 0], [0, 1]], 5)
+    with pytest.raises(ValueError, match="F_3 only"):
+        vanishing_space_basis(1, 1, PointSet(5, 1, (2,)), p=5)
+    with pytest.raises(ValueError, match="F_3 only"):
+        support_size(poly_of(5, 1, {(1,): 1}))
+
+
+def test_out_of_reach_dimensions_refused_at_once():
+    n = VERIFY_MAX_N + 1
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="out of reach"):
+        verify_support_bound(n, 2, PointSet(3, n, (0, 1)))
+    assert time.perf_counter() - started < 0.5
+    assert n not in verifier._tables
+
+
+# Subsets of F_3^n, n <= 3, with a degree d in [0, 2n] and a second subset
+# for the pair matrices.
+@st.composite
+def subset_cases(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2 * n))
+    S = PointSet(3, n, tuple(draw(st.sets(st.integers(0, 3**n - 1)))))
+    A = PointSet(3, n, tuple(draw(st.sets(st.integers(0, 3**n - 1),
+                                          max_size=6))))
+    return n, d, S, A
+
+
+@settings(deadline=None, max_examples=80)
+@given(subset_cases())
+def test_packed_values_match_eval_poly(case):
+    n, d, S, A = case
+    points = list(product(range(3), repeat=n))  # base-3 index order
+    for P in vanishing_space_basis(n, d, S):
+        ones, twos = verifier._values(P)
+        values = [eval_poly(P, v) for v in points]
+        assert not any(values[x] for x in S.points)
+        assert [1 if ones >> x & 1 else 2 if twos >> x & 1 else 0
+                for x in range(3**n)] == values
+        assert support_size(P) == sum(1 for v in values if v)
+        assert product_matrix(P, A) == [
+            [eval_poly(P, tuple((-x - y) % 3 for x, y in zip(a, b)))
+             for b in A.vectors()] for a in A.vectors()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(subset_cases())
+def test_basis_is_unit_at_its_free_columns(case):
+    # column j of the evaluation matrix is free exactly when it adds no
+    # rank to the columns before it; basis element k is 1 at the k-th
+    # free column and 0 at every other free column
+    n, d, S, _ = case
+    monos = monomials_up_to(n, d, 3)
+    evals = [[eval_poly(make_poly(3, n, {m: 1}), v) for m in monos]
+             for v in S.vectors()]
+
+    def rank_before(j):
+        return rank_mod_p([row[:j] for row in evals], 3)
+
+    free = [j for j in range(len(monos)) if rank_before(j + 1) == rank_before(j)]
+    basis = vanishing_space_basis(n, d, S)
+    assert len(basis) == len(free)
+    for k, P in enumerate(basis):
+        assert [P.terms.get(monos[j], 0) for j in free] == [
+            int(i == k) for i in range(len(free))]
+
+
+def test_verify_support_bound_n6_product_set():
+    # the product of the lex-least maximum sets of F_3^4 and F_3^2, an
+    # 80-point progression-free set; at d = 2n every function on A is a
+    # polynomial, so dim V = |A| exactly
+    w4 = [decode_point(x, 4) for x in golden.LEX_LEAST_WITNESSES[4]]
+    w2 = [decode_point(x, 2) for x in golden.LEX_LEAST_WITNESSES[2]]
+    A = PointSet.from_vectors([a + b for a in w4 for b in w2], 3)
+    verifier._tables.pop(6, None)
+    started = time.perf_counter()
+    report = verify_support_bound(6, 9, A)
+    assert time.perf_counter() - started < 2.0
+    assert report.all_ok and report.set_size == 80
+    assert (report.dim_v, report.rank, report.max_support) == (55, 72, 72)
+    assert report.counters["table_cached"] is False
+    full = verify_support_bound(6, 12, A)
+    assert full.all_ok and full.dim_v == 80
+    assert full.counters["table_cached"] is True
 
 
 def test_pointset_file_roundtrip(tmp_path):
