@@ -217,6 +217,8 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
         "prunes": result.prunes,
         "proven_optimal": result.proven_optimal,
         "fixed_prefix": list(result.fixed_prefix),
+        "timings_ms": result.timings_ms,
+        "counters": result.counters,
     }, checks
 
 

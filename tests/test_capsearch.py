@@ -1,15 +1,28 @@
 """Search oracle cross-checks: brute force over all subsets at tiny n, an
 independent include/exclude search with no symmetry reduction at n = 3,
-and the affine-invariance sanity properties."""
+the affine-invariance sanity properties, and the steps of the slice-first
+refutation: the pair-count identity, the affine generators, the classes
+of maximum caps and the extension walk."""
 import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capbound.capsearch import (
     PointSet,
+    _affine_generators,
+    _Extend,
+    _forced_slice,
+    _full_cap_classes,
     _hyperplane_masks,
+    _normalized_full_caps,
+    _orbit,
     _PackedSlices,
+    _proven_max,
+    _Tables,
     _completion_moves,
     complete_triple,
     decode_point,
@@ -225,3 +238,134 @@ def test_capset_validation():
         is_progression_free(PointSet(5, 1, (0, 1)))
     with pytest.raises(ValueError):
         max_capset(0)
+
+
+def all_caps(n: int, k: int) -> set[tuple[int, ...]]:
+    """Every k-point progression-free subset of F_3^n, by plain
+    backtracking over the points in order with no symmetry or bounds."""
+    size = 3**n
+    third = [[complete_triple(a, b, n) for b in range(size)]
+             for a in range(size)]
+    found = set()
+
+    def walk(start: int, chosen: list[int], banned: set[int]) -> None:
+        if len(chosen) == k:
+            found.add(tuple(chosen))
+            return
+        for x in range(start, size - (k - len(chosen)) + 1):
+            if x not in banned:
+                walk(x + 1, chosen + [x],
+                     banned | {third[x][a] for a in chosen})
+
+    walk(0, [], set())
+    return found
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_pair_count_identity(data, n):
+    # every pair of distinct points shares a slice in (3^(n-1) - 1)/2 of
+    # the directions, whatever the set
+    points = data.draw(st.sets(st.integers(0, 3**n - 1)))
+    mask = sum(1 << x for x in points)
+    m = len(points)
+    slices = [(mask & s).bit_count()
+              for masks in _hyperplane_masks(n) for s in masks]
+    assert (sum(c * (c - 1) // 2 for c in slices)
+            == m * (m - 1) // 2 * (3**(n - 1) - 1) // 2)
+    if m:
+        # uncapped, the forced slice is a lower bound on the largest one
+        assert _forced_slice(n, m, 3**(n - 1)) <= max(slices)
+
+
+def test_forced_slice_values():
+    # at n = 1 no two points share a slice, so the identity holds with
+    # equality at zero
+    assert _forced_slice(1, 2, 1) == 1
+    assert _forced_slice(1, 4, 1) is None
+    assert _forced_slice(2, 5, 2) is None
+    assert _forced_slice(3, 10, 4) is None
+    assert _forced_slice(3, 9, 4) == 4
+    assert _forced_slice(4, 20, 9) == 8
+    assert _forced_slice(4, 21, 9) == 9
+    assert _forced_slice(5, 46, 20) == 18
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_affine_generators_keep_zero_sum_triples(n):
+    for g in _affine_generators(n):
+        assert sorted(g) == list(range(3**n))
+        for a in range(3**n):
+            for b in range(a + 1, 3**n):
+                assert complete_triple(g[a], g[b], n) == g[
+                    complete_triple(a, b, n)]
+
+
+@pytest.mark.parametrize("n,count", [(2, 54), (3, 2106)])
+def test_class_orbits_cover_every_maximum_cap(n, count):
+    caps = all_caps(n, _proven_max(n))
+    assert len(caps) == count
+    generators = _affine_generators(n)
+    covered = set()
+    for rep in _full_cap_classes(n).reps:
+        covered |= _orbit(rep, generators)
+    assert covered == {sum(1 << x for x in cap) for cap in caps}
+
+
+def test_normalized_full_caps_of_f3_cubed():
+    assert len(_normalized_full_caps(3).found) == 18
+    classes = _full_cap_classes(3)
+    assert len(classes.reps) == 1
+    assert classes.nodes == _normalized_full_caps(3).nodes
+
+
+@pytest.mark.parametrize("n,m", [(3, 9), (4, 20)])
+def test_extension_finds_a_set_when_one_exists(n, m):
+    tables = _Tables(n)
+    rep = _full_cap_classes(n - 1).reps[0]
+    found = _Extend(tables, rep, m, None).run()
+    assert found is not None and len(found) == m
+    assert set(rep) | {3**(n - 1)} <= set(found)
+    assert is_progression_free(PointSet(3, n, found))
+
+
+def test_every_normalized_cap_refutes_21_without_the_dedupe():
+    tables = _Tables(4)
+    for rep in _normalized_full_caps(3).found:
+        assert _Extend(tables, rep, 21, None).run() is None
+
+
+def test_phase_counters_n4():
+    result = max_capset(4)
+    c = result.counters
+    # the walk meets the lex-least 20-point set at node 587, as before
+    assert c["find_nodes"] == 587
+    assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
+        9, 21, 1)
+    assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
+                                     + c["refute_nodes"])
+    assert set(result.timings_ms) == {"tables", "find", "identity",
+                                      "classes", "refute"}
+
+
+def test_every_budget_short_of_the_proof_leaves_it_open():
+    full = max_capset(3)
+    for budget in range(1, full.nodes_explored):
+        result = max_capset(3, node_budget=budget)
+        assert not result.proven_optimal
+        assert 0 < result.max_size <= 9
+        assert is_progression_free(result.witness)
+    assert max_capset(3, node_budget=full.nodes_explored) == full
+
+
+def test_budgeted_n5_rests_on_a_fast_n4_proof():
+    # with the caches cleared, the n = 5 call proves every n <= 4 first
+    _proven_max.cache_clear()
+    _full_cap_classes.cache_clear()
+    started = time.perf_counter()
+    result = max_capset(5, node_budget=20_000)
+    assert time.perf_counter() - started < 5.0
+    assert result.max_size == 38
+    assert not result.proven_optimal
+    assert result.prunes == {"cardinality": 64_260, "slice": 14_228}
+    assert is_progression_free(result.witness)

@@ -202,6 +202,19 @@ def test_search_reports_prune_counts(capsys):
     assert result["prunes"] == search.prunes
 
 
+def test_search_reports_phase_costs(capsys):
+    result = run_cli(capsys, "search", "--n", "4")[1]["result"]
+    assert set(result["timings_ms"]) == {"tables", "find", "identity",
+                                         "classes", "refute"}
+    counters = result["counters"]
+    assert result["nodes_explored"] == (counters["find_nodes"]
+                                        + counters["collect_nodes"]
+                                        + counters["refute_nodes"])
+    assert counters["refuted_size"] == 21
+    assert counters["forced_slice"] == 9
+    assert set(result["prunes"]) == {"cardinality", "slice"}
+
+
 def test_search_with_budget(capsys):
     code, report, _ = run_cli(capsys, "search", "--n", "3", "--budget", "10")
     assert code == 0
