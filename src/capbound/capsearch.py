@@ -8,42 +8,38 @@ and bound over points in that canonical order.  Affine symmetry
 (translations plus invertible linear maps, both preserving a + b + c = 0)
 is quotiented out by a coordinate-opening normalization: the first point
 is 0, and whenever the walk first leaves the span of the coordinates used
-so far, the new point is the next unit vector.  Two bounds prune the
-walk, both grounded in the exhaustively proven lower-dimensional maxima:
-the cardinality bound (chosen points, remaining candidates, and caps on
-the not-yet-opened coordinate shells) and, once every coordinate is open,
-the slice bound.  The slice bound runs over all (3^n - 1)/2 hyperplane
-directions: each of the three parallel slices {x : u.x = v} is an affine
-F_3^(n-1) and holds at most its proven maximum, so a child whose reach
-gives some direction a capped slice sum no larger than the best set so
-far is skipped before it is entered.
+so far, the new point is the next unit vector.  The cardinality bound
+prunes the walk: chosen points, remaining candidates, and caps on the
+not-yet-opened coordinate shells, each shell capped by the exhaustively
+proven lower-dimensional maxima.
 
-A proof has two phases that share that walk and its bounds.  The find
-walk meets the lex-least maximum set early (node 587 of 626,734 at
-n = 4); each time it records a larger set, of size b, a refutation is
-asked whether b + 1 points are impossible, and the walk stops once they
-are proven so.  The refutation first counts pairs: every m-point set
-satisfies sum_u sum_v C(|A & H_uv|, 2) = C(m, 2) (3^(n-1) - 1)/2, which
-forces some slice to hold at least s points (_forced_slice).  With the
-slices capped at the (n-1) maximum, either no s fits (m = 5 at n = 2,
-m = 10 at n = 3), or s is below the cap and nothing is decided, or s is
-the cap, as for m = 21 at n = 4: then some slice is a maximum cap of
-F_3^(n-1).  Up to affine maps that slice is x_1 = 0, the cap is one
-representative per affine class (collected by the (n-1) walk and merged
-by orbits, _full_cap_classes) and the set holds e_1 = (1, 0, ..., 0), so
-one extension walk per representative (_Extend) settles m.  This is how
-Edel, Ferret, Landjev and Storme (2002) and Potechin (2008) classified
-large caps.  n = 4 is proven in 1,410 nodes (587 find, 96 collecting the
-18 normalized 9-caps of F_3^3, one class, and 727 extending it), about
-0.1 s on a 2-core VM with Python 3.11; the find walk run out takes
-626,734 nodes and about 18 s.
+A proof has two phases.  The find walk meets the lex-least maximum set
+early (node 1,552 at n = 4); each time it records a larger set, of size
+b, a refutation is asked whether b + 1 points are impossible, and the
+walk stops once they are proven so.  The refutation first counts pairs:
+every m-point set satisfies
+sum_u sum_v C(|A & H_uv|, 2) = C(m, 2) (3^(n-1) - 1)/2 over the three
+parallel slices H_uv = {x : u.x = v} of each hyperplane direction u,
+which forces some slice to hold at least s points (_forced_slice).  Each
+slice is an affine F_3^(n-1), so it holds at most the (n-1) maximum:
+either no s fits (m = 5 at n = 2, m = 10 at n = 3), or s is below that
+cap and nothing is decided, or s is the cap, as for m = 21 at n = 4:
+then some slice is a maximum cap of F_3^(n-1).  Up to affine maps that
+slice is x_1 = 0, the cap is one representative per affine class
+(collected by the (n-1) walk and merged by orbits, _full_cap_classes)
+and the set holds e_1 = (1, 0, ..., 0), so one extension walk per
+representative (_Extend) settles m.  This is how Edel, Ferret, Landjev
+and Storme (2002) and Potechin (2008) classified large caps.  n = 4 is
+proven in 7,959 nodes (1,552 find, 174 collecting the 18 normalized
+9-caps of F_3^3, one class, and 6,233 extending it), about 0.1 s on a
+2-core VM with Python 3.11; the find walk run out takes 6,008,923 nodes
+and about 15 s.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import getitem
 
 
 def encode_point(coords: tuple[int, ...] | list[int], p: int = 3) -> int:
@@ -155,91 +151,6 @@ class _Stop(Exception):
     """Ends a walk early once it has what it was started for."""
 
 
-def _hyperplane_masks(n: int) -> list[tuple[int, int, int]]:
-    """Per hyperplane direction, the bitmasks of its three parallel slices.
-
-    The directions are the u in F_3^n whose first nonzero entry is 1, one
-    for each pair {u, -u}, (3^n - 1)/2 in all; slice v of u is
-    {x : u.x = v}, an affine copy of F_3^(n-1).
-    """
-    points = [decode_point(x, n) for x in range(3**n)]
-    result = []
-    for u in points[1:]:
-        if next(c for c in u if c) != 1:
-            continue
-        masks = [0, 0, 0]
-        for x, coords in enumerate(points):
-            masks[sum(a * b for a, b in zip(u, coords)) % 3] |= 1 << x
-        result.append(tuple(masks))
-    return result
-
-
-class _PackedSlices:
-    """The slice counts of a point set over every direction, in one int.
-
-    With D directions and fields of w bits, |S & slice v of direction u|
-    sits in the field at bit (v * D + u) * w, so slice v of all directions
-    forms one plane of D fields.  A count is the sum of per-byte tables
-    over the bytes of the point mask.  Every count and every bound stays
-    below 2^(w-1), the top bit of its field, so the arithmetic on whole
-    planes never carries from one field into the next.
-    """
-
-    def __init__(self, slices: list[tuple[int, int, int]], n: int, cap: int):
-        directions = len(slices)
-        w = max(3**(n - 1), 3 * cap).bit_length() + 1
-        half = 1 << (w - 1)
-        self.field_bits = w
-        self.top_shift = w - 1
-        self.plane_bits = directions * w
-        ones = sum(1 << (u * w) for u in range(directions))
-        ones3 = ones * (1 + (1 << self.plane_bits)
-                        + (1 << 2 * self.plane_bits))
-        self.plane = ones * ((1 << w) - 1)
-        self.plane_tops = ones * half
-        self.tops = ones3 * half
-        self.caps = ones3 * cap
-        # count + over_cap has its top bit set exactly when count > cap
-        self.over_cap = ones3 * (half - 1 - cap)
-        # bound + at_most[b] has its top bit clear exactly when bound <= b;
-        # no cap set, so no best, exceeds 3 * cap
-        self.at_most = [ones * (half - 1 - b) for b in range(3 * cap + 1)]
-        nbytes = (3**n + 7) // 8
-        point = [0] * (8 * nbytes)
-        for u, masks in enumerate(slices):
-            for v, mask in enumerate(masks):
-                field = 1 << ((v * directions + u) * w)
-                for x in range(3**n):
-                    if mask >> x & 1:
-                        point[x] += field
-        self.byte_counts = []
-        for base in range(0, 8 * nbytes, 8):
-            table = [0] * 256
-            for byte in range(1, 256):
-                low = (byte & -byte).bit_length() - 1
-                table[byte] = table[byte & (byte - 1)] + point[base + low]
-            self.byte_counts.append(table)
-
-    def cutting_direction(self, reach: int, best: int) -> int:
-        """Index of a direction whose slice bound on `reach` is <= best, or -1.
-
-        The bound of direction u is the sum over v of
-        min(cap, |reach & slice v|), all evaluated at once in the fields.
-        """
-        counts = sum(map(getitem, self.byte_counts,
-                         reach.to_bytes(len(self.byte_counts), "little")))
-        over = (counts + self.over_cap) & self.tops
-        excess = over - (over >> self.top_shift)
-        counts = (counts & ~excess) | (self.caps & excess)
-        plane, width = self.plane, self.plane_bits
-        bounds = ((counts & plane) + ((counts >> width) & plane)
-                  + (counts >> 2 * width))
-        cut = self.plane_tops & ~(bounds + self.at_most[best])
-        if not cut:
-            return -1
-        return ((cut & -cut).bit_length() - 1) // self.field_bits
-
-
 def _completion_moves(n: int) -> list[tuple[tuple[int, int, int, int], ...]]:
     """Per point x, the digit moves that translate a point mask by -x.
 
@@ -281,16 +192,13 @@ class _Tables:
             ((1 << self.pow3[k + 1]) - 1) & ~((1 << (self.pow3[k] + 1)) - 1)
             for k in range(n)
         ]
-        # Slice pruning: a progression-free set meets each hyperplane
-        # {x : u.x = v} in a progression-free subset of an affine
-        # F_3^(n-1), so each of the three slices of every direction u
-        # contributes at most the (n-1)-dimensional maximum, which the
-        # search itself establishes one level down.  Likewise each shell
-        # U_{j+1} minus U_j is two parallel copies of F_3^j, capping what
-        # the not-yet-opened coordinates can ever add.
+        # A progression-free set meets each hyperplane {x : u.x = v} in a
+        # progression-free subset of an affine F_3^(n-1), so the
+        # refutation caps a slice at the (n-1)-dimensional maximum, which
+        # the search itself establishes one level down.  Likewise each
+        # shell U_{j+1} minus U_j is two parallel copies of F_3^j, which
+        # caps what the not-yet-opened coordinates can ever add.
         self.slice_cap = _proven_max(n - 1)
-        self.slices = _hyperplane_masks(n)
-        self.packed = _PackedSlices(self.slices, n, self.slice_cap)
         shell = [2 * _proven_max(j) for j in range(n)]
         self.future = [sum(shell[k:]) for k in range(n + 1)]
 
@@ -298,11 +206,6 @@ class _Tables:
 def _points(mask: int) -> tuple[int, ...]:
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
-
-# How many of the latest cutting directions the slice test tries one by one
-# before it evaluates all of them in packed form; three ran faster than one
-# at n = 4 and n = 5.
-_RECENT_CUTS = 3
 
 
 class _Walker:
@@ -328,40 +231,10 @@ class _Walker:
         self.best_size = best_size
         self.node_budget = node_budget
         self.nodes = 0
-        self.prunes = {"cardinality": 0, "slice": 0}
-        self.recent = [masks[:2] for masks in tables.slices[:_RECENT_CUTS]]
+        self.prunes = {"cardinality": 0}
 
     def record(self, mask: int) -> None:
         raise NotImplementedError
-
-    def sliced_out(self, reach: int, size: int) -> bool:
-        """True when some direction caps every set inside `reach` at best.
-
-        A set inside reach meets slice v of direction u in at most
-        min(slice_cap, |reach & slice v|) points.  The directions that
-        made the latest cuts are tried one by one, most recent first, since
-        they tend to cut again; the rest are summed all at once in the
-        packed counts.
-        """
-        tables = self.tables
-        cap = tables.slice_cap
-        best = self.best_size
-        recent = self.recent
-        for i, (m0, m1) in enumerate(recent):
-            c0 = (reach & m0).bit_count()
-            c1 = (reach & m1).bit_count()
-            c2 = size - c0 - c1
-            if ((cap if c0 > cap else c0) + (cap if c1 > cap else c1)
-                    + (cap if c2 > cap else c2)) <= best:
-                if i:
-                    recent.insert(0, recent.pop(i))
-                return True
-        u = tables.packed.cutting_direction(reach, best)
-        if u < 0:
-            return False
-        recent.pop()
-        recent.insert(0, tables.slices[u][:2])
-        return True
 
     def dfs(self, mask: int, neg: int, cands: int, k: int) -> None:
         self.nodes += 1
@@ -392,17 +265,11 @@ class _Walker:
                 excluded = ((excluded & lifted) << up
                             | (excluded & dropped) >> down)
             narrowed = cands & ~excluded
-            if k == n:
-                # With every coordinate open, cands covers all points the
-                # child can still add, so its hyperplane slices are exact
-                # reach sets: prune the child before entering it.
-                size = depth + 1 + narrowed.bit_count()
-                if size <= self.best_size:
-                    prunes["cardinality"] += 1
-                    continue
-                if self.sliced_out(mask | low | narrowed, size):
-                    prunes["slice"] += 1
-                    continue
+            if k == n and depth + 1 + narrowed.bit_count() <= self.best_size:
+                # With every coordinate open, no shell can add to the child,
+                # so its cardinality bound is known before it is entered.
+                prunes["cardinality"] += 1
+                continue
             self.dfs(mask | low, neg | neg_bit[x], narrowed, k)
         if k < n:
             x = tables.pow3[k]
@@ -561,7 +428,7 @@ def _full_cap_classes(n: int) -> _FullCapClasses:
     normalized caps, each kept unless the orbit of an earlier one holds
     it.  F_3^0 is a single point."""
     if n == 0:
-        return _FullCapClasses(((0,),), 0, (("cardinality", 0), ("slice", 0)))
+        return _FullCapClasses(((0,),), 0, (("cardinality", 0),))
     walker = _normalized_full_caps(n)
     generators = _affine_generators(n)
     covered: set[int] = set()
@@ -585,7 +452,7 @@ class _Proof:
         self.counters: dict[str, int | None] = {
             "find_nodes": 0, "collect_nodes": 0, "refute_nodes": 0,
             "full_cap_classes": 0, "forced_slice": None, "refuted_size": None}
-        self.prunes = {"cardinality": 0, "slice": 0}
+        self.prunes = {"cardinality": 0}
         self.classes: _FullCapClasses | None = None
         started = time.perf_counter()
         self.tables = _Tables(n)
@@ -717,15 +584,15 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     n >= 6 would need the unbudgeted n = 5 maximum.  Unbudgeted n = 5 and
     every n >= 6 are refused before any table is built.
 
-    `prunes` counts the cuts of each bound over all walks, the same on
+    `prunes` counts the cuts of the bound over all walks, the same on
     every run: "cardinality" (candidate count plus shell caps; one per
-    node or remaining run of siblings it cuts) and "slice" (one per child
-    it skips).  `counters` splits the nodes by walk (find_nodes,
-    collect_nodes, refute_nodes) and gives full_cap_classes (affine
-    classes of maximum caps of F_3^(n-1) tried, 0 if none were needed),
-    forced_slice (the least largest slice the pair-count identity allows
-    for the last size asked about; None when none up to the cap does)
-    and refuted_size (the size proven impossible, None if none was).
+    node, remaining run of siblings or child it cuts).  `counters` splits
+    the nodes by walk (find_nodes, collect_nodes, refute_nodes) and gives
+    full_cap_classes (affine classes of maximum caps of F_3^(n-1) tried,
+    0 if none were needed), forced_slice (the least largest slice the
+    pair-count identity allows for the last size asked about; None when
+    none up to the cap does) and refuted_size (the size proven
+    impossible, None if none was).
     `timings_ms` gives the wall time of each stage: tables, find (less
     the stages it calls), identity, classes and refute.
     """

@@ -254,19 +254,19 @@ def rank_mod_p(M: list[list[int]], p: int) -> int:
     return len(_rref(ones, twos, len(M[0])))
 
 
-def vanishing_space_basis(n: int, d: int, S: PointSet,
-                          p: int = 3) -> list[FieldPoly]:
+def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
     """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
 
     Null space of the |S| x |M(n,d)| evaluation matrix; its dimension is
     |M(n,d)| - rank >= |M(n,d)| - |S|.  F_3 only.
     """
-    if p != 3:
-        raise ValueError(f"vanishing_space_basis works over F_3 only, got p={p}")
-    if S.p != p or S.n != n:
-        raise ValueError("point set does not match (n, p)")
-    if d > (p - 1) * n:
-        raise ValueError(f"d={d} exceeds the maximal degree {(p - 1) * n}")
+    if S.p != 3:
+        raise ValueError(
+            f"vanishing_space_basis works over F_3 only, got p={S.p}")
+    if S.n != n:
+        raise ValueError(f"point set lies in dimension {S.n}, not {n}")
+    if d > 2 * n:
+        raise ValueError(f"d={d} exceeds the maximal degree {2 * n}")
     table = _table(n)
     width = mspace_size(n, d, 3)
     mask = (1 << width) - 1
@@ -431,7 +431,7 @@ class VerifierReport:
                 and self.bound_ok)
 
 
-def verify_support_bound(n: int, d: int, A: PointSet, p: int = 3) -> VerifierReport:
+def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     """Replay the rank argument on a concrete progression-free set A.
 
     For a basis of the space V of degree-<=d polynomials vanishing off A,
@@ -439,14 +439,14 @@ def verify_support_bound(n: int, d: int, A: PointSet, p: int = 3) -> VerifierRep
     (2) of rank at most 2*|M(n, floor(d/2))|, (3) a support of at most
     that same cap, and (4) that dim V >= |M(n,d)| - (3^n - |A|).
 
-    Raises ValueError for n above VERIFY_MAX_N (before any table is
-    built), for d outside [0, 2n], and for a set that is not
-    progression-free.
+    Raises ValueError for a set that is not a subset of F_3^n, for n
+    above VERIFY_MAX_N (before any table is built), for d outside
+    [0, 2n], and for a set that is not progression-free.
     """
-    if p != 3:
-        raise ValueError("verification is specific to p=3")
-    if A.p != 3 or A.n != n:
-        raise ValueError("point set does not match (n, p)")
+    if A.p != 3:
+        raise ValueError(f"verification works over F_3 only, got p={A.p}")
+    if A.n != n:
+        raise ValueError(f"point set lies in dimension {A.n}, not {n}")
     if not 0 <= d <= 2 * n:
         raise ValueError(f"d={d} is outside [0, {2 * n}]")
     timings = dict.fromkeys(("table", "nullspace", "pair_matrices", "ranks",

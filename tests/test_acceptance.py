@@ -80,8 +80,8 @@ def test_criterion_6_oracle_domination():
         assert r["size"] <= r["optimal_bound"]
     assert sum(runs[n]["seconds"] for n in (1, 2, 3)) < 5.0
     assert runs[4]["seconds"] < 600.0
-    # the slice-first refutation must end the walk: running it out with
-    # the all-direction slice bound alone takes 626,734 nodes
+    # the slice-first refutation must end the walk, which run out takes
+    # 6,008,923 nodes
     assert runs[4]["nodes"] < 626_734
     # the lexicographically least maximum set, pinned
     assert runs[4]["witness"] == (0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 32,

@@ -17,10 +17,8 @@ from capbound.capsearch import (
     _Extend,
     _forced_slice,
     _full_cap_classes,
-    _hyperplane_masks,
     _normalized_full_caps,
     _orbit,
-    _PackedSlices,
     _proven_max,
     _Tables,
     _completion_moves,
@@ -30,6 +28,25 @@ from capbound.capsearch import (
     is_progression_free,
     max_capset,
 )
+
+
+def _hyperplane_masks(n: int) -> list[tuple[int, int, int]]:
+    """Per hyperplane direction, the bitmasks of its three parallel slices.
+
+    The directions are the u in F_3^n whose first nonzero entry is 1, one
+    for each pair {u, -u}, (3^n - 1)/2 in all; slice v of u is
+    {x : u.x = v}, an affine copy of F_3^(n-1).
+    """
+    points = [decode_point(x, n) for x in range(3**n)]
+    result = []
+    for u in points[1:]:
+        if next(c for c in u if c) != 1:
+            continue
+        masks = [0, 0, 0]
+        for x, coords in enumerate(points):
+            masks[sum(a * b for a, b in zip(u, coords)) % 3] |= 1 << x
+        result.append(tuple(masks))
+    return result
 
 
 def brute_force_max(n: int) -> int:
@@ -152,23 +169,6 @@ def test_hyperplane_masks_are_every_direction(n):
         assert coordinate in directions
 
 
-@pytest.mark.parametrize("n,cap", [(1, 1), (2, 2), (3, 4), (4, 9)])
-def test_packed_slice_bound_matches_direct_sums(n, cap):
-    # the packed field arithmetic against plain per-direction sums
-    rng = random.Random(n)
-    directions = _hyperplane_masks(n)
-    packed = _PackedSlices(directions, n, cap)
-    for _ in range(400):
-        density = rng.random()
-        reach = sum(1 << x for x in range(3**n) if rng.random() < density)
-        best = rng.randrange(3 * cap + 1)
-        bounds = [sum(min(cap, (reach & m).bit_count()) for m in masks)
-                  for masks in directions]
-        cutting = [u for u, bound in enumerate(bounds) if bound <= best]
-        expected = cutting[0] if cutting else -1
-        assert packed.cutting_direction(reach, best) == expected
-
-
 def test_completion_moves_match_complete_triple():
     rng = random.Random(5)
     for n in (1, 2, 3, 4):
@@ -187,8 +187,7 @@ def test_completion_moves_match_complete_triple():
 def test_prune_counts_repeat():
     first, second = max_capset(3), max_capset(3)
     assert first.prunes == second.prunes
-    assert set(first.prunes) == {"cardinality", "slice"}
-    assert first.prunes["slice"] > 0
+    assert set(first.prunes) == {"cardinality"}
     assert first.nodes_explored == second.nodes_explored
 
 
@@ -338,8 +337,8 @@ def test_every_normalized_cap_refutes_21_without_the_dedupe():
 def test_phase_counters_n4():
     result = max_capset(4)
     c = result.counters
-    # the walk meets the lex-least 20-point set at node 587, as before
-    assert c["find_nodes"] == 587
+    # the walk meets the lex-least 20-point set at node 1,552
+    assert c["find_nodes"] == 1_552
     assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
         9, 21, 1)
     assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
@@ -367,5 +366,5 @@ def test_budgeted_n5_rests_on_a_fast_n4_proof():
     assert time.perf_counter() - started < 5.0
     assert result.max_size == 38
     assert not result.proven_optimal
-    assert result.prunes == {"cardinality": 64_260, "slice": 14_228}
+    assert result.prunes == {"cardinality": 62_650}
     assert is_progression_free(result.witness)

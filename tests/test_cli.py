@@ -212,7 +212,7 @@ def test_search_reports_phase_costs(capsys):
                                         + counters["refute_nodes"])
     assert counters["refuted_size"] == 21
     assert counters["forced_slice"] == 9
-    assert set(result["prunes"]) == {"cardinality", "slice"}
+    assert set(result["prunes"]) == {"cardinality"}
 
 
 def test_search_with_budget(capsys):

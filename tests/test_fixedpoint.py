@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capbound.fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
 
@@ -108,3 +110,92 @@ def test_pi_digits():
     want = "3.1415926535897932384626433832795028841972"
     assert pi(40).decimal() == want
     assert float(pi(20)) == pytest.approx(math.pi, abs=1e-15)
+
+
+# Exact properties against Fraction: a rounded result is the round-half-up
+# (toward +infinity) of the exact result at the target scale, a sum or
+# difference is exact, and a root is the floor of the exact root.
+scales = st.integers(0, 30)
+fixeds = st.builds(BigFixed, st.integers(-10**40, 10**40), scales)
+nonzero_fixeds = fixeds.filter(lambda x: x.mantissa != 0)
+operands = st.one_of(fixeds, st.integers(-10**12, 10**12))
+
+
+def half_up(value: Fraction, scale: int) -> int:
+    return math.floor(value * 10**scale + Fraction(1, 2))
+
+
+def exact(value) -> Fraction:
+    if isinstance(value, BigFixed):
+        return value.as_fraction()
+    return Fraction(value)
+
+
+def result_scale(x: BigFixed, y) -> int:
+    return max(x.scale, y.scale) if isinstance(y, BigFixed) else x.scale
+
+
+@given(st.integers(-10**40, 10**40),
+       st.integers(-10**20, 10**20).filter(bool), scales)
+def test_from_ratio_rounds_half_up(num, den, scale):
+    bf = BigFixed.from_ratio(num, den, scale)
+    assert bf.scale == scale
+    assert bf.mantissa == half_up(Fraction(num, den), scale)
+
+
+@given(fixeds, scales)
+def test_to_scale_rounds_half_up(x, scale):
+    y = x.to_scale(scale)
+    assert y.scale == scale
+    assert y.mantissa == half_up(x.as_fraction(), scale)
+
+
+@given(fixeds, operands)
+def test_sum_and_difference_are_exact(x, y):
+    s = result_scale(x, y)
+    for result, want in ((x + y, exact(x) + exact(y)),
+                         (y + x, exact(x) + exact(y)),
+                         (x - y, exact(x) - exact(y)),
+                         (y - x, exact(y) - exact(x))):
+        assert result.scale == s
+        assert result.as_fraction() == want
+
+
+@given(fixeds, operands)
+def test_product_rounds_half_up(x, y):
+    s = result_scale(x, y)
+    for result in (x * y, y * x):
+        assert result.scale == s
+        assert result.mantissa == half_up(exact(x) * exact(y), s)
+
+
+@given(fixeds, st.one_of(nonzero_fixeds, st.integers(-10**12, 10**12)
+                         .filter(bool)))
+def test_quotient_rounds_half_up(x, y):
+    s = result_scale(x, y)
+    result = x / y
+    assert result.scale == s
+    assert result.mantissa == half_up(exact(x) / exact(y), s)
+    if x.mantissa:
+        assert (y / x).mantissa == half_up(exact(y) / exact(x), s)
+
+
+@given(fixeds)
+def test_sqrt_is_the_floor_root(x):
+    if x.mantissa < 0:
+        with pytest.raises(ValueError):
+            x.sqrt()
+        return
+    m = x.sqrt().mantissa
+    # m / 10^s <= sqrt(x) < (m + 1) / 10^s
+    assert m >= 0
+    assert m * m <= x.as_fraction() * 10**(2 * x.scale) < (m + 1) ** 2
+
+
+@given(fixeds)
+def test_cbrt_is_the_floor_root_of_the_magnitude(x):
+    root = x.cbrt()
+    m, value = abs(root.mantissa), abs(x.as_fraction())
+    assert root.scale == x.scale
+    assert m**3 <= value * 10**(3 * x.scale) < (m + 1) ** 3
+    assert (root.mantissa < 0) == (x.mantissa < 0 and m > 0)

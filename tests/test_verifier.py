@@ -202,8 +202,8 @@ def test_verify_support_bound_from_search():
 def test_verify_support_bound_preconditions():
     with pytest.raises(ValueError):
         verify_support_bound(1, 1, PointSet(3, 1, (0, 1, 2)))
-    with pytest.raises(ValueError):
-        verify_support_bound(1, 1, PointSet(3, 1, (0, 1)), p=5)
+    with pytest.raises(ValueError, match="F_3 only"):
+        verify_support_bound(1, 1, PointSet(5, 1, (0, 1)))
     for d in (-1, 3):
         with pytest.raises(ValueError, match="outside"):
             verify_support_bound(1, d, PointSet(3, 1, (0, 1)))
@@ -211,7 +211,7 @@ def test_verify_support_bound_preconditions():
     with pytest.raises(ValueError, match="F_3 only"):
         rank_mod_p([[1, 0], [0, 1]], 5)
     with pytest.raises(ValueError, match="F_3 only"):
-        vanishing_space_basis(1, 1, PointSet(5, 1, (2,)), p=5)
+        vanishing_space_basis(1, 1, PointSet(5, 1, (2,)))
     with pytest.raises(ValueError, match="F_3 only"):
         support_size(poly_of(5, 1, {(1,): 1}))
 
