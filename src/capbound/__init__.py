@@ -1,7 +1,7 @@
 """Exact bounds for progression-free subsets of F_q^n.
 
 Five layers: exact q-nomial coefficient rows, the bound family built on
-them, a finite-field polynomial verifier that replays the rank argument
+them, an F_3 polynomial verifier that replays the rank argument
 at small n, an exhaustive search oracle, and high-precision asymptotics
 (characteristic root, growth-constant table, leading constant).  The
 `capbound` CLI exposes all of it with JSON reports.

@@ -196,7 +196,7 @@ def c6_oracle_domination(level: str) -> CriterionResult:
 @_timed
 def c7_proof_core(level: str) -> CriterionResult:
     cases: list[tuple[int, int, PointSet]] = [
-        (1, 1, PointSet(3, 1, (0, 1))),
+        (1, 1, PointSet(1, (0, 1))),
     ]
     witness2 = max_capset(2).witness
     cases += [(2, d, witness2) for d in (2, 3)]
@@ -272,12 +272,12 @@ def c10_property_suites(level: str) -> CriterionResult:
     for _ in range(100):
         n = rng.randint(1, 3)
         d = rng.randint(0, min(4, 2 * n))
-        monos = monomials_up_to(n, d, 3)
+        monos = monomials_up_to(n, d)
         terms = {m: rng.randint(1, 2) for m in monos if rng.random() < 0.5}
-        poly = make_poly(3, n, terms)
+        poly = make_poly(n, terms)
         expanded = expand_neg_sum(poly)
         f_map, g_map = clp_split(expanded, d)
-        check("split", reconstruct_split(f_map, g_map, n, 3) == expanded
+        check("split", reconstruct_split(f_map, g_map, n) == expanded
               and all(sum(m) <= d // 2 for m in (*f_map, *g_map)),
               f"(n={n},d={d})")
         b = tuple(rng.randrange(3) for _ in range(n))

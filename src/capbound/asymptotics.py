@@ -35,6 +35,15 @@ GUARD = 10
 # in time while its memory stays a few MB: n_max = 1000 takes about 1 s
 # and 2000 about 6 s (Python 3.11, one core of a shared VM).
 RECURRENCE_MAX_N = 2000
+# Largest number of digits that characteristic_root, alpha, saddle_point
+# and leading_constant accept.  At the ceiling alpha takes about 1.6 s and
+# saddle_point(3) about 12 s; saddle_point grows about linearly in q
+# (q = 31 takes 16 s at 10,000 digits).  Largest q that saddle_point and
+# growth_constant_ratio accept, twice the largest q of the reference
+# table: growth_constant_ratio(64) takes about 0.7 s, q = 400 13.5 s
+# (Python 3.11, one core of a shared VM).
+MAX_DIGITS = 30_000
+MAX_Q = 64
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,16 @@ class SaddleResult:
     x0: BigFixed
     constant: BigFixed
     residual: BigFixed
+
+
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be in [1, {MAX_DIGITS}], got {digits}")
+
+
+def _check_q(q: int) -> None:
+    if not 2 <= q <= MAX_Q:
+        raise ValueError(f"q must be in [2, {MAX_Q}], got {q}")
 
 
 def trinomial_middle(n: int) -> int:
@@ -93,8 +112,12 @@ def verify_recurrence(n_max: int,
 def characteristic_root(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """(5589 + 891*sqrt(33))/512, the largest root of the characteristic
     quadratic, via integer Newton square root."""
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _check_digits(digits)
+    return _characteristic_root(digits)
+
+
+def _characteristic_root(digits: int) -> BigFixed:
+    """characteristic_root without the ceiling, which alpha works past."""
     work = digits + GUARD
     sqrt33 = BigFixed.from_int(33, work).sqrt()
     return ((891 * sqrt33 + 5589) / 512).to_scale(digits)
@@ -103,9 +126,8 @@ def characteristic_root(digits: int = DEFAULT_DIGITS) -> BigFixed:
 @lru_cache(maxsize=None)
 def alpha(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """Cube root of characteristic_root: the base-3 growth constant."""
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
-    return characteristic_root(digits + GUARD).cbrt().to_scale(digits)
+    _check_digits(digits)
+    return _characteristic_root(digits + GUARD).cbrt().to_scale(digits)
 
 
 def _horner(coeffs: list[int], x: BigFixed, work: int) -> BigFixed:
@@ -125,10 +147,13 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     until the mantissa is stationary.  The fractional power is the integer
     cube root of x0^(q-1); no logarithms anywhere.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _check_q(q)
+    _check_digits(digits)
+    return _saddle_point(q, digits)
+
+
+def _saddle_point(q: int, digits: int) -> SaddleResult:
+    """saddle_point without the ceilings, which leading_constant works past."""
     work = digits + GUARD
     g_coeffs = [3 * j - (q - 1) for j in range(q)]
     gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
@@ -177,8 +202,7 @@ def growth_constant_ratio(q: int, n_max: int = 120) -> float:
     r = c + O(1/t); one Richardson elimination of the 1/t term over the
     points n_max/2 and n_max removes the leading error.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+    _check_q(q)
     if n_max % 3 != 0 or n_max < 30:
         raise ValueError(f"n_max must be a multiple of 3, at least 30; "
                          f"got {n_max}")
@@ -206,10 +230,9 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
 
     with mu'(x) = (1 + 4x + x^2)/f(x)^2 for f = 1 + x + x^2.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _check_digits(digits)
     work = digits + GUARD
-    x0 = saddle_point(3, work).x0
+    x0 = _saddle_point(3, work).x0
     one = BigFixed.from_int(1, work)
     f = one + x0 + x0.pow_int(2)
     v = x0 * (one + 4 * x0 + x0.pow_int(2)) / f.pow_int(2)

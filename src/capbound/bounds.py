@@ -20,7 +20,7 @@ from typing import Literal
 
 from .qnomial import mspace_size, qnomial, qnomial_row, series_coeff_bound
 
-Method = Literal["for_d", "optimal", "theorem", "sharp", "series"]
+Method = Literal["for_d", "optimal", "theorem", "sharp"]
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,8 @@ class BoundReport:
         return all(ok for _, ok in self.identities)
 
 
-def bound_for_d(n: int, d: int, q: int = 3) -> BoundReport:
+def bound_for_d(n: int, d: int) -> BoundReport:
     """The explicit bound 2*|M(n, floor(d/2))| + 3^n - |M(n, d)| at a given d."""
-    if q != 3:
-        raise ValueError(f"only q=3 is supported here (got q={q}); the"
-                         " progression condition a+b+c=0 is specific to F_3")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if d < 0 or d > 2 * n:
@@ -50,7 +47,7 @@ def bound_for_d(n: int, d: int, q: int = 3) -> BoundReport:
     return BoundReport(n=n, q=3, d=d, value=value, method="for_d")
 
 
-def optimal_bound(n: int, q: int = 3) -> BoundReport:
+def optimal_bound(n: int) -> BoundReport:
     """Exhaustive integer minimization of bound_for_d over d in [0, 2n].
 
     Ties break toward smaller d.  Odd d can beat the even choice d = 4n/3
@@ -58,8 +55,6 @@ def optimal_bound(n: int, q: int = 3) -> BoundReport:
     growth rate, so we search rather than trust a formula.  One prefix-sum
     pass over the row gives every |M(n, d)|, d = 0..2n.
     """
-    if q != 3:
-        raise ValueError(f"only q=3 is supported here (got q={q})")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     sizes = list(accumulate(qnomial_row(n, 3).coeffs))

@@ -1,17 +1,16 @@
 """Exact maximum progression-free subsets of F_3^n by branch and bound.
 
-Points of F_p^n are encoded as base-p integers, first coordinate most
+Points of F_3^n are encoded as base-3 integers, first coordinate most
 significant, so numeric order on indices equals lexicographic order on
-vectors; PointSet holds a subset in that encoding for any prime p, and
-the search works in its p = 3 case.  The search is a depth-first branch
-and bound over points in that canonical order.  Affine symmetry
-(translations plus invertible linear maps, both preserving a + b + c = 0)
-is quotiented out by a coordinate-opening normalization: the first point
-is 0, and whenever the walk first leaves the span of the coordinates used
-so far, the new point is the next unit vector.  The cardinality bound
-prunes the walk: chosen points, remaining candidates, and caps on the
-not-yet-opened coordinate shells, each shell capped by the exhaustively
-proven lower-dimensional maxima.
+vectors; PointSet holds a subset in that encoding.  The search is a
+depth-first branch and bound over points in that canonical order.
+Affine symmetry (translations plus invertible linear maps, both
+preserving a + b + c = 0) is quotiented out by a coordinate-opening
+normalization: the first point is 0, and whenever the walk first leaves
+the span of the coordinates used so far, the new point is the next unit
+vector.  The cardinality bound prunes the walk: chosen points, remaining
+candidates, and caps on the not-yet-opened coordinate shells, each shell
+capped by the exhaustively proven lower-dimensional maxima.
 
 A proof has two phases.  The find walk meets the lex-least maximum set
 early (node 1,552 at n = 4); each time it records a larger set, of size
@@ -42,58 +41,57 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 
-def encode_point(coords: tuple[int, ...] | list[int], p: int = 3) -> int:
-    """Base-p index of a coordinate vector, first coordinate most significant."""
+def encode_point(coords: tuple[int, ...] | list[int]) -> int:
+    """Base-3 index of a coordinate vector, first coordinate most significant."""
     value = 0
     for c in coords:
-        if not 0 <= c < p:
-            raise ValueError(f"coordinate {c} outside F_{p}")
-        value = value * p + c
+        if not 0 <= c < 3:
+            raise ValueError(f"coordinate {c} outside F_3")
+        value = value * 3 + c
     return value
 
 
-def decode_point(index: int, n: int, p: int = 3) -> tuple[int, ...]:
+def decode_point(index: int, n: int) -> tuple[int, ...]:
     coords = [0] * n
     for i in range(n - 1, -1, -1):
-        index, coords[i] = divmod(index, p)
+        index, coords[i] = divmod(index, 3)
     return tuple(coords)
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """A duplicate-free subset of F_p^n, stored as sorted base-p indices."""
+    """A duplicate-free subset of F_3^n, stored as sorted base-3 indices."""
 
-    p: int
     n: int
     points: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        size = self.p**self.n
+        size = 3**self.n
         if any(not 0 <= x < size for x in self.points):
-            raise ValueError(f"point index outside [0, {self.p}^{self.n})")
+            raise ValueError(f"point index outside [0, 3^{self.n})")
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate points")
         object.__setattr__(self, "points", tuple(sorted(self.points)))
 
     @classmethod
-    def from_vectors(cls, vectors, p: int) -> "PointSet":
+    def from_vectors(cls, vectors) -> "PointSet":
         vectors = list(vectors)
         if not vectors:
             raise ValueError("cannot infer dimension from an empty vector list")
         n = len(vectors[0])
-        return cls(p, n, tuple(encode_point(v, p) for v in vectors))
+        return cls(n, tuple(encode_point(v) for v in vectors))
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     def vectors(self) -> list[tuple[int, ...]]:
-        return [decode_point(x, self.n, self.p) for x in self.points]
+        return [decode_point(x, self.n) for x in self.points]
 
     def complement(self) -> "PointSet":
         members = set(self.points)
-        rest = tuple(x for x in range(self.p**self.n) if x not in members)
-        return PointSet(self.p, self.n, rest)
+        rest = tuple(x for x in range(3**self.n) if x not in members)
+        return PointSet(self.n, rest)
 
 
 @dataclass(frozen=True)
@@ -124,15 +122,12 @@ def complete_triple(a: int, b: int, n: int) -> int:
 
 
 def is_progression_free(A: PointSet) -> bool:
-    """True iff no three pairwise-distinct members of A sum to zero (p = 3).
+    """True iff no three pairwise-distinct members of A sum to zero.
 
     In F_3, a + a + c = 0 forces c = -2a = a, so the point completing a
     pair of distinct members is automatically distinct from both; checking
     every unordered pair against membership is therefore exhaustive.
     """
-    if A.p != 3:
-        raise ValueError(
-            f"progression-freeness is checked over F_3, not F_{A.p}")
     pts = A.points
     members = set(pts)
     n = A.n
@@ -539,7 +534,7 @@ class _Proof:
         return SearchResult(
             n=self.n,
             max_size=find.best_size,
-            witness=PointSet(3, self.n, find.best),
+            witness=PointSet(self.n, find.best),
             nodes_explored=(c["find_nodes"] + c["collect_nodes"]
                             + c["refute_nodes"]),
             prunes=dict(self.prunes),
@@ -577,7 +572,8 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     (counted at its full cost even when its result is cached from an
     earlier call) and the extension walks.  The search stops once that
     count passes node_budget; max_size is then a valid lower bound and
-    proven_optimal is False.
+    proven_optimal is False.  A node_budget below 1 is refused: not even
+    the root node would be searched.
 
     The slice cap of F_3^n needs the proven maximum of F_3^(n-1), so n = 5
     rests on the n = 4 proof and then runs without end unless budgeted;
@@ -598,6 +594,8 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     if n >= 6:
         raise ValueError(
             f"search at n={n} is out of reach: its slice cap needs the "

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import golden
 from .asymptotics import (
+    MAX_Q,
     RECURRENCE_MAX_N,
     alpha,
     characteristic_root,
@@ -149,6 +150,8 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_table(args) -> tuple[dict, list[dict]]:
+    if args.qmax > MAX_Q:
+        raise ValueError(f"qmax must be at most {MAX_Q}, got {args.qmax}")
     rows = []
     checks = []
     for q in _prime_powers(args.qmin, args.qmax):
@@ -225,7 +228,7 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
 def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
     if args.set:
         with open(args.set, encoding="utf-8") as fh:
-            ps = parse_pointset(fh.read(), p=3)
+            ps = parse_pointset(fh.read())
         if ps.n != args.n:
             raise ValueError(f"point file has dimension {ps.n}, --n is {args.n}")
     else:
@@ -320,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="maximum progression-free set search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int,
-                   help="node budget, required at n=5 (n >= 6 is refused); "
-                        "a walk cut short reports a lower bound")
+                   help="node budget of at least 1, required at n=5 (n >= 6 "
+                        "is refused); a walk cut short reports a lower bound")
     p.add_argument("--out", help="write the witness in point-file format")
     p.set_defaults(func=_cmd_search)
 

@@ -1,20 +1,20 @@
-"""Finite-field polynomial engine and mechanical checks of the rank argument.
+"""F_3 polynomial engine and mechanical checks of the rank argument.
 
-Polynomials live over a prime field F_p in n variables with every exponent
-below p, the natural reduced form for functions on F_p^n.  On top of the
-engine, verify_support_bound replays the linear-algebra core of the bound
-at small n: the space of degree-<=d polynomials vanishing off a
+Polynomials live over F_3 in n variables with every exponent below 3,
+the natural reduced form for functions on F_3^n.  On top of the engine,
+verify_support_bound replays the linear-algebra core of the bound at
+small n: the space of degree-<=d polynomials vanishing off a
 progression-free set has the predicted dimension, its members evaluate to
 diagonal pair matrices of bounded rank, and their supports respect the cap
 2*|M(n, floor(d/2))|.
 
-Polynomials, eval_poly (the single-point evaluator the tests use as an
-oracle) and the split identities are generic in the prime p.  The linear
-algebra is pinned to p = 3, where -2*b = b makes the diagonal entries
-P(b): vectors over F_3 are packed into two bit-planes of a Python int,
-one evaluation table per n holds every monomial at every point of F_3^n,
-a polynomial's values everywhere are a signed sum of its columns, and one
-bitsliced Gauss-Jordan elimination serves the null space and the ranks.
+The field is F_3 throughout, where -2*b = b makes the diagonal entries
+P(b).  eval_poly is the single-point evaluator the tests use as an
+oracle.  The linear algebra packs vectors over F_3 into two bit-planes of
+a Python int: one evaluation table per n holds every monomial at every
+point of F_3^n, a polynomial's values everywhere are a signed sum of its
+columns, and one bitsliced Gauss-Jordan elimination serves the null space
+and the ranks.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .qnomial import mspace_size
 Monomial = tuple[int, ...]
 
 
-def parse_pointset(text: str, p: int = 3) -> PointSet:
+def parse_pointset(text: str) -> PointSet:
     """Parse the flat file format: one point per line as space-separated
     digits, '#' starting a comment."""
     vectors = []
@@ -45,7 +45,7 @@ def parse_pointset(text: str, p: int = 3) -> PointSet:
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("inconsistent point dimensions")
-    return PointSet.from_vectors(vectors, p)
+    return PointSet.from_vectors(vectors)
 
 
 def format_pointset(ps: PointSet) -> str:
@@ -55,13 +55,12 @@ def format_pointset(ps: PointSet) -> str:
 
 @dataclass(frozen=True)
 class FieldPoly:
-    """Polynomial over F_p with per-variable exponents < p.
+    """Polynomial over F_3 with per-variable exponents < 3.
 
-    terms maps exponent tuples to nonzero coefficients in [1, p-1]; the
+    terms maps exponent tuples to nonzero coefficients in {1, 2}; the
     zero polynomial has an empty map and degree -1 by convention.
     """
 
-    p: int
     n: int
     terms: dict[Monomial, int] = field(default_factory=dict)
 
@@ -69,9 +68,9 @@ class FieldPoly:
         for mono, coeff in self.terms.items():
             if len(mono) != self.n:
                 raise ValueError("monomial arity mismatch")
-            if any(not 0 <= e < self.p for e in mono):
-                raise ValueError("exponent outside [0, p-1]")
-            if not 1 <= coeff < self.p:
+            if any(not 0 <= e < 3 for e in mono):
+                raise ValueError("exponent outside [0, 2]")
+            if not 1 <= coeff < 3:
                 raise ValueError("coefficients must be nonzero residues")
 
     @property
@@ -82,35 +81,34 @@ class FieldPoly:
         return not self.terms
 
 
-def make_poly(p: int, n: int, raw_terms: dict[Monomial, int]) -> FieldPoly:
-    """Normalize coefficients mod p and drop zeros."""
+def make_poly(n: int, raw_terms: dict[Monomial, int]) -> FieldPoly:
+    """Normalize coefficients mod 3 and drop zeros."""
     terms = {}
     for mono, coeff in raw_terms.items():
-        c = coeff % p
+        c = coeff % 3
         if c:
             terms[tuple(mono)] = c
-    return FieldPoly(p, n, terms)
+    return FieldPoly(n, terms)
 
 
 def eval_poly(P: FieldPoly, x: tuple[int, ...] | list[int]) -> int:
-    """Value of P at a point of F_p^n, exponents evaluated literally."""
+    """Value of P at a point of F_3^n, exponents evaluated literally."""
     if len(x) != P.n:
         raise ValueError(f"point has {len(x)} coordinates, polynomial has {P.n}")
-    p = P.p
     total = 0
     for mono, coeff in P.terms.items():
         v = coeff
         for xi, e in zip(x, mono):
             if e:
-                v = v * pow(xi, e, p) % p
+                v = v * pow(xi, e, 3) % 3
         total += v
-    return total % p
+    return total % 3
 
 
-def monomials_up_to(n: int, d: int, p: int) -> list[Monomial]:
-    """All exponent tuples with entries < p and total degree <= d, in graded
+def monomials_up_to(n: int, d: int) -> list[Monomial]:
+    """All exponent tuples with entries < 3 and total degree <= d, in graded
     lexicographic order (the canonical column order everywhere here)."""
-    out = [m for m in product(range(min(p, d + 1)), repeat=n) if sum(m) <= d]
+    out = [m for m in product(range(min(3, d + 1)), repeat=n) if sum(m) <= d]
     out.sort(key=lambda m: (sum(m), m))
     return out
 
@@ -141,7 +139,7 @@ def _add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
 
 
 class _EvalTable(NamedTuple):
-    """Every monomial of monomials_up_to(n, 2n, 3) at every point of F_3^n.
+    """Every monomial of monomials_up_to(n, 2n) at every point of F_3^n.
 
     columns[j] packs monomial j's values over the points (bit x for the
     point of base-3 index x); rows[x] packs point x's values over the
@@ -182,7 +180,7 @@ def _table(n: int) -> _EvalTable:
                 nonzero[i] |= 1 << x
             if digit == 2:
                 two[i] |= 1 << x
-    monos = monomials_up_to(n, 2 * n, 3)
+    monos = monomials_up_to(n, 2 * n)
     columns = []
     for mono in monos:
         support, odd = (1 << size) - 1, 0
@@ -243,10 +241,8 @@ def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
     return pivot_cols
 
 
-def rank_mod_p(M: list[list[int]], p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination (p = 3 only)."""
-    if p != 3:
-        raise ValueError(f"rank_mod_p works over F_3 only, got p={p}")
+def rank_mod_p(M: list[list[int]]) -> int:
+    """Rank of an integer matrix over F_3 by Gaussian elimination."""
     if not M:
         return 0
     ones, twos = ([sum(1 << i for i, x in enumerate(row) if x % 3 == r)
@@ -258,11 +254,8 @@ def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
     """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
 
     Null space of the |S| x |M(n,d)| evaluation matrix; its dimension is
-    |M(n,d)| - rank >= |M(n,d)| - |S|.  F_3 only.
+    |M(n,d)| - rank >= |M(n,d)| - |S|.
     """
-    if S.p != 3:
-        raise ValueError(
-            f"vanishing_space_basis works over F_3 only, got p={S.p}")
     if S.n != n:
         raise ValueError(f"point set lies in dimension {S.n}, not {n}")
     if d > 2 * n:
@@ -288,16 +281,14 @@ def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
                 vec[pc] = 2
             elif twos[r] & bit:
                 vec[pc] = 1
-        basis.append(FieldPoly(3, n, {table.monos[i]: v
-                                      for i, v in enumerate(vec) if v}))
+        basis.append(FieldPoly(n, {table.monos[i]: v
+                                   for i, v in enumerate(vec) if v}))
     return basis
 
 
 def _values(P: FieldPoly) -> tuple[int, int]:
     """P's values at every point of F_3^n, packed: a signed sum of the
     evaluation table's columns."""
-    if P.p != 3:
-        raise ValueError(f"packed evaluation works over F_3 only, got p={P.p}")
     table = _table(P.n)
     ones = twos = 0
     for mono, coeff in P.terms.items():
@@ -318,10 +309,10 @@ def expand_neg_sum(P: FieldPoly) -> FieldPoly:
     """Substitute x_i <- -(b_i + c_i) and expand over 2n variables.
 
     Variable order of the result is (b_1..b_n, c_1..c_n).  Within each
-    factor (b_i + c_i)^e the binomial exponents stay <= e < p, so the
+    factor (b_i + c_i)^e the binomial exponents stay <= e < 3, so the
     result is already in reduced form; total degree never increases.
     """
-    p, n = P.p, P.n
+    n = P.n
     out: dict[Monomial, int] = {}
     for mono, coeff in P.terms.items():
         sign = (-1) ** (sum(mono) % 2)
@@ -332,12 +323,12 @@ def expand_neg_sum(P: FieldPoly) -> FieldPoly:
             for beta, gamma, c in partial:
                 for j in range(e + 1):
                     nxt.append((beta + (j,), gamma + (e - j,),
-                                c * comb(e, j) % p))
+                                c * comb(e, j) % 3))
             partial = nxt
         for beta, gamma, c in partial:
             key = beta + gamma
-            out[key] = (out.get(key, 0) + sign * coeff * c) % p
-    return FieldPoly(p, 2 * n, {m: c for m, c in out.items() if c})
+            out[key] = (out.get(key, 0) + sign * coeff * c) % 3
+    return FieldPoly(2 * n, {m: c for m, c in out.items() if c})
 
 
 def clp_split(Q: FieldPoly, d: int) -> tuple[dict[Monomial, FieldPoly],
@@ -367,31 +358,31 @@ def clp_split(Q: FieldPoly, d: int) -> tuple[dict[Monomial, FieldPoly],
             f_raw.setdefault(beta, {})[gamma] = coeff
         else:
             g_raw.setdefault(gamma, {})[beta] = coeff
-    F = {m: FieldPoly(Q.p, n, terms) for m, terms in f_raw.items()}
-    G = {m: FieldPoly(Q.p, n, terms) for m, terms in g_raw.items()}
+    F = {m: FieldPoly(n, terms) for m, terms in f_raw.items()}
+    G = {m: FieldPoly(n, terms) for m, terms in g_raw.items()}
     return F, G
 
 
 def reconstruct_split(F: dict[Monomial, FieldPoly],
                       G: dict[Monomial, FieldPoly],
-                      n: int, p: int) -> FieldPoly:
+                      n: int) -> FieldPoly:
     """Reassemble sum_m m(b) F_m(c) + sum_m m(c) G_m(b) as a 2n-var poly."""
     out: dict[Monomial, int] = {}
     for beta, poly in F.items():
         for gamma, coeff in poly.terms.items():
             key = beta + gamma
-            out[key] = (out.get(key, 0) + coeff) % p
+            out[key] = (out.get(key, 0) + coeff) % 3
     for gamma, poly in G.items():
         for beta, coeff in poly.terms.items():
             key = beta + gamma
-            out[key] = (out.get(key, 0) + coeff) % p
-    return FieldPoly(p, 2 * n, {m: c for m, c in out.items() if c})
+            out[key] = (out.get(key, 0) + coeff) % 3
+    return FieldPoly(2 * n, {m: c for m, c in out.items() if c})
 
 
 def product_matrix(P: FieldPoly, A: PointSet) -> list[list[int]]:
     """|A| x |A| matrix with entry (a, b) = P(-a-b mod 3), rows and columns
-    both in the canonical base-3 order of A.  F_3 only."""
-    if A.p != P.p or A.n != P.n:
+    both in the canonical base-3 order of A."""
+    if A.n != P.n:
         raise ValueError("point set does not match the polynomial")
     ones, twos = _values(P)
     return [[1 if ones >> x & 1 else 2 if twos >> x & 1 else 0 for x in row]
@@ -399,7 +390,7 @@ def product_matrix(P: FieldPoly, A: PointSet) -> list[list[int]]:
 
 
 def support_size(P: FieldPoly) -> int:
-    """Number of points of F_3^n where P is nonzero.  F_3 only."""
+    """Number of points of F_3^n where P is nonzero."""
     ones, twos = _values(P)
     return (ones | twos).bit_count()
 
@@ -439,12 +430,10 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     (2) of rank at most 2*|M(n, floor(d/2))|, (3) a support of at most
     that same cap, and (4) that dim V >= |M(n,d)| - (3^n - |A|).
 
-    Raises ValueError for a set that is not a subset of F_3^n, for n
+    Raises ValueError for a set that does not lie in dimension n, for n
     above VERIFY_MAX_N (before any table is built), for d outside
     [0, 2n], and for a set that is not progression-free.
     """
-    if A.p != 3:
-        raise ValueError(f"verification works over F_3 only, got p={A.p}")
     if A.n != n:
         raise ValueError(f"point set lies in dimension {A.n}, not {n}")
     if not 0 <= d <= 2 * n:
@@ -478,7 +467,7 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         M = timed("pair_matrices", product_matrix, P, A)
         if any(M[i][j] for i in range(len(M)) for j in range(len(M)) if i != j):
             diagonal_ok = False
-        r = timed("ranks", rank_mod_p, M, 3)
+        r = timed("ranks", rank_mod_p, M)
         max_rank = max(max_rank, r)
         if r > support_cap:
             rank_ok = False

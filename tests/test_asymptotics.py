@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import capbound.qnomial as qnomial_module
-from capbound import golden
+from capbound import asymptotics, golden
 from capbound.acceptance import leading_constant_digit_check, ulp_distance
 from capbound.asymptotics import (
+    MAX_DIGITS,
+    MAX_Q,
     RECURRENCE_MAX_N,
     alpha,
     characteristic_root,
@@ -230,3 +232,22 @@ def test_digit_validation():
         characteristic_root(-3)
     with pytest.raises(ValueError):
         saddle_point(1, 10)
+    # the ceilings refuse before computing anything
+    for call in (lambda: alpha(MAX_DIGITS + 1),
+                 lambda: characteristic_root(MAX_DIGITS + 1),
+                 lambda: leading_constant(MAX_DIGITS + 1),
+                 lambda: saddle_point(3, MAX_DIGITS + 1),
+                 lambda: saddle_point(MAX_Q + 1),
+                 lambda: growth_constant_ratio(MAX_Q + 1)):
+        with pytest.raises(ValueError, match="must be in"):
+            call()
+
+
+def test_digit_ceiling_admits_the_guard_digits(monkeypatch):
+    # alpha and leading_constant work GUARD digits past what they were
+    # asked for; at the ceiling that must not trip the ceiling itself
+    monkeypatch.setattr(asymptotics, "MAX_DIGITS", 57)
+    assert alpha(57).decimal().startswith("2.7551046130236330002")
+    assert leading_constant(57).decimal().startswith("3.326762746")
+    with pytest.raises(ValueError):
+        alpha(58)

@@ -66,8 +66,6 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         bound_for_d(3, 7)
     with pytest.raises(ValueError):
-        bound_for_d(3, 2, q=5)
-    with pytest.raises(ValueError):
         optimal_bound(-1)
     with pytest.raises(ValueError):
         sharp_bound(4)

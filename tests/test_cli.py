@@ -11,6 +11,7 @@ import pytest
 
 import capbound
 from capbound import golden
+from capbound.asymptotics import MAX_DIGITS, MAX_Q
 from capbound.capsearch import max_capset
 from capbound.cli import main
 from capbound.qnomial import mspace_size, qnomial
@@ -289,6 +290,16 @@ def test_verify_clp_reports_cost(tmp_path, capsys):
     (("verify-clp", "--n", "7", "--d", "2", "--set", "POINTS"),
      "out of reach for the verifier"),
     (("verify-recurrence", "--nmax", "2001"), "n_max must be in [2, 2000]"),
+    (("search", "--n", "3", "--budget", "0"), "at least 1"),
+    (("search", "--n", "3", "--budget", "-5"), "at least 1"),
+    (("alpha", "--digits", str(MAX_DIGITS + 1)), "digits must be in [1, "),
+    (("leading-constant", "--digits", str(MAX_DIGITS + 1)),
+     "digits must be in [1, "),
+    (("growth", "--q", "3", "--digits", str(MAX_DIGITS + 1)),
+     "digits must be in [1, "),
+    (("growth", "--q", str(MAX_Q + 1), "--method", "both"),
+     "q must be in [2, "),
+    (("table", "--qmax", "400"), f"qmax must be at most {MAX_Q}"),
 ])
 def test_ceilings_exit_2(tmp_path, capsys, argv, reason):
     points = tmp_path / "p7.txt"

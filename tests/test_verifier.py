@@ -32,16 +32,12 @@ from capbound.verifier import (
 )
 
 
-def poly_of(p, n, terms):
-    return make_poly(p, n, terms)
-
-
 def test_eval_poly_examples():
-    one_plus_x = poly_of(3, 1, {(0,): 1, (1,): 1})
+    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
     assert eval_poly(one_plus_x, (2,)) == 0
-    x_squared = poly_of(3, 1, {(2,): 1})
+    x_squared = make_poly(1, {(2,): 1})
     assert eval_poly(x_squared, (2,)) == 1
-    zero = poly_of(3, 1, {})
+    zero = make_poly(1, {})
     assert eval_poly(zero, (1,)) == 0
     assert zero.degree == -1
     with pytest.raises(ValueError):
@@ -51,28 +47,28 @@ def test_eval_poly_examples():
 def test_monomial_counts_match_mspace():
     for n in (1, 2, 3):
         for d in range(0, 2 * n + 1):
-            assert len(monomials_up_to(n, d, 3)) == mspace_size(n, d, 3)
+            assert len(monomials_up_to(n, d)) == mspace_size(n, d, 3)
 
 
-def brute_force_vanishing_count(n, d, points, p=3):
+def brute_force_vanishing_count(n, d, points):
     """Count all degree-<=d polynomials vanishing on the given points by
     enumerating every coefficient vector."""
-    monos = monomials_up_to(n, d, p)
+    monos = monomials_up_to(n, d)
     count = 0
-    for coeffs in product(range(p), repeat=len(monos)):
-        poly = make_poly(p, n, dict(zip(monos, coeffs)))
+    for coeffs in product(range(3), repeat=len(monos)):
+        poly = make_poly(n, dict(zip(monos, coeffs)))
         if all(eval_poly(poly, pt) == 0 for pt in points):
             count += 1
     return count
 
 
 def test_vanishing_space_examples():
-    basis = vanishing_space_basis(1, 1, PointSet(3, 1, (2,)))
+    basis = vanishing_space_basis(1, 1, PointSet(1, (2,)))
     assert len(basis) == 1
     assert basis[0].terms == {(0,): 1, (1,): 1}
 
-    assert len(vanishing_space_basis(1, 2, PointSet(3, 1, ()))) == 3
-    assert len(vanishing_space_basis(1, 2, PointSet(3, 1, (0, 1, 2)))) == 0
+    assert len(vanishing_space_basis(1, 2, PointSet(1, ()))) == 3
+    assert len(vanishing_space_basis(1, 2, PointSet(1, (0, 1, 2)))) == 0
 
 
 def test_vanishing_space_against_enumeration():
@@ -82,7 +78,7 @@ def test_vanishing_space_against_enumeration():
         pts = tuple(sorted(rng.sample(range(9), rng.randint(1, 5))))
         cases.append((2, rng.randint(0, 3), pts))
     for n, d, pts in cases:
-        S = PointSet(3, n, pts)
+        S = PointSet(n, pts)
         basis = vanishing_space_basis(n, d, S)
         for poly in basis:
             assert poly.degree <= d
@@ -91,44 +87,52 @@ def test_vanishing_space_against_enumeration():
 
 
 def test_expand_neg_sum_examples():
-    x = poly_of(3, 1, {(1,): 1})
+    x = make_poly(1, {(1,): 1})
     assert expand_neg_sum(x).terms == {(1, 0): 2, (0, 1): 2}
-    x2 = poly_of(3, 1, {(2,): 1})
+    x2 = make_poly(1, {(2,): 1})
     assert expand_neg_sum(x2).terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    const = poly_of(3, 1, {(0,): 1})
+    const = make_poly(1, {(0,): 1})
     assert expand_neg_sum(const).terms == {(0, 0): 1}
 
 
 def test_clp_split_worked_example():
-    q = poly_of(3, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    q = make_poly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     f_map, g_map = clp_split(q, 2)
     assert f_map[(0,)].terms == {(2,): 1}
     assert f_map[(1,)].terms == {(1,): 2}
     assert g_map[(0,)].terms == {(2,): 1}
-    assert reconstruct_split(f_map, g_map, 1, 3) == q
-    assert clp_split(poly_of(3, 2, {}), 2) == ({}, {})
+    assert reconstruct_split(f_map, g_map, 1) == q
+    assert clp_split(make_poly(2, {}), 2) == ({}, {})
     with pytest.raises(ValueError):
         clp_split(q, 1)
 
 
-def random_poly(rng, n, d, p=3):
-    monos = monomials_up_to(n, d, p)
-    return make_poly(p, n, {m: rng.randint(0, p - 1) for m in monos
-                            if rng.random() < 0.6})
+def random_poly(rng, n, d):
+    monos = monomials_up_to(n, d)
+    return make_poly(n, {m: rng.randint(0, 2) for m in monos
+                         if rng.random() < 0.6})
 
 
-def test_split_reconstruction_property():
-    rng = random.Random(20)
-    for _ in range(120):
-        n = rng.randint(1, 3)
-        d = rng.randint(0, min(4, 2 * n))
-        poly = random_poly(rng, n, d)
-        expanded = expand_neg_sum(poly)
-        assert expanded.degree <= poly.degree or expanded.is_zero()
-        f_map, g_map = clp_split(expanded, d)
-        assert reconstruct_split(f_map, g_map, n, 3) == expanded
-        for key in (*f_map, *g_map):
-            assert sum(key) <= d // 2
+# A polynomial over F_3 in n <= 3 variables of degree at most d <= 2n.
+@st.composite
+def poly_cases(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2 * n))
+    terms = draw(st.dictionaries(st.sampled_from(monomials_up_to(n, d)),
+                                 st.integers(1, 2)))
+    return n, d, make_poly(n, terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(poly_cases())
+def test_split_reconstruction_property(case):
+    n, d, poly = case
+    expanded = expand_neg_sum(poly)
+    assert expanded.degree <= poly.degree
+    f_map, g_map = clp_split(expanded, d)
+    assert reconstruct_split(f_map, g_map, n) == expanded
+    for key in (*f_map, *g_map):
+        assert sum(key) <= d // 2
 
 
 def test_eval_expand_consistency():
@@ -144,23 +148,23 @@ def test_eval_expand_consistency():
 
 
 def test_product_matrix_examples():
-    A = PointSet(3, 1, (0, 1))
-    one_plus_x = poly_of(3, 1, {(0,): 1, (1,): 1})
+    A = PointSet(1, (0, 1))
+    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
     assert product_matrix(one_plus_x, A) == [[1, 0], [0, 2]]
-    assert product_matrix(poly_of(3, 1, {}), A) == [[0, 0], [0, 0]]
-    assert product_matrix(poly_of(3, 1, {(0,): 1}), A) == [[1, 1], [1, 1]]
+    assert product_matrix(make_poly(1, {}), A) == [[0, 0], [0, 0]]
+    assert product_matrix(make_poly(1, {(0,): 1}), A) == [[1, 1], [1, 1]]
 
 
-def det3_mod_p(m, p):
+def det3_mod_3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % p
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) % 3
 
 
 def test_rank_mod_p():
-    assert rank_mod_p([[1, 0], [0, 1]], 3) == 2
-    assert rank_mod_p([[1, 2], [2, 1]], 3) == 1
-    assert rank_mod_p([], 3) == 0
+    assert rank_mod_p([[1, 0], [0, 1]]) == 2
+    assert rank_mod_p([[1, 2], [2, 1]]) == 1
+    assert rank_mod_p([]) == 0
     rng = random.Random(5)
     for _ in range(30):
         u = [rng.randint(0, 2) for _ in range(4)]
@@ -168,20 +172,20 @@ def test_rank_mod_p():
         if not any(u) or not any(v):
             continue
         outer = [[a * b % 3 for b in v] for a in u]
-        assert rank_mod_p(outer, 3) == 1
+        assert rank_mod_p(outer) == 1
     for _ in range(60):
         m = [[rng.randint(0, 2) for _ in range(3)] for _ in range(3)]
-        full = rank_mod_p(m, 3) == 3
-        assert full == (det3_mod_p(m, 3) != 0)
+        full = rank_mod_p(m) == 3
+        assert full == (det3_mod_3(m) != 0)
 
 
 def test_support_size():
-    one_plus_x = poly_of(3, 1, {(0,): 1, (1,): 1})
+    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
     assert support_size(one_plus_x) == 2  # zero only at x = 2
 
 
 def test_verify_support_bound_tiny_case():
-    report = verify_support_bound(1, 1, PointSet(3, 1, (0, 1)))
+    report = verify_support_bound(1, 1, PointSet(1, (0, 1)))
     assert report.dim_v == 1
     assert report.dim_lower_bound == 1
     assert report.max_support == 2
@@ -191,8 +195,7 @@ def test_verify_support_bound_tiny_case():
 
 
 def test_verify_support_bound_from_search():
-    witness = max_capset(2).witness
-    ps = PointSet(3, 2, witness.points)
+    ps = max_capset(2).witness
     for d in (2, 3):
         report = verify_support_bound(2, d, ps)
         assert report.all_ok
@@ -201,26 +204,19 @@ def test_verify_support_bound_from_search():
 
 def test_verify_support_bound_preconditions():
     with pytest.raises(ValueError):
-        verify_support_bound(1, 1, PointSet(3, 1, (0, 1, 2)))
-    with pytest.raises(ValueError, match="F_3 only"):
-        verify_support_bound(1, 1, PointSet(5, 1, (0, 1)))
+        verify_support_bound(1, 1, PointSet(1, (0, 1, 2)))
+    with pytest.raises(ValueError, match="dimension"):
+        verify_support_bound(2, 1, PointSet(1, (0, 1)))
     for d in (-1, 3):
         with pytest.raises(ValueError, match="outside"):
-            verify_support_bound(1, d, PointSet(3, 1, (0, 1)))
-    # the packed linear algebra is F_3 only
-    with pytest.raises(ValueError, match="F_3 only"):
-        rank_mod_p([[1, 0], [0, 1]], 5)
-    with pytest.raises(ValueError, match="F_3 only"):
-        vanishing_space_basis(1, 1, PointSet(5, 1, (2,)))
-    with pytest.raises(ValueError, match="F_3 only"):
-        support_size(poly_of(5, 1, {(1,): 1}))
+            verify_support_bound(1, d, PointSet(1, (0, 1)))
 
 
 def test_out_of_reach_dimensions_refused_at_once():
     n = VERIFY_MAX_N + 1
     started = time.perf_counter()
     with pytest.raises(ValueError, match="out of reach"):
-        verify_support_bound(n, 2, PointSet(3, n, (0, 1)))
+        verify_support_bound(n, 2, PointSet(n, (0, 1)))
     assert time.perf_counter() - started < 0.5
     assert n not in verifier._tables
 
@@ -231,9 +227,9 @@ def test_out_of_reach_dimensions_refused_at_once():
 def subset_cases(draw):
     n = draw(st.integers(1, 3))
     d = draw(st.integers(0, 2 * n))
-    S = PointSet(3, n, tuple(draw(st.sets(st.integers(0, 3**n - 1)))))
-    A = PointSet(3, n, tuple(draw(st.sets(st.integers(0, 3**n - 1),
-                                          max_size=6))))
+    S = PointSet(n, tuple(draw(st.sets(st.integers(0, 3**n - 1)))))
+    A = PointSet(n, tuple(draw(st.sets(st.integers(0, 3**n - 1),
+                                       max_size=6))))
     return n, d, S, A
 
 
@@ -261,12 +257,12 @@ def test_basis_is_unit_at_its_free_columns(case):
     # rank to the columns before it; basis element k is 1 at the k-th
     # free column and 0 at every other free column
     n, d, S, _ = case
-    monos = monomials_up_to(n, d, 3)
-    evals = [[eval_poly(make_poly(3, n, {m: 1}), v) for m in monos]
+    monos = monomials_up_to(n, d)
+    evals = [[eval_poly(make_poly(n, {m: 1}), v) for m in monos]
              for v in S.vectors()]
 
     def rank_before(j):
-        return rank_mod_p([row[:j] for row in evals], 3)
+        return rank_mod_p([row[:j] for row in evals])
 
     free = [j for j in range(len(monos)) if rank_before(j + 1) == rank_before(j)]
     basis = vanishing_space_basis(n, d, S)
@@ -282,7 +278,7 @@ def test_verify_support_bound_n6_product_set():
     # polynomial, so dim V = |A| exactly
     w4 = [decode_point(x, 4) for x in golden.LEX_LEAST_WITNESSES[4]]
     w2 = [decode_point(x, 2) for x in golden.LEX_LEAST_WITNESSES[2]]
-    A = PointSet.from_vectors([a + b for a in w4 for b in w2], 3)
+    A = PointSet.from_vectors([a + b for a in w4 for b in w2])
     verifier._tables.pop(6, None)
     started = time.perf_counter()
     report = verify_support_bound(6, 9, A)
@@ -296,7 +292,7 @@ def test_verify_support_bound_n6_product_set():
 
 
 def test_pointset_file_roundtrip(tmp_path):
-    ps = PointSet(3, 2, (0, 1, 3, 4))
+    ps = PointSet(2, (0, 1, 3, 4))
     text = format_pointset(ps)
     assert parse_pointset(text) == ps
     commented = "# a comment\n0 0\n0 1  # inline\n\n1 0\n1 1\n"
@@ -309,8 +305,8 @@ def test_pointset_file_roundtrip(tmp_path):
 
 def test_fieldpoly_validation():
     with pytest.raises(ValueError):
-        FieldPoly(3, 1, {(3,): 1})
+        FieldPoly(1, {(3,): 1})
     with pytest.raises(ValueError):
-        FieldPoly(3, 1, {(1,): 0})
+        FieldPoly(1, {(1,): 0})
     with pytest.raises(ValueError):
-        FieldPoly(3, 2, {(1,): 1})
+        FieldPoly(2, {(1,): 1})
