@@ -18,7 +18,8 @@ caller asked for and truncates only on return.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -36,14 +37,22 @@ GUARD = 10
 # and 2000 about 6 s (Python 3.11, one core of a shared VM).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
-# and leading_constant accept.  At the ceiling alpha takes about 1.6 s and
-# saddle_point(3) about 12 s; saddle_point grows about linearly in q
-# (q = 31 takes 16 s at 10,000 digits).  Largest q that saddle_point and
+# and leading_constant accept.  At the ceiling alpha takes about 1.7 s,
+# leading_constant 2.8 s, saddle_point(3) 1.1 s and saddle_point(64) 13 s,
+# about half of that in the power and cube root of the constant; q = 31
+# takes 0.9 s at 10,000 digits.  Largest q that saddle_point and
 # growth_constant_ratio accept, twice the largest q of the reference
-# table: growth_constant_ratio(64) takes about 0.7 s, q = 400 13.5 s
-# (Python 3.11, one core of a shared VM).
+# table: growth_constant_ratio(64) takes about 0.3 s, q = 400 13.5 s
+# (Python 3.11, one core of a shared 2-core VM).
 MAX_DIGITS = 30_000
 MAX_Q = 64
+# saddle_point brackets its root by exact bisection to 2^-64 < 10^-19, so
+# its Newton ladder starts from LADDER_START correct digits; each ladder
+# precision carries LADDER_MARGIN digits for those a step loses to the
+# curvature of g.
+BISECTION_STEPS = 64
+LADDER_START = 19
+LADDER_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,14 @@ class RecurrenceCheck:
 
 @dataclass(frozen=True)
 class SaddleResult:
+    """The root x0, the constant and the residual g(x0) at the working
+    precision; the cost fields take no part in comparisons."""
     q: int
     x0: BigFixed
     constant: BigFixed
     residual: BigFixed
+    counters: dict = field(default_factory=dict, compare=False)
+    timings_ms: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def _check_digits(digits: int) -> None:
@@ -137,15 +150,41 @@ def _horner(coeffs: list[int], x: BigFixed, work: int) -> BigFixed:
     return acc
 
 
+def _dyadic_sign(coeffs: list[int], m: int, k: int) -> int:
+    """Sign of the polynomial at m/2^k, read off the integer
+    2^(k*deg) * g(m/2^k) = sum_j g_j m^j 2^(k*(deg-j)): no rounding."""
+    acc = coeffs[-1]
+    for i, c in enumerate(reversed(coeffs[:-1]), 1):
+        acc = acc * m + (c << k * i)
+    return (acc > 0) - (acc < 0)
+
+
+def _ladder(work: int) -> list[int]:
+    """Working precisions of the Newton steps between the bisection bracket
+    and the full-precision loop, in ascending order.  Each step about
+    doubles the correct digits, so each precision is half the next one plus
+    LADDER_MARGIN; the first is at most twice LADDER_START."""
+    precisions = []
+    p = work
+    while p > 2 * LADDER_START:
+        p = (p + 1) // 2 + LADDER_MARGIN
+        precisions.append(p)
+    return precisions[::-1]
+
+
 @lru_cache(maxsize=None)
 def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     """Stationary point and value of f(x)*x^(-(q-1)/3) on (0, 1).
 
     x0 is the unique root there of g(x) = sum_j (3j-(q-1)) x^j (g(0) < 0,
     g(1) = q(q-1)/2 > 0, and x*g'(x)/f(x) is an increasing mean, so the
-    sign change is single).  Bisection brackets the root, then Newton runs
-    until the mantissa is stationary.  The fractional power is the integer
-    cube root of x0^(q-1); no logarithms anywhere.
+    sign change is single).  BISECTION_STEPS steps of exact dyadic
+    bisection bracket the root to 2^-64, Newton steps at about doubling
+    precision carry it to the working precision, and Newton at full
+    precision runs until the mantissa is stationary (or 2-cycles).  The
+    fractional power is the integer cube root of x0^(q-1); no logarithms
+    and no floats anywhere.  `counters` gives the bisection steps, the
+    Newton steps at each working precision and the working digits.
     """
     _check_q(q)
     _check_digits(digits)
@@ -154,24 +193,32 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
 
 def _saddle_point(q: int, digits: int) -> SaddleResult:
     """saddle_point without the ceilings, which leading_constant works past."""
+    clock = time.perf_counter
+    started = clock()
     work = digits + GUARD
     g_coeffs = [3 * j - (q - 1) for j in range(q)]
     gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
 
-    lo = BigFixed.from_int(0, work)
-    hi = BigFixed.from_int(1, work)
-    for _ in range(120):
-        mid = (lo + hi) / 2
-        if _horner(g_coeffs, mid, work).mantissa < 0:
-            lo = mid
-        else:
-            hi = mid
-    assert lo.mantissa > 0 and hi.mantissa < 10**work, \
+    # the root lies in [m/2^k, (m+1)/2^k] after k steps
+    m = 0
+    for k in range(1, BISECTION_STEPS + 1):
+        m = 2 * m + (_dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
+    assert 0 < m < 2**BISECTION_STEPS - 1, \
         "no interior sign change; cannot happen for q >= 2"
+    bisected = clock()
 
-    x = (lo + hi) / 2
+    newton_steps: dict[int, int] = {}
+    x = BigFixed.from_ratio(2 * m + 1, 2**(BISECTION_STEPS + 1),
+                            LADDER_START)
+    for p in _ladder(work):
+        x = x.to_scale(p)
+        x = x - _horner(g_coeffs, x, p) / _horner(gp_coeffs, x, p)
+        newton_steps[p] = 1
+    laddered = clock()
+
+    x = x.to_scale(work)
     prev = None
-    for _ in range(200):
+    for steps in range(1, 201):
         step = _horner(g_coeffs, x, work) / _horner(gp_coeffs, x, work)
         nxt = x - step
         if nxt.mantissa == x.mantissa or (prev is not None
@@ -180,13 +227,24 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
             break
         prev = x.mantissa
         x = nxt
+    newton_steps[work] = steps
+    converged = clock()
 
     residual = _horner(g_coeffs, x, work)
     f_val = _horner([1] * q, x, work)
     constant = f_val / x.pow_int(q - 1).cbrt()
-    return SaddleResult(q=q, x0=x.to_scale(digits),
-                        constant=constant.to_scale(digits),
-                        residual=residual)
+    finished = clock()
+    return SaddleResult(
+        q=q, x0=x.to_scale(digits), constant=constant.to_scale(digits),
+        residual=residual,
+        counters={"bisection_steps": BISECTION_STEPS,
+                  "newton_steps": newton_steps, "work_digits": work},
+        timings_ms={stage: round((end - start) * 1000, 3)
+                    for stage, start, end in (
+                        ("bisection", started, bisected),
+                        ("ladder", bisected, laddered),
+                        ("newton", laddered, converged),
+                        ("constant", converged, finished))})
 
 
 def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:
@@ -242,11 +300,16 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
 
 def normalized_sharp_bound(n: int, scale: int = DEFAULT_DIGITS) -> float:
     """sharp_bound(n) * sqrt(n) / alpha^n as a double, computed from the
-    exact bound value and the fixed-point alpha."""
+    exact bound value and the fixed-point alpha, for n a positive multiple
+    of 3.  CPython's int true division is correctly rounded, so the one
+    quotient equals float(Fraction(num, den)) without taking the gcd of
+    integers of n*scale digits."""
+    if n < 3 or n % 3:
+        raise ValueError(f"n must be a positive multiple of 3, got {n}")
     a = alpha(scale)
     num = (sharp_bound(n).value * isqrt_newton(n * 10 ** (2 * scale))
            * 10 ** (n * scale - scale))
-    return float(Fraction(num, a.mantissa**n))
+    return num / a.mantissa**n
 
 
 def richardson_limit(values: list[float], step_ratio: float = 2.0) -> float:

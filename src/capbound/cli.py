@@ -128,6 +128,8 @@ def _cmd_qnomial(args) -> tuple[dict, list[dict]]:
 def _cmd_growth(args) -> tuple[dict, list[dict]]:
     result: dict = {}
     checks: list[dict] = []
+    counters: dict = {}
+    timings_ms: dict[str, float] = {}
     if args.method in ("saddle", "both"):
         sp = saddle_point(args.q, args.digits)
         result["saddle"] = {
@@ -136,16 +138,22 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
             "constant": _bigfixed_json(sp.constant),
             "residual": _bigfixed_json(sp.residual),
         }
+        counters.update(sp.counters)
+        timings_ms.update(sp.timings_ms)
     if args.method in ("ratio", "both"):
+        started = time.perf_counter()
         result["ratio_estimate"] = growth_constant_ratio(args.q)
+        timings_ms["ratio"] = round((time.perf_counter() - started) * 1000, 3)
     if args.method == "both":
-        saddle_val = float(saddle_point(args.q, args.digits).constant)
+        saddle_val = float(sp.constant)
         rel = abs(saddle_val - result["ratio_estimate"]) / saddle_val
         checks.append({
             "name": "saddle_ratio_agree",
             "pass": rel < 1e-4,
             "detail": f"relative difference {rel:.3e}",
         })
+    result["counters"] = counters
+    result["timings_ms"] = timings_ms
     return result, checks
 
 
@@ -324,7 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int,
                    help="node budget of at least 1, required at n=5 (n >= 6 "
-                        "is refused); a walk cut short reports a lower bound")
+                        "is refused); it counts the nodes every walk enters, "
+                        "not the children each node examines; a walk cut "
+                        "short reports a lower bound")
     p.add_argument("--out", help="write the witness in point-file format")
     p.set_defaults(func=_cmd_search)
 

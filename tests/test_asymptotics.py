@@ -1,12 +1,16 @@
 """Recurrence verification, root digits, saddle-point constants, and the
 two cross-method agreement checks at unit-test scale."""
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capbound.qnomial as qnomial_module
 from capbound import asymptotics, golden
 from capbound.acceptance import leading_constant_digit_check, ulp_distance
+from capbound.bounds import sharp_bound
 from capbound.asymptotics import (
     MAX_DIGITS,
     MAX_Q,
@@ -23,7 +27,12 @@ from capbound.asymptotics import (
     trinomial_middle,
     verify_recurrence,
 )
-from capbound.fixedpoint import BigFixed
+from capbound.fixedpoint import BigFixed, isqrt_newton
+
+try:
+    import mpmath
+except ImportError:  # a test extra; the oracle test skips without it
+    mpmath = None
 
 
 def test_middle_coefficients():
@@ -113,6 +122,64 @@ def test_saddle_q3_root_equation():
     residual = 4 * x.pow_int(2) + x - 2
     assert abs(residual.as_fraction()) < Fraction(1, 10**38)
     assert abs(sp.residual.as_fraction()) < Fraction(1, 10**40)
+
+
+def _g_exact(q, x):
+    # g(m/d) = sum_j g_j m^j d^(q-1-j) / d^(q-1): one exact Fraction
+    m, d = x.numerator, x.denominator
+    return Fraction(sum((3 * j - (q - 1)) * m**j * d ** (q - 1 - j)
+                        for j in range(q)), d ** (q - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(q=st.integers(2, MAX_Q), digits=st.integers(1, 300))
+def test_saddle_root_bracketed_exactly(q, digits):
+    # x0 is the root rounded to `digits` places, so one unit of the last
+    # place on either side brackets the single sign change of g
+    x0 = saddle_point(q, digits).x0.as_fraction()
+    ulp = Fraction(1, 10**digits)
+    assert _g_exact(q, x0 - ulp) < 0 < _g_exact(q, x0 + ulp)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
+@settings(deadline=None, max_examples=40)
+@given(q=st.integers(2, MAX_Q), digits=st.integers(1, 300))
+def test_saddle_point_matches_mpmath(q, digits):
+    # independent root: mpmath's bracketing solver at 20 extra digits
+    sp = saddle_point(q, digits)
+    with mpmath.workdps(digits + 20):
+        saddle = [3 * i - (q - 1) for i in reversed(range(q))]
+        x0 = mpmath.findroot(lambda x: mpmath.polyval(saddle, x), (0, 1),
+                             solver="anderson")
+        constant = (mpmath.polyval([1] * q, x0)
+                    * x0 ** (-mpmath.mpf(q - 1) / 3))
+        unit = mpmath.mpf(10) ** digits
+        assert abs(mpmath.mpf(sp.x0.mantissa) - x0 * unit) <= 1
+        assert abs(mpmath.mpf(sp.constant.mantissa) - constant * unit) <= 1
+
+
+def test_saddle_point_5000_digits_is_fast():
+    # 120 bisection steps at full precision took 4.2 s (Python 3.11, 2-core
+    # VM); exact bisection and the Newton ladder take about 0.3 s there
+    started = time.perf_counter()
+    asymptotics._saddle_point(31, 5000)
+    assert time.perf_counter() - started < 2.0
+
+
+def test_saddle_point_counters():
+    sp = saddle_point(31, 600)
+    work = 600 + asymptotics.GUARD
+    assert sp.counters["bisection_steps"] == asymptotics.BISECTION_STEPS
+    assert sp.counters["work_digits"] == work
+    precisions = list(sp.counters["newton_steps"])
+    assert precisions == sorted(precisions) and precisions[-1] == work
+    # the ladder doubles the precision, so it has about log2(work/19) steps,
+    # and the full-precision loop only confirms a stationary mantissa
+    assert len(precisions) <= 7
+    assert 1 <= sp.counters["newton_steps"][work] <= 3
+    assert set(sp.timings_ms) == {"bisection", "ladder", "newton", "constant"}
+    # the cost fields take no part in comparisons
+    assert sp == asymptotics._saddle_point(31, 600)
 
 
 def test_growth_constants_monotone_and_below_q():
@@ -223,6 +290,22 @@ def test_normalized_sharp_bound_behaves():
     c = float(leading_constant(19))
     assert s150 < s300 < c
     assert abs(s150 - c) / c < 0.05
+
+
+def test_normalized_sharp_bound_is_the_rounded_ratio():
+    # one correctly rounded int division gives the float of the exact ratio
+    a = alpha(40)
+    for n in (3, 30, 150):
+        num = (sharp_bound(n).value * isqrt_newton(n * 10**80)
+               * 10 ** (40 * n - 40))
+        assert normalized_sharp_bound(n) == float(Fraction(num,
+                                                           a.mantissa**n))
+
+
+@pytest.mark.parametrize("n", [0, -3, 1, 4, 299])
+def test_normalized_sharp_bound_refuses_bad_n(n):
+    with pytest.raises(ValueError, match="positive multiple of 3"):
+        normalized_sharp_bound(n)
 
 
 def test_digit_validation():

@@ -155,6 +155,24 @@ def test_growth_ratio_only(capsys):
                               "ratio")
     assert code == 0
     assert abs(report["result"]["ratio_estimate"] - 1.88988) < 1e-3
+    assert report["result"]["counters"] == {}
+    assert set(report["result"]["timings_ms"]) == {"ratio"}
+
+
+def test_growth_reports_cost(capsys):
+    code, report, _ = run_cli(capsys, "growth", "--q", "5", "--digits",
+                              "200", "--method", "both")
+    assert code == 0
+    result = report["result"]
+    assert set(result) == {"saddle", "ratio_estimate", "counters",
+                           "timings_ms"}
+    assert set(result["saddle"]) == {"q", "x0", "constant", "residual"}
+    counters = result["counters"]
+    assert counters["bisection_steps"] == 64
+    assert counters["work_digits"] == 210
+    assert list(counters["newton_steps"])[-1] == "210"
+    assert set(result["timings_ms"]) == {"bisection", "ladder", "newton",
+                                         "constant", "ratio"}
 
 
 def test_verify_recurrence_command(capsys):
