@@ -36,6 +36,7 @@ from .capsearch import (
     encode_point,
     is_progression_free,
     max_capset,
+    third_points,
 )
 from .fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
 from .qnomial import (
@@ -56,10 +57,7 @@ from .verifier import (
     make_poly,
     monomials_up_to,
     parse_pointset,
-    product_matrix,
-    rank_mod_p,
     reconstruct_split,
-    support_size,
     vanishing_space_basis,
     verify_support_bound,
 )

@@ -181,10 +181,12 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     sign change is single).  BISECTION_STEPS steps of exact dyadic
     bisection bracket the root to 2^-64, Newton steps at about doubling
     precision carry it to the working precision, and Newton at full
-    precision runs until the mantissa is stationary (or 2-cycles).  The
+    precision runs until the mantissa is stationary or 2-cycles, keeping
+    the 2-cycle element with the smaller |g| (then smaller mantissa).  The
     fractional power is the integer cube root of x0^(q-1); no logarithms
     and no floats anywhere.  `counters` gives the bisection steps, the
-    Newton steps at each working precision and the working digits.
+    Newton steps at each working precision, the working digits and the
+    `stop` rule that ended Newton ("stationary" or "two_cycle").
     """
     _check_q(q)
     _check_digits(digits)
@@ -217,28 +219,34 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     laddered = clock()
 
     x = x.to_scale(work)
-    prev = None
+    prev = prev_g = None
     for steps in range(1, 201):
-        step = _horner(g_coeffs, x, work) / _horner(gp_coeffs, x, work)
-        nxt = x - step
-        if nxt.mantissa == x.mantissa or (prev is not None
-                                          and nxt.mantissa == prev):
-            x = nxt
+        g = _horner(g_coeffs, x, work)
+        nxt = x - g / _horner(gp_coeffs, x, work)
+        if nxt.mantissa == x.mantissa:
+            stop = "stationary"
             break
-        prev = x.mantissa
+        if prev is not None and nxt.mantissa == prev.mantissa:
+            stop = "two_cycle"
+            x, g = min((x, g), (prev, prev_g),
+                       key=lambda e: (abs(e[1].mantissa), e[0].mantissa))
+            break
+        prev, prev_g = x, g
         x = nxt
+    else:
+        raise AssertionError("Newton neither settled nor 2-cycled")
     newton_steps[work] = steps
     converged = clock()
 
-    residual = _horner(g_coeffs, x, work)
     f_val = _horner([1] * q, x, work)
     constant = f_val / x.pow_int(q - 1).cbrt()
     finished = clock()
     return SaddleResult(
         q=q, x0=x.to_scale(digits), constant=constant.to_scale(digits),
-        residual=residual,
+        residual=g,
         counters={"bisection_steps": BISECTION_STEPS,
-                  "newton_steps": newton_steps, "work_digits": work},
+                  "newton_steps": newton_steps, "work_digits": work,
+                  "stop": stop},
         timings_ms={stage: round((end - start) * 1000, 3)
                     for stage, start, end in (
                         ("bisection", started, bisected),

@@ -85,6 +85,11 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
+    @property
+    def mask(self) -> int:
+        """The members as a point mask: bit x is set for point x."""
+        return sum(1 << x for x in self.points)
+
     def vectors(self) -> list[tuple[int, ...]]:
         return [decode_point(x, self.n) for x in self.points]
 
@@ -121,6 +126,17 @@ def complete_triple(a: int, b: int, n: int) -> int:
     return c
 
 
+def third_points(A: PointSet) -> int:
+    """Point mask of {-a-b : a != b in A}, the points that complete a pair
+    of distinct members to a zero-sum triple; each unordered pair is
+    visited once."""
+    third = 0
+    for i, a in enumerate(A.points):
+        for b in A.points[i + 1:]:
+            third |= 1 << complete_triple(a, b, A.n)
+    return third
+
+
 def is_progression_free(A: PointSet) -> bool:
     """True iff no three pairwise-distinct members of A sum to zero.
 
@@ -128,14 +144,7 @@ def is_progression_free(A: PointSet) -> bool:
     pair of distinct members is automatically distinct from both; checking
     every unordered pair against membership is therefore exhaustive.
     """
-    pts = A.points
-    members = set(pts)
-    n = A.n
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if complete_triple(pts[i], pts[j], n) in members:
-                return False
-    return True
+    return not third_points(A) & A.mask
 
 
 class _BudgetExhausted(Exception):

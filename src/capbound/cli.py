@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -210,11 +211,10 @@ def _cmd_verify_recurrence(args) -> tuple[dict, list[dict]]:
 
 def _cmd_search(args) -> tuple[dict, list[dict]]:
     result = max_capset(args.n, node_budget=args.budget)
-    witness_lines = [" ".join(str(c) for c in v)
-                     for v in result.witness.vectors()]
+    witness_text = format_pointset(result.witness)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_pointset(result.witness))
+            fh.write(witness_text)
     checks = [{
         "name": "witness_progression_free",
         "pass": is_progression_free(result.witness),
@@ -223,7 +223,7 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
     return {
         "n": result.n,
         "max_size": result.max_size,
-        "witness": witness_lines,
+        "witness": witness_text.splitlines(),
         "nodes_explored": result.nodes_explored,
         "prunes": result.prunes,
         "proven_optimal": result.proven_optimal,
@@ -242,15 +242,6 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
     else:
         ps = max_capset(args.n).witness
     report = verify_support_bound(args.n, args.d, ps)
-    result = {
-        "n": report.n, "d": report.d, "set_size": report.set_size,
-        "dim_v": report.dim_v, "dim_lower_bound": report.dim_lower_bound,
-        "max_support": report.max_support, "support_cap": report.support_cap,
-        "rank": report.rank,
-        "diagonal_ok": report.diagonal_ok, "rank_ok": report.rank_ok,
-        "support_ok": report.support_ok, "bound_ok": report.bound_ok,
-        "timings_ms": report.timings_ms, "counters": report.counters,
-    }
     checks = [
         {"name": "pair_matrix_diagonal", "pass": report.diagonal_ok,
          "detail": "off-diagonal entries vanish"},
@@ -261,7 +252,7 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
         {"name": "dimension_bound", "pass": report.bound_ok,
          "detail": f"dim V = {report.dim_v} >= {report.dim_lower_bound}"},
     ]
-    return result, checks
+    return dataclasses.asdict(report), checks
 
 
 def _cmd_verify_all(args) -> tuple[dict, list[dict]]:

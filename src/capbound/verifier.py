@@ -13,19 +13,18 @@ P(b).  eval_poly is the single-point evaluator the tests use as an
 oracle.  The linear algebra packs vectors over F_3 into two bit-planes of
 a Python int: one evaluation table per n holds every monomial at every
 point of F_3^n, a polynomial's values everywhere are a signed sum of its
-columns, and one bitsliced Gauss-Jordan elimination serves the null space
-and the ranks.
+columns, and one bitsliced Gauss-Jordan elimination gives the null space.
+Pair matrices are read off those values with point masks, never built.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .capsearch import PointSet, complete_triple, is_progression_free
+from .capsearch import PointSet, third_points
 from .qnomial import mspace_size
 
 Monomial = tuple[int, ...]
@@ -123,9 +122,8 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 # Largest n the verifier accepts, so that every accepted input verifies
 # in well under a second per d.  At n = 6 the evaluation table (3^n x 3^n
 # entries) builds in about 0.02 s and an 80-point set verifies in at most
-# 0.25 s per d.  At n = 7 the table takes about 0.2 s, the null space of
-# a 180-point set about 1 s per d, and the pair matrices grow as
-# dim V * |A|^2 on top (Python 3.11, one core of a shared VM).
+# 0.25 s per d.  At n = 7 the table takes about 0.2 s and the null space
+# of a 180-point set about 1 s per d (Python 3.11, one core of a shared VM).
 VERIFY_MAX_N = 6
 
 
@@ -241,15 +239,6 @@ def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
     return pivot_cols
 
 
-def rank_mod_p(M: list[list[int]]) -> int:
-    """Rank of an integer matrix over F_3 by Gaussian elimination."""
-    if not M:
-        return 0
-    ones, twos = ([sum(1 << i for i, x in enumerate(row) if x % 3 == r)
-                   for row in M] for r in (1, 2))
-    return len(_rref(ones, twos, len(M[0])))
-
-
 def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
     """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
 
@@ -297,12 +286,6 @@ def _values(P: FieldPoly) -> tuple[int, int]:
             c1, c2 = c2, c1
         ones, twos = _add(ones, twos, c1, c2)
     return ones, twos
-
-
-@lru_cache(maxsize=4)
-def _neg_sum_indices(A: PointSet) -> list[list[int]]:
-    """Base-3 index of -a-b for every pair (a, b) of A, in A's order."""
-    return [[complete_triple(a, b, A.n) for b in A.points] for a in A.points]
 
 
 def expand_neg_sum(P: FieldPoly) -> FieldPoly:
@@ -379,27 +362,13 @@ def reconstruct_split(F: dict[Monomial, FieldPoly],
     return FieldPoly(2 * n, {m: c for m, c in out.items() if c})
 
 
-def product_matrix(P: FieldPoly, A: PointSet) -> list[list[int]]:
-    """|A| x |A| matrix with entry (a, b) = P(-a-b mod 3), rows and columns
-    both in the canonical base-3 order of A."""
-    if A.n != P.n:
-        raise ValueError("point set does not match the polynomial")
-    ones, twos = _values(P)
-    return [[1 if ones >> x & 1 else 2 if twos >> x & 1 else 0 for x in row]
-            for row in _neg_sum_indices(A)]
-
-
-def support_size(P: FieldPoly) -> int:
-    """Number of points of F_3^n where P is nonzero."""
-    ones, twos = _values(P)
-    return (ones | twos).bit_count()
-
-
 @dataclass(frozen=True)
 class VerifierReport:
     """What verify_support_bound checked, plus what it cost: per-stage
-    wall times in ms (table, nullspace, pair_matrices, ranks, supports)
-    and work counters.  The cost fields take no part in comparisons."""
+    wall times in ms (table, nullspace, checks) and work counters.  rank
+    is the most members of A at which one basis element is nonzero, its
+    pair matrix's rank when diagonal_ok holds (rank_ok requires that).
+    The cost fields take no part in comparisons."""
 
     n: int
     d: int
@@ -438,43 +407,35 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         raise ValueError(f"point set lies in dimension {A.n}, not {n}")
     if not 0 <= d <= 2 * n:
         raise ValueError(f"d={d} is outside [0, {2 * n}]")
-    timings = dict.fromkeys(("table", "nullspace", "pair_matrices", "ranks",
-                             "supports"), 0.0)
-
-    def timed(stage, fn, *args):
-        started = time.perf_counter()
-        result = fn(*args)
-        timings[stage] += time.perf_counter() - started
-        return result
-
+    clock = time.perf_counter
+    started = clock()
     cached = n in _tables
-    timed("table", _table, n)
-    if not is_progression_free(A):
+    _table(n)
+    tabled = clock()
+    basis = vanishing_space_basis(n, d, A.complement())
+    spanned = clock()
+    third = third_points(A)
+    members = A.mask
+    if third & members:
         raise ValueError("the point set is not progression-free")
-
-    basis = timed("nullspace", vanishing_space_basis, n, d, A.complement())
     dim_v = len(basis)
     m_d = mspace_size(n, d, 3)
     dim_lower = m_d - (3**n - A.size)
     support_cap = 2 * mspace_size(n, d // 2, 3)
 
+    # P's pair matrix (a, b) -> P(-a-b) has its off-diagonal entries at the
+    # points of `third` and its diagonal ones at A (-2a = a): it is diagonal
+    # iff P vanishes on `third`, and its rank is then P's support on A.
     diagonal_ok = True
-    rank_ok = True
-    support_ok = True
-    max_rank = 0
-    max_support = 0
+    max_rank = max_support = 0
     for P in basis:
-        M = timed("pair_matrices", product_matrix, P, A)
-        if any(M[i][j] for i in range(len(M)) for j in range(len(M)) if i != j):
+        ones, twos = _values(P)
+        nonzero = ones | twos
+        if nonzero & third:
             diagonal_ok = False
-        r = timed("ranks", rank_mod_p, M)
-        max_rank = max(max_rank, r)
-        if r > support_cap:
-            rank_ok = False
-        s = timed("supports", support_size, P)
-        max_support = max(max_support, s)
-        if s > support_cap:
-            support_ok = False
+        max_rank = max(max_rank, (nonzero & members).bit_count())
+        max_support = max(max_support, nonzero.bit_count())
+    checked = clock()
 
     return VerifierReport(
         n=n,
@@ -486,16 +447,19 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         support_cap=support_cap,
         rank=max_rank,
         diagonal_ok=diagonal_ok,
-        rank_ok=rank_ok,
-        support_ok=support_ok,
+        rank_ok=diagonal_ok and max_rank <= support_cap,
+        support_ok=max_support <= support_cap,
         bound_ok=dim_v >= dim_lower,
-        timings_ms={k: round(v * 1000, 3) for k, v in timings.items()},
+        timings_ms={stage: round((end - start) * 1000, 3)
+                    for stage, start, end in (("table", started, tabled),
+                                              ("nullspace", tabled, spanned),
+                                              ("checks", spanned, checked))},
         counters={
             "eval_matrix_rows": 3**n - A.size,
             "eval_matrix_cols": m_d,
             "eval_matrix_rank": m_d - dim_v,  # rank-nullity
             "dim_v": dim_v,
-            "pair_entries": dim_v * A.size**2,
+            "third_points": third.bit_count(),
             "table_cached": cached,
         },
     )

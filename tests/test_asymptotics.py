@@ -182,6 +182,37 @@ def test_saddle_point_counters():
     assert sp == asymptotics._saddle_point(31, 600)
 
 
+def test_saddle_two_cycle_keeps_the_smaller_residual():
+    # where full-precision Newton 2-cycles, the kept element is the one
+    # with the smaller |g| (then the smaller mantissa), not whichever the
+    # loop met first; the test finds the cycle by Newton from x0
+    horner = asymptotics._horner
+    cycles = 0
+    for q in range(2, 7):
+        g_coeffs = [3 * j - (q - 1) for j in range(q)]
+        gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
+        for digits in range(1, 81):
+            sp = saddle_point(q, digits)
+            assert sp.counters["stop"] in ("stationary", "two_cycle")
+            if sp.counters["stop"] != "two_cycle":
+                continue
+            cycles += 1
+            work = digits + asymptotics.GUARD
+            x = sp.x0.to_scale(work)
+            seen = []
+            while x.mantissa not in seen:
+                seen.append(x.mantissa)
+                x = x - horner(g_coeffs, x, work) / horner(gp_coeffs, x, work)
+            cycle = seen[seen.index(x.mantissa):]
+            assert len(cycle) == 2
+            g = {m: horner(g_coeffs, BigFixed(m, work), work).mantissa
+                 for m in cycle}
+            kept, other = sorted(cycle, key=lambda m: (abs(g[m]), m))
+            assert sp.residual == BigFixed(g[kept], work)
+            assert abs(sp.residual.mantissa) <= abs(g[other])
+    assert cycles >= 10
+
+
 def test_growth_constants_monotone_and_below_q():
     previous = None
     for q in range(2, 32):

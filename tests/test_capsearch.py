@@ -27,6 +27,7 @@ from capbound.capsearch import (
     encode_point,
     is_progression_free,
     max_capset,
+    third_points,
 )
 
 
@@ -114,6 +115,23 @@ def test_completion_avoids_the_pair():
 ])
 def test_is_progression_free(n, points, expected):
     assert is_progression_free(PointSet(n, points)) is expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, 3**n - 1)))))
+def test_third_points_by_brute_force(case):
+    # -a-b by coordinate arithmetic over ordered pairs, and zero-sum
+    # triples by a triple loop over the members
+    n, points = case
+    A = PointSet(n, tuple(points))
+    vectors = A.vectors()
+    third = {encode_point(tuple((-x - y) % 3 for x, y in zip(a, b)))
+             for a in vectors for b in vectors if a != b}
+    assert third_points(A) == sum(1 << c for c in third)
+    free = not any(all((x + y + z) % 3 == 0 for x, y, z in zip(a, b, c))
+                   for a, b, c in combinations(vectors, 3))
+    assert is_progression_free(A) is free
 
 
 def test_brute_force_agreement_small():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import capbound
-from capbound import golden
+from capbound import golden, verifier
 from capbound.asymptotics import MAX_DIGITS, MAX_Q
 from capbound.capsearch import max_capset
 from capbound.cli import main
@@ -291,8 +291,7 @@ def test_verify_clp_reports_cost(tmp_path, capsys):
                                   "4", "--set", str(out))
         assert code == 0
     result = report["result"]
-    assert set(result["timings_ms"]) == {"table", "nullspace",
-                                         "pair_matrices", "ranks", "supports"}
+    assert set(result["timings_ms"]) == {"table", "nullspace", "checks"}
     assert all(t >= 0 for t in result["timings_ms"].values())
     counters = result["counters"]
     assert counters["eval_matrix_rows"] == 27 - 9
@@ -300,8 +299,30 @@ def test_verify_clp_reports_cost(tmp_path, capsys):
     assert (counters["eval_matrix_rank"] + counters["dim_v"]
             == counters["eval_matrix_cols"])
     assert counters["dim_v"] == result["dim_v"]
-    assert counters["pair_entries"] == result["dim_v"] * 9 * 9
+    # a maximum cap is complete: every other point completes a pair of it
+    assert counters["third_points"] == 27 - 9
     assert counters["table_cached"] is True
+
+
+def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
+    # the constant 1 does not vanish off A: its pair matrix has no zero
+    # entry, and its support is all of F_3^n
+    vanishing = verifier.vanishing_space_basis
+    monkeypatch.setattr(verifier, "vanishing_space_basis", lambda n, d, S: [
+        *vanishing(n, d, S), verifier.make_poly(n, {(0,) * n: 1})])
+    witness = max_capset(2).witness
+    report = verifier.verify_support_bound(2, 2, witness)
+    assert not report.diagonal_ok and not report.rank_ok
+    assert not report.all_ok
+    out = tmp_path / "w.txt"
+    out.write_text(verifier.format_pointset(witness))
+    code, cli_report, _ = run_cli(capsys, "verify-clp", "--n", "2", "--d",
+                                  "2", "--set", str(out))
+    assert code == 1
+    assert cli_report["result"]["diagonal_ok"] is False
+    assert cli_report["result"]["rank_ok"] is False
+    failed = {c["name"] for c in cli_report["checks"] if not c["pass"]}
+    assert {"pair_matrix_diagonal", "rank_cap"} <= failed
 
 
 @pytest.mark.parametrize("argv,reason", [

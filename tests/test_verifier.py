@@ -1,6 +1,8 @@
 """Polynomial engine and proof-core checks: worked examples frozen by hand,
-a brute-force vanishing-count oracle, a determinant oracle for ranks, and
-the split/reconstruction and eval/expand consistency properties."""
+a brute-force vanishing-count oracle, pair matrices built from eval_poly
+with a rank oracle of their own (itself checked against determinants),
+affine images of the pinned witnesses, and the split/reconstruction and
+eval/expand consistency properties."""
 import random
 import time
 from itertools import product
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbound import golden, verifier
-from capbound.capsearch import decode_point, max_capset
+from capbound.capsearch import decode_point, is_progression_free, max_capset
 from capbound.qnomial import mspace_size
 from capbound.verifier import (
     VERIFY_MAX_N,
@@ -23,10 +25,7 @@ from capbound.verifier import (
     make_poly,
     monomials_up_to,
     parse_pointset,
-    product_matrix,
-    rank_mod_p,
     reconstruct_split,
-    support_size,
     vanishing_space_basis,
     verify_support_bound,
 )
@@ -147,12 +146,13 @@ def test_eval_expand_consistency():
         assert eval_poly(expanded, b + c) == eval_poly(poly, target)
 
 
-def test_product_matrix_examples():
-    A = PointSet(1, (0, 1))
-    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
-    assert product_matrix(one_plus_x, A) == [[1, 0], [0, 2]]
-    assert product_matrix(make_poly(1, {}), A) == [[0, 0], [0, 0]]
-    assert product_matrix(make_poly(1, {(0,): 1}), A) == [[1, 1], [1, 1]]
+def rank_mod_p(M):
+    """Rank of an integer matrix over F_3 by Gaussian elimination."""
+    if not M:
+        return 0
+    ones, twos = ([sum(1 << i for i, x in enumerate(row) if x % 3 == r)
+                   for row in M] for r in (1, 2))
+    return len(verifier._rref(ones, twos, len(M[0])))
 
 
 def det3_mod_3(m):
@@ -177,11 +177,6 @@ def test_rank_mod_p():
         m = [[rng.randint(0, 2) for _ in range(3)] for _ in range(3)]
         full = rank_mod_p(m) == 3
         assert full == (det3_mod_3(m) != 0)
-
-
-def test_support_size():
-    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
-    assert support_size(one_plus_x) == 2  # zero only at x = 2
 
 
 def test_verify_support_bound_tiny_case():
@@ -221,22 +216,19 @@ def test_out_of_reach_dimensions_refused_at_once():
     assert n not in verifier._tables
 
 
-# Subsets of F_3^n, n <= 3, with a degree d in [0, 2n] and a second subset
-# for the pair matrices.
+# Subsets of F_3^n, n <= 3, with a degree d in [0, 2n].
 @st.composite
 def subset_cases(draw):
     n = draw(st.integers(1, 3))
     d = draw(st.integers(0, 2 * n))
     S = PointSet(n, tuple(draw(st.sets(st.integers(0, 3**n - 1)))))
-    A = PointSet(n, tuple(draw(st.sets(st.integers(0, 3**n - 1),
-                                       max_size=6))))
-    return n, d, S, A
+    return n, d, S
 
 
 @settings(deadline=None, max_examples=80)
 @given(subset_cases())
 def test_packed_values_match_eval_poly(case):
-    n, d, S, A = case
+    n, d, S = case
     points = list(product(range(3), repeat=n))  # base-3 index order
     for P in vanishing_space_basis(n, d, S):
         ones, twos = verifier._values(P)
@@ -244,10 +236,83 @@ def test_packed_values_match_eval_poly(case):
         assert not any(values[x] for x in S.points)
         assert [1 if ones >> x & 1 else 2 if twos >> x & 1 else 0
                 for x in range(3**n)] == values
-        assert support_size(P) == sum(1 for v in values if v)
-        assert product_matrix(P, A) == [
-            [eval_poly(P, tuple((-x - y) % 3 for x, y in zip(a, b)))
-             for b in A.vectors()] for a in A.vectors()]
+
+
+# A progression-free A in F_3^n, n <= 3, a degree d in [0, 2n] for the
+# caps, and a polynomial vanishing off A plus up to three more points, so
+# that its pair matrix on A is diagonal in some draws and not in others.
+@st.composite
+def pair_cases(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2 * n))
+    members: list[int] = []
+    for x in draw(st.lists(st.integers(0, 3**n - 1), unique=True,
+                           min_size=2, max_size=12)):
+        if is_progression_free(PointSet(n, (*members, x))):
+            members.append(x)
+    extra = draw(st.sets(st.integers(0, 3**n - 1), max_size=3))
+    B = PointSet(n, tuple(set(members) | extra))
+    # at degree 2n every function on F_3^n is a polynomial
+    basis = vanishing_space_basis(n, 2 * n, B.complement())
+    raw: dict = {}
+    for P in basis:
+        c = draw(st.integers(0, 2))
+        for mono, coeff in P.terms.items():
+            raw[mono] = raw.get(mono, 0) + c * coeff
+    return n, d, PointSet(n, tuple(members)), make_poly(n, raw)
+
+
+@settings(deadline=None, max_examples=100)
+@given(pair_cases())
+def test_packed_checks_match_pair_matrix(case):
+    # the verifier's diagonal_ok, rank and max_support for a one-element
+    # basis {P} against P's pair matrix (a, b) -> P(-a-b) built entry by
+    # entry; rank is the rank of that matrix whenever it is diagonal
+    n, d, A, P = case
+    M = [[eval_poly(P, tuple((-x - y) % 3 for x, y in zip(a, b)))
+          for b in A.vectors()] for a in A.vectors()]
+    diagonal = not any(M[i][j] for i in range(A.size)
+                       for j in range(A.size) if i != j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "vanishing_space_basis", lambda *args: [P])
+        report = verify_support_bound(n, d, A)
+    assert report.diagonal_ok is diagonal
+    if diagonal:
+        assert report.rank == rank_mod_p(M)
+    assert report.rank_ok is (diagonal
+                              and report.rank <= report.support_cap)
+    assert report.max_support == sum(
+        1 for v in product(range(3), repeat=n) if eval_poly(P, v))
+
+
+# An invertible linear map of F_3^n, n <= 4, and a translation.
+@st.composite
+def affine_maps(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=n, max_size=n)
+                  .filter(lambda m: rank_mod_p(m) == n))
+    shift = draw(row)
+    return n, matrix, shift
+
+
+@settings(deadline=None, max_examples=30)
+@given(affine_maps())
+def test_affine_images_of_witnesses_verify_alike(case):
+    # an affine map preserves zero-sum triples and polynomial degree, so
+    # the image of a pinned witness is progression-free, as large, and
+    # has a space V of the same dimension at every d
+    n, matrix, shift = case
+    witness = PointSet(n, golden.LEX_LEAST_WITNESSES[n])
+    image = PointSet.from_vectors(
+        [tuple((sum(m * x for m, x in zip(row, v)) + t) % 3
+               for row, t in zip(matrix, shift)) for v in witness.vectors()])
+    assert image.size == witness.size
+    assert is_progression_free(image)
+    for d in range(2 * n + 1):
+        report = verify_support_bound(n, d, image)
+        assert report.all_ok
+        assert report.dim_v == verify_support_bound(n, d, witness).dim_v
 
 
 @settings(deadline=None, max_examples=60)
@@ -256,7 +321,7 @@ def test_basis_is_unit_at_its_free_columns(case):
     # column j of the evaluation matrix is free exactly when it adds no
     # rank to the columns before it; basis element k is 1 at the k-th
     # free column and 0 at every other free column
-    n, d, S, _ = case
+    n, d, S = case
     monos = monomials_up_to(n, d)
     evals = [[eval_poly(make_poly(n, {m: 1}), v) for m in monos]
              for v in S.vectors()]
