@@ -36,7 +36,6 @@ from .capsearch import (
     encode_point,
     is_progression_free,
     max_capset,
-    third_points,
 )
 from .fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
 from .qnomial import (

@@ -186,7 +186,9 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     fractional power is the integer cube root of x0^(q-1); no logarithms
     and no floats anywhere.  `counters` gives the bisection steps, the
     Newton steps at each working precision, the working digits and the
-    `stop` rule that ended Newton ("stationary" or "two_cycle").
+    `stop` rule that ended Newton ("stationary" or "two_cycle").  Raises
+    ArithmeticError if 200 full-precision steps end in neither, rather
+    than report digits that never settled.
     """
     _check_q(q)
     _check_digits(digits)
@@ -234,7 +236,8 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
         prev, prev_g = x, g
         x = nxt
     else:
-        raise AssertionError("Newton neither settled nor 2-cycled")
+        raise ArithmeticError("Newton neither settled nor 2-cycled "
+                              "in 200 steps")
     newton_steps[work] = steps
     converged = clock()
 

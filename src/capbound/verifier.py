@@ -288,6 +288,32 @@ def _values(P: FieldPoly) -> tuple[int, int]:
     return ones, twos
 
 
+# The three per-element checks of verify_support_bound, on P's packed
+# values (_values).  P's pair matrix (a, b) -> P(-a-b) on A x A is never
+# built: its off-diagonal entries are P at the points of third_points(A),
+# its diagonal ones P at A itself (-2a = a over F_3).
+
+def product_matrix(values: tuple[int, int], A: PointSet,
+                   third: int) -> tuple[int, int]:
+    """P's pair matrix on A as the point masks (diagonal, off_diagonal) of
+    its nonzero entries, given P's packed values and third =
+    third_points(A).  The matrix is diagonal iff off_diagonal is 0."""
+    nonzero = values[0] | values[1]
+    return nonzero & A.mask, nonzero & third
+
+
+def rank_mod_p(diagonal: int) -> int:
+    """Rank over F_3 of a diagonal matrix, given the mask of its nonzero
+    diagonal entries: each is a unit, so the rank is their count."""
+    return diagonal.bit_count()
+
+
+def support_size(values: tuple[int, int]) -> int:
+    """Number of points of F_3^n where P is nonzero, given P's packed
+    values."""
+    return (values[0] | values[1]).bit_count()
+
+
 def expand_neg_sum(P: FieldPoly) -> FieldPoly:
     """Substitute x_i <- -(b_i + c_i) and expand over 2n variables.
 
@@ -412,29 +438,26 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     cached = n in _tables
     _table(n)
     tabled = clock()
+    third = third_points(A)
+    if third & A.mask:
+        raise ValueError("the point set is not progression-free")
+    paired = clock()
     basis = vanishing_space_basis(n, d, A.complement())
     spanned = clock()
-    third = third_points(A)
-    members = A.mask
-    if third & members:
-        raise ValueError("the point set is not progression-free")
     dim_v = len(basis)
     m_d = mspace_size(n, d, 3)
     dim_lower = m_d - (3**n - A.size)
     support_cap = 2 * mspace_size(n, d // 2, 3)
 
-    # P's pair matrix (a, b) -> P(-a-b) has its off-diagonal entries at the
-    # points of `third` and its diagonal ones at A (-2a = a): it is diagonal
-    # iff P vanishes on `third`, and its rank is then P's support on A.
     diagonal_ok = True
     max_rank = max_support = 0
     for P in basis:
-        ones, twos = _values(P)
-        nonzero = ones | twos
-        if nonzero & third:
+        values = _values(P)
+        diagonal, off_diagonal = product_matrix(values, A, third)
+        if off_diagonal:
             diagonal_ok = False
-        max_rank = max(max_rank, (nonzero & members).bit_count())
-        max_support = max(max_support, nonzero.bit_count())
+        max_rank = max(max_rank, rank_mod_p(diagonal))
+        max_support = max(max_support, support_size(values))
     checked = clock()
 
     return VerifierReport(
@@ -450,10 +473,9 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         rank_ok=diagonal_ok and max_rank <= support_cap,
         support_ok=max_support <= support_cap,
         bound_ok=dim_v >= dim_lower,
-        timings_ms={stage: round((end - start) * 1000, 3)
-                    for stage, start, end in (("table", started, tabled),
-                                              ("nullspace", tabled, spanned),
-                                              ("checks", spanned, checked))},
+        timings_ms={stage: round(seconds * 1000, 3) for stage, seconds in (
+            ("table", tabled - started), ("nullspace", spanned - paired),
+            ("checks", paired - tabled + checked - spanned))},
         counters={
             "eval_matrix_rows": 3**n - A.size,
             "eval_matrix_cols": m_d,

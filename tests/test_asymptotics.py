@@ -213,6 +213,15 @@ def test_saddle_two_cycle_keeps_the_smaller_residual():
     assert cycles >= 10
 
 
+def test_saddle_refuses_newton_that_never_settles(monkeypatch):
+    # with g = g' = 1 every Newton step moves x by -1, so the
+    # full-precision loop meets neither a stationary mantissa nor a 2-cycle
+    monkeypatch.setattr(asymptotics, "_horner",
+                        lambda coeffs, x, work: BigFixed.from_int(1, work))
+    with pytest.raises(ArithmeticError, match="200 steps"):
+        asymptotics._saddle_point(5, 20)
+
+
 def test_growth_constants_monotone_and_below_q():
     previous = None
     for q in range(2, 32):

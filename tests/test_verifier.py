@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbound import golden, verifier
-from capbound.capsearch import decode_point, is_progression_free, max_capset
+from capbound.capsearch import (decode_point, is_progression_free, max_capset,
+                                third_points)
 from capbound.qnomial import mspace_size
 from capbound.verifier import (
     VERIFY_MAX_N,
@@ -25,7 +26,10 @@ from capbound.verifier import (
     make_poly,
     monomials_up_to,
     parse_pointset,
+    product_matrix,
+    rank_mod_p,
     reconstruct_split,
+    support_size,
     vanishing_space_basis,
     verify_support_bound,
 )
@@ -146,13 +150,25 @@ def test_eval_expand_consistency():
         assert eval_poly(expanded, b + c) == eval_poly(poly, target)
 
 
-def rank_mod_p(M):
+def matrix_rank(M):
     """Rank of an integer matrix over F_3 by Gaussian elimination."""
     if not M:
         return 0
     ones, twos = ([sum(1 << i for i, x in enumerate(row) if x % 3 == r)
                    for row in M] for r in (1, 2))
     return len(verifier._rref(ones, twos, len(M[0])))
+
+
+def test_product_matrix_examples():
+    # A = {0, 1} in F_3: the one off-diagonal point is -0-1 = 2
+    A = PointSet(1, (0, 1))
+    third = third_points(A)
+    assert third == 0b100
+    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})  # 1, 2, 0 at x = 0, 1, 2
+    assert product_matrix(verifier._values(one_plus_x), A, third) == (0b011, 0)
+    assert product_matrix(verifier._values(make_poly(1, {})), A, third) == (0, 0)
+    one = make_poly(1, {(0,): 1})
+    assert product_matrix(verifier._values(one), A, third) == (0b011, 0b100)
 
 
 def det3_mod_3(m):
@@ -162,9 +178,9 @@ def det3_mod_3(m):
 
 
 def test_rank_mod_p():
-    assert rank_mod_p([[1, 0], [0, 1]]) == 2
-    assert rank_mod_p([[1, 2], [2, 1]]) == 1
-    assert rank_mod_p([]) == 0
+    assert matrix_rank([[1, 0], [0, 1]]) == 2
+    assert matrix_rank([[1, 2], [2, 1]]) == 1
+    assert matrix_rank([]) == 0
     rng = random.Random(5)
     for _ in range(30):
         u = [rng.randint(0, 2) for _ in range(4)]
@@ -172,11 +188,21 @@ def test_rank_mod_p():
         if not any(u) or not any(v):
             continue
         outer = [[a * b % 3 for b in v] for a in u]
-        assert rank_mod_p(outer) == 1
+        assert matrix_rank(outer) == 1
     for _ in range(60):
         m = [[rng.randint(0, 2) for _ in range(3)] for _ in range(3)]
-        full = rank_mod_p(m) == 3
+        full = matrix_rank(m) == 3
         assert full == (det3_mod_3(m) != 0)
+    # the verifier's rank of a diagonal matrix, given its nonzero entries
+    for mask in range(16):
+        diag = [[rng.randint(1, 2) * (mask >> i & 1) * (i == j)
+                 for j in range(4)] for i in range(4)]
+        assert rank_mod_p(mask) == matrix_rank(diag)
+
+
+def test_support_size():
+    one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
+    assert support_size(verifier._values(one_plus_x)) == 2  # zero at x = 2
 
 
 def test_verify_support_bound_tiny_case():
@@ -205,6 +231,14 @@ def test_verify_support_bound_preconditions():
     for d in (-1, 3):
         with pytest.raises(ValueError, match="outside"):
             verify_support_bound(1, d, PointSet(1, (0, 1)))
+
+
+def test_progression_refused_before_the_null_space(monkeypatch):
+    def no_null_space(*args):
+        raise AssertionError("null space computed for a refused set")
+    monkeypatch.setattr(verifier, "vanishing_space_basis", no_null_space)
+    with pytest.raises(ValueError, match="not progression-free"):
+        verify_support_bound(2, 2, PointSet(2, (0, 1, 2)))
 
 
 def test_out_of_reach_dimensions_refused_at_once():
@@ -236,6 +270,7 @@ def test_packed_values_match_eval_poly(case):
         assert not any(values[x] for x in S.points)
         assert [1 if ones >> x & 1 else 2 if twos >> x & 1 else 0
                 for x in range(3**n)] == values
+        assert support_size((ones, twos)) == sum(1 for v in values if v)
 
 
 # A progression-free A in F_3^n, n <= 3, a degree d in [0, 2n] for the
@@ -278,7 +313,7 @@ def test_packed_checks_match_pair_matrix(case):
         report = verify_support_bound(n, d, A)
     assert report.diagonal_ok is diagonal
     if diagonal:
-        assert report.rank == rank_mod_p(M)
+        assert report.rank == matrix_rank(M)
     assert report.rank_ok is (diagonal
                               and report.rank <= report.support_cap)
     assert report.max_support == sum(
@@ -291,7 +326,7 @@ def affine_maps(draw):
     n = draw(st.integers(1, 4))
     row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
     matrix = draw(st.lists(row, min_size=n, max_size=n)
-                  .filter(lambda m: rank_mod_p(m) == n))
+                  .filter(lambda m: matrix_rank(m) == n))
     shift = draw(row)
     return n, matrix, shift
 
@@ -327,7 +362,7 @@ def test_basis_is_unit_at_its_free_columns(case):
              for v in S.vectors()]
 
     def rank_before(j):
-        return rank_mod_p([row[:j] for row in evals])
+        return matrix_rank([row[:j] for row in evals])
 
     free = [j for j in range(len(monos)) if rank_before(j + 1) == rank_before(j)]
     basis = vanishing_space_basis(n, d, S)
