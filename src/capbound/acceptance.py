@@ -141,7 +141,7 @@ def c4_method_independence(level: str) -> CriterionResult:
     rel_diff = {}
     for q in (2, 3, 4, 5, 8):
         saddle = float(growth_constant(q))
-        ratio = growth_constant_ratio(q, 120)
+        ratio = growth_constant_ratio(q)
         rel_diff[q] = abs(saddle - ratio) / saddle
     worst = max(rel_diff.values())
     return CriterionResult(

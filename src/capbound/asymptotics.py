@@ -263,27 +263,23 @@ def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:
     return saddle_point(q, digits).constant
 
 
-def growth_constant_ratio(q: int, n_max: int = 120) -> float:
+def growth_constant_ratio(q: int) -> float:
     """The same constant from exact coefficient ratios.
 
     r(n) = (a(n+3)/a(n))^(1/3) with a(n) = qnomial(n, (q-1)n/3, q) is a
     centered three-step ratio, so its natural abscissa is t = n + 3/2 and
     r = c + O(1/t); one Richardson elimination of the 1/t term over the
-    points n_max/2 and n_max removes the leading error.
+    points n = 60 and n = 120 removes the leading error.
     """
     _check_q(q)
-    if n_max % 3 != 0 or n_max < 30:
-        raise ValueError(f"n_max must be a multiple of 3, at least 30; "
-                         f"got {n_max}")
 
     def rate(n: int) -> float:
         a0 = qnomial(n, (q - 1) * n // 3, q)
         a1 = qnomial(n + 3, (q - 1) * (n + 3) // 3, q)
         return float(Fraction(a1, a0)) ** (1.0 / 3.0)
 
-    m = n_max // 2 // 3 * 3
-    t_m, t_n = m + 1.5, n_max + 1.5
-    return (t_n * rate(n_max) - t_m * rate(m)) / (t_n - t_m)
+    t_m, t_n = 61.5, 121.5
+    return (t_n * rate(120) - t_m * rate(60)) / (t_n - t_m)
 
 
 @lru_cache(maxsize=None)
@@ -309,27 +305,27 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
     return c.to_scale(digits)
 
 
-def normalized_sharp_bound(n: int, scale: int = DEFAULT_DIGITS) -> float:
+def normalized_sharp_bound(n: int) -> float:
     """sharp_bound(n) * sqrt(n) / alpha^n as a double, computed from the
-    exact bound value and the fixed-point alpha, for n a positive multiple
-    of 3.  CPython's int true division is correctly rounded, so the one
-    quotient equals float(Fraction(num, den)) without taking the gcd of
-    integers of n*scale digits."""
+    exact bound value and alpha to DEFAULT_DIGITS digits, for n a positive
+    multiple of 3.  CPython's int true division is correctly rounded, so
+    the one quotient equals float(Fraction(num, den)) without taking the
+    gcd of integers of n*DEFAULT_DIGITS digits."""
     if n < 3 or n % 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
-    a = alpha(scale)
-    num = (sharp_bound(n).value * isqrt_newton(n * 10 ** (2 * scale))
-           * 10 ** (n * scale - scale))
+    a = alpha(DEFAULT_DIGITS)
+    unit = 10**DEFAULT_DIGITS
+    num = sharp_bound(n).value * isqrt_newton(n * unit**2) * unit ** (n - 1)
     return num / a.mantissa**n
 
 
-def richardson_limit(values: list[float], step_ratio: float = 2.0) -> float:
+def richardson_limit(values: list[float]) -> float:
     """Repeated Richardson elimination of 1/n, 1/n^2, ... for samples taken
-    at points growing by step_ratio."""
+    at points that double at each step."""
     level = list(values)
     m = 1
     while len(level) > 1:
-        mult = step_ratio**m
+        mult = 2.0**m
         level = [(mult * b - a) / (mult - 1.0)
                  for a, b in zip(level, level[1:])]
         m += 1

@@ -40,6 +40,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+# Largest node budget a search accepts, so that no budgeted run goes on
+# for more than minutes: at n = 5, 10^6 nodes take 3.5 to 7.6 s (Python
+# 3.11, one core of a shared 2-core VM), so 10^8 take at most about 13
+# minutes.
+MAX_BUDGET = 10**8
+
 
 def encode_point(coords: tuple[int, ...] | list[int]) -> int:
     """Base-3 index of a coordinate vector, first coordinate most significant."""
@@ -582,7 +588,7 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     earlier call) and the extension walks.  The search stops once that
     count passes node_budget; max_size is then a valid lower bound and
     proven_optimal is False.  A node_budget below 1 is refused: not even
-    the root node would be searched.
+    the root node would be searched; so is one above MAX_BUDGET.
 
     The slice cap of F_3^n needs the proven maximum of F_3^(n-1), so n = 5
     rests on the n = 4 proof and then runs without end unless budgeted;
@@ -605,6 +611,9 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
         raise ValueError(f"n must be positive, got {n}")
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
+    if node_budget is not None and node_budget > MAX_BUDGET:
+        raise ValueError(f"node_budget must be at most {MAX_BUDGET}, "
+                         f"got {node_budget}")
     if n >= 6:
         raise ValueError(
             f"search at n={n} is out of reach: its slice cap needs the "

@@ -35,7 +35,7 @@ from .asymptotics import (
     verify_recurrence,
 )
 from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theorem_bound
-from .capsearch import is_progression_free, max_capset
+from .capsearch import MAX_BUDGET, is_progression_free, max_capset
 from .fixedpoint import BigFixed
 from .qnomial import qnomial
 from .verifier import format_pointset, parse_pointset, verify_support_bound
@@ -322,10 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="maximum progression-free set search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int,
-                   help="node budget of at least 1, required at n=5 (n >= 6 "
-                        "is refused); it counts the nodes every walk enters, "
-                        "not the children each node examines; a walk cut "
-                        "short reports a lower bound")
+                   help=f"node budget in [1, {MAX_BUDGET}], required at "
+                        "n=5 (n >= 6 is refused); it counts the nodes every "
+                        "walk enters, not the children each node examines; "
+                        "a walk cut short reports a lower bound")
     p.add_argument("--out", help="write the witness in point-file format")
     p.set_defaults(func=_cmd_search)
 

@@ -11,10 +11,10 @@ diagonal pair matrices of bounded rank, and their supports respect the cap
 The field is F_3 throughout, where -2*b = b makes the diagonal entries
 P(b).  eval_poly is the single-point evaluator the tests use as an
 oracle.  The linear algebra packs vectors over F_3 into two bit-planes of
-a Python int: one evaluation table per n holds every monomial at every
-point of F_3^n, a polynomial's values everywhere are a signed sum of its
-columns, and one bitsliced Gauss-Jordan elimination gives the null space.
-Pair matrices are read off those values with point masks, never built.
+a Python int.  One table per n holds every monomial at every point and
+every point's indicator; a polynomial vanishing off A is a combination
+of A's indicators, so one bitsliced elimination of |A| rows gives V.
+Pair matrices are read off packed values with point masks, never built.
 """
 from __future__ import annotations
 
@@ -120,10 +120,10 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 # and the Method of Four Russians over larger finite fields", 2009).
 
 # Largest n the verifier accepts, so that every accepted input verifies
-# in well under a second per d.  At n = 6 the evaluation table (3^n x 3^n
-# entries) builds in about 0.02 s and an 80-point set verifies in at most
-# 0.25 s per d.  At n = 7 the table takes about 0.2 s and the null space
-# of a 180-point set about 1 s per d (Python 3.11, one core of a shared VM).
+# in well under a second per d.  At n = 6 the table builds in about 0.01 s
+# and an 80-point set verifies in at most 0.05 s per d; at n = 7 they
+# would take 0.03 s and up to 0.3 s for a 180-point set (Python 3.11, one
+# core of a shared 2-core VM).
 VERIFY_MAX_N = 6
 
 
@@ -140,15 +140,16 @@ class _EvalTable(NamedTuple):
     """Every monomial of monomials_up_to(n, 2n) at every point of F_3^n.
 
     columns[j] packs monomial j's values over the points (bit x for the
-    point of base-3 index x); rows[x] packs point x's values over the
-    monomials (bit j for monomial j).  The monomials are in graded-lex
-    order, so the first |M(n, d)| of them are M(n, d) for every d.
+    point of base-3 index x); indicators[x] packs the coefficients (bit j
+    for monomial j) of delta_x(y) = prod_i (1 - (y_i - x_i)^2), 1 at x
+    and 0 elsewhere.  The monomials are in graded-lex order, so the first
+    |M(n, d)| of them are M(n, d) for every d.
     """
 
     monos: list[Monomial]
     index: dict[Monomial, int]
     columns: list[tuple[int, int]]
-    rows: list[tuple[int, int]]
+    indicators: list[tuple[int, int]]
 
 
 _tables: dict[int, _EvalTable] = {}
@@ -165,55 +166,54 @@ def _table(n: int) -> _EvalTable:
     if n in _tables:
         return _tables[n]
     size = 3**n
-    # Points where coordinate i (of weight 3^(n-1-i)) is nonzero, and
-    # where it is 2.  A monomial is nonzero exactly where every variable
-    # it contains is, and there it is 2 when an odd number of its
-    # degree-1 variables are 2 (since 2^2 = 1).
-    nonzero = [0] * n
-    two = [0] * n
-    for x in range(size):
-        for i in range(n):
-            digit = x // 3 ** (n - 1 - i) % 3
-            if digit:
-                nonzero[i] |= 1 << x
-            if digit == 2:
-                two[i] |= 1 << x
+    full = (1 << size) - 1
+    points = list(product(range(3), repeat=n))  # base-3 index order
     monos = monomials_up_to(n, 2 * n)
+    # at[i][v]: the points whose coordinate i is v; ex[i][v]: the
+    # monomials whose exponent of variable i is v.  Columns and indicators
+    # are products of one-variable factors: nonzero where every factor
+    # is, and there 2 where an odd number of factors are 2 (2^2 = 1).
+    at = [[0, 0, 0] for _ in range(n)]
+    ex = [[0, 0, 0] for _ in range(n)]
+    for k in range(size):
+        for i in range(n):
+            at[i][points[k][i]] |= 1 << k
+            ex[i][monos[k][i]] |= 1 << k
     columns = []
-    for mono in monos:
-        support, odd = (1 << size) - 1, 0
+    for mono in monos:  # y_i^e is 0 at y_i = 0, and 2 at y_i = 2 if e = 1
+        support, odd = full, 0
         for i, e in enumerate(mono):
             if e:
-                support &= nonzero[i]
+                support &= ~at[i][0]
             if e == 1:
-                odd ^= two[i]
+                odd ^= at[i][2]
         columns.append((support & ~odd, support & odd))
-    row_ones = [0] * size
-    row_twos = [0] * size
-    for j, (ones, twos) in enumerate(columns):
-        bit = 1 << j
-        for plane, out in ((ones, row_ones), (twos, row_twos)):
-            while plane:
-                low = plane & -plane
-                out[low.bit_length() - 1] |= bit
-                plane ^= low
+    # 1 - (y_i - a)^2 has coefficients (1, 0, 2), (0, 2, 2) and (0, 1, 2)
+    # at y_i^0, y_i^1, y_i^2 for a = 0, 1, 2.
+    indicators = []
+    for x in points:
+        support, odd = full, 0
+        for i, a in enumerate(x):
+            support &= ~ex[i][0 if a else 1]
+            odd ^= full if a == 1 else ex[i][2]
+        indicators.append((support & ~odd, support & odd))
     index = {m: j for j, m in enumerate(monos)}
-    rows = list(zip(row_ones, row_twos))
-    _tables[n] = _EvalTable(monos, index, columns, rows)
+    _tables[n] = _EvalTable(monos, index, columns, indicators)
     return _tables[n]
 
 
 def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
     """Reduce packed F_3 rows, in place, to reduced row echelon form over
-    their low `cols` columns, and return the pivot columns; row r holds
-    the pivot of pivot column r.
+    their low `cols` columns, scanning from the highest down, and return
+    the pivot columns, descending; row r holds the pivot of pivot column
+    r, its highest nonzero column.
 
     Stops once every row holds a pivot: the remaining columns are then
     free and the form is already reduced.
     """
     pivot_cols: list[int] = []
     nrows = len(ones)
-    for col in range(cols):
+    for col in reversed(range(cols)):
         rank = len(pivot_cols)
         if rank == nrows:
             break
@@ -242,8 +242,10 @@ def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
 def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
     """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
 
-    Null space of the |S| x |M(n,d)| evaluation matrix; its dimension is
-    |M(n,d)| - rank >= |M(n,d)| - |S|.
+    The reduced rows of the indicators of the points off S whose pivot
+    (highest monomial) lies in M(n, d), ascending: every such polynomial
+    is a combination of those indicators.  Its size is |M(n,d)| - rank
+    >= |M(n,d)| - |S| for the rank of the |S| x |M(n,d)| evaluation matrix.
     """
     if S.n != n:
         raise ValueError(f"point set lies in dimension {S.n}, not {n}")
@@ -251,27 +253,21 @@ def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
         raise ValueError(f"d={d} exceeds the maximal degree {2 * n}")
     table = _table(n)
     width = mspace_size(n, d, 3)
-    mask = (1 << width) - 1
-    ones = [table.rows[x][0] & mask for x in S.points]
-    twos = [table.rows[x][1] & mask for x in S.points]
-    # One basis vector per free column of the RREF, so the basis is
-    # deterministic given the column order.
-    pivot_cols = _rref(ones, twos, width)
-    pivots = set(pivot_cols)
+    off = S.complement().points
+    ones = [table.indicators[x][0] for x in off]
+    twos = [table.indicators[x][1] for x in off]
+    pivot_cols = _rref(ones, twos, len(table.monos))
+    high = sum(col >= width for col in pivot_cols)  # pivots descend
     basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        bit = 1 << free
-        vec = [0] * width
-        vec[free] = 1
-        for r, pc in enumerate(pivot_cols):
-            if ones[r] & bit:
-                vec[pc] = 2
-            elif twos[r] & bit:
-                vec[pc] = 1
-        basis.append(FieldPoly(n, {table.monos[i]: v
-                                   for i, v in enumerate(vec) if v}))
+    for r in reversed(range(high, len(pivot_cols))):
+        terms = {}
+        nonzero = ones[r] | twos[r]
+        while nonzero:
+            low = nonzero & -nonzero
+            mono = table.monos[low.bit_length() - 1]
+            terms[mono] = 1 if ones[r] & low else 2
+            nonzero ^= low
+        basis.append(FieldPoly(n, terms))
     return basis
 
 

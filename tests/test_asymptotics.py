@@ -272,12 +272,8 @@ def test_growth_table_mpmath_oracle():
 def test_ratio_method_agrees_small_q():
     for q in (2, 3):
         saddle = float(growth_constant(q))
-        ratio = growth_constant_ratio(q, 120)
+        ratio = growth_constant_ratio(q)
         assert abs(saddle - ratio) / saddle < 1e-4
-    with pytest.raises(ValueError):
-        growth_constant_ratio(3, 100)
-    with pytest.raises(ValueError):
-        growth_constant_ratio(3, 12)
 
 
 def test_leading_constant_closed_form_digits():

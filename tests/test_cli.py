@@ -12,7 +12,7 @@ import pytest
 import capbound
 from capbound import golden, verifier
 from capbound.asymptotics import MAX_DIGITS, MAX_Q
-from capbound.capsearch import max_capset
+from capbound.capsearch import MAX_BUDGET, max_capset
 from capbound.cli import main
 from capbound.qnomial import mspace_size, qnomial
 from capbound.verifier import parse_pointset
@@ -331,6 +331,8 @@ def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
     (("verify-recurrence", "--nmax", "2001"), "n_max must be in [2, 2000]"),
     (("search", "--n", "3", "--budget", "0"), "at least 1"),
     (("search", "--n", "3", "--budget", "-5"), "at least 1"),
+    (("search", "--n", "5", "--budget", str(MAX_BUDGET + 1)),
+     f"at most {MAX_BUDGET}"),
     (("alpha", "--digits", str(MAX_DIGITS + 1)), "digits must be in [1, "),
     (("leading-constant", "--digits", str(MAX_DIGITS + 1)),
      "digits must be in [1, "),

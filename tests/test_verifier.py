@@ -151,12 +151,22 @@ def test_eval_expand_consistency():
 
 
 def matrix_rank(M):
-    """Rank of an integer matrix over F_3 by Gaussian elimination."""
-    if not M:
-        return 0
-    ones, twos = ([sum(1 << i for i, x in enumerate(row) if x % 3 == r)
-                   for row in M] for r in (1, 2))
-    return len(verifier._rref(ones, twos, len(M[0])))
+    """Rank of an integer matrix over F_3 by plain Gaussian elimination on
+    lists, independent of the verifier's packed elimination."""
+    rows = [[x % 3 for x in row] for row in M]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = rows[rank][col]  # 1 and 2 are their own inverses mod 3
+        top = rows[rank] = [x * inverse % 3 for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col]
+            rows[r] = [(x - factor * y) % 3 for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
 
 
 def test_product_matrix_examples():
