@@ -6,7 +6,9 @@ Three independent routes to the same numbers live here:
     coefficients d(n) = [x^(2n)](1+x+x^2)^(3n), whose constant-coefficient
     limit has characteristic quadratic 1024*N^2 - 22356*N + 19683 and
     largest root (5589 + 891*sqrt(33))/512; the growth constant is its
-    cube root,
+    cube root.  d(n) is summed from its own hypergeometric term ratio, in
+    n + 1 terms and without the row engine, so the check compares the
+    pinned recurrence against a route that shares no code with the rows,
   * saddle-point root finding for general q: the minimizer x0 in (0, 1)
     of f(x) * x^(-(q-1)/3) with f = 1 + x + ... + x^(q-1) solves
     sum_j (3j - (q-1)) x^j = 0, and the minimum value is the constant,
@@ -18,6 +20,7 @@ caller asked for and truncates only on return.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,14 +30,15 @@ from typing import Callable
 from . import golden
 from .bounds import sharp_bound
 from .fixedpoint import BigFixed, isqrt_newton, pi
-from .qnomial import qnomial, row_prefix
+from .qnomial import row_prefix
 
 DEFAULT_DIGITS = 40
 GUARD = 10
-# Largest n_max verify_recurrence accepts.  Each d(n) takes 2n recurrence
-# steps on integers of about 4.75n bits, so the check grows like n_max^3
-# in time while its memory stays a few MB: n_max = 1000 takes about 1 s
-# and 2000 about 6 s (Python 3.11, one core of a shared VM).
+# Largest n_max verify_recurrence accepts.  Each d(n) takes n term-ratio
+# steps on integers of up to about 4.4n bits, so the check grows like
+# n_max^3 in time while its memory stays a few MB: n_max = 1000 takes
+# about 1 s and 2000 about 6 s (Python 3.11, one core of a shared 2-core
+# VM; 2 s and 11.6 s when d(n) came from a row prefix).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
 # and leading_constant accept.  At the ceiling alpha takes about 1.7 s,
@@ -42,8 +46,9 @@ RECURRENCE_MAX_N = 2000
 # about half of that in the power and cube root of the constant; q = 31
 # takes 0.9 s at 10,000 digits.  Largest q that saddle_point and
 # growth_constant_ratio accept, twice the largest q of the reference
-# table: growth_constant_ratio(64) takes about 0.3 s, q = 400 13.5 s
-# (Python 3.11, one core of a shared 2-core VM).
+# table: growth_constant_ratio(64) takes about 7 ms and q = 400 about
+# 50 ms (Python 3.11, one core of a shared 2-core VM; 0.37 s and 15 s
+# when it built four whole rows by the order-(q-1) recurrence).
 MAX_DIGITS = 30_000
 MAX_Q = 64
 # saddle_point brackets its root by exact bisection to 2^-64 < 10^-19, so
@@ -87,10 +92,21 @@ def _check_q(q: int) -> None:
 def trinomial_middle(n: int) -> int:
     """d(n) = coefficient of x^(2n) in (1+x+x^2)^(3n), exact.
 
-    Computed from the row prefix up to x^(2n), outside the row cache:
-    the rows (3n, 3) serve nothing else, and caching them all made
-    verify_recurrence(2000) hold several GB."""
-    return row_prefix(3 * n, 3, 2 * n)[-1]
+    Choosing j factors x^2, 2n - 2j factors x and n + j factors 1 gives
+    d(n) = sum_{j=0..n} (3n)! / (j! (n+j)! (2n-2j)!).  The sum starts
+    from its j = 0 term C(3n, n) and steps by the term ratio
+    t_(j+1) / t_j = (2n-2j)(2n-2j-1) / ((j+1)(n+j+1)), so it shares no
+    code with the rows.  Every term is a multinomial coefficient, so each
+    division is checked: a remainder raises ArithmeticError."""
+    term = total = math.comb(3 * n, n)
+    for j in range(n):
+        term, rest = divmod(term * (2 * n - 2 * j) * (2 * n - 2 * j - 1),
+                            (j + 1) * (n + j + 1))
+        if rest:
+            raise ArithmeticError(
+                f"term ratio not exact at n={n}, j={j}")
+        total += term
+    return total
 
 
 def verify_recurrence(n_max: int,
@@ -269,13 +285,15 @@ def growth_constant_ratio(q: int) -> float:
     r(n) = (a(n+3)/a(n))^(1/3) with a(n) = qnomial(n, (q-1)n/3, q) is a
     centered three-step ratio, so its natural abscissa is t = n + 3/2 and
     r = c + O(1/t); one Richardson elimination of the 1/t term over the
-    points n = 60 and n = 120 removes the leading error.
+    points n = 60 and n = 120 removes the leading error.  Each a(n) is
+    the last entry of a row prefix, a third of the row, built outside the
+    row cache, so the call leaves no rows behind.
     """
     _check_q(q)
 
     def rate(n: int) -> float:
-        a0 = qnomial(n, (q - 1) * n // 3, q)
-        a1 = qnomial(n + 3, (q - 1) * (n + 3) // 3, q)
+        a0 = row_prefix(n, q, (q - 1) * n // 3)[-1]
+        a1 = row_prefix(n + 3, q, (q - 1) * (n + 3) // 3)[-1]
         return float(Fraction(a1, a0)) ** (1.0 / 3.0)
 
     t_m, t_n = 61.5, 121.5

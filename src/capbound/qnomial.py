@@ -3,16 +3,23 @@
 Everything here is arbitrary-precision integer arithmetic; no floating
 point in any value, no modular shortcuts.
 
-Rows come from the P-recursive (holonomic) recurrence of f = P^n with
-P = 1 + x + ... + x^(q-1).  Differentiating gives P * f' = n * P' * f,
+Rows come from a P-recursive (holonomic) recurrence of f = P^n with
+P = 1 + x + ... + x^(q-1) = (1 - x^q)/(1 - x).  Differentiating gives
+P * f' = n * P' * f, where (1 - x)^2 * P' = 1 - q*x^(q-1) + (q-1)*x^q.
+Multiplying both sides by (1 - x)^2 gives
+
+    (1 - x - x^q + x^(q+1)) * f' = n * (1 - q*x^(q-1) + (q-1)*x^q) * f,
+
 and reading off the coefficient of x^(k-1) gives, for a_k = [x^k] f,
 
-    a_0 = 1,   k * a_k = sum_{j=1..min(q-1, k)} (j*n - k + j) * a_(k-j).
+    a_0 = 1,   k * a_k = (n + k - 1) * a_(k-1) + (k - q - n*q) * a_(k-q)
+                         + (n*(q-1) + q + 1 - k) * a_(k-q-1),
 
-So each entry costs q - 1 multiplications by small integers and one
-division by k, and a row of length (q-1)n + 1 costs O(q^2 n) big-integer
-operations instead of the O(q n^2) of multiplying by P one factor at a
-time.  Every division is checked: a nonzero remainder raises
+with a_k = 0 for k < 0.  The recurrence has three terms for every q (read
+directly, P * f' = n * P' * f has q), so each entry costs three
+multiplications by small integers and one division by k, and a row of
+length (q-1)n + 1 costs O(q n) big-integer products instead of the
+O(q n^2) of multiplying by P one factor at a time.  Every division is checked: a nonzero remainder raises
 ArithmeticError rather than flooring.  The whole row is computed by the
 recurrence, so its symmetry and its total q^n stay independent checks.
 
@@ -65,17 +72,25 @@ def _check_size(n: int, q: int, length: int) -> None:
 
 
 def _recurrence_row(n: int, q: int, top: int) -> list[int]:
-    """Coefficients 0..top of P^n from the order-(q-1) recurrence, exactly."""
-    row = [1] + [0] * top
+    """Coefficients 0..top of P^n from the three-term recurrence, exactly.
+
+    The row is built behind q + 1 leading zeros, which stand for the
+    entries of negative index, and the three multipliers step with k."""
+    pad = q + 1
+    row = [0] * pad + [1] + [0] * top
+    near, mid, far = n, 1 - q - n * q, n * (q - 1) + q
     for k in range(1, top + 1):
-        total = 0
-        for j in range(1, min(q - 1, k) + 1):
-            total += (j * (n + 1) - k) * row[k - j]
-        value, rest = divmod(total, k)
+        i = k + pad
+        value, rest = divmod(near * row[i - 1] + mid * row[i - q]
+                             + far * row[i - q - 1], k)
         if rest:
             raise ArithmeticError(
                 f"recurrence division not exact at n={n}, q={q}, k={k}")
-        row[k] = value
+        row[i] = value
+        near += 1
+        mid += 1
+        far -= 1
+    del row[:pad]
     return row
 
 

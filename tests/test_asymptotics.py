@@ -28,6 +28,7 @@ from capbound.asymptotics import (
     verify_recurrence,
 )
 from capbound.fixedpoint import BigFixed, isqrt_newton
+from capbound.qnomial import row_prefix
 
 try:
     import mpmath
@@ -38,6 +39,22 @@ except ImportError:  # a test extra; the oracle test skips without it
 def test_middle_coefficients():
     # frozen from the direct expansion oracle
     assert [trinomial_middle(n) for n in range(4)] == [1, 6, 90, 1554]
+
+
+def test_middle_coefficients_match_row_prefixes():
+    # the term-ratio sum against the row engine it no longer uses
+    for n in range(0, 81):
+        assert trinomial_middle(n) == row_prefix(3 * n, 3, 2 * n)[-1], n
+
+
+def test_inexact_term_ratio_raises(monkeypatch):
+    # a remainder must stop the sum, never be floored away
+    monkeypatch.setattr(asymptotics, "divmod",
+                        lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        trinomial_middle(3)
+    monkeypatch.undo()
+    assert trinomial_middle(3) == 1554
 
 
 def test_recurrence_term_by_term_at_zero():
@@ -71,8 +88,8 @@ def test_recurrence_ceiling_refused_at_once():
 
 
 def test_recurrence_leaves_the_row_cache_alone():
-    # the rows (3n, 3) are computed as prefixes and dropped; caching them
-    # all took about 1 GB at n_max = 1000
+    # d(n) comes from its own term ratio, not from the rows (3n, 3);
+    # caching those rows took about 1 GB at n_max = 1000
     qnomial_module.clear_cache()
     assert verify_recurrence(60).all_zero
     assert not qnomial_module._rows
@@ -274,6 +291,13 @@ def test_ratio_method_agrees_small_q():
         saddle = float(growth_constant(q))
         ratio = growth_constant_ratio(q)
         assert abs(saddle - ratio) / saddle < 1e-4
+
+
+def test_ratio_method_leaves_the_row_cache_alone():
+    # it reads one coefficient of each of four rows from row prefixes
+    qnomial_module.clear_cache()
+    growth_constant_ratio(8)
+    assert not qnomial_module._rows
 
 
 def test_leading_constant_closed_form_digits():

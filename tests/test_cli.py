@@ -341,6 +341,8 @@ def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
     (("table", "--qmax", "400"), f"qmax must be at most {MAX_Q}"),
     (("search", "--n", "5", "--budget", str(MAX_BUDGET + 1)),
      f"at most {MAX_BUDGET}"),
+    (("qnomial", "--n", "100000", "--k", "5"),
+     "over the 128 MiB row ceiling"),
 ])
 def test_ceilings_exit_2(tmp_path, capsys, argv, reason):
     points = tmp_path / "p7.txt"

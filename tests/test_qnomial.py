@@ -82,12 +82,20 @@ def test_rows_match_expansion_oracle_differential(n, q, data):
     assert list(qnomial_row(n, q).coeffs) == expand_row(n, q)
 
 
+@pytest.mark.parametrize("q", [32, 48, 64])
+def test_rows_at_large_q_match_expansion_oracle(q):
+    # the differential test above stops at q = 31; asymptotics.MAX_Q is 64
+    for n in range(0, 13):
+        assert list(qnomial_row(n, q).coeffs) == expand_row(n, q)
+
+
 @pytest.mark.parametrize("n,k,q", [
     (2400, 1600, 3),
     (330, 1, 25),
     (330, 2640, 25),
     (330, 3960, 25),
     (330, 7000, 25),
+    (123, 2583, 64),  # the coefficient `growth --q 64` reads at n = 123
 ])
 def test_large_coefficients_match_inclusion_exclusion(n, k, q):
     assert qnomial(n, k, q) == inclusion_exclusion(n, k, q)
