@@ -38,7 +38,7 @@ GUARD = 10
 # steps on integers of up to about 4.4n bits, so the check grows like
 # n_max^3 in time while its memory stays a few MB: n_max = 1000 takes
 # about 1 s and 2000 about 6 s (Python 3.11, one core of a shared 2-core
-# VM; 2 s and 11.6 s when d(n) came from a row prefix).
+# VM).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
 # and leading_constant accept.  At the ceiling alpha takes about 1.7 s,
@@ -47,8 +47,7 @@ RECURRENCE_MAX_N = 2000
 # takes 0.9 s at 10,000 digits.  Largest q that saddle_point and
 # growth_constant_ratio accept, twice the largest q of the reference
 # table: growth_constant_ratio(64) takes about 7 ms and q = 400 about
-# 50 ms (Python 3.11, one core of a shared 2-core VM; 0.37 s and 15 s
-# when it built four whole rows by the order-(q-1) recurrence).
+# 50 ms (Python 3.11, one core of a shared 2-core VM).
 MAX_DIGITS = 30_000
 MAX_Q = 64
 # saddle_point brackets its root by exact bisection to 2^-64 < 10^-19, so

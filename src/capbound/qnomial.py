@@ -19,9 +19,10 @@ with a_k = 0 for k < 0.  The recurrence has three terms for every q (read
 directly, P * f' = n * P' * f has q), so each entry costs three
 multiplications by small integers and one division by k, and a row of
 length (q-1)n + 1 costs O(q n) big-integer products instead of the
-O(q n^2) of multiplying by P one factor at a time.  Every division is checked: a nonzero remainder raises
-ArithmeticError rather than flooring.  The whole row is computed by the
-recurrence, so its symmetry and its total q^n stay independent checks.
+O(q n^2) of multiplying by P one factor at a time.  Every division is
+checked: a nonzero remainder raises ArithmeticError rather than
+flooring.  The whole row is computed by the recurrence, so its symmetry
+and its total q^n stay independent checks.
 
 Finished rows are cached per (n, q) for the life of the process, because
 bound sweeps ask for the same rows again and again.  row_prefix runs the

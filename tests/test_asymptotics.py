@@ -42,7 +42,7 @@ def test_middle_coefficients():
 
 
 def test_middle_coefficients_match_row_prefixes():
-    # the term-ratio sum against the row engine it no longer uses
+    # the term-ratio sum against the row engine as an oracle
     for n in range(0, 81):
         assert trinomial_middle(n) == row_prefix(3 * n, 3, 2 * n)[-1], n
 
