@@ -25,20 +25,25 @@ either no s fits (m = 5 at n = 2, m = 10 at n = 3), or s is below that
 cap and nothing is decided, or s is the cap, as for m = 21 at n = 4:
 then some slice is a maximum cap of F_3^(n-1).  Up to affine maps that
 slice is x_1 = 0, the cap is one representative per affine class
-(collected by the (n-1) walk and merged by orbits, _full_cap_classes)
 and the set holds e_1 = (1, 0, ..., 0), so one extension walk per
 representative (_Extend) settles m.  This is how Edel, Ferret, Landjev
-and Storme (2002) and Potechin (2008) classified large caps.  n = 4 is
-proven in 7,959 nodes (1,552 find, 174 collecting the 18 normalized
-9-caps of F_3^3, one class, and 6,233 extending it), about 0.1 s on a
-2-core VM with Python 3.11; the find walk run out takes 6,008,923 nodes
-and about 15 s.
+and Storme (2002) and Potechin (2008) classified large caps.  The
+classes come from the (n-1) walk in collect mode; each collected cap
+is matched against the representatives so far by an explicit affine
+certificate, a map from a representative's frame onto a frame of the
+cap (_FramedCap, _full_cap_classes), in the spirit of McKay's
+isomorph-free generation (1998).  n = 4 is proven in 7,959 nodes
+(1,552 find, 174 collecting the 18 normalized 9-caps of F_3^3, one
+class after 206 frame tries, and 6,233 extending it), about 0.06 s on
+a 2-core VM with Python 3.11; the find walk run out takes 6,008,923
+nodes and about 15 s.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 
 # Largest node budget a search accepts, so that no budgeted run goes on
 # for more than minutes: at n = 5, 10^6 nodes take 3.5 to 7.6 s (Python
@@ -382,36 +387,102 @@ def _forced_slice(n: int, m: int, cap: int) -> int | None:
     return None
 
 
-def _affine_generators(n: int) -> list[list[int]]:
-    """Point permutations generating the affine group of F_3^n: the
-    translation by e_1, x_1 -> 2 x_1, the swaps of adjacent coordinates
-    and the transvection x_1 -> x_1 + x_2.  Conjugating the one
-    translation and the one transvection by the linear maps gives every
-    translation and every elementary transvection, which with the
-    scaling generate GL(n, 3)."""
-    maps = [lambda v: ((v[0] + 1) % 3,) + v[1:],
-            lambda v: (2 * v[0] % 3,) + v[1:]]
-    maps += [lambda v, i=i: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
-             for i in range(n - 1)]
-    if n >= 2:
-        maps.append(lambda v: ((v[0] + v[1]) % 3,) + v[1:])
-    points = [decode_point(x, n) for x in range(3**n)]
-    return [[encode_point(f(v)) for v in points] for f in maps]
+@lru_cache(maxsize=None)
+def _vector_sums(n: int) -> list[list[int]]:
+    """sums[x][y] is x + y in F_3^n, on base-3 indices: 3^(2n) entries.
+    The sum has no carries, so the last digit of x + y is (x + y) mod 3
+    and the rest is the sum of x // 3 and y // 3 in F_3^(n-1)."""
+    sums = [[0]]
+    for k in range(1, n + 1):
+        size = 3**k
+        sums = [[3 * sums[x // 3][y // 3] + (x + y) % 3 for y in range(size)]
+                for x in range(size)]
+    return sums
 
 
-def _orbit(points: tuple[int, ...], generators: list[list[int]]) -> set[int]:
-    """The point masks of every image of a set under the generated group."""
-    start = sum(1 << x for x in points)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        members = _points(frontier.pop())
-        for g in generators:
-            image = sum(1 << g[x] for x in members)
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit
+def _independent(sums: list[list[int]], vectors) -> bool:
+    """True iff the vectors of F_3^n are linearly independent."""
+    span = {0}
+    for d in vectors:
+        if d in span:
+            return False
+        twice = sums[d][d]
+        span |= {sums[s][d] for s in span} | {sums[s][twice] for s in span}
+    return True
+
+
+class _FramedCap:
+    """A cap R that spans F_3^n, with the coordinates of its points in an
+    affine frame r_0, ..., r_n drawn from R: p = r_0 + sum c_i (r_i - r_0).
+    The frame is greedy in point order: r_0 is the least point and each
+    r_i the least one outside the affine span of those before it.  A
+    normalized cap (see _Walker) holds 0 and opens each coordinate with
+    its unit vector, so its frame is 0, 3^0, ..., 3^(n-1) and the
+    coordinates of a point are its base-3 digits, last digit first.
+
+    certificate(cap) decides whether an affine map g sends R onto cap.
+    Such a g sends the frame to a frame of cap, so it is enough to try
+    every b_0 in cap and every ordered n-tuple b_1, ..., b_n of other
+    points of cap: map each coordinate vector c of R to
+    b_0 + sum c_i (b_i - b_0), stopping at the first image outside cap.
+    A full match whose b_i - b_0 are linearly independent is an
+    invertible affine map that sends R onto cap; its image frame
+    (b_0, ..., b_n) is the certificate.  frames_tried counts the n-tuples
+    tried over every call.
+    """
+
+    def __init__(self, points: tuple[int, ...], n: int):
+        sums = self.sums = _vector_sums(n)
+        self.points = points
+        self.n = n
+        self.frames_tried = 0
+        origin = points[0]
+        minus_origin = sums[origin][origin]  # -x = x + x in F_3
+        frame = [origin]
+        span = {0: ()}  # difference from r_0 -> its coordinates so far
+        for p in points[1:]:
+            d = sums[p][minus_origin]
+            if len(frame) <= n and d not in span:
+                frame.append(p)
+                steps = (0, d, sums[d][d])
+                span = {sums[s][step]: c + (j,)
+                        for s, c in span.items()
+                        for j, step in enumerate(steps)}
+        if len(frame) <= n:
+            raise ValueError(f"the set does not span F_3^{n} affinely")
+        self.frame = tuple(frame)
+        # per point off the frame, its nonzero coordinates as (i, c_i)
+        self.coords = tuple(
+            tuple((i, c) for i, c in enumerate(span[sums[p][minus_origin]])
+                  if c)
+            for p in points if p not in frame)
+
+    def certificate(self, cap: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The image of the frame under an affine map sending R onto cap,
+        or None if no affine map does."""
+        if len(cap) != len(self.points):
+            return None
+        sums = self.sums
+        members = set(cap)
+        for origin in cap:
+            minus_origin = sums[origin][origin]
+            others = [b for b in cap if b != origin]
+            for images in permutations(others, self.n):
+                self.frames_tried += 1
+                steps = []
+                for b in images:
+                    d = sums[b][minus_origin]
+                    steps.append((0, d, sums[d][d]))
+                for coords in self.coords:
+                    image = origin
+                    for i, c in coords:
+                        image = sums[image][steps[i][c]]
+                    if image not in members:
+                        break
+                else:
+                    if _independent(sums, [step[1] for step in steps]):
+                        return (origin,) + images
+        return None
 
 
 def _normalized_full_caps(n: int) -> _Collect:
@@ -424,31 +495,32 @@ def _normalized_full_caps(n: int) -> _Collect:
 
 @dataclass(frozen=True)
 class _FullCapClasses:
-    """One maximum cap of F_3^n per affine class, and the collect walk's
-    node and prune counts."""
+    """One maximum cap of F_3^n per affine class, the collect walk's node
+    and prune counts, and the frames the matching tried."""
 
     reps: tuple[tuple[int, ...], ...]
     nodes: int
     prunes: tuple[tuple[str, int], ...]
+    frames_tried: int
 
 
 @lru_cache(maxsize=None)
 def _full_cap_classes(n: int) -> _FullCapClasses:
     """The maximum caps of F_3^n up to affine equivalence: the collected
-    normalized caps, each kept unless the orbit of an earlier one holds
-    it.  F_3^0 is a single point."""
+    normalized caps in walk order, each kept as a representative unless
+    an earlier representative has a certificate for it (_FramedCap), so
+    each class is represented by its first member.  F_3^0 is a single
+    point."""
     if n == 0:
-        return _FullCapClasses(((0,),), 0, (("cardinality", 0),))
+        return _FullCapClasses(((0,),), 0, (("cardinality", 0),), 0)
     walker = _normalized_full_caps(n)
-    generators = _affine_generators(n)
-    covered: set[int] = set()
-    reps = []
+    reps: list[_FramedCap] = []
     for points in walker.found:
-        if sum(1 << x for x in points) not in covered:
-            reps.append(points)
-            covered |= _orbit(points, generators)
-    return _FullCapClasses(tuple(reps), walker.nodes,
-                           tuple(walker.prunes.items()))
+        if all(rep.certificate(points) is None for rep in reps):
+            reps.append(_FramedCap(points, n))
+    return _FullCapClasses(tuple(rep.points for rep in reps), walker.nodes,
+                           tuple(walker.prunes.items()),
+                           sum(rep.frames_tried for rep in reps))
 
 
 class _Proof:
@@ -461,7 +533,8 @@ class _Proof:
             ("tables", "find", "identity", "classes", "refute"), 0.0)
         self.counters: dict[str, int | None] = {
             "find_nodes": 0, "collect_nodes": 0, "refute_nodes": 0,
-            "full_cap_classes": 0, "forced_slice": None, "refuted_size": None}
+            "full_cap_classes": 0, "class_frames_tried": 0,
+            "forced_slice": None, "refuted_size": None}
         self.prunes = {"cardinality": 0}
         self.classes: _FullCapClasses | None = None
         started = time.perf_counter()
@@ -490,6 +563,7 @@ class _Proof:
             self._charge("collect_nodes", self.classes.nodes,
                          self.classes.prunes)
             self.counters["full_cap_classes"] = len(self.classes.reps)
+            self.counters["class_frames_tried"] = self.classes.frames_tried
             remaining = self._remaining()
             if remaining is not None and remaining < 0:
                 raise _BudgetExhausted
@@ -600,10 +674,12 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     node, remaining run of siblings or child it cuts).  `counters` splits
     the nodes by walk (find_nodes, collect_nodes, refute_nodes) and gives
     full_cap_classes (affine classes of maximum caps of F_3^(n-1) tried,
-    0 if none were needed), forced_slice (the least largest slice the
-    pair-count identity allows for the last size asked about; None when
-    none up to the cap does) and refuted_size (the size proven
-    impossible, None if none was).
+    0 if none were needed), class_frames_tried (the frames the matching
+    of those classes tried, see _FramedCap; like collect_nodes, counted
+    in full even when the classes are cached), forced_slice (the least
+    largest slice the pair-count identity allows for the last size asked
+    about; None when none up to the cap does) and refuted_size (the size
+    proven impossible, None if none was).
     `timings_ms` gives the wall time of each stage: tables, find (less
     the stages it calls), identity, classes and refute.
     """

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -272,7 +273,11 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and reused by every
+    later `main` call in the process; each parse makes a fresh
+    namespace, so nothing carries over between calls."""
     top = argparse.ArgumentParser(
         prog="capbound",
         description="Exact bounds for progression-free subsets of F_q^n, "

@@ -1,24 +1,26 @@
 """Search oracle cross-checks: brute force over all subsets at tiny n, an
 independent include/exclude search with no symmetry reduction at n = 3,
 the affine-invariance sanity properties, and the steps of the slice-first
-refutation: the pair-count identity, the affine generators, the classes
-of maximum caps and the extension walk."""
+refutation: the pair-count identity, the classes of maximum caps with
+their affine certificates (checked against an orbit-closure oracle) and
+the extension walk."""
 import random
 import time
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capbound import golden
 from capbound.capsearch import (
     PointSet,
-    _affine_generators,
     _Extend,
     _forced_slice,
+    _FramedCap,
     _full_cap_classes,
     _normalized_full_caps,
-    _orbit,
     _proven_max,
     _Tables,
     _completion_moves,
@@ -48,6 +50,68 @@ def _hyperplane_masks(n: int) -> list[tuple[int, int, int]]:
             masks[sum(a * b for a, b in zip(u, coords)) % 3] |= 1 << x
         result.append(tuple(masks))
     return result
+
+
+def _affine_generators(n: int) -> list[list[int]]:
+    """Point permutations generating the affine group of F_3^n: the
+    translation by e_1, x_1 -> 2 x_1, the swaps of adjacent coordinates
+    and the transvection x_1 -> x_1 + x_2.  Conjugating the one
+    translation and the one transvection by the linear maps gives every
+    translation and every elementary transvection, which with the
+    scaling generate GL(n, 3)."""
+    maps = [lambda v: ((v[0] + 1) % 3,) + v[1:],
+            lambda v: (2 * v[0] % 3,) + v[1:]]
+    maps += [lambda v, i=i: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+             for i in range(n - 1)]
+    if n >= 2:
+        maps.append(lambda v: ((v[0] + v[1]) % 3,) + v[1:])
+    points = [decode_point(x, n) for x in range(3**n)]
+    return [[encode_point(f(v)) for v in points] for f in maps]
+
+
+def _orbit(points: tuple[int, ...], generators: list[list[int]]) -> set[int]:
+    """The point masks of every image of a set under the generated group,
+    by closing the set's orbit under the generators."""
+    start = sum(1 << x for x in points)
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        mask = frontier.pop()
+        members = [x for x in range(mask.bit_length()) if mask >> x & 1]
+        for g in generators:
+            image = sum(1 << g[x] for x in members)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def certificate_map(n: int, frame: tuple[int, ...],
+                    image: tuple[int, ...]) -> dict[int, int]:
+    """The affine map sending frame[i] to image[i] for every i, on every
+    point of F_3^n, by coordinate arithmetic: the point
+    r_0 + sum c_i (r_i - r_0) goes to b_0 + sum c_i (b_i - b_0) for every
+    coefficient vector c."""
+    r = [decode_point(x, n) for x in frame]
+    b = [decode_point(x, n) for x in image]
+
+    def combine(base, c):
+        return encode_point(tuple(
+            (base[0][j] + sum(ci * (v[j] - base[0][j])
+                              for ci, v in zip(c, base[1:]))) % 3
+            for j in range(n)))
+
+    return {combine(r, c): combine(b, c)
+            for c in product(range(3), repeat=n)}
+
+
+def assert_certifies(framed: _FramedCap, cap: tuple[int, ...],
+                     image: tuple[int, ...]) -> None:
+    """The certificate's map is a bijection of F_3^n sending the framed
+    set onto cap."""
+    g = certificate_map(framed.n, framed.frame, image)
+    assert sorted(g) == sorted(g.values()) == list(range(3**framed.n))
+    assert sorted(g[x] for x in framed.points) == sorted(cap)
 
 
 def brute_force_max(n: int) -> int:
@@ -257,7 +321,8 @@ def test_capset_validation():
         max_capset(0)
 
 
-def all_caps(n: int, k: int) -> set[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def all_caps(n: int, k: int) -> frozenset[tuple[int, ...]]:
     """Every k-point progression-free subset of F_3^n, by plain
     backtracking over the points in order with no symmetry or bounds."""
     size = 3**n
@@ -275,7 +340,7 @@ def all_caps(n: int, k: int) -> set[tuple[int, ...]]:
                      banned | {third[x][a] for a in chosen})
 
     walk(0, [], set())
-    return found
+    return frozenset(found)
 
 
 @settings(deadline=None, max_examples=150)
@@ -329,11 +394,93 @@ def test_class_orbits_cover_every_maximum_cap(n, count):
     assert covered == {sum(1 << x for x in cap) for cap in caps}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_classes_equal_the_orbit_classes(n):
+    # the orbit method keeps a collected cap unless the orbit of an
+    # earlier representative holds it
+    generators = _affine_generators(n)
+    covered: set[int] = set()
+    reps = []
+    for points in _normalized_full_caps(n).found:
+        if sum(1 << x for x in points) not in covered:
+            reps.append(points)
+            covered |= _orbit(points, generators)
+    assert _full_cap_classes(n).reps == tuple(reps)
+
+
+@pytest.mark.parametrize("n,count", [(2, 54), (3, 2106)])
+def test_every_maximum_cap_gets_a_certificate(n, count):
+    caps = sorted(all_caps(n, _proven_max(n)))
+    assert len(caps) == count
+    (rep,) = _full_cap_classes(n).reps
+    framed = _FramedCap(rep, n)
+    for cap in caps:
+        image = framed.certificate(cap)
+        assert image is not None
+        assert_certifies(framed, cap, image)
+
+
+def test_set_with_a_line_gets_no_certificate():
+    (rep,) = _full_cap_classes(3).reps
+    line = (0, 1, 2)
+    rest = [x for x in range(3, 27) if x not in rep][:6]
+    framed = _FramedCap(rep, 3)
+    assert framed.certificate(tuple(sorted(line + tuple(rest)))) is None
+    # every frame of the 9-point set was tried and failed
+    assert framed.frames_tried == 9 * 8 * 7 * 6
+
+
+def test_frame_of_a_normalized_cap_is_its_unit_vectors():
+    # coordinates in the frame 0, 3^0, ..., 3^(n-1) are base-3 digits
+    (rep,) = _full_cap_classes(3).reps
+    framed = _FramedCap(rep, 3)
+    assert framed.frame == (0, 1, 3, 9)
+    digits = [tuple((i, c) for i, c in enumerate(reversed(decode_point(x, 3)))
+                    if c) for x in rep if x not in framed.frame]
+    assert framed.coords == tuple(digits)
+    with pytest.raises(ValueError, match="does not span"):
+        _FramedCap((0, 1, 3, 4), 3)
+
+
+# An invertible affine map of F_3^n, n <= 4: a matrix whose map is a
+# bijection of the points, and a translation.
+@st.composite
+def affine_maps(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    points = list(product(range(3), repeat=n))
+    matrix = draw(st.lists(row, min_size=n, max_size=n).filter(
+        lambda m: len({apply_linear(m, v) for v in points}) == 3**n))
+    return n, matrix, draw(row)
+
+
+def apply_linear(matrix, v):
+    return tuple(sum(m * x for m, x in zip(row, v)) % 3 for row in matrix)
+
+
+@settings(deadline=None, max_examples=40)
+@given(affine_maps())
+def test_affine_images_of_witnesses_get_a_certificate(case):
+    # tests/test_verifier.py checks that the same images stay
+    # progression-free, keep their size and keep dim V at every d
+    n, matrix, shift = case
+    witness = golden.LEX_LEAST_WITNESSES[n]
+    image = PointSet.from_vectors([
+        tuple((x + t) % 3 for x, t in zip(apply_linear(matrix, v), shift))
+        for v in PointSet(n, witness).vectors()])
+    framed = _FramedCap(witness, n)
+    frame = framed.certificate(image.points)
+    assert frame is not None
+    assert_certifies(framed, image.points, frame)
+
+
 def test_normalized_full_caps_of_f3_cubed():
     assert len(_normalized_full_caps(3).found) == 18
     classes = _full_cap_classes(3)
     assert len(classes.reps) == 1
     assert classes.nodes == _normalized_full_caps(3).nodes
+    # the 17 caps after the first take 206 frame tries in all
+    assert classes.frames_tried == 206
 
 
 @pytest.mark.parametrize("n,m", [(3, 9), (4, 20)])
@@ -359,6 +506,9 @@ def test_phase_counters_n4():
     assert c["find_nodes"] == 1_552
     assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
         9, 21, 1)
+    # charged in full when the classes come from the cache, too
+    assert c["class_frames_tried"] == 206
+    assert max_capset(4).counters == c
     assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
                                      + c["refute_nodes"])
     assert set(result.timings_ms) == {"tables", "find", "identity",

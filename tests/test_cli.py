@@ -231,6 +231,7 @@ def test_search_reports_phase_costs(capsys):
                                         + counters["refute_nodes"])
     assert counters["refuted_size"] == 21
     assert counters["forced_slice"] == 9
+    assert counters["class_frames_tried"] == 206
     assert set(result["prunes"]) == {"cardinality"}
 
 
@@ -401,6 +402,26 @@ def test_repeat_invocations_stable(capsys):
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert first == second
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call must still start
+    # from the defaults, not from what an earlier call parsed
+    _, sharp, _ = run_cli(capsys, "bound", "--n", "3", "--sharp")
+    assert [b["method"] for b in sharp["result"]["bounds"]] == ["sharp"]
+    _, theorem, _ = run_cli(capsys, "bound", "--n", "3", "--theorem")
+    assert [b["method"] for b in theorem["result"]["bounds"]] == ["theorem"]
+    assert not any(c["name"].startswith("sharp:") for c in theorem["checks"])
+    assert theorem["inputs"]["sharp"] is False
+    out = tmp_path / "w.txt"
+    run_cli(capsys, "search", "--n", "2", "--out", str(out))
+    code, _, _ = run_cli(capsys, "verify-clp", "--n", "2", "--d", "2",
+                         "--set", str(out))
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-clp", "--n", "2", "--d", "2"])
+    assert exc.value.code == 2
+    assert "--set" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):
