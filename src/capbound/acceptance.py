@@ -206,8 +206,9 @@ def c7_proof_core(level: str) -> CriterionResult:
     reports = [verify_support_bound(n, d, ps) for n, d, ps in cases]
     failed = [(r.n, r.d) for r in reports if not r.all_ok]
     detail = (f"checks fail at (n, d) = {failed}" if failed
-              else f"{len(cases)} cases, all four checks each")
-    measured = {"cases": [{"n": r.n, "d": r.d, "diagonal": r.diagonal_ok,
+              else f"{len(cases)} cases, all five checks each")
+    measured = {"cases": [{"n": r.n, "d": r.d, "vanishing": r.vanishing_ok,
+                           "diagonal": r.diagonal_ok,
                            "rank": r.rank_ok, "support": r.support_ok,
                            "dimension": r.bound_ok} for r in reports]}
     return CriterionResult("7_proof_core", not failed, detail, measured)

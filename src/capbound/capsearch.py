@@ -173,21 +173,21 @@ def _completion_moves(n: int) -> list[tuple[tuple[int, int, int, int], ...]]:
     points a chosen set C excludes once x joins it are -C translated by
     -x.  Adding s to the digit of weight w = 3^j lifts the points whose
     digit is below 3 - s by s*w and drops the rest by (3 - s)*w; a move
-    is (lifted mask, s*w, dropped mask, (3 - s)*w).
+    is (lifted mask, s*w, dropped mask, (3 - s)*w).  A move depends only
+    on (w, s), so the 2n of them are built once and shared.
     """
     size = 3**n
     everything = (1 << size) - 1
-    moves = []
-    for x in range(size):
-        steps = []
-        for j, digit in enumerate(reversed(decode_point(x, n))):
-            s = -digit % 3
-            if s:
-                w = 3**j
-                lifted = sum(1 << y for y in range(size) if y // w % 3 < 3 - s)
-                steps.append((lifted, s * w, everything ^ lifted, (3 - s) * w))
-        moves.append(tuple(steps))
-    return moves
+    step = {}
+    for j in range(n):
+        w = 3**j
+        for s in (1, 2):
+            lifted = sum(1 << y for y in range(size) if y // w % 3 < 3 - s)
+            step[j, s] = (lifted, s * w, everything ^ lifted, (3 - s) * w)
+    return [tuple(step[j, -digit % 3]
+                  for j, digit in enumerate(reversed(decode_point(x, n)))
+                  if digit)
+            for x in range(size)]
 
 
 class _Tables:

@@ -244,6 +244,8 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
         ps = max_capset(args.n).witness
     report = verify_support_bound(args.n, args.d, ps)
     checks = [
+        {"name": "vanishes_off_set", "pass": report.vanishing_ok,
+         "detail": "every basis element is 0 at every point outside the set"},
         {"name": "pair_matrix_diagonal", "pass": report.diagonal_ok,
          "detail": "off-diagonal entries vanish"},
         {"name": "rank_cap", "pass": report.rank_ok,

@@ -4,9 +4,9 @@ Polynomials live over F_3 in n variables with every exponent below 3,
 the natural reduced form for functions on F_3^n.  On top of the engine,
 verify_support_bound replays the linear-algebra core of the bound at
 small n: the space of degree-<=d polynomials vanishing off a
-progression-free set has the predicted dimension, its members evaluate to
-diagonal pair matrices of bounded rank, and their supports respect the cap
-2*|M(n, floor(d/2))|.
+progression-free set has the predicted dimension, its members vanish off
+the set and evaluate to diagonal pair matrices of bounded rank, and their
+supports respect the cap 2*|M(n, floor(d/2))|.
 
 The field is F_3 throughout, where -2*b = b makes the diagonal entries
 P(b).  eval_poly is the single-point evaluator the tests use as an
@@ -14,12 +14,17 @@ oracle.  The linear algebra packs vectors over F_3 into two bit-planes of
 a Python int.  One table per n holds every monomial at every point and
 every point's indicator; a polynomial vanishing off A is a combination
 of A's indicators, so one bitsliced elimination of |A| rows gives V.
+With pivots at the highest graded monomial, that one elimination serves
+every d: V_d is spanned by the rows whose pivot lies in M(n, d).  The
+process keeps the eliminations of the last few sets, with the rows'
+packed values, so a run over every d of a set eliminates it once.
 Pair matrices are read off packed values with point masks, never built.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -120,10 +125,11 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 # and the Method of Four Russians over larger finite fields", 2009).
 
 # Largest n the verifier accepts, so that every accepted input verifies
-# in well under a second per d.  At n = 6 the table builds in about 0.01 s
-# and an 80-point set verifies in at most 0.05 s per d; at n = 7 they
-# would take 0.03 s and up to 0.3 s for a 180-point set (Python 3.11, one
-# core of a shared 2-core VM).
+# in well under a second per d.  At n = 6 the table builds in about
+# 0.007 s, and an 80-point set verifies in at most 0.02 s at its first d
+# and in about 0.02 s at all 13; at n = 7 they would take 0.025 s and up
+# to 0.16 s for a 180-point set (Python 3.11, one core of a shared 2-core
+# VM).
 VERIFY_MAX_N = 6
 
 
@@ -147,7 +153,6 @@ class _EvalTable(NamedTuple):
     """
 
     monos: list[Monomial]
-    index: dict[Monomial, int]
     columns: list[tuple[int, int]]
     indicators: list[tuple[int, int]]
 
@@ -197,8 +202,7 @@ def _table(n: int) -> _EvalTable:
             support &= ~ex[i][0 if a else 1]
             odd ^= full if a == 1 else ex[i][2]
         indicators.append((support & ~odd, support & odd))
-    index = {m: j for j, m in enumerate(monos)}
-    _tables[n] = _EvalTable(monos, index, columns, indicators)
+    _tables[n] = _EvalTable(monos, columns, indicators)
     return _tables[n]
 
 
@@ -239,6 +243,88 @@ def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
     return pivot_cols
 
 
+# How many point sets keep their elimination, so that a run over every d
+# of a few sets eliminates each once.  At n = 6 a kept 80-point set holds
+# about 40 KB with all its values, and the most a set can hold, all 729
+# points, about 0.3 MB.
+_KEPT_ELIMINATIONS = 8
+
+
+class _Elimination:
+    """The indicators of one set A in F_3^n, reduced once for every d.
+
+    V_0 <= V_1 <= ... <= V_2n, and a basis of V_d is the reduced rows whose
+    pivot (highest monomial) lies in M(n, d), a prefix of the graded-lex
+    columns, so one elimination of the |A| indicators serves every d.
+    The mask third_points(A), the reduction and each row's packed values
+    are computed on first use and kept.  A row's values are a signed sum
+    of the table columns of its monomials.
+    """
+
+    def __init__(self, A: PointSet):
+        self.A = A
+        self.table = _table(A.n)
+        self.values: dict[int, tuple[int, int]] = {}
+
+    @cached_property
+    def third(self) -> int:
+        return third_points(self.A)
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[int], list[int]]:
+        """(ones, twos, pivots): A's indicators in reduced row echelon
+        form, as _rref leaves them; every indicator adds rank, so row r
+        holds pivot r for every r."""
+        indicators = self.table.indicators
+        ones = [indicators[x][0] for x in self.A.points]
+        twos = [indicators[x][1] for x in self.A.points]
+        return ones, twos, _rref(ones, twos, len(self.table.monos))
+
+    def basis_rows(self, d: int) -> range:
+        """The rows spanning V_d, pivots ascending."""
+        pivots = self.rows[2]
+        width = mspace_size(self.A.n, d, 3)
+        high = sum(col >= width for col in pivots)  # pivots descend
+        return range(len(pivots) - 1, high - 1, -1)
+
+    def basis_values(self, d: int) -> list[tuple[int, int]]:
+        """The packed values at every point of F_3^n of V_d's basis."""
+        ones, twos, _ = self.rows
+        columns = self.table.columns
+        rows = self.basis_rows(d)
+        for r in rows:
+            if r in self.values:
+                continue
+            v1 = v2 = 0
+            for plane, negate in ((ones[r], False), (twos[r], True)):
+                while plane:
+                    low = plane & -plane
+                    c1, c2 = columns[low.bit_length() - 1]
+                    if negate:  # coefficient 2 = -1
+                        c1, c2 = c2, c1
+                    v1, v2 = _add(v1, v2, c1, c2)
+                    plane ^= low
+            self.values[r] = v1, v2
+        return [self.values[r] for r in rows]
+
+
+_eliminations: dict[tuple[int, int], _Elimination] = {}
+
+
+def _elimination(A: PointSet) -> tuple[_Elimination, bool]:
+    """A's elimination and whether it was kept from an earlier call.  The
+    _KEPT_ELIMINATIONS most recently used sets are kept."""
+    key = (A.n, A.mask)
+    elimination = _eliminations.pop(key, None)
+    kept = elimination is not None
+    if elimination is None:
+        elimination = _Elimination(A)
+        if len(_eliminations) >= _KEPT_ELIMINATIONS:
+            del _eliminations[next(iter(_eliminations))]
+    _eliminations[key] = elimination
+    return elimination, kept
+
+
 def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
     """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
 
@@ -251,43 +337,25 @@ def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
         raise ValueError(f"point set lies in dimension {S.n}, not {n}")
     if d > 2 * n:
         raise ValueError(f"d={d} exceeds the maximal degree {2 * n}")
-    table = _table(n)
-    width = mspace_size(n, d, 3)
-    off = S.complement().points
-    ones = [table.indicators[x][0] for x in off]
-    twos = [table.indicators[x][1] for x in off]
-    pivot_cols = _rref(ones, twos, len(table.monos))
-    high = sum(col >= width for col in pivot_cols)  # pivots descend
+    elimination, _ = _elimination(S.complement())
+    ones, twos, _ = elimination.rows
+    monos = elimination.table.monos
     basis = []
-    for r in reversed(range(high, len(pivot_cols))):
+    for r in elimination.basis_rows(d):
         terms = {}
         nonzero = ones[r] | twos[r]
         while nonzero:
             low = nonzero & -nonzero
-            mono = table.monos[low.bit_length() - 1]
-            terms[mono] = 1 if ones[r] & low else 2
+            terms[monos[low.bit_length() - 1]] = 1 if ones[r] & low else 2
             nonzero ^= low
         basis.append(FieldPoly(n, terms))
     return basis
 
 
-def _values(P: FieldPoly) -> tuple[int, int]:
-    """P's values at every point of F_3^n, packed: a signed sum of the
-    evaluation table's columns."""
-    table = _table(P.n)
-    ones = twos = 0
-    for mono, coeff in P.terms.items():
-        c1, c2 = table.columns[table.index[mono]]
-        if coeff == 2:
-            c1, c2 = c2, c1
-        ones, twos = _add(ones, twos, c1, c2)
-    return ones, twos
-
-
-# The three per-element checks of verify_support_bound, on P's packed
-# values (_values).  P's pair matrix (a, b) -> P(-a-b) on A x A is never
-# built: its off-diagonal entries are P at the points of third_points(A),
-# its diagonal ones P at A itself (-2a = a over F_3).
+# Three of the per-element checks of verify_support_bound, on P's packed
+# values (_Elimination.basis_values).  P's pair matrix (a, b) -> P(-a-b)
+# on A x A is never built: its off-diagonal entries are P at the points
+# of third_points(A), its diagonal ones P at A itself (-2a = a over F_3).
 
 def product_matrix(values: tuple[int, int], A: PointSet,
                    third: int) -> tuple[int, int]:
@@ -400,6 +468,7 @@ class VerifierReport:
     max_support: int
     support_cap: int
     rank: int
+    vanishing_ok: bool
     diagonal_ok: bool
     rank_ok: bool
     support_ok: bool
@@ -409,17 +478,19 @@ class VerifierReport:
 
     @property
     def all_ok(self) -> bool:
-        return (self.diagonal_ok and self.rank_ok and self.support_ok
-                and self.bound_ok)
+        return (self.vanishing_ok and self.diagonal_ok and self.rank_ok
+                and self.support_ok and self.bound_ok)
 
 
 def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     """Replay the rank argument on a concrete progression-free set A.
 
     For a basis of the space V of degree-<=d polynomials vanishing off A,
-    checks that every basis element yields (1) a diagonal pair matrix,
-    (2) of rank at most 2*|M(n, floor(d/2))|, (3) a support of at most
-    that same cap, and (4) that dim V >= |M(n,d)| - (3^n - |A|).
+    checks that every basis element (1) vanishes off A and yields (2) a
+    diagonal pair matrix, (3) of rank at most 2*|M(n, floor(d/2))|, (4) a
+    support of at most that same cap, and (5) that
+    dim V >= |M(n,d)| - (3^n - |A|).  The basis comes from A's
+    elimination, which the process keeps for the next d.
 
     Raises ValueError for a set that does not lie in dimension n, for n
     above VERIFY_MAX_N (before any table is built), for d outside
@@ -434,27 +505,32 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     cached = n in _tables
     _table(n)
     tabled = clock()
-    third = third_points(A)
-    if third & A.mask:
+    elimination, kept = _elimination(A)
+    third = elimination.third
+    members = A.mask
+    if third & members:
         raise ValueError("the point set is not progression-free")
     paired = clock()
-    basis = vanishing_space_basis(n, d, A.complement())
+    elimination.rows  # reduced here, on the first call for A, and timed
     spanned = clock()
-    dim_v = len(basis)
     m_d = mspace_size(n, d, 3)
     dim_lower = m_d - (3**n - A.size)
     support_cap = 2 * mspace_size(n, d // 2, 3)
 
-    diagonal_ok = True
+    basis = elimination.basis_values(d)
+    outside = ~members
+    vanishing_ok = diagonal_ok = True
     max_rank = max_support = 0
-    for P in basis:
-        values = _values(P)
+    for values in basis:
+        if (values[0] | values[1]) & outside:
+            vanishing_ok = False
         diagonal, off_diagonal = product_matrix(values, A, third)
         if off_diagonal:
             diagonal_ok = False
         max_rank = max(max_rank, rank_mod_p(diagonal))
         max_support = max(max_support, support_size(values))
     checked = clock()
+    dim_v = len(basis)
 
     return VerifierReport(
         n=n,
@@ -465,6 +541,7 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         max_support=max_support,
         support_cap=support_cap,
         rank=max_rank,
+        vanishing_ok=vanishing_ok,
         diagonal_ok=diagonal_ok,
         rank_ok=diagonal_ok and max_rank <= support_cap,
         support_ok=max_support <= support_cap,
@@ -479,5 +556,6 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
             "dim_v": dim_v,
             "third_points": third.bit_count(),
             "table_cached": cached,
+            "elimination_cached": kept,
         },
     )

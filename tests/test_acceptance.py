@@ -95,6 +95,7 @@ def test_criterion_7_proof_core_verification():
     assert [(c["n"], c["d"]) for c in cases] == [(1, 1), (2, 2), (2, 3),
                                                  (3, 3), (3, 4)]
     for case in cases:
+        assert case["vanishing"], case
         assert case["diagonal"], case
         assert case["rank"], case
         assert case["support"], case

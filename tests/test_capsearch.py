@@ -247,7 +247,7 @@ def test_hyperplane_masks_are_every_direction(n):
 
 def test_completion_moves_match_complete_triple():
     rng = random.Random(5)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         moves = _completion_moves(n)
         negate = [encode_point([-c % 3 for c in decode_point(a, n)])
                   for a in range(3**n)]

@@ -17,6 +17,7 @@ from capbound.cli import main
 from capbound.qnomial import mspace_size, qnomial
 from capbound.verifier import parse_pointset
 from test_qnomial import inclusion_exclusion
+from test_verifier import _values
 
 
 def run_cli(capsys, *argv):
@@ -272,7 +273,7 @@ def test_verify_clp_from_file(tmp_path, capsys):
                               "--set", str(out))
     assert code == 0
     assert report["result"]["diagonal_ok"] is True
-    assert len(report["checks"]) == 4
+    assert len(report["checks"]) == 5
     assert all(c["pass"] for c in report["checks"])
 
 
@@ -303,16 +304,20 @@ def test_verify_clp_reports_cost(tmp_path, capsys):
     # a maximum cap is complete: every other point completes a pair of it
     assert counters["third_points"] == 27 - 9
     assert counters["table_cached"] is True
+    assert counters["elimination_cached"] is True
 
 
 def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
     # the constant 1 does not vanish off A: its pair matrix has no zero
-    # entry, and its support is all of F_3^n
-    vanishing = verifier.vanishing_space_basis
-    monkeypatch.setattr(verifier, "vanishing_space_basis", lambda n, d, S: [
-        *vanishing(n, d, S), verifier.make_poly(n, {(0,) * n: 1})])
+    # entry, and its support is all of F_3^n; it joins the basis where
+    # every call reads it, kept elimination or not
+    basis_values = verifier._Elimination.basis_values
+    one = _values(verifier.make_poly(2, {(0, 0): 1}))
+    monkeypatch.setattr(verifier._Elimination, "basis_values",
+                        lambda self, d: [*basis_values(self, d), one])
     witness = max_capset(2).witness
     report = verifier.verify_support_bound(2, 2, witness)
+    assert not report.vanishing_ok
     assert not report.diagonal_ok and not report.rank_ok
     assert not report.all_ok
     out = tmp_path / "w.txt"
@@ -322,8 +327,9 @@ def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert cli_report["result"]["diagonal_ok"] is False
     assert cli_report["result"]["rank_ok"] is False
+    assert cli_report["result"]["vanishing_ok"] is False
     failed = {c["name"] for c in cli_report["checks"] if not c["pass"]}
-    assert {"pair_matrix_diagonal", "rank_cap"} <= failed
+    assert {"vanishes_off_set", "pair_matrix_diagonal", "rank_cap"} <= failed
 
 
 @pytest.mark.parametrize("argv,reason", [

@@ -1,8 +1,10 @@
 """Polynomial engine and proof-core checks: worked examples frozen by hand,
 a brute-force vanishing-count oracle, pair matrices built from eval_poly
 with a rank oracle of their own (itself checked against determinants),
-affine images of the pinned witnesses, and the split/reconstruction and
-eval/expand consistency properties."""
+affine images of the pinned witnesses, the split/reconstruction and
+eval/expand consistency properties, and every report against the
+FieldPoly route (a fresh elimination, a polynomial per basis element,
+values from its terms) that the kept per-set elimination replaced."""
 import random
 import time
 from itertools import product
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbound import golden, verifier
-from capbound.capsearch import (decode_point, is_progression_free, max_capset,
-                                third_points)
+from capbound.capsearch import (complete_triple, decode_point,
+                                is_progression_free, max_capset, third_points)
 from capbound.qnomial import mspace_size
 from capbound.verifier import (
     VERIFY_MAX_N,
@@ -169,16 +171,32 @@ def matrix_rank(M):
     return rank
 
 
+def _values(P):
+    """P's values at every point of F_3^n, packed: a signed sum of the
+    evaluation table's columns, one per term of the FieldPoly.  The
+    verifier once checked every basis element this way; it stays here as
+    the reference for its elimination's packed values."""
+    table = verifier._table(P.n)
+    index = {m: j for j, m in enumerate(table.monos)}
+    ones = twos = 0
+    for mono, coeff in P.terms.items():
+        c1, c2 = table.columns[index[mono]]
+        if coeff == 2:
+            c1, c2 = c2, c1
+        ones, twos = verifier._add(ones, twos, c1, c2)
+    return ones, twos
+
+
 def test_product_matrix_examples():
     # A = {0, 1} in F_3: the one off-diagonal point is -0-1 = 2
     A = PointSet(1, (0, 1))
     third = third_points(A)
     assert third == 0b100
     one_plus_x = make_poly(1, {(0,): 1, (1,): 1})  # 1, 2, 0 at x = 0, 1, 2
-    assert product_matrix(verifier._values(one_plus_x), A, third) == (0b011, 0)
-    assert product_matrix(verifier._values(make_poly(1, {})), A, third) == (0, 0)
+    assert product_matrix(_values(one_plus_x), A, third) == (0b011, 0)
+    assert product_matrix(_values(make_poly(1, {})), A, third) == (0, 0)
     one = make_poly(1, {(0,): 1})
-    assert product_matrix(verifier._values(one), A, third) == (0b011, 0b100)
+    assert product_matrix(_values(one), A, third) == (0b011, 0b100)
 
 
 def det3_mod_3(m):
@@ -212,7 +230,7 @@ def test_rank_mod_p():
 
 def test_support_size():
     one_plus_x = make_poly(1, {(0,): 1, (1,): 1})
-    assert support_size(verifier._values(one_plus_x)) == 2  # zero at x = 2
+    assert support_size(_values(one_plus_x)) == 2  # zero at x = 2
 
 
 def test_verify_support_bound_tiny_case():
@@ -246,7 +264,8 @@ def test_verify_support_bound_preconditions():
 def test_progression_refused_before_the_null_space(monkeypatch):
     def no_null_space(*args):
         raise AssertionError("null space computed for a refused set")
-    monkeypatch.setattr(verifier, "vanishing_space_basis", no_null_space)
+    monkeypatch.setattr(verifier, "_eliminations", {})
+    monkeypatch.setattr(verifier, "_rref", no_null_space)
     with pytest.raises(ValueError, match="not progression-free"):
         verify_support_bound(2, 2, PointSet(2, (0, 1, 2)))
 
@@ -272,14 +291,21 @@ def subset_cases(draw):
 @settings(deadline=None, max_examples=80)
 @given(subset_cases())
 def test_packed_values_match_eval_poly(case):
+    # the packed values the elimination keeps for V's basis, and those of
+    # the reference route, against eval_poly at every point
     n, d, S = case
     points = list(product(range(3), repeat=n))  # base-3 index order
-    for P in vanishing_space_basis(n, d, S):
-        ones, twos = verifier._values(P)
+    basis = vanishing_space_basis(n, d, S)
+    elimination, kept = verifier._elimination(S.complement())
+    assert kept
+    packed = elimination.basis_values(d)
+    assert len(packed) == len(basis)
+    for P, (ones, twos) in zip(basis, packed):
         values = [eval_poly(P, v) for v in points]
         assert not any(values[x] for x in S.points)
         assert [1 if ones >> x & 1 else 2 if twos >> x & 1 else 0
                 for x in range(3**n)] == values
+        assert _values(P) == (ones, twos)
         assert support_size((ones, twos)) == sum(1 for v in values if v)
 
 
@@ -310,17 +336,23 @@ def pair_cases(draw):
 @settings(deadline=None, max_examples=100)
 @given(pair_cases())
 def test_packed_checks_match_pair_matrix(case):
-    # the verifier's diagonal_ok, rank and max_support for a one-element
-    # basis {P} against P's pair matrix (a, b) -> P(-a-b) built entry by
-    # entry; rank is the rank of that matrix whenever it is diagonal
+    # the verifier's vanishing_ok, diagonal_ok, rank and max_support for a
+    # one-element basis {P} against P's values off A and its pair matrix
+    # (a, b) -> P(-a-b), built entry by entry with eval_poly; rank is the
+    # rank of that matrix whenever it is diagonal.  P replaces the basis
+    # where every call reads it, kept elimination or not.
     n, d, A, P = case
     M = [[eval_poly(P, tuple((-x - y) % 3 for x, y in zip(a, b)))
           for b in A.vectors()] for a in A.vectors()]
     diagonal = not any(M[i][j] for i in range(A.size)
                        for j in range(A.size) if i != j)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "vanishing_space_basis", lambda *args: [P])
+        mp.setattr(verifier._Elimination, "basis_values",
+                   lambda self, d: [_values(P)])
         report = verify_support_bound(n, d, A)
+    outside = [v for x, v in enumerate(product(range(3), repeat=n))
+               if x not in A.points]
+    assert report.vanishing_ok is not any(eval_poly(P, v) for v in outside)
     assert report.diagonal_ok is diagonal
     if diagonal:
         assert report.rank == matrix_rank(M)
@@ -382,14 +414,20 @@ def test_basis_is_unit_at_its_free_columns(case):
             int(i == k) for i in range(len(free))]
 
 
-def test_verify_support_bound_n6_product_set():
-    # the product of the lex-least maximum sets of F_3^4 and F_3^2, an
-    # 80-point progression-free set; at d = 2n every function on A is a
-    # polynomial, so dim V = |A| exactly
+def product_set_n6():
+    """The product of the lex-least maximum sets of F_3^4 and F_3^2, an
+    80-point progression-free set."""
     w4 = [decode_point(x, 4) for x in golden.LEX_LEAST_WITNESSES[4]]
     w2 = [decode_point(x, 2) for x in golden.LEX_LEAST_WITNESSES[2]]
-    A = PointSet.from_vectors([a + b for a in w4 for b in w2])
+    return PointSet.from_vectors([a + b for a in w4 for b in w2])
+
+
+def test_verify_support_bound_n6_product_set(monkeypatch):
+    # at d = 2n every function on A is a polynomial, so dim V = |A|
+    # exactly
+    A = product_set_n6()
     verifier._tables.pop(6, None)
+    monkeypatch.setattr(verifier, "_eliminations", {})
     started = time.perf_counter()
     report = verify_support_bound(6, 9, A)
     assert time.perf_counter() - started < 2.0
@@ -399,6 +437,100 @@ def test_verify_support_bound_n6_product_set():
     full = verify_support_bound(6, 12, A)
     assert full.all_ok and full.dim_v == 80
     assert full.counters["table_cached"] is True
+
+
+def greedy_set(n, size, seed):
+    """A progression-free set of `size` points of F_3^n: the points in a
+    seeded random order, each kept unless it completes a pair of those
+    kept before it."""
+    order = list(range(3**n))
+    random.Random(seed).shuffle(order)
+    members, excluded = [], set()
+    for x in order:
+        if x not in excluded:
+            excluded.update(complete_triple(x, a, n) for a in members)
+            members.append(x)
+            if len(members) == size:
+                return PointSet(n, tuple(members))
+    raise ValueError(f"greedy stopped at {len(members)} points")
+
+
+def reference_report(n, d, A):
+    """verify_support_bound by the FieldPoly route: A's indicators reduced
+    afresh, each basis element made a FieldPoly and its values computed
+    from its terms by _values."""
+    table = verifier._table(n)
+    ones = [table.indicators[x][0] for x in A.points]
+    twos = [table.indicators[x][1] for x in A.points]
+    pivots = verifier._rref(ones, twos, len(table.monos))
+    m_d = mspace_size(n, d, 3)
+    basis = [make_poly(n, {m: (ones[r] >> j & 1) + 2 * (twos[r] >> j & 1)
+                           for j, m in enumerate(table.monos)})
+             for r, col in enumerate(pivots) if col < m_d]
+    nonzero = [v1 | v2 for v1, v2 in map(_values, basis)]
+    third = third_points(A)
+    cap = 2 * mspace_size(n, d // 2, 3)
+    diagonal_ok = not any(z & third for z in nonzero)
+    rank = max((bin(z & A.mask).count("1") for z in nonzero), default=0)
+    support = max((bin(z).count("1") for z in nonzero), default=0)
+    lower = m_d - (3**n - A.size)
+    return verifier.VerifierReport(
+        n=n, d=d, set_size=A.size, dim_v=len(basis), dim_lower_bound=lower,
+        max_support=support, support_cap=cap, rank=rank,
+        vanishing_ok=not any(z & ~A.mask for z in nonzero),
+        diagonal_ok=diagonal_ok, rank_ok=diagonal_ok and rank <= cap,
+        support_ok=support <= cap, bound_ok=len(basis) >= lower)
+
+
+@pytest.mark.parametrize("name", ["witness-1", "witness-2", "witness-3",
+                                  "witness-4", "greedy-5", "product-6"])
+def test_reports_match_the_fieldpoly_route(name):
+    # every field but the cost fields, at every d, the kept elimination
+    # serving all d after the first
+    kind, n = name.split("-")
+    n = int(n)
+    A = {"witness": lambda: PointSet(n, golden.LEX_LEAST_WITNESSES[n]),
+         "greedy": lambda: greedy_set(n, 18, 5),
+         "product": product_set_n6}[kind]()
+    for d in range(2 * n + 1):
+        report = verify_support_bound(n, d, A)
+        assert report == reference_report(n, d, A), d
+        assert report.all_ok
+
+
+def test_kept_eliminations(monkeypatch):
+    monkeypatch.setattr(verifier, "_eliminations", {})
+    witness = PointSet(4, golden.LEX_LEAST_WITNESSES[4])
+    cold = []
+    for d in range(9):  # a cold call computes values for V_d's rows only
+        verifier._eliminations.clear()
+        cold.append(verify_support_bound(4, d, witness))
+        assert cold[-1].counters["elimination_cached"] is False
+        kept = verifier._eliminations[4, witness.mask]
+        assert len(kept.values) == cold[-1].dim_v
+    for d in reversed(range(9)):
+        warm = verify_support_bound(4, d, witness)
+        assert warm.counters["elimination_cached"] is True
+        assert warm == cold[d]
+    # a translate: the same n and size, but an entry of its own
+    shifted = PointSet.from_vectors([v[:-1] + ((v[-1] + 1) % 3,)
+                                     for v in witness.vectors()])
+    report = verify_support_bound(4, 5, shifted)
+    assert report.counters["elimination_cached"] is False
+    assert report == reference_report(4, 5, shifted)
+    assert len(verifier._eliminations) == 2
+    # only the most recently used sets stay
+    limit = verifier._KEPT_ELIMINATIONS
+    others = [greedy_set(4, 12, seed) for seed in range(limit)]
+    assert len({A.mask for A in others}) == limit
+    for A in others:
+        verify_support_bound(4, 3, A)
+        assert len(verifier._eliminations) <= limit
+    assert len(verifier._eliminations) == limit
+    assert verify_support_bound(4, 3, others[-1]).counters[
+        "elimination_cached"] is True
+    assert verify_support_bound(4, 5, witness).counters[
+        "elimination_cached"] is False
 
 
 def test_pointset_file_roundtrip(tmp_path):
