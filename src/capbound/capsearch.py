@@ -28,21 +28,22 @@ slice is x_1 = 0, the cap is one representative per affine class
 and the set holds e_1 = (1, 0, ..., 0), so one extension walk per
 representative (_Extend) settles m.  This is how Edel, Ferret, Landjev
 and Storme (2002) and Potechin (2008) classified large caps.  The
-classes come from the (n-1) walk in collect mode; each collected cap
-is matched against the representatives so far by an explicit affine
-certificate, a map from a representative's frame onto a frame of the
-cap (_FramedCap, _full_cap_classes), in the spirit of McKay's
-isomorph-free generation (1998).  n = 4 is proven in 7,959 nodes
-(1,552 find, 174 collecting the 18 normalized 9-caps of F_3^3, one
-class after 206 frame tries, and 6,233 extending it), about 0.06 s on
-a 2-core VM with Python 3.11; the find walk run out takes 6,008,923
-nodes and about 15 s.
+classes come by the same extension one dimension down, which meets
+every class of F_3^k where the identity forces a maximum slice, as it
+does for k <= 3 (_full_cap_classes); each cap met is matched against
+the representatives so far by an explicit affine certificate, a map
+from a representative's frame onto a frame of the cap (_FramedCap), in
+the spirit of McKay's isomorph-free generation (1998).  n = 4 is proven in 7,831 nodes
+(1,552 find, 46 classifying the 9-caps of F_3^3 into one class after
+21 frame tries, and 6,233 extending it), about 0.06 s on a 2-core VM
+with Python 3.11; the find walk run out takes 6,008,923 nodes and
+about 15 s.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 # Largest node budget a search accepts, so that no budgeted run goes on
@@ -96,7 +97,7 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def mask(self) -> int:
         """The members as a point mask: bit x is set for point x."""
         return sum(1 << x for x in self.points)
@@ -222,7 +223,6 @@ def _points(mask: int) -> tuple[int, ...]:
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
-
 class _Walker:
     """The depth-first walk; owns the best size, the node and prune
     counters and the budget.  Subclasses say what `record` does with each
@@ -296,19 +296,6 @@ class _Walker:
                      tables.opening_mask[k] & ~excluded, k + 1)
 
 
-class _Collect(_Walker):
-    """Keeps every set it meets of size best_size + 1; started with the
-    best size pinned one below the proven maximum, it meets every
-    normalized maximum cap."""
-
-    def __init__(self, tables: _Tables, best_size: int):
-        super().__init__(tables, best_size, None)
-        self.found: list[tuple[int, ...]] = []
-
-    def record(self, mask: int) -> None:
-        self.found.append(_points(mask))
-
-
 class _Extend(_Walker):
     """The walk for an m-point cap of F_3^n holding rep, a cap of
     F_3^(n-1) placed at x_1 = 0, and the point e_1 = (1, 0, ..., 0).
@@ -348,20 +335,16 @@ class _Extend(_Walker):
         return self.found
 
 
-class _Find(_Walker):
-    """Records each larger set as the best and asks `refute` whether one
-    point more is impossible; stops the walk once it is."""
+class _ExtendAll(_Extend):
+    """The extension walk that goes on to the end and keeps in `found`
+    every m-point set it meets, in walk order."""
 
-    def __init__(self, tables: _Tables, node_budget: int | None, refute):
-        super().__init__(tables, 1, node_budget)
-        self.best: tuple[int, ...] = (0,)
-        self.refute = refute
+    def __init__(self, tables: _Tables, rep: tuple[int, ...], m: int):
+        super().__init__(tables, rep, m, None)
+        self.found: list[tuple[int, ...]] = []
 
     def record(self, mask: int) -> None:
-        self.best_size = mask.bit_count()
-        self.best = _points(mask)
-        if self.refute(self.best_size + 1):
-            raise _Stop
+        self.found.append(_points(mask))
 
 
 def _forced_slice(n: int, m: int, cap: int) -> int | None:
@@ -485,18 +468,10 @@ class _FramedCap:
         return None
 
 
-def _normalized_full_caps(n: int) -> _Collect:
-    """The collect walk over F_3^n: every maximum cap in the walk's
-    normalized form, which every affine class has a member in."""
-    walker = _Collect(_Tables(n), _proven_max(n) - 1)
-    walker.dfs(1, 1, 0, 0)
-    return walker
-
-
 @dataclass(frozen=True)
 class _FullCapClasses:
-    """One maximum cap of F_3^n per affine class, the collect walk's node
-    and prune counts, and the frames the matching tried."""
+    """One maximum cap of F_3^n per affine class, and the nodes, prunes
+    and frame tries that found them in every dimension up to n."""
 
     reps: tuple[tuple[int, ...], ...]
     nodes: int
@@ -506,68 +481,90 @@ class _FullCapClasses:
 
 @lru_cache(maxsize=None)
 def _full_cap_classes(n: int) -> _FullCapClasses:
-    """The maximum caps of F_3^n up to affine equivalence: the collected
-    normalized caps in walk order, each kept as a representative unless
-    an earlier representative has a certificate for it (_FramedCap), so
-    each class is represented by its first member.  F_3^0 is a single
-    point."""
+    """The maximum caps of F_3^n up to affine equivalence.  If the
+    pair-count identity forces them a maximum slice, each has an image
+    that the extension walk from some class of F_3^(n-1) meets (see
+    _Proof.refute); the caps met are kept in walk order, each as a
+    representative unless an earlier one has a certificate for it.  If
+    not, a class could be missed, and the call is refused.  F_3^0 is a
+    single point."""
     if n == 0:
         return _FullCapClasses(((0,),), 0, (("cardinality", 0),), 0)
-    walker = _normalized_full_caps(n)
+    tables = _Tables(n)
+    m = _proven_max(n)
+    s = _forced_slice(n, m, tables.slice_cap)
+    if s != tables.slice_cap:
+        raise ValueError(f"extension cannot classify the {m}-caps of "
+                         f"F_3^{n}: they need only a slice of {s} points")
+    lower = _full_cap_classes(n - 1)
+    nodes = lower.nodes
+    prunes = dict(lower.prunes)
     reps: list[_FramedCap] = []
-    for points in walker.found:
-        if all(rep.certificate(points) is None for rep in reps):
-            reps.append(_FramedCap(points, n))
-    return _FullCapClasses(tuple(rep.points for rep in reps), walker.nodes,
-                           tuple(walker.prunes.items()),
-                           sum(rep.frames_tried for rep in reps))
+    for rep in lower.reps:
+        walker = _ExtendAll(tables, rep, m)
+        for points in walker.run():
+            if all(framed.certificate(points) is None for framed in reps):
+                reps.append(_FramedCap(points, n))
+        nodes += walker.nodes
+        for rule, count in walker.prunes.items():
+            prunes[rule] += count
+    return _FullCapClasses(
+        tuple(framed.points for framed in reps), nodes, tuple(prunes.items()),
+        lower.frames_tried + sum(framed.frames_tried for framed in reps))
 
 
-class _Proof:
-    """One max_capset call: the find walk, the refutations it asks for,
-    and their cost (stage times, counters, node and prune totals)."""
+class _Proof(_Walker):
+    """One max_capset call: the find walk, which records each larger set
+    as the best and asks `refute` whether one point more is impossible,
+    stopping once it is, and the cost of the call (stage times, counters,
+    node and prune totals over every walk)."""
 
     def __init__(self, n: int, node_budget: int | None):
+        self.lap_end = time.perf_counter()
+        super().__init__(_Tables(n), 1, node_budget)
         self.n = n
+        self.best: tuple[int, ...] = (0,)
         self.timings = dict.fromkeys(
             ("tables", "find", "identity", "classes", "refute"), 0.0)
         self.counters: dict[str, int | None] = {
             "find_nodes": 0, "collect_nodes": 0, "refute_nodes": 0,
             "full_cap_classes": 0, "class_frames_tried": 0,
             "forced_slice": None, "refuted_size": None}
-        self.prunes = {"cardinality": 0}
         self.classes: _FullCapClasses | None = None
-        started = time.perf_counter()
-        self.tables = _Tables(n)
-        self.timings["tables"] = time.perf_counter() - started
-        self.find = _Find(self.tables, node_budget, self.refute)
+        self._lap("tables")
 
-    def _remaining(self) -> int | None:
-        budget = self.find.node_budget
-        return None if budget is None else budget - self.find.nodes
+    def _lap(self, stage: str) -> None:
+        """Charges the stage the wall time since the previous one ended."""
+        now = time.perf_counter()
+        self.timings[stage] += now - self.lap_end
+        self.lap_end = now
 
     def _charge(self, phase: str, nodes: int, prunes) -> None:
-        """Adds a walk's cost to the totals; the find walk's budget is
-        what the other walks leave of node_budget."""
+        """Adds another walk's cost to the totals; it comes out of the
+        find walk's node budget."""
         self.counters[phase] += nodes
         for rule, count in prunes:
             self.prunes[rule] += count
-        if phase != "find_nodes" and self.find.node_budget is not None:
-            self.find.node_budget -= nodes
+        if self.node_budget is not None:
+            self.node_budget -= nodes
+            if self.nodes > self.node_budget:
+                raise _BudgetExhausted
 
     def _full_caps(self) -> _FullCapClasses:
         if self.classes is None:
-            started = time.perf_counter()
             self.classes = _full_cap_classes(self.n - 1)
-            self.timings["classes"] += time.perf_counter() - started
-            self._charge("collect_nodes", self.classes.nodes,
-                         self.classes.prunes)
+            self._lap("classes")
             self.counters["full_cap_classes"] = len(self.classes.reps)
             self.counters["class_frames_tried"] = self.classes.frames_tried
-            remaining = self._remaining()
-            if remaining is not None and remaining < 0:
-                raise _BudgetExhausted
+            self._charge("collect_nodes", self.classes.nodes,
+                         self.classes.prunes)
         return self.classes
+
+    def record(self, mask: int) -> None:
+        self.best_size = mask.bit_count()
+        self.best = _points(mask)
+        if self.refute(self.best_size + 1):
+            raise _Stop
 
     def refute(self, m: int) -> bool:
         """True once it has proven that no m-point cap of F_3^n exists.
@@ -583,21 +580,22 @@ class _Proof:
         to e_1.  So an m-point cap exists only if some representative
         extends through e_1, and `_Extend` tries each one.
         """
-        started = time.perf_counter()
+        self._lap("find")
         cap = self.tables.slice_cap
         s = _forced_slice(self.n, m, cap)
-        self.timings["identity"] += time.perf_counter() - started
+        self._lap("identity")
         self.counters["forced_slice"] = s
         if s is not None and s < cap:
             return False
         if s == cap:
             for rep in self._full_caps().reps:
-                walker = _Extend(self.tables, rep, m, self._remaining())
-                started = time.perf_counter()
+                budget = self.node_budget
+                walker = _Extend(self.tables, rep, m,
+                                 None if budget is None else budget - self.nodes)
                 try:
                     found = walker.run()
                 finally:
-                    self.timings["refute"] += time.perf_counter() - started
+                    self._lap("refute")
                     self._charge("refute_nodes", walker.nodes,
                                  walker.prunes.items())
                 if found is not None:
@@ -606,30 +604,27 @@ class _Proof:
         return True
 
     def run(self) -> SearchResult:
-        find = self.find
         proven = True
-        started = time.perf_counter()
         try:
-            find.dfs(1, 1, 0, 0)
+            self.dfs(1, 1, 0, 0)
         except _Stop:
             pass
         except _BudgetExhausted:
             proven = False
-        timings = self.timings
-        timings["find"] = (time.perf_counter() - started - timings["identity"]
-                           - timings["classes"] - timings["refute"])
-        self._charge("find_nodes", find.nodes, find.prunes.items())
+        self._lap("find")
         c = self.counters
+        c["find_nodes"] = self.nodes
         return SearchResult(
             n=self.n,
-            max_size=find.best_size,
-            witness=PointSet(self.n, find.best),
+            max_size=self.best_size,
+            witness=PointSet(self.n, self.best),
             nodes_explored=(c["find_nodes"] + c["collect_nodes"]
                             + c["refute_nodes"]),
             prunes=dict(self.prunes),
             proven_optimal=proven,
             fixed_prefix=(0, 1) if self.n == 1 else (0, 1, 3),
-            timings_ms={k: round(v * 1000, 3) for k, v in timings.items()},
+            timings_ms={k: round(v * 1000, 3)
+                        for k, v in self.timings.items()},
             counters=dict(c),
         )
 
@@ -657,12 +652,13 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     and only a strictly larger set replaces the recorded one.
 
     nodes_explored counts the nodes of every walk the call makes: find,
-    the collect walk that classifies the maximum caps of F_3^(n-1)
-    (counted at its full cost even when its result is cached from an
-    earlier call) and the extension walks.  The search stops once that
-    count passes node_budget; max_size is then a valid lower bound and
-    proven_optimal is False.  A node_budget below 1 is refused: not even
-    the root node would be searched; so is one above MAX_BUDGET.
+    the extension walks that classify the maximum caps of F_3^(n-1)
+    (counted at their full cost, every dimension down, even when the
+    classes are cached) and those of the refutation.  The search stops
+    once that count passes node_budget; max_size is then a valid lower
+    bound and proven_optimal is False.  A node_budget below 1 is
+    refused: not even the root node would be searched; so is one above
+    MAX_BUDGET.
 
     The slice cap of F_3^n needs the proven maximum of F_3^(n-1), so n = 5
     rests on the n = 4 proof and then runs without end unless budgeted;
@@ -680,8 +676,9 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     largest slice the pair-count identity allows for the last size asked
     about; None when none up to the cap does) and refuted_size (the size
     proven impossible, None if none was).
-    `timings_ms` gives the wall time of each stage: tables, find (less
-    the stages it calls), identity, classes and refute.
+    `timings_ms` gives the wall time of each stage, each charged the time
+    since the previous one ended: tables, find, identity, classes and
+    refute.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")

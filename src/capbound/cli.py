@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -255,7 +254,7 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
         {"name": "dimension_bound", "pass": report.bound_ok,
          "detail": f"dim V = {report.dim_v} >= {report.dim_lower_bound}"},
     ]
-    return dataclasses.asdict(report), checks
+    return dict(vars(report)), checks
 
 
 def _cmd_verify_all(args) -> tuple[dict, list[dict]]:

@@ -81,9 +81,6 @@ class FieldPoly:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=-1)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def make_poly(n: int, raw_terms: dict[Monomial, int]) -> FieldPoly:
     """Normalize coefficients mod 3 and drop zeros."""

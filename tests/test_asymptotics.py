@@ -112,6 +112,33 @@ def test_characteristic_root_satisfies_quadratic():
     assert abs((root * other).as_fraction() - Fraction(c, a)) < Fraction(1, 10**30)
 
 
+def test_char_quadratic_is_the_recurrence_limit():
+    # the coefficient polynomials have degree 6, and their n^6
+    # coefficients (the 6th finite difference / 6!) are 11 times
+    # CHAR_QUADRATIC reversed: the limit of d(n+1)/d(n) is its root
+    leading = []
+    for c in golden.RECURRENCE_COEFFS:
+        values = [c(n) for n in range(8)]
+        for _ in range(6):
+            values = [b - a for a, b in zip(values, values[1:])]
+        sixth, seventh = values[0], values[1] - values[0]
+        assert sixth % 720 == 0 and seventh == 0
+        leading.append(sixth // 720)
+    assert leading == [11 * x for x in reversed(golden.CHAR_QUADRATIC)]
+
+
+@pytest.mark.parametrize("digits", [19, 40, 200])
+def test_characteristic_root_brackets_the_larger_root(digits):
+    # the quadratic is negative between its roots and positive above
+    # them, so a sign change from - to + puts the larger root within one
+    # unit in the last place
+    a, b, c = golden.CHAR_QUADRATIC
+    root = characteristic_root(digits).as_fraction()
+    ulp = Fraction(1, 10**digits)
+    low, high = (a * x * x + b * x + c for x in (root - ulp, root + ulp))
+    assert low < 0 < high
+
+
 def test_alpha_digits_and_cube():
     assert ulp_distance(alpha(19), golden.ALPHA_DIGITS) <= 1
     cube = alpha(40).pow_int(3)

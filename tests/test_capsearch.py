@@ -2,8 +2,8 @@
 independent include/exclude search with no symmetry reduction at n = 3,
 the affine-invariance sanity properties, and the steps of the slice-first
 refutation: the pair-count identity, the classes of maximum caps with
-their affine certificates (checked against an orbit-closure oracle) and
-the extension walk."""
+their affine certificates (checked against an orbit-closure oracle and
+a collect walk from the root) and the extension walk."""
 import random
 import time
 from functools import lru_cache
@@ -17,12 +17,14 @@ from capbound import golden
 from capbound.capsearch import (
     PointSet,
     _Extend,
+    _ExtendAll,
     _forced_slice,
     _FramedCap,
     _full_cap_classes,
-    _normalized_full_caps,
+    _points,
     _proven_max,
     _Tables,
+    _Walker,
     _completion_moves,
     complete_triple,
     decode_point,
@@ -84,6 +86,28 @@ def _orbit(points: tuple[int, ...], generators: list[list[int]]) -> set[int]:
                 orbit.add(image)
                 frontier.append(image)
     return orbit
+
+
+class _Collect(_Walker):
+    """Keeps every set it meets of size best_size + 1; started with the
+    best size pinned one below the proven maximum, it meets every
+    normalized maximum cap."""
+
+    def __init__(self, tables: _Tables, best_size: int):
+        super().__init__(tables, best_size, None)
+        self.found: list[tuple[int, ...]] = []
+
+    def record(self, mask: int) -> None:
+        self.found.append(_points(mask))
+
+
+def _normalized_full_caps(n: int) -> _Collect:
+    """The collect walk over F_3^n from the root: every maximum cap in the
+    walk's normalized form, which every affine class has a member in.  It
+    shares no step with the extension walks that classify the caps."""
+    walker = _Collect(_Tables(n), _proven_max(n) - 1)
+    walker.dfs(1, 1, 0, 0)
+    return walker
 
 
 def certificate_map(n: int, frame: tuple[int, ...],
@@ -478,9 +502,35 @@ def test_normalized_full_caps_of_f3_cubed():
     assert len(_normalized_full_caps(3).found) == 18
     classes = _full_cap_classes(3)
     assert len(classes.reps) == 1
-    assert classes.nodes == _normalized_full_caps(3).nodes
-    # the 17 caps after the first take 206 frame tries in all
-    assert classes.frames_tried == 206
+    # the extension walks at n = 1, 2 and 3 take 46 nodes in all; the
+    # collect walk over F_3^3 takes 174
+    assert (classes.nodes, _normalized_full_caps(3).nodes) == (46, 174)
+    # the caps after the first at each n take 21 frame tries in all
+    assert classes.frames_tried == 21
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extension_collects_only_certified_maximum_caps(n):
+    caps = all_caps(n, _proven_max(n))
+    (rep,) = _full_cap_classes(n).reps
+    framed = _FramedCap(rep, n)
+    found = []
+    for lower in _full_cap_classes(n - 1).reps:
+        found += _ExtendAll(_Tables(n), lower, len(rep)).run()
+    # the first cap met is the representative
+    assert found[0] == rep
+    for cap in found:
+        assert cap in caps
+        image = framed.certificate(cap)
+        assert image is not None
+        assert_certifies(framed, cap, image)
+
+
+def test_no_classification_from_slices_below_the_cap():
+    # a 20-cap of F_3^4 need only have an 8-point slice, and extension from
+    # the 9-caps of F_3^3 alone could miss a class
+    with pytest.raises(ValueError, match="slice of 8 points"):
+        _full_cap_classes(4)
 
 
 @pytest.mark.parametrize("n,m", [(3, 9), (4, 20)])
@@ -507,7 +557,8 @@ def test_phase_counters_n4():
     assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
         9, 21, 1)
     # charged in full when the classes come from the cache, too
-    assert c["class_frames_tried"] == 206
+    assert (c["collect_nodes"], c["refute_nodes"]) == (46, 6_233)
+    assert c["class_frames_tried"] == 21
     assert max_capset(4).counters == c
     assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
                                      + c["refute_nodes"])

@@ -232,7 +232,7 @@ def test_search_reports_phase_costs(capsys):
                                         + counters["refute_nodes"])
     assert counters["refuted_size"] == 21
     assert counters["forced_slice"] == 9
-    assert counters["class_frames_tried"] == 206
+    assert counters["class_frames_tried"] == 21
     assert set(result["prunes"]) == {"cardinality"}
 
 
