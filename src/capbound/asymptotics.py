@@ -16,7 +16,10 @@ Three independent routes to the same numbers live here:
     cross-check with no root finding at all.
 
 All fixed-point computation carries GUARD extra digits beyond what the
-caller asked for and truncates only on return.
+caller asked for and rounds only on return.  The saddle point works on
+integers scaled by 2^bits, with bits = ceil(digits * log2 10) plus
+GUARD_BITS for each decimal precision, so every rescale is a shift; its
+results become decimal BigFixed values once, at the end.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from typing import Callable
 
 from . import golden
 from .bounds import sharp_bound
-from .fixedpoint import BigFixed, isqrt_newton, pi
+from .fixedpoint import BigFixed, div_nearest, icbrt_newton, isqrt_newton, pi
 from .qnomial import row_prefix
 
 DEFAULT_DIGITS = 40
@@ -41,13 +44,14 @@ GUARD = 10
 # VM).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
-# and leading_constant accept.  At the ceiling alpha takes about 1.7 s,
-# leading_constant 2.8 s, saddle_point(3) 1.1 s and saddle_point(64) 13 s,
-# about half of that in the power and cube root of the constant; q = 31
-# takes 0.9 s at 10,000 digits.  Largest q that saddle_point and
-# growth_constant_ratio accept, twice the largest q of the reference
-# table: growth_constant_ratio(64) takes about 7 ms and q = 400 about
-# 50 ms (Python 3.11, one core of a shared 2-core VM).
+# and leading_constant accept.  At the ceiling alpha takes about 0.2 s,
+# leading_constant 1.3-1.5 s (1 s of it in pi), saddle_point(3) 0.2 s
+# and saddle_point(64) 2.2-3.0 s, more than half of it in the exact
+# power x0^63 of the constant; q = 31 takes 0.15 s at 10,000 digits.
+# Largest q that saddle_point and growth_constant_ratio accept, twice the
+# largest q of the reference table: growth_constant_ratio(64) takes about
+# 7 ms and q = 400 about 50 ms (Python 3.11, one core of a shared 2-core
+# VM).
 MAX_DIGITS = 30_000
 MAX_Q = 64
 # saddle_point brackets its root by exact bisection to 2^-64 < 10^-19, so
@@ -57,6 +61,8 @@ MAX_Q = 64
 BISECTION_STEPS = 64
 LADDER_START = 19
 LADDER_MARGIN = 4
+# bits the saddle point carries past ceil(p * log2 10) at decimal precision p
+GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -158,10 +164,34 @@ def alpha(digits: int = DEFAULT_DIGITS) -> BigFixed:
     return _characteristic_root(digits + GUARD).cbrt().to_scale(digits)
 
 
-def _horner(coeffs: list[int], x: BigFixed, work: int) -> BigFixed:
-    acc = BigFixed.from_int(coeffs[-1], work)
+def _bits(digits: int) -> int:
+    """Binary precision for a decimal one: ceil(digits * log2 10), the bit
+    length of 10^digits for digits >= 1, plus GUARD_BITS."""
+    return (10**digits).bit_length() + GUARD_BITS
+
+
+def _rescale(x: int, bits: int, to_bits: int) -> int:
+    """x * 2^-bits as a multiple of 2^-to_bits, rounding half up: a shift,
+    never a division."""
+    if to_bits >= bits:
+        return x << to_bits - bits
+    shift = bits - to_bits
+    return (x + (1 << shift - 1)) >> shift
+
+
+def _to_decimal(x: int, bits: int, scale: int) -> BigFixed:
+    """x * 2^-bits as a decimal BigFixed at `scale`, rounding half up: the
+    one radix conversion of each result."""
+    return BigFixed((x * 10**scale + (1 << bits - 1)) >> bits, scale)
+
+
+def _horner(coeffs: list[int], x: int, bits: int) -> int:
+    """The polynomial at x * 2^-bits, as a multiple of 2^-bits; each
+    product rounds half up by a shift."""
+    half = 1 << bits - 1
+    acc = coeffs[-1] << bits
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+        acc = ((acc * x + half) >> bits) + (c << bits)
     return acc
 
 
@@ -199,11 +229,13 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     precision runs until the mantissa is stationary or 2-cycles, keeping
     the 2-cycle element with the smaller |g| (then smaller mantissa).  The
     fractional power is the integer cube root of x0^(q-1); no logarithms
-    and no floats anywhere.  `counters` gives the bisection steps, the
-    Newton steps at each working precision, the working digits and the
-    `stop` rule that ended Newton ("stationary" or "two_cycle").  Raises
-    ArithmeticError if 200 full-precision steps end in neither, rather
-    than report digits that never settled.
+    and no floats anywhere.  Newton and the constant run on binary
+    mantissas, and x0, the constant and the residual are converted to
+    decimal once.  `counters` gives the bisection steps, the Newton steps
+    at each working precision (keyed by decimal digits), the working
+    digits and bits and the `stop` rule that ended Newton ("stationary"
+    or "two_cycle").  Raises ArithmeticError if 200 full-precision steps
+    end in neither, rather than report digits that never settled.
     """
     _check_q(q)
     _check_digits(digits)
@@ -226,27 +258,28 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
         "no interior sign change; cannot happen for q >= 2"
     bisected = clock()
 
+    # every value below is an integer v standing for v * 2^-bits
     newton_steps: dict[int, int] = {}
-    x = BigFixed.from_ratio(2 * m + 1, 2**(BISECTION_STEPS + 1),
-                            LADDER_START)
+    x, bits = m, BISECTION_STEPS
     for p in _ladder(work):
-        x = x.to_scale(p)
-        x = x - _horner(g_coeffs, x, p) / _horner(gp_coeffs, x, p)
+        x, bits = _rescale(x, bits, _bits(p)), _bits(p)
+        x -= div_nearest(_horner(g_coeffs, x, bits) << bits,
+                         _horner(gp_coeffs, x, bits))
         newton_steps[p] = 1
     laddered = clock()
 
-    x = x.to_scale(work)
+    x, bits = _rescale(x, bits, _bits(work)), _bits(work)
     prev = prev_g = None
     for steps in range(1, 201):
-        g = _horner(g_coeffs, x, work)
-        nxt = x - g / _horner(gp_coeffs, x, work)
-        if nxt.mantissa == x.mantissa:
+        g = _horner(g_coeffs, x, bits)
+        nxt = x - div_nearest(g << bits, _horner(gp_coeffs, x, bits))
+        if nxt == x:
             stop = "stationary"
             break
-        if prev is not None and nxt.mantissa == prev.mantissa:
+        if nxt == prev:
             stop = "two_cycle"
             x, g = min((x, g), (prev, prev_g),
-                       key=lambda e: (abs(e[1].mantissa), e[0].mantissa))
+                       key=lambda e: (abs(e[1]), e[0]))
             break
         prev, prev_g = x, g
         x = nxt
@@ -256,15 +289,19 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     newton_steps[work] = steps
     converged = clock()
 
-    f_val = _horner([1] * q, x, work)
-    constant = f_val / x.pow_int(q - 1).cbrt()
+    # f(x0) / cbrt(x0^(q-1)): the power is exact up to one rounding shift
+    f_val = _horner([1] * q, x, bits)
+    power = _rescale(x ** (q - 1), bits * (q - 1), bits)
+    constant = div_nearest(f_val << bits, icbrt_newton(power << 2 * bits))
+    x0, constant, residual = (_to_decimal(x, bits, digits),
+                              _to_decimal(constant, bits, digits),
+                              _to_decimal(g, bits, work))
     finished = clock()
     return SaddleResult(
-        q=q, x0=x.to_scale(digits), constant=constant.to_scale(digits),
-        residual=g,
+        q=q, x0=x0, constant=constant, residual=residual,
         counters={"bisection_steps": BISECTION_STEPS,
                   "newton_steps": newton_steps, "work_digits": work,
-                  "stop": stop},
+                  "work_bits": bits, "stop": stop},
         timings_ms={stage: round((end - start) * 1000, 3)
                     for stage, start, end in (
                         ("bisection", started, bisected),

@@ -28,7 +28,6 @@ from .asymptotics import (
     RECURRENCE_MAX_N,
     alpha,
     characteristic_root,
-    growth_constant,
     growth_constant_ratio,
     leading_constant,
     saddle_point,
@@ -161,12 +160,17 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
 def _cmd_table(args) -> tuple[dict, list[dict]]:
     if args.qmax > MAX_Q:
         raise ValueError(f"qmax must be at most {MAX_Q}, got {args.qmax}")
+    if args.qmin > args.qmax:
+        raise ValueError(f"qmin must be at most qmax, got qmin {args.qmin} "
+                         f"and qmax {args.qmax}")
     rows = []
     checks = []
     for q in _prime_powers(args.qmin, args.qmax):
-        value = growth_constant(q)
+        sp = saddle_point(q)
+        value = sp.constant
         pinned = golden.GROWTH_TABLE.get(q)
-        row = {"q": q, "constant": _bigfixed_json(value)}
+        row = {"q": q, "constant": _bigfixed_json(value),
+               "counters": sp.counters, "timings_ms": sp.timings_ms}
         if pinned is not None:
             check = _digit_check(f"q={q}_matches_reference", value, pinned)
             row["reference"] = pinned

@@ -1,19 +1,31 @@
 """Decimal fixed-point reals on arbitrary-precision integer mantissas.
 
-A value is mantissa * 10^(-scale).  All arithmetic is integer arithmetic
-on mantissas; square and cube roots are integer Newton iterations run to a
-mantissa fixpoint, so results are exact floor roots of the scaled integers.
-Rounding, where a result does not fit the target scale, is round-half-up
-(toward +infinity); callers carry guard digits, so ties never matter.
+A value is mantissa * 10^(-scale).  BigFixed is the decimal exchange type:
+results leave the library, the CLI report and the benchmark's oracles in
+it, read as mantissa * 10^(-scale).  Arithmetic that runs long at high
+precision (the saddle point in `asymptotics`) works on integers scaled by
+a power of two instead, where every rescale is a shift, and converts to
+BigFixed once at the end.
+
+All arithmetic is integer arithmetic on mantissas; square and cube roots
+are exact floor roots of the scaled integers.  Rounding, where a result
+does not fit the target scale, is round-half-up (toward +infinity);
+callers carry guard digits, so ties never matter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# icbrt_newton seeds Newton by recursion above this many bits
+_CBRT_SEED_BITS = 192
 
-def _div_nearest(a: int, b: int) -> int:
-    """Nearest integer to a/b for b > 0, halves toward +infinity."""
+
+def div_nearest(a: int, b: int) -> int:
+    """Nearest integer to a/b for b != 0, halves toward +infinity."""
+    if b < 0:
+        a, b = -a, -b
     q, r = divmod(a, b)
     if 2 * r >= b:
         q += 1
@@ -21,28 +33,31 @@ def _div_nearest(a: int, b: int) -> int:
 
 
 def isqrt_newton(n: int) -> int:
-    """Floor square root by Newton iteration from above, to a fixpoint."""
+    """Floor square root; math.isqrt is exact, so only the sign is
+    checked here."""
     if n < 0:
         raise ValueError("square root of a negative number")
-    if n < 2:
-        return n
-    x = 1 << (n.bit_length() + 1) // 2
-    while True:
-        y = (x + n // x) // 2
-        if y >= x:
-            break
-        x = y
-    assert x * x <= n < (x + 1) * (x + 1)
-    return x
+    return math.isqrt(n)
 
 
 def icbrt_newton(n: int) -> int:
-    """Floor cube root by Newton iteration from above, to a fixpoint."""
+    """Floor cube root by Newton iteration from above, to a fixpoint.
+
+    Past _CBRT_SEED_BITS the iteration starts from the cube root of the
+    top half of n, found the same way: that seed is above the root and
+    carries about half its bits, so Newton needs about two full-size
+    divisions instead of one per bit-doubling from a power of two."""
     if n < 0:
         raise ValueError("cube root of a negative number")
     if n < 2:
         return n
-    x = 1 << n.bit_length() // 3 + 1
+    size = n.bit_length()
+    if size <= _CBRT_SEED_BITS:
+        x = 1 << size // 3 + 1
+    else:
+        # n < (top + 1) * 2^(3t) <= ((r + 1) * 2^t)^3
+        t = size // 6
+        x = (icbrt_newton(n >> 3 * t) + 1) << t
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:
@@ -71,9 +86,7 @@ class BigFixed:
     def from_ratio(cls, num: int, den: int, scale: int) -> "BigFixed":
         if den == 0:
             raise ZeroDivisionError("denominator is zero")
-        if den < 0:
-            num, den = -num, -den
-        return cls(_div_nearest(num * 10**scale, den), scale)
+        return cls(div_nearest(num * 10**scale, den), scale)
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigFixed":
@@ -98,7 +111,7 @@ class BigFixed:
         if scale > self.scale:
             return BigFixed(self.mantissa * 10 ** (scale - self.scale), scale)
         return BigFixed(
-            _div_nearest(self.mantissa, 10 ** (self.scale - scale)), scale)
+            div_nearest(self.mantissa, 10 ** (self.scale - scale)), scale)
 
     def _aligned(self, other: "BigFixed") -> tuple[int, int, int]:
         scale = max(self.scale, other.scale)
@@ -135,7 +148,7 @@ class BigFixed:
         if isinstance(other, int):
             return BigFixed(self.mantissa * other, self.scale)
         a, b, s = self._aligned(other)
-        return BigFixed(_div_nearest(a * b, 10**s), s)
+        return BigFixed(div_nearest(a * b, 10**s), s)
 
     __rmul__ = __mul__
 
@@ -144,9 +157,7 @@ class BigFixed:
         a, b, s = self._aligned(other)
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        if b < 0:
-            a, b = -a, -b
-        return BigFixed(_div_nearest(a * 10**s, b), s)
+        return BigFixed(div_nearest(a * 10**s, b), s)
 
     def __rtruediv__(self, other: "BigFixed | int") -> "BigFixed":
         return self._coerce(other, self.scale).__truediv__(self)
@@ -158,7 +169,7 @@ class BigFixed:
         if k == 0:
             return BigFixed.from_int(1, self.scale)
         return BigFixed(
-            _div_nearest(self.mantissa**k, 10 ** (self.scale * (k - 1))),
+            div_nearest(self.mantissa**k, 10 ** (self.scale * (k - 1))),
             self.scale)
 
     def sqrt(self) -> "BigFixed":
@@ -230,4 +241,4 @@ def pi(scale: int) -> BigFixed:
         return total
 
     raw = 16 * atan_inv(5) - 4 * atan_inv(239)
-    return BigFixed(_div_nearest(raw, 10**10), scale)
+    return BigFixed(div_nearest(raw, 10**10), scale)

@@ -1,5 +1,6 @@
 """Recurrence verification, root digits, saddle-point constants, and the
 two cross-method agreement checks at unit-test scale."""
+import hashlib
 import time
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ from capbound.asymptotics import (
     trinomial_middle,
     verify_recurrence,
 )
-from capbound.fixedpoint import BigFixed, isqrt_newton
+from capbound.cli import _unlimited_int_digits
+from capbound.fixedpoint import BigFixed, div_nearest, isqrt_newton
 from capbound.qnomial import row_prefix
 
 try:
@@ -204,7 +206,8 @@ def test_saddle_point_matches_mpmath(q, digits):
 
 def test_saddle_point_5000_digits_is_fast():
     # 120 bisection steps at full precision took 4.2 s (Python 3.11, 2-core
-    # VM); exact bisection and the Newton ladder take about 0.3 s there
+    # VM); exact bisection and the Newton ladder took 0.2 s there on
+    # decimal fixed point, and take 0.05 s on binary mantissas
     started = time.perf_counter()
     asymptotics._saddle_point(31, 5000)
     assert time.perf_counter() - started < 2.0
@@ -226,34 +229,45 @@ def test_saddle_point_counters():
     assert sp == asymptotics._saddle_point(31, 600)
 
 
-def test_saddle_two_cycle_keeps_the_smaller_residual():
+def test_saddle_two_cycle_keeps_the_smaller_residual(monkeypatch):
     # where full-precision Newton 2-cycles, the kept element is the one
     # with the smaller |g| (then the smaller mantissa), not whichever the
-    # loop met first; the test finds the cycle by Newton from x0
+    # loop met first; the test replays the cycle by Newton on the binary
+    # mantissas at the saddle point's own precision.  Both elements
+    # usually round to the same decimals, so the test reads the binary
+    # values that x0 and the residual are converted from.
     horner = asymptotics._horner
+    to_decimal = asymptotics._to_decimal
+    converted = []
+    monkeypatch.setattr(asymptotics, "_to_decimal",
+                        lambda v, bits, scale: converted.append(v)
+                        or to_decimal(v, bits, scale))
     cycles = 0
     for q in range(2, 7):
         g_coeffs = [3 * j - (q - 1) for j in range(q)]
         gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
         for digits in range(1, 81):
-            sp = saddle_point(q, digits)
+            converted.clear()
+            sp = asymptotics._saddle_point(q, digits)
             assert sp.counters["stop"] in ("stationary", "two_cycle")
             if sp.counters["stop"] != "two_cycle":
                 continue
             cycles += 1
             work = digits + asymptotics.GUARD
-            x = sp.x0.to_scale(work)
+            bits = sp.counters["work_bits"]
+            x0, _, residual = converted
+            x = x0
             seen = []
-            while x.mantissa not in seen:
-                seen.append(x.mantissa)
-                x = x - horner(g_coeffs, x, work) / horner(gp_coeffs, x, work)
-            cycle = seen[seen.index(x.mantissa):]
+            while x not in seen:
+                seen.append(x)
+                x -= div_nearest(horner(g_coeffs, x, bits) << bits,
+                                 horner(gp_coeffs, x, bits))
+            cycle = seen[seen.index(x):]
             assert len(cycle) == 2
-            g = {m: horner(g_coeffs, BigFixed(m, work), work).mantissa
-                 for m in cycle}
-            kept, other = sorted(cycle, key=lambda m: (abs(g[m]), m))
-            assert sp.residual == BigFixed(g[kept], work)
-            assert abs(sp.residual.mantissa) <= abs(g[other])
+            g = {m: horner(g_coeffs, m, bits) for m in cycle}
+            kept = min(cycle, key=lambda m: (abs(g[m]), m))
+            assert (x0, residual) == (kept, g[kept])
+            assert sp.residual == to_decimal(g[kept], bits, work)
     assert cycles >= 10
 
 
@@ -261,9 +275,97 @@ def test_saddle_refuses_newton_that_never_settles(monkeypatch):
     # with g = g' = 1 every Newton step moves x by -1, so the
     # full-precision loop meets neither a stationary mantissa nor a 2-cycle
     monkeypatch.setattr(asymptotics, "_horner",
-                        lambda coeffs, x, work: BigFixed.from_int(1, work))
+                        lambda coeffs, x, bits: 1 << bits)
     with pytest.raises(ArithmeticError, match="200 steps"):
         asymptotics._saddle_point(5, 20)
+
+
+def _decimal_horner(coeffs, x, work):
+    acc = BigFixed.from_int(coeffs[-1], work)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _decimal_saddle_point(q, digits):
+    """The saddle point on decimal BigFixed values, as it was computed
+    before the binary mantissas: the same bisection, ladder and stop rules,
+    with every product rescaled by a division by 10^work.  Returns x0 and
+    the constant at `digits`."""
+    work = digits + asymptotics.GUARD
+    g_coeffs = [3 * j - (q - 1) for j in range(q)]
+    gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
+    m = 0
+    for k in range(1, asymptotics.BISECTION_STEPS + 1):
+        m = 2 * m + (asymptotics._dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
+    x = BigFixed.from_ratio(2 * m + 1, 2**(asymptotics.BISECTION_STEPS + 1),
+                            asymptotics.LADDER_START)
+    for p in asymptotics._ladder(work):
+        x = x.to_scale(p)
+        x = x - (_decimal_horner(g_coeffs, x, p)
+                 / _decimal_horner(gp_coeffs, x, p))
+    x = x.to_scale(work)
+    prev = prev_g = None
+    for _ in range(200):
+        g = _decimal_horner(g_coeffs, x, work)
+        nxt = x - g / _decimal_horner(gp_coeffs, x, work)
+        if nxt.mantissa == x.mantissa:
+            break
+        if prev is not None and nxt.mantissa == prev.mantissa:
+            x, g = min((x, g), (prev, prev_g),
+                       key=lambda e: (abs(e[1].mantissa), e[0].mantissa))
+            break
+        prev, prev_g = x, g
+        x = nxt
+    else:
+        raise ArithmeticError("Newton neither settled nor 2-cycled")
+    constant = _decimal_horner([1] * q, x, work) / x.pow_int(q - 1).cbrt()
+    return x.to_scale(digits), constant.to_scale(digits)
+
+
+@settings(deadline=None, max_examples=100)
+@given(q=st.integers(2, MAX_Q), digits=st.integers(1, 300))
+def test_saddle_point_matches_the_decimal_reference(q, digits):
+    # binary mantissas and one radix conversion give the very digits that
+    # decimal fixed point gave, not merely digits within an ulp
+    sp = asymptotics._saddle_point(q, digits)
+    assert (sp.x0, sp.constant) == _decimal_saddle_point(q, digits)
+
+
+@pytest.mark.parametrize("q,digits,x0_sha256,constant_sha256", [
+    (3, 3000,
+     "06f08cc9e5717d0d95d4307f370cd30d0bd452315b7ee51a1b154c522456cb60",
+     "456ba6af8c933f11128bc3e11e0792fd749da10e36c231723d10d96321278559"),
+    (31, 3000,
+     "a3c3e8c53af4bdad0656a9b6fb56991fc5ee6b8fdd7b3350cfec6f97d745b03a",
+     "2c9990935851162c415793cc53018d78ebfc9d97fd97fcc10f1279484cfe634e"),
+    (64, 10000,
+     "ab19a6d4820c2076aa1ab6c2c5d51d7cc821b60e1fc40e5fc9ebb6087a56f1a7",
+     "e74b2554bf71f2fba1f6436c082da7d36f95b75c0abd9b7f13f7e9022b2398bd"),
+], ids=["q3-3000", "q31-3000", "q64-10000"])
+def test_saddle_point_digests(q, digits, x0_sha256, constant_sha256):
+    # SHA-256 of the x0 and constant decimals as decimal fixed point
+    # computed them, pinned before the saddle point moved to binary
+    sp = asymptotics._saddle_point(q, digits)
+    with _unlimited_int_digits():
+        x0, constant = sp.x0.decimal(), sp.constant.decimal()
+    assert len(constant.partition(".")[2]) == digits
+    assert hashlib.sha256(x0.encode()).hexdigest() == x0_sha256
+    assert hashlib.sha256(constant.encode()).hexdigest() == constant_sha256
+
+
+def test_saddle_point_works_in_binary():
+    # ceil(work * log2 10) bits plus the guard bits, reported as counted
+    sp = saddle_point(7, 90)
+    work = 90 + asymptotics.GUARD
+    bits = sp.counters["work_bits"] - asymptotics.GUARD_BITS
+    assert 2 ** (bits - 1) < 10**work < 2**bits
+    # the radix conversion rounds half up at the decimal scale
+    assert asymptotics._to_decimal(1, 1, 0) == BigFixed(5, 1).to_scale(0)
+    assert asymptotics._to_decimal(-1, 1, 0) == BigFixed(0, 0)
+    assert asymptotics._rescale(3, 2, 1) == 2
+    assert asymptotics._rescale(-3, 2, 1) == -1
+    assert asymptotics._rescale(3, 2, 5) == 24
 
 
 def test_growth_constants_monotone_and_below_q():

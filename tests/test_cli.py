@@ -11,7 +11,7 @@ import pytest
 
 import capbound
 from capbound import golden, verifier
-from capbound.asymptotics import MAX_DIGITS, MAX_Q
+from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
 from capbound.capsearch import MAX_BUDGET, max_capset
 from capbound.cli import main
 from capbound.qnomial import mspace_size, qnomial
@@ -204,6 +204,19 @@ def test_table_subrange_passes(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_table_rows_report_the_saddle_cost(capsys):
+    code, report, _ = run_cli(capsys, "table", "--qmin", "5", "--qmax", "8")
+    assert code == 0
+    rows = report["result"]["rows"]
+    assert [r["q"] for r in rows] == [5, 7, 8]
+    for row in rows:
+        assert set(row["counters"]) == {"bisection_steps", "newton_steps",
+                                        "work_digits", "work_bits", "stop"}
+        assert row["counters"]["work_digits"] == 40 + GUARD
+        assert set(row["timings_ms"]) == {"bisection", "ladder", "newton",
+                                          "constant"}
+
+
 def test_search_writes_pointset(tmp_path, capsys):
     out = tmp_path / "witness.txt"
     code, report, _ = run_cli(capsys, "search", "--n", "2", "--out", str(out))
@@ -350,6 +363,7 @@ def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
      f"at most {MAX_BUDGET}"),
     (("qnomial", "--n", "100000", "--k", "5"),
      "over the 128 MiB row ceiling"),
+    (("table", "--qmin", "40", "--qmax", "30"), "qmin must be at most qmax"),
 ])
 def test_ceilings_exit_2(tmp_path, capsys, argv, reason):
     points = tmp_path / "p7.txt"

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbound.fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
@@ -31,6 +31,16 @@ def test_icbrt_floor_property():
     for k in range(1, 50):
         assert icbrt_newton(k**3) == k
         assert icbrt_newton(k**3 - 1) == k - 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(root=st.integers(1, 2**3000), offset=st.integers(-1, 1))
+def test_icbrt_past_the_recursive_seed(root, offset):
+    # above 192 bits Newton starts from the cube root of the top bits;
+    # around exact cubes the floor must still come out exactly
+    n = root**3 + offset
+    r = icbrt_newton(n)
+    assert r == (root - 1 if offset < 0 else root)
 
 
 def test_negative_roots_rejected():
