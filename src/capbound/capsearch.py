@@ -33,18 +33,23 @@ every class of F_3^k where the identity forces a maximum slice, as it
 does for k <= 3 (_full_cap_classes); each cap met is matched against
 the representatives so far by an explicit affine certificate, a map
 from a representative's frame onto a frame of the cap (_FramedCap), in
-the spirit of McKay's isomorph-free generation (1998).  n = 4 is proven in 7,831 nodes
+the spirit of McKay's isomorph-free generation (1998).  The same
+certificates, from a representative onto itself, give its affine
+symmetries; lifted to F_3^n so that they fix e_1 and the slice, they
+let each extension walk branch only on orbit representatives (McKay's
+isomorph rejection; see _Walker).  n = 4 is proven in 2,254 nodes
 (1,552 find, 46 classifying the 9-caps of F_3^3 into one class after
-21 frame tries, and 6,233 extending it), about 0.06 s on a 2-core VM
-with Python 3.11; the find walk run out takes 6,008,923 nodes and
-about 15 s.
+21 frame tries, and 656 extending it under its 144 symmetries instead
+of 6,233 without them), about 0.02 s on a 2-core VM with Python 3.11,
+of which the symmetries take about 6 ms; the find walk run out takes
+6,008,923 nodes and about 15 s.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
+from math import perm
 
 # Largest node budget a search accepts, so that no budgeted run goes on
 # for more than minutes: at n = 5, 10^6 nodes take 3.5 to 7.6 s (Python
@@ -219,6 +224,12 @@ class _Tables:
         self.future = [sum(shell[k:]) for k in range(n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    """The tables of F_3^n, built once per n; every walk only reads them."""
+    return _Tables(n)
+
+
 def _points(mask: int) -> tuple[int, ...]:
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
@@ -238,6 +249,20 @@ class _Walker:
     on the unit vector 3^k.  Every subtree the bounds cut holds no set
     larger than the best size, so the walk meets every larger set that
     the normalization reaches.
+
+    A walk with every coordinate open may start with a group G of affine
+    maps that send its chosen points, and so its candidates, onto
+    themselves.  At each node, group holds the g in G other than the
+    identity that fix every point chosen since the start, each as the
+    point masks (fixed, lower) of the x with g(x) = x and with g(x) < x.
+    A candidate x that some g of group sends lower is not branched on
+    (the "orbit" prune), and the child on x keeps the g that fix x.
+    G permutes the sets of candidates that complete the chosen points to
+    a cap, so each orbit of them has a lex-least member S, and S is
+    never cut this way: if g
+    fixes the points of S below x and g(x) < x, then g(S) holds those
+    points and g(x), so it is lex-smaller than S.  The find walk starts
+    with no group.
     """
 
     def __init__(self, tables: _Tables, best_size: int,
@@ -246,12 +271,13 @@ class _Walker:
         self.best_size = best_size
         self.node_budget = node_budget
         self.nodes = 0
-        self.prunes = {"cardinality": 0}
+        self.prunes = {"cardinality": 0, "orbit": 0}
 
     def record(self, mask: int) -> None:
         raise NotImplementedError
 
-    def dfs(self, mask: int, neg: int, cands: int, k: int) -> None:
+    def dfs(self, mask: int, neg: int, cands: int, k: int,
+            group: tuple[tuple[int, int], ...] = ()) -> None:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise _BudgetExhausted
@@ -267,6 +293,9 @@ class _Walker:
             return
         moves = tables.moves
         neg_bit = tables.neg_bit
+        skip = 0
+        for _, lower in group:
+            skip |= lower
         while cands:
             if depth + cands.bit_count() + future <= self.best_size:
                 prunes["cardinality"] += 1
@@ -274,6 +303,9 @@ class _Walker:
             low = cands & -cands
             x = low.bit_length() - 1
             cands ^= low
+            if skip & low:
+                prunes["orbit"] += 1
+                continue
             # choosing x excludes -x - a for every chosen a
             excluded = neg
             for lifted, up, dropped, down in moves[x]:
@@ -285,7 +317,8 @@ class _Walker:
                 # so its cardinality bound is known before it is entered.
                 prunes["cardinality"] += 1
                 continue
-            self.dfs(mask | low, neg | neg_bit[x], narrowed, k)
+            self.dfs(mask | low, neg | neg_bit[x], narrowed, k,
+                     tuple(g for g in group if g[0] & low) if group else ())
         if k < n:
             x = tables.pow3[k]
             excluded = neg
@@ -303,13 +336,19 @@ class _Extend(_Walker):
     Every other candidate lies in the slices x_1 = 1 and x_1 = 2, above
     e_1, the least point of x_1 = 1, so the walk starts with every
     coordinate open and e_1 as its last choice.  It stops at the first
-    m-point set and keeps it in `found`.
+    m-point set and keeps it in `found`.  group (see _Walker) is that of
+    the lifted affine maps of rep onto itself (_orbit_group), which fix
+    e_1 and map the candidates onto themselves; with it the walk meets
+    only the lex-least m-sets of each orbit, and still meets one when
+    any exists.  Without it the walk is the plain one.
     """
 
     def __init__(self, tables: _Tables, rep: tuple[int, ...], m: int,
-                 node_budget: int | None):
+                 node_budget: int | None,
+                 group: tuple[tuple[int, int], ...] = ()):
         super().__init__(tables, m - 1, node_budget)
         self.rep = rep
+        self.group = group
         self.found: tuple[int, ...] | None = None
 
     def record(self, mask: int) -> None:
@@ -329,7 +368,7 @@ class _Extend(_Walker):
         above = ((1 << 3**tables.n) - 1) & ~((tables.bit[e1] << 1) - 1)
         try:
             self.dfs(mask, neg | tables.neg_bit[e1], above & ~excluded,
-                     tables.n)
+                     tables.n, self.group)
         except _Stop:
             pass
         return self.found
@@ -403,15 +442,19 @@ class _FramedCap:
     its unit vector, so its frame is 0, 3^0, ..., 3^(n-1) and the
     coordinates of a point are its base-3 digits, last digit first.
 
-    certificate(cap) decides whether an affine map g sends R onto cap.
+    certificates(cap) finds every affine map g that sends R onto cap.
     Such a g sends the frame to a frame of cap, so it is enough to try
     every b_0 in cap and every ordered n-tuple b_1, ..., b_n of other
     points of cap: map each coordinate vector c of R to
     b_0 + sum c_i (b_i - b_0), stopping at the first image outside cap.
-    A full match whose b_i - b_0 are linearly independent is an
-    invertible affine map that sends R onto cap; its image frame
-    (b_0, ..., b_n) is the certificate.  frames_tried counts the n-tuples
-    tried over every call.
+    The tuples are built one b_j at a time, in the order of
+    itertools.permutations, and a point whose last nonzero coordinate is
+    c_j is mapped as soon as b_j is chosen, so a prefix that sends one
+    outside cap rules out all its completions at once.  A full match
+    whose b_i - b_0 are linearly independent is an invertible affine map
+    that sends R onto cap; its image frame (b_0, ..., b_n) is the
+    certificate.  certificate(cap) is the first one, or None.
+    frames_tried counts the n-tuples tried or ruled out over every call.
     """
 
     def __init__(self, points: tuple[int, ...], n: int):
@@ -434,49 +477,169 @@ class _FramedCap:
         if len(frame) <= n:
             raise ValueError(f"the set does not span F_3^{n} affinely")
         self.frame = tuple(frame)
+        # every difference from r_0, that is every vector, -> its coordinates
+        self.span = span
         # per point off the frame, its nonzero coordinates as (i, c_i)
         self.coords = tuple(
             tuple((i, c) for i, c in enumerate(span[sums[p][minus_origin]])
                   if c)
             for p in points if p not in frame)
+        # per i < n, the coordinates of those whose last nonzero one is c_i
+        self.checks = tuple([] for _ in range(n))
+        for coords in self.coords:
+            self.checks[coords[-1][0]].append(coords)
 
-    def certificate(self, cap: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The image of the frame under an affine map sending R onto cap,
-        or None if no affine map does."""
+    def certificates(self, cap: tuple[int, ...]):
+        """The image of the frame under each affine map sending R onto
+        cap, in the order the frames are tried."""
         if len(cap) != len(self.points):
-            return None
+            return
         sums = self.sums
         members = set(cap)
         for origin in cap:
             minus_origin = sums[origin][origin]
+            step = {}
+            for b in cap:
+                d = sums[b][minus_origin]
+                step[b] = (0, d, sums[d][d])
             others = [b for b in cap if b != origin]
-            for images in permutations(others, self.n):
-                self.frames_tried += 1
-                steps = []
-                for b in images:
-                    d = sums[b][minus_origin]
-                    steps.append((0, d, sums[d][d]))
-                for coords in self.coords:
-                    image = origin
-                    for i, c in coords:
-                        image = sums[image][steps[i][c]]
-                    if image not in members:
-                        break
-                else:
-                    if _independent(sums, [step[1] for step in steps]):
-                        return (origin,) + images
-        return None
+            yield from self._frames(origin, others, members, step, [], [])
+
+    def _frames(self, origin, others, members, step, images, steps):
+        """Each certificate (b_0, ..., b_n) with b_0 = origin that extends
+        the images b_1, ..., b_j chosen so far, whose steps
+        (0, b - b_0, 2(b - b_0)) are in steps."""
+        sums = self.sums
+        j = len(images)
+        if j == self.n:
+            self.frames_tried += 1
+            if _independent(sums, [d for _, d, _ in steps]):
+                yield (origin, *images)
+            return
+        ruled_out = perm(len(others) - j - 1, self.n - j - 1)
+        for b in others:
+            if b in images:
+                continue
+            images.append(b)
+            steps.append(step[b])
+            for coords in self.checks[j]:
+                image = origin
+                for i, c in coords:
+                    image = sums[image][steps[i][c]]
+                if image not in members:
+                    self.frames_tried += ruled_out
+                    break
+            else:
+                yield from self._frames(origin, others, members, step,
+                                        images, steps)
+            images.pop()
+            steps.pop()
+
+    def certificate(self, cap: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The image of the frame under an affine map sending R onto cap,
+        or None if no affine map does."""
+        return next(self.certificates(cap), None)
+
+    def affine_map(self, image: tuple[int, ...]) -> tuple[int, ...]:
+        """The affine map g sending r_i to image[i] for every i, as the
+        table of g(0), g(1), ..., g(3^n - 1): g(x) = g(0) + sum_j x_j u_j,
+        with u_j = g(e_j) - g(0) for the unit vector e_j = 3^j."""
+        sums = self.sums
+        origin = image[0]
+        minus_origin = sums[origin][origin]
+        steps = []
+        for b in image[1:]:
+            d = sums[b][minus_origin]
+            steps.append((0, d, sums[d][d]))
+        minus_r0 = sums[self.frame[0]][self.frame[0]]
+
+        def g(x: int) -> int:
+            y = origin
+            for step, c in zip(steps, self.span[sums[x][minus_r0]]):
+                y = sums[y][step[c]]
+            return y
+
+        table = [g(0)]
+        minus_t = sums[table[0]][table[0]]
+        for j in range(self.n):
+            u = sums[g(3**j)][minus_t]
+            table = [sums[y][w] for w in (0, u, sums[u][u]) for y in table]
+        return tuple(table)
+
+
+def _stabilizer(rep: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Every affine map of F_3^n sending the spanning cap rep onto itself,
+    as point tables (_FramedCap.affine_map), in certificate order.  Each
+    table is affine by construction and is checked before it is returned:
+    it is a bijection, it sends the frame to the certificate and it sends
+    rep onto rep."""
+    framed = _FramedCap(rep, n)
+    members = set(rep)
+    maps = []
+    for image in framed.certificates(rep):
+        g = framed.affine_map(image)
+        if (len(set(g)) != len(g)
+                or tuple(g[r] for r in framed.frame) != image
+                or {g[x] for x in rep} != members):
+            raise ArithmeticError(f"the certificate {image} of {rep} onto "
+                                  f"itself gives no affine automorphism")
+        maps.append(g)
+    return tuple(maps)
+
+
+def _lift(h: tuple[int, ...], tables: _Tables) -> tuple[int, ...]:
+    """The map (x_1, y) -> (x_1, h(y) - x_1 h(0)) of F_3^n, for an affine
+    map h of F_3^(n-1) given as a point table.  It is affine, acts as h
+    on the slice x_1 = 0, keeps each slice x_1 = c in place and fixes
+    e_1 = (1, 0, ..., 0)."""
+    w = tables.pow3[tables.n - 1]
+    sums = _vector_sums(tables.n - 1)
+    t = h[0]
+    shifts = (0, sums[t][t], t)  # -x_1 t for x_1 = 0, 1, 2
+    return tuple(c * w + sums[y][shifts[c]] for c in range(3) for y in h)
+
+
+def _orbit_group(maps) -> tuple[tuple[int, int], ...]:
+    """The walk's group (see _Walker) of point permutations: the masks
+    (fixed, lower) of every one but the identity."""
+    group = []
+    for g in maps:
+        fixed = lower = 0
+        for x, y in enumerate(g):
+            if y == x:
+                fixed |= 1 << x
+            elif y < x:
+                lower |= 1 << x
+        if lower:
+            group.append((fixed, lower))
+    return tuple(group)
 
 
 @dataclass(frozen=True)
 class _FullCapClasses:
     """One maximum cap of F_3^n per affine class, and the nodes, prunes
-    and frame tries that found them in every dimension up to n."""
+    and frame tries that found them in every dimension up to n.  The
+    symmetries of each class are found on first use and kept with it."""
 
+    n: int
     reps: tuple[tuple[int, ...], ...]
     nodes: int
     prunes: tuple[tuple[str, int], ...]
     frames_tried: int
+
+    @cached_property
+    def stabilizers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per representative, every affine map of F_3^n onto itself
+        (_stabilizer)."""
+        return tuple(_stabilizer(rep, self.n) for rep in self.reps)
+
+    @cached_property
+    def orbit_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per representative, the group of its extension walk in
+        F_3^(n+1): its affine maps onto itself, lifted (_lift)."""
+        tables = _tables(self.n + 1)
+        return tuple(_orbit_group(_lift(h, tables) for h in maps)
+                     for maps in self.stabilizers)
 
 
 @lru_cache(maxsize=None)
@@ -489,8 +652,9 @@ def _full_cap_classes(n: int) -> _FullCapClasses:
     not, a class could be missed, and the call is refused.  F_3^0 is a
     single point."""
     if n == 0:
-        return _FullCapClasses(((0,),), 0, (("cardinality", 0),), 0)
-    tables = _Tables(n)
+        return _FullCapClasses(0, ((0,),), 0,
+                               (("cardinality", 0), ("orbit", 0)), 0)
+    tables = _tables(n)
     m = _proven_max(n)
     s = _forced_slice(n, m, tables.slice_cap)
     if s != tables.slice_cap:
@@ -509,7 +673,8 @@ def _full_cap_classes(n: int) -> _FullCapClasses:
         for rule, count in walker.prunes.items():
             prunes[rule] += count
     return _FullCapClasses(
-        tuple(framed.points for framed in reps), nodes, tuple(prunes.items()),
+        n, tuple(framed.points for framed in reps), nodes,
+        tuple(prunes.items()),
         lower.frames_tried + sum(framed.frames_tried for framed in reps))
 
 
@@ -521,7 +686,7 @@ class _Proof(_Walker):
 
     def __init__(self, n: int, node_budget: int | None):
         self.lap_end = time.perf_counter()
-        super().__init__(_Tables(n), 1, node_budget)
+        super().__init__(_tables(n), 1, node_budget)
         self.n = n
         self.best: tuple[int, ...] = (0,)
         self.timings = dict.fromkeys(
@@ -529,7 +694,8 @@ class _Proof(_Walker):
         self.counters: dict[str, int | None] = {
             "find_nodes": 0, "collect_nodes": 0, "refute_nodes": 0,
             "full_cap_classes": 0, "class_frames_tried": 0,
-            "forced_slice": None, "refuted_size": None}
+            "class_automorphisms": 0, "forced_slice": None,
+            "refuted_size": None}
         self.classes: _FullCapClasses | None = None
         self._lap("tables")
 
@@ -551,11 +717,16 @@ class _Proof(_Walker):
                 raise _BudgetExhausted
 
     def _full_caps(self) -> _FullCapClasses:
+        """The classes of maximum caps of F_3^(n-1) and, built on first
+        use, the groups of their extension walks."""
         if self.classes is None:
             self.classes = _full_cap_classes(self.n - 1)
+            self.classes.orbit_groups  # built now, in the classes stage
             self._lap("classes")
             self.counters["full_cap_classes"] = len(self.classes.reps)
             self.counters["class_frames_tried"] = self.classes.frames_tried
+            self.counters["class_automorphisms"] = sum(
+                map(len, self.classes.stabilizers))
             self._charge("collect_nodes", self.classes.nodes,
                          self.classes.prunes)
         return self.classes
@@ -578,7 +749,10 @@ class _Proof(_Walker):
         x_1 -> -x_1 and the shear x -> x - x_1 p' (which fix x_1 = 0
         pointwise) then send some point p = (1, p') or (2, p') of the set
         to e_1.  So an m-point cap exists only if some representative
-        extends through e_1, and `_Extend` tries each one.
+        extends through e_1, and `_Extend` tries each one.  Each walk
+        branches only on orbit representatives under the affine maps of
+        its representative onto itself, lifted to fix e_1 (see _Walker):
+        it still meets an m-point set if one exists.
         """
         self._lap("find")
         cap = self.tables.slice_cap
@@ -588,10 +762,12 @@ class _Proof(_Walker):
         if s is not None and s < cap:
             return False
         if s == cap:
-            for rep in self._full_caps().reps:
+            classes = self._full_caps()
+            for rep, group in zip(classes.reps, classes.orbit_groups):
                 budget = self.node_budget
                 walker = _Extend(self.tables, rep, m,
-                                 None if budget is None else budget - self.nodes)
+                                 None if budget is None else budget - self.nodes,
+                                 group)
                 try:
                     found = walker.run()
                 finally:
@@ -665,14 +841,20 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     n >= 6 would need the unbudgeted n = 5 maximum.  Unbudgeted n = 5 and
     every n >= 6 are refused before any table is built.
 
-    `prunes` counts the cuts of the bound over all walks, the same on
-    every run: "cardinality" (candidate count plus shell caps; one per
-    node, remaining run of siblings or child it cuts).  `counters` splits
-    the nodes by walk (find_nodes, collect_nodes, refute_nodes) and gives
-    full_cap_classes (affine classes of maximum caps of F_3^(n-1) tried,
-    0 if none were needed), class_frames_tried (the frames the matching
-    of those classes tried, see _FramedCap; like collect_nodes, counted
-    in full even when the classes are cached), forced_slice (the least
+    `prunes` counts the cuts over all walks, the same on every run:
+    "cardinality" (candidate count plus shell caps; one per node,
+    remaining run of siblings or child it cuts) and "orbit" (one per
+    candidate of a refutation's extension walk that an affine symmetry
+    of its representative sends to a smaller candidate, see _Walker).
+    `counters` splits the nodes by walk (find_nodes, collect_nodes,
+    refute_nodes) and gives full_cap_classes (affine classes of maximum
+    caps of F_3^(n-1) tried, 0 if none were needed), class_frames_tried
+    (the frames the matching of those classes tried, see _FramedCap;
+    like collect_nodes, counted in full even when the classes are
+    cached), class_automorphisms (the affine maps of those
+    representatives onto themselves, summed over them: the order of the
+    groups the extension walks prune with; 0 if none were needed),
+    forced_slice (the least
     largest slice the pair-count identity allows for the last size asked
     about; None when none up to the cap does) and refuted_size (the size
     proven impossible, None if none was).

@@ -3,7 +3,9 @@ independent include/exclude search with no symmetry reduction at n = 3,
 the affine-invariance sanity properties, and the steps of the slice-first
 refutation: the pair-count identity, the classes of maximum caps with
 their affine certificates (checked against an orbit-closure oracle and
-a collect walk from the root) and the extension walk."""
+a collect walk from the root), their affine symmetries (checked against
+a brute-force stabilizer) and the extension walk, orbit-pruned and
+plain."""
 import random
 import time
 from functools import lru_cache
@@ -21,9 +23,13 @@ from capbound.capsearch import (
     _forced_slice,
     _FramedCap,
     _full_cap_classes,
+    _lift,
+    _orbit_group,
     _points,
     _proven_max,
+    _stabilizer,
     _Tables,
+    _tables,
     _Walker,
     _completion_moves,
     complete_triple,
@@ -287,7 +293,7 @@ def test_completion_moves_match_complete_triple():
 def test_prune_counts_repeat():
     first, second = max_capset(3), max_capset(3)
     assert first.prunes == second.prunes
-    assert set(first.prunes) == {"cardinality"}
+    assert set(first.prunes) == {"cardinality", "orbit"}
     assert first.nodes_explored == second.nodes_explored
 
 
@@ -557,8 +563,12 @@ def test_phase_counters_n4():
     assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
         9, 21, 1)
     # charged in full when the classes come from the cache, too
-    assert (c["collect_nodes"], c["refute_nodes"]) == (46, 6_233)
+    assert (c["collect_nodes"], c["refute_nodes"]) == (46, 656)
     assert c["class_frames_tried"] == 21
+    # the 9-cap class of F_3^3 has 144 affine symmetries, and the
+    # refutation skips 114 candidates that one of them sends lower
+    assert c["class_automorphisms"] == 144
+    assert result.prunes["orbit"] == 114
     assert max_capset(4).counters == c
     assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
                                      + c["refute_nodes"])
@@ -580,10 +590,95 @@ def test_budgeted_n5_rests_on_a_fast_n4_proof():
     # with the caches cleared, the n = 5 call proves every n <= 4 first
     _proven_max.cache_clear()
     _full_cap_classes.cache_clear()
+    _tables.cache_clear()
     started = time.perf_counter()
     result = max_capset(5, node_budget=20_000)
     assert time.perf_counter() - started < 5.0
     assert result.max_size == 38
     assert not result.proven_optimal
-    assert result.prunes == {"cardinality": 62_650}
+    # no size up to 38 forces a maximum slice, so no extension walk runs
+    assert result.prunes == {"cardinality": 62_650, "orbit": 0}
     assert is_progression_free(result.witness)
+
+
+def _invertible_matrices_3():
+    """Every invertible 3 x 3 matrix over F_3, as its rows."""
+    rows = list(product(range(3), repeat=3))
+    for a, b, c in product(rows, repeat=3):
+        det = (a[0] * (b[1] * c[2] - b[2] * c[1])
+               - a[1] * (b[0] * c[2] - b[2] * c[0])
+               + a[2] * (b[0] * c[1] - b[1] * c[0]))
+        if det % 3:
+            yield a, b, c
+
+
+def brute_force_stabilizer_3(rep: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The maps x -> Ax + t of AGL(3, 3) sending rep onto itself, as point
+    tables, by trying every one; a map is dropped at the first point of
+    rep it sends outside rep."""
+    points = [decode_point(x, 3) for x in range(27)]
+    add = [[encode_point(tuple((a + b) % 3 for a, b in zip(u, v)))
+            for v in points] for u in points]
+    members = set(rep)
+    tried = 0
+    found = set()
+    for matrix in _invertible_matrices_3():
+        linear = [encode_point(apply_linear(matrix, points[x])) for x in rep]
+        for t in range(27):
+            tried += 1
+            if all(add[y][t] in members for y in linear):
+                found.add(tuple(
+                    add[encode_point(apply_linear(matrix, v))][t]
+                    for v in points))
+    assert tried == 303_264
+    return found
+
+
+def test_stabilizer_of_the_f3_cubed_class_by_brute_force():
+    classes = _full_cap_classes(3)
+    (rep,) = classes.reps
+    (maps,) = classes.stabilizers
+    assert len(maps) == len(set(maps)) == 144
+    assert set(maps) == brute_force_stabilizer_3(rep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lifted_stabilizers_are_affine_and_fix_the_start(n):
+    classes = _full_cap_classes(n - 1)
+    size, e1 = 3**n, 3**(n - 1)
+    third = [[complete_triple(a, b, n) for b in range(size)]
+             for a in range(size)]
+    for rep, maps, group in zip(classes.reps, classes.stabilizers,
+                                classes.orbit_groups):
+        lifted = [_lift(h, _tables(n)) for h in maps]
+        assert len(set(lifted)) == len(maps)
+        for g in lifted:
+            assert sorted(g) == list(range(size))
+            assert g[e1] == e1
+            assert sorted(g[x] for x in rep) == sorted(rep)
+            for a in range(size):
+                for b in range(a + 1, size):
+                    assert g[third[a][b]] == third[g[a]][g[b]]
+        # one (fixed, lower) pair per map but the identity
+        assert len(group) == len(maps) - 1
+        assert group == _orbit_group(lifted)
+
+
+@pytest.mark.parametrize("m", [19, 20, 21])
+def test_orbit_pruned_extension_agrees_with_the_plain_walk(m):
+    # the plain walk, with no group, is the oracle
+    tables = _tables(4)
+    caps = _normalized_full_caps(3).found
+    assert len(caps) == 18
+    for cap in caps:
+        group = _orbit_group(_lift(h, tables) for h in _stabilizer(cap, 3))
+        pruned = _Extend(tables, cap, m, None, group)
+        plain = _Extend(tables, cap, m, None)
+        found, expected = pruned.run(), plain.run()
+        assert (found is None) == (expected is None) == (m == 21)
+        if found is None:
+            assert pruned.nodes < plain.nodes
+        else:
+            assert len(found) == m
+            assert set(cap) | {27} <= set(found)
+            assert is_progression_free(PointSet(4, found))

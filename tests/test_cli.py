@@ -246,7 +246,9 @@ def test_search_reports_phase_costs(capsys):
     assert counters["refuted_size"] == 21
     assert counters["forced_slice"] == 9
     assert counters["class_frames_tried"] == 21
-    assert set(result["prunes"]) == {"cardinality"}
+    assert counters["class_automorphisms"] == 144
+    assert set(result["prunes"]) == {"cardinality", "orbit"}
+    assert result["prunes"]["orbit"] > 0
 
 
 def test_search_with_budget(capsys):
