@@ -32,7 +32,8 @@ from typing import Callable
 
 from . import golden
 from .bounds import sharp_bound
-from .fixedpoint import BigFixed, div_nearest, icbrt_newton, isqrt_newton, pi
+from .fixedpoint import (BigFixed, _pow_interval, div_nearest, icbrt_newton,
+                         isqrt_newton, pi)
 from .qnomial import row_prefix
 
 DEFAULT_DIGITS = 40
@@ -46,8 +47,10 @@ RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
 # and leading_constant accept.  At the ceiling alpha takes about 0.2 s,
 # leading_constant 1.3-1.5 s (1 s of it in pi), saddle_point(3) 0.2 s
-# and saddle_point(64) 2.2-3.0 s, more than half of it in the exact
-# power x0^63 of the constant; q = 31 takes 0.15 s at 10,000 digits.
+# and saddle_point(64) about 1.6 s, more than half of it in Newton and
+# 0.5-0.6 s in the constant, which rounds x0^63 from a bracket of about
+# 100,000 bits (the exact power has 6.3 Mbit and took 1.6 s); q = 31
+# takes 0.15 s at 10,000 digits.
 # Largest q that saddle_point and growth_constant_ratio accept, twice the
 # largest q of the reference table: growth_constant_ratio(64) takes about
 # 7 ms and q = 400 about 50 ms (Python 3.11, one core of a shared 2-core
@@ -233,9 +236,11 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     mantissas, and x0, the constant and the residual are converted to
     decimal once.  `counters` gives the bisection steps, the Newton steps
     at each working precision (keyed by decimal digits), the working
-    digits and bits and the `stop` rule that ended Newton ("stationary"
-    or "two_cycle").  Raises ArithmeticError if 200 full-precision steps
-    end in neither, rather than report digits that never settled.
+    digits and bits, the `stop` rule that ended Newton ("stationary" or
+    "two_cycle") and `exact_power`, true where the bracketed power
+    x0^(q-1) could not decide its rounding and the exact power ran.
+    Raises ArithmeticError if 200 full-precision steps end in neither,
+    rather than report digits that never settled.
     """
     _check_q(q)
     _check_digits(digits)
@@ -289,9 +294,15 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     newton_steps[work] = steps
     converged = clock()
 
-    # f(x0) / cbrt(x0^(q-1)): the power is exact up to one rounding shift
+    # f(x0) / cbrt(x0^(q-1)): the power rounded by one shift, read off a
+    # bracket 64 bits wider than the result, or off the exact power where
+    # the bracket's ends round apart
     f_val = _horner([1] * q, x, bits)
-    power = _rescale(x ** (q - 1), bits * (q - 1), bits)
+    lo, hi, s = _pow_interval(x, q - 1, bits + 64)
+    power = _rescale(lo, bits * (q - 1) - s, bits)
+    exact_power = _rescale(hi, bits * (q - 1) - s, bits) != power
+    if exact_power:
+        power = _rescale(x ** (q - 1), bits * (q - 1), bits)
     constant = div_nearest(f_val << bits, icbrt_newton(power << 2 * bits))
     x0, constant, residual = (_to_decimal(x, bits, digits),
                               _to_decimal(constant, bits, digits),
@@ -301,7 +312,8 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
         q=q, x0=x0, constant=constant, residual=residual,
         counters={"bisection_steps": BISECTION_STEPS,
                   "newton_steps": newton_steps, "work_digits": work,
-                  "work_bits": bits, "stop": stop},
+                  "work_bits": bits, "stop": stop,
+                  "exact_power": exact_power},
         timings_ms={stage: round((end - start) * 1000, 3)
                     for stage, start, end in (
                         ("bisection", started, bisected),
@@ -363,14 +375,31 @@ def normalized_sharp_bound(n: int) -> float:
     """sharp_bound(n) * sqrt(n) / alpha^n as a double, computed from the
     exact bound value and alpha to DEFAULT_DIGITS digits, for n a positive
     multiple of 3.  CPython's int true division is correctly rounded, so
-    the one quotient equals float(Fraction(num, den)) without taking the
-    gcd of integers of n*DEFAULT_DIGITS digits."""
+    a quotient of integers equals float(Fraction(num, den)) without taking
+    the gcd of integers of n*DEFAULT_DIGITS digits.
+
+    The powers unit^(n-1) and mantissa^n run to 128-bit brackets, and the
+    quotient is rounded at both ends of the ratio's bracket.  Rounding is
+    monotone, so where the two doubles agree they are the rounded exact
+    ratio; otherwise the exact powers decide."""
     if n < 3 or n % 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
-    a = alpha(DEFAULT_DIGITS)
+    a = alpha(DEFAULT_DIGITS).mantissa
     unit = 10**DEFAULT_DIGITS
-    num = sharp_bound(n).value * isqrt_newton(n * unit**2) * unit ** (n - 1)
-    return num / a.mantissa**n
+    k = sharp_bound(n).value * isqrt_newton(n * unit**2)
+    num_lo, num_hi, num_s = _pow_interval(unit, n - 1, 128)
+    den_lo, den_hi, den_s = _pow_interval(a, n, 128)
+    low = _shifted_ratio(k * num_lo, den_hi, num_s - den_s)
+    if low == _shifted_ratio(k * num_hi, den_lo, num_s - den_s):
+        return low
+    return k * unit ** (n - 1) / a**n
+
+
+def _shifted_ratio(num: int, den: int, shift: int) -> float:
+    """num * 2^shift / den, correctly rounded to a double."""
+    if shift >= 0:
+        return (num << shift) / den
+    return num / (den << -shift)
 
 
 def richardson_limit(values: list[float]) -> float:

@@ -71,6 +71,39 @@ def icbrt_newton(n: int) -> int:
     return x
 
 
+def _pow_interval(b: int, e: int, w: int) -> tuple[int, int, int]:
+    """A bracket (lo, hi, s) with lo * 2^s <= b^e <= hi * 2^s, for b >= 0,
+    e >= 0 and w >= 2.
+
+    Binary exponentiation in which every product keeps w bits: lo is
+    floored and hi ceiled by the same shift, so both ends share s.  Each
+    step adds a relative error below 2^(2-w) and a squaring doubles the
+    error it inherits, so (hi - lo) / lo stays of order e * 2^-w.  A
+    caller that rounds a power rounds both ends: rounding is monotone, so
+    where the two agree they are the rounding of b^e itself, and where
+    they do not the caller falls back to the exact power (Brent and
+    Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 3)."""
+    lo = hi = 1
+    s = 0
+    base_lo = base_hi = b
+    base_s = 0
+
+    def trim(lo: int, hi: int, s: int) -> tuple[int, int, int]:
+        shift = hi.bit_length() - w
+        if shift <= 0:
+            return lo, hi, s
+        return lo >> shift, -(-hi >> shift), s + shift
+
+    while e:
+        if e & 1:
+            lo, hi, s = trim(lo * base_lo, hi * base_hi, s + base_s)
+        e >>= 1
+        if e:
+            base_lo, base_hi, base_s = trim(base_lo * base_lo,
+                                            base_hi * base_hi, 2 * base_s)
+    return lo, hi, s
+
+
 @dataclass(frozen=True)
 class BigFixed:
     mantissa: int

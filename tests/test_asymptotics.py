@@ -484,11 +484,47 @@ def test_normalized_sharp_bound_behaves():
 def test_normalized_sharp_bound_is_the_rounded_ratio():
     # one correctly rounded int division gives the float of the exact ratio
     a = alpha(40)
-    for n in (3, 30, 150):
+    for n in (3, 30, 150, 1200, 2400):
         num = (sharp_bound(n).value * isqrt_newton(n * 10**80)
                * 10 ** (40 * n - 40))
         assert normalized_sharp_bound(n) == float(Fraction(num,
                                                            a.mantissa**n))
+
+
+def _undecided_brackets(monkeypatch):
+    """Patch the power bracket to one too wide for any rounding to agree
+    at both ends, so every caller falls back to the exact power."""
+    bracket = asymptotics._pow_interval
+
+    def wide(b, e, w):
+        lo, hi, s = bracket(b, e, w)
+        return lo // 2, 2 * hi, s
+
+    monkeypatch.setattr(asymptotics, "_pow_interval", wide)
+
+
+def test_normalized_sharp_bound_falls_back_to_the_exact_ratio(monkeypatch):
+    bracketed = {n: normalized_sharp_bound(n) for n in (3, 150, 2400)}
+    _undecided_brackets(monkeypatch)
+    a = alpha(40)
+    for n, value in bracketed.items():
+        num = (sharp_bound(n).value * isqrt_newton(n * 10**80)
+               * 10 ** (40 * n - 40))
+        assert normalized_sharp_bound(n) == value == float(
+            Fraction(num, a.mantissa**n))
+
+
+@pytest.mark.parametrize("q,digits", [(2, 30), (3, 300), (31, 200),
+                                      (64, 1000)])
+def test_saddle_constant_falls_back_to_the_exact_power(monkeypatch, q,
+                                                       digits):
+    bracketed = asymptotics._saddle_point(q, digits)
+    assert bracketed.counters["exact_power"] is False
+    _undecided_brackets(monkeypatch)
+    exact = asymptotics._saddle_point(q, digits)
+    assert exact.counters["exact_power"] is True
+    assert (exact.x0, exact.constant, exact.residual) == \
+        (bracketed.x0, bracketed.constant, bracketed.residual)
 
 
 @pytest.mark.parametrize("n", [0, -3, 1, 4, 299])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound.fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
+from capbound.fixedpoint import (BigFixed, _pow_interval, icbrt_newton,
+                                 isqrt_newton, pi)
 
 
 def test_isqrt_matches_math_isqrt():
@@ -41,6 +42,26 @@ def test_icbrt_past_the_recursive_seed(root, offset):
     n = root**3 + offset
     r = icbrt_newton(n)
     assert r == (root - 1 if offset < 0 else root)
+
+
+@settings(deadline=None, max_examples=300)
+@given(b=st.integers(0, 2**300), e=st.integers(0, 3000),
+       w=st.integers(32, 256))
+def test_pow_interval_brackets_the_power(b, e, w):
+    lo, hi, s = _pow_interval(b, e, w)
+    assert s >= 0
+    assert lo << s <= b**e <= hi << s
+    if b:
+        # relative width at most 2^(-w + 2*ceil(log2 e) + 2)
+        assert (hi - lo) * 2 ** (w - 2 * (e - 1).bit_length() - 2) <= lo
+
+
+def test_pow_interval_is_exact_while_it_fits():
+    assert _pow_interval(3, 20, 64) == (3**20, 3**20, 0)
+    assert _pow_interval(7, 0, 8) == (1, 1, 0)
+    assert _pow_interval(0, 5, 8) == (0, 0, 0)
+    lo, hi, s = _pow_interval(2, 1000, 16)
+    assert lo == hi and lo << s == 2**1000
 
 
 def test_negative_roots_rejected():

@@ -154,11 +154,43 @@ def test_single_coefficients(n, k, q, expected):
 
 
 def test_row_invariants_up_to_50():
-    for n in range(0, 51):
-        coeffs = qnomial_row(n, 3).coeffs
-        assert coeffs == coeffs[::-1]
-        assert sum(coeffs) == 3**n
-        assert coeffs[0] == coeffs[-1] == 1
+    # a mirrored row is symmetric by construction, so its symmetry is
+    # checked against the whole row by the recurrence alone
+    for q in (2, 3, 4, 5, 7):
+        for n in range(0, 51):
+            coeffs = qnomial_row(n, q).coeffs
+            assert coeffs == tuple(reversed(row_prefix(n, q, (q - 1) * n)))
+            assert sum(coeffs) == q**n
+            assert coeffs[0] == coeffs[-1] == 1
+
+
+def test_mirrored_rows_match_the_full_recurrence():
+    for q in range(2, 30):
+        clear_cache()
+        for n in [*range(0, 40), 101, 333]:
+            assert list(qnomial_row(n, q).coeffs) == \
+                row_prefix(n, q, (q - 1) * n), (n, q)
+
+
+@pytest.mark.parametrize("where", ["low", "past_middle"])
+def test_corrupted_row_raises(monkeypatch, where):
+    # an entry below the middle is caught by the total q^n, one recurred
+    # past the middle by its mirror image
+    recurrence = qnomial_module._recurrence_row
+
+    def corrupted(n, q, top):
+        row = recurrence(n, q, top)
+        row[2 if where == "low" else (q - 1) * n // 2 + 1] += 1
+        return row
+
+    clear_cache()
+    monkeypatch.setattr(qnomial_module, "_recurrence_row", corrupted)
+    match = "sum" if where == "low" else "symmetric"
+    with pytest.raises(ArithmeticError, match=match):
+        qnomial_row(12, 3)
+    assert (12, 3) not in qnomial_module._rows
+    monkeypatch.undo()
+    assert list(qnomial_row(12, 3).coeffs) == expand_row(12, 3)
 
 
 def test_sliding_recurrence_random_triples():
