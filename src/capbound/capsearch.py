@@ -32,24 +32,26 @@ classes come by the same extension one dimension down, which meets
 every class of F_3^k where the identity forces a maximum slice, as it
 does for k <= 3 (_full_cap_classes); each cap met is matched against
 the representatives so far by an explicit affine certificate, a map
-from a representative's frame onto a frame of the cap (_FramedCap), in
-the spirit of McKay's isomorph-free generation (1998).  The same
-certificates, from a representative onto itself, give its affine
-symmetries; lifted to F_3^n so that they fix e_1 and the slice, they
-let each extension walk branch only on orbit representatives (McKay's
-isomorph rejection; see _Walker).  n = 4 is proven in 2,254 nodes
-(1,552 find, 46 classifying the 9-caps of F_3^3 into one class after
-21 frame tries, and 656 extending it under its 144 symmetries instead
-of 6,233 without them), about 0.02 s on a 2-core VM with Python 3.11,
-of which the symmetries take about 6 ms; the find walk run out takes
-6,008,923 nodes and about 15 s.
+from a representative's frame onto a frame of the cap, in the spirit
+of McKay's isomorph-free generation (1998).  The same certificates,
+from a representative onto itself, give its affine symmetries (see
+the affine module); lifted to F_3^n so that they fix e_1 and the
+slice, they let each extension walk branch only on orbit
+representatives (McKay's isomorph rejection; see _Walker).  n = 4 is
+proven in 2,254 nodes (1,552 find, 46 classifying the 9-caps of F_3^3
+into one class after 21 frame tries, and 656 extending it under its
+144 symmetries instead of 6,233 without them), about 0.02 s on a
+2-core VM with Python 3.11, of which the symmetries and their masks
+take about 1.5 ms; the find walk run out takes 6,008,923 nodes and
+about 15 s.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import perm
+
+from .affine import FramedCap, orbit_group
 
 # Largest node budget a search accepts, so that no budgeted run goes on
 # for more than minutes: at n = 5, 10^6 nodes take 3.5 to 7.6 s (Python
@@ -254,7 +256,8 @@ class _Walker:
     maps that send its chosen points, and so its candidates, onto
     themselves.  At each node, group holds the g in G other than the
     identity that fix every point chosen since the start, each as the
-    point masks (fixed, lower) of the x with g(x) = x and with g(x) < x.
+    point masks (fixed, lower) of the x with g(x) = x and with g(x) < x;
+    only the bits of candidates are read.
     A candidate x that some g of group sends lower is not branched on
     (the "orbit" prune), and the child on x keeps the g that fix x.
     G permutes the sets of candidates that complete the chosen points to
@@ -337,8 +340,8 @@ class _Extend(_Walker):
     e_1, the least point of x_1 = 1, so the walk starts with every
     coordinate open and e_1 as its last choice.  It stops at the first
     m-point set and keeps it in `found`.  group (see _Walker) is that of
-    the lifted affine maps of rep onto itself (_orbit_group), which fix
-    e_1 and map the candidates onto themselves; with it the walk meets
+    the lifted affine maps of rep onto itself (affine.orbit_group), which
+    fix e_1 and map the candidates onto themselves; with it the walk meets
     only the lex-least m-sets of each orbit, and still meets one when
     any exists.  Without it the walk is the plain one.
     """
@@ -409,212 +412,6 @@ def _forced_slice(n: int, m: int, cap: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _vector_sums(n: int) -> list[list[int]]:
-    """sums[x][y] is x + y in F_3^n, on base-3 indices: 3^(2n) entries.
-    The sum has no carries, so the last digit of x + y is (x + y) mod 3
-    and the rest is the sum of x // 3 and y // 3 in F_3^(n-1)."""
-    sums = [[0]]
-    for k in range(1, n + 1):
-        size = 3**k
-        sums = [[3 * sums[x // 3][y // 3] + (x + y) % 3 for y in range(size)]
-                for x in range(size)]
-    return sums
-
-
-def _independent(sums: list[list[int]], vectors) -> bool:
-    """True iff the vectors of F_3^n are linearly independent."""
-    span = {0}
-    for d in vectors:
-        if d in span:
-            return False
-        twice = sums[d][d]
-        span |= {sums[s][d] for s in span} | {sums[s][twice] for s in span}
-    return True
-
-
-class _FramedCap:
-    """A cap R that spans F_3^n, with the coordinates of its points in an
-    affine frame r_0, ..., r_n drawn from R: p = r_0 + sum c_i (r_i - r_0).
-    The frame is greedy in point order: r_0 is the least point and each
-    r_i the least one outside the affine span of those before it.  A
-    normalized cap (see _Walker) holds 0 and opens each coordinate with
-    its unit vector, so its frame is 0, 3^0, ..., 3^(n-1) and the
-    coordinates of a point are its base-3 digits, last digit first.
-
-    certificates(cap) finds every affine map g that sends R onto cap.
-    Such a g sends the frame to a frame of cap, so it is enough to try
-    every b_0 in cap and every ordered n-tuple b_1, ..., b_n of other
-    points of cap: map each coordinate vector c of R to
-    b_0 + sum c_i (b_i - b_0), stopping at the first image outside cap.
-    The tuples are built one b_j at a time, in the order of
-    itertools.permutations, and a point whose last nonzero coordinate is
-    c_j is mapped as soon as b_j is chosen, so a prefix that sends one
-    outside cap rules out all its completions at once.  A full match
-    whose b_i - b_0 are linearly independent is an invertible affine map
-    that sends R onto cap; its image frame (b_0, ..., b_n) is the
-    certificate.  certificate(cap) is the first one, or None.
-    frames_tried counts the n-tuples tried or ruled out over every call.
-    """
-
-    def __init__(self, points: tuple[int, ...], n: int):
-        sums = self.sums = _vector_sums(n)
-        self.points = points
-        self.n = n
-        self.frames_tried = 0
-        origin = points[0]
-        minus_origin = sums[origin][origin]  # -x = x + x in F_3
-        frame = [origin]
-        span = {0: ()}  # difference from r_0 -> its coordinates so far
-        for p in points[1:]:
-            d = sums[p][minus_origin]
-            if len(frame) <= n and d not in span:
-                frame.append(p)
-                steps = (0, d, sums[d][d])
-                span = {sums[s][step]: c + (j,)
-                        for s, c in span.items()
-                        for j, step in enumerate(steps)}
-        if len(frame) <= n:
-            raise ValueError(f"the set does not span F_3^{n} affinely")
-        self.frame = tuple(frame)
-        # every difference from r_0, that is every vector, -> its coordinates
-        self.span = span
-        # per point off the frame, its nonzero coordinates as (i, c_i)
-        self.coords = tuple(
-            tuple((i, c) for i, c in enumerate(span[sums[p][minus_origin]])
-                  if c)
-            for p in points if p not in frame)
-        # per i < n, the coordinates of those whose last nonzero one is c_i
-        self.checks = tuple([] for _ in range(n))
-        for coords in self.coords:
-            self.checks[coords[-1][0]].append(coords)
-
-    def certificates(self, cap: tuple[int, ...]):
-        """The image of the frame under each affine map sending R onto
-        cap, in the order the frames are tried."""
-        if len(cap) != len(self.points):
-            return
-        sums = self.sums
-        members = set(cap)
-        for origin in cap:
-            minus_origin = sums[origin][origin]
-            step = {}
-            for b in cap:
-                d = sums[b][minus_origin]
-                step[b] = (0, d, sums[d][d])
-            others = [b for b in cap if b != origin]
-            yield from self._frames(origin, others, members, step, [], [])
-
-    def _frames(self, origin, others, members, step, images, steps):
-        """Each certificate (b_0, ..., b_n) with b_0 = origin that extends
-        the images b_1, ..., b_j chosen so far, whose steps
-        (0, b - b_0, 2(b - b_0)) are in steps."""
-        sums = self.sums
-        j = len(images)
-        if j == self.n:
-            self.frames_tried += 1
-            if _independent(sums, [d for _, d, _ in steps]):
-                yield (origin, *images)
-            return
-        ruled_out = perm(len(others) - j - 1, self.n - j - 1)
-        for b in others:
-            if b in images:
-                continue
-            images.append(b)
-            steps.append(step[b])
-            for coords in self.checks[j]:
-                image = origin
-                for i, c in coords:
-                    image = sums[image][steps[i][c]]
-                if image not in members:
-                    self.frames_tried += ruled_out
-                    break
-            else:
-                yield from self._frames(origin, others, members, step,
-                                        images, steps)
-            images.pop()
-            steps.pop()
-
-    def certificate(self, cap: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The image of the frame under an affine map sending R onto cap,
-        or None if no affine map does."""
-        return next(self.certificates(cap), None)
-
-    def affine_map(self, image: tuple[int, ...]) -> tuple[int, ...]:
-        """The affine map g sending r_i to image[i] for every i, as the
-        table of g(0), g(1), ..., g(3^n - 1): g(x) = g(0) + sum_j x_j u_j,
-        with u_j = g(e_j) - g(0) for the unit vector e_j = 3^j."""
-        sums = self.sums
-        origin = image[0]
-        minus_origin = sums[origin][origin]
-        steps = []
-        for b in image[1:]:
-            d = sums[b][minus_origin]
-            steps.append((0, d, sums[d][d]))
-        minus_r0 = sums[self.frame[0]][self.frame[0]]
-
-        def g(x: int) -> int:
-            y = origin
-            for step, c in zip(steps, self.span[sums[x][minus_r0]]):
-                y = sums[y][step[c]]
-            return y
-
-        table = [g(0)]
-        minus_t = sums[table[0]][table[0]]
-        for j in range(self.n):
-            u = sums[g(3**j)][minus_t]
-            table = [sums[y][w] for w in (0, u, sums[u][u]) for y in table]
-        return tuple(table)
-
-
-def _stabilizer(rep: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Every affine map of F_3^n sending the spanning cap rep onto itself,
-    as point tables (_FramedCap.affine_map), in certificate order.  Each
-    table is affine by construction and is checked before it is returned:
-    it is a bijection, it sends the frame to the certificate and it sends
-    rep onto rep."""
-    framed = _FramedCap(rep, n)
-    members = set(rep)
-    maps = []
-    for image in framed.certificates(rep):
-        g = framed.affine_map(image)
-        if (len(set(g)) != len(g)
-                or tuple(g[r] for r in framed.frame) != image
-                or {g[x] for x in rep} != members):
-            raise ArithmeticError(f"the certificate {image} of {rep} onto "
-                                  f"itself gives no affine automorphism")
-        maps.append(g)
-    return tuple(maps)
-
-
-def _lift(h: tuple[int, ...], tables: _Tables) -> tuple[int, ...]:
-    """The map (x_1, y) -> (x_1, h(y) - x_1 h(0)) of F_3^n, for an affine
-    map h of F_3^(n-1) given as a point table.  It is affine, acts as h
-    on the slice x_1 = 0, keeps each slice x_1 = c in place and fixes
-    e_1 = (1, 0, ..., 0)."""
-    w = tables.pow3[tables.n - 1]
-    sums = _vector_sums(tables.n - 1)
-    t = h[0]
-    shifts = (0, sums[t][t], t)  # -x_1 t for x_1 = 0, 1, 2
-    return tuple(c * w + sums[y][shifts[c]] for c in range(3) for y in h)
-
-
-def _orbit_group(maps) -> tuple[tuple[int, int], ...]:
-    """The walk's group (see _Walker) of point permutations: the masks
-    (fixed, lower) of every one but the identity."""
-    group = []
-    for g in maps:
-        fixed = lower = 0
-        for x, y in enumerate(g):
-            if y == x:
-                fixed |= 1 << x
-            elif y < x:
-                lower |= 1 << x
-        if lower:
-            group.append((fixed, lower))
-    return tuple(group)
-
-
 @dataclass(frozen=True)
 class _FullCapClasses:
     """One maximum cap of F_3^n per affine class, and the nodes, prunes
@@ -628,17 +425,22 @@ class _FullCapClasses:
     frames_tried: int
 
     @cached_property
+    def framed(self) -> tuple[FramedCap, ...]:
+        """Per representative, its frame; its frames_tried counts the
+        search for its stabilizer once that has run."""
+        return tuple(FramedCap(rep, self.n) for rep in self.reps)
+
+    @cached_property
     def stabilizers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per representative, every affine map of F_3^n onto itself
-        (_stabilizer)."""
-        return tuple(_stabilizer(rep, self.n) for rep in self.reps)
+        (FramedCap.stabilizer)."""
+        return tuple(framed.stabilizer() for framed in self.framed)
 
     @cached_property
     def orbit_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per representative, the group of its extension walk in
-        F_3^(n+1): its affine maps onto itself, lifted (_lift)."""
-        tables = _tables(self.n + 1)
-        return tuple(_orbit_group(_lift(h, tables) for h in maps)
+        F_3^(n+1): its affine maps onto itself, lifted (orbit_group)."""
+        return tuple(orbit_group(maps, self.n + 1)
                      for maps in self.stabilizers)
 
 
@@ -663,12 +465,12 @@ def _full_cap_classes(n: int) -> _FullCapClasses:
     lower = _full_cap_classes(n - 1)
     nodes = lower.nodes
     prunes = dict(lower.prunes)
-    reps: list[_FramedCap] = []
+    reps: list[FramedCap] = []
     for rep in lower.reps:
         walker = _ExtendAll(tables, rep, m)
         for points in walker.run():
             if all(framed.certificate(points) is None for framed in reps):
-                reps.append(_FramedCap(points, n))
+                reps.append(FramedCap(points, n))
         nodes += walker.nodes
         for rule, count in walker.prunes.items():
             prunes[rule] += count
@@ -694,8 +496,8 @@ class _Proof(_Walker):
         self.counters: dict[str, int | None] = {
             "find_nodes": 0, "collect_nodes": 0, "refute_nodes": 0,
             "full_cap_classes": 0, "class_frames_tried": 0,
-            "class_automorphisms": 0, "forced_slice": None,
-            "refuted_size": None}
+            "class_automorphisms": 0, "stabilizer_frames_tried": 0,
+            "forced_slice": None, "refuted_size": None}
         self.classes: _FullCapClasses | None = None
         self._lap("tables")
 
@@ -727,6 +529,8 @@ class _Proof(_Walker):
             self.counters["class_frames_tried"] = self.classes.frames_tried
             self.counters["class_automorphisms"] = sum(
                 map(len, self.classes.stabilizers))
+            self.counters["stabilizer_frames_tried"] = sum(
+                framed.frames_tried for framed in self.classes.framed)
             self._charge("collect_nodes", self.classes.nodes,
                          self.classes.prunes)
         return self.classes
@@ -849,15 +653,17 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     `counters` splits the nodes by walk (find_nodes, collect_nodes,
     refute_nodes) and gives full_cap_classes (affine classes of maximum
     caps of F_3^(n-1) tried, 0 if none were needed), class_frames_tried
-    (the frames the matching of those classes tried, see _FramedCap;
+    (the frames the matching of those classes tried, see affine.FramedCap;
     like collect_nodes, counted in full even when the classes are
     cached), class_automorphisms (the affine maps of those
     representatives onto themselves, summed over them: the order of the
     groups the extension walks prune with; 0 if none were needed),
-    forced_slice (the least
-    largest slice the pair-count identity allows for the last size asked
-    about; None when none up to the cap does) and refuted_size (the size
-    proven impossible, None if none was).
+    stabilizer_frames_tried (the frames the search for those maps tried
+    or ruled out, see affine.FramedCap.stabilizer; 0 if none were
+    needed), forced_slice (the least largest slice the pair-count
+    identity allows for the last size asked about; None when none up to
+    the cap does) and refuted_size (the size proven impossible, None if
+    none was).
     `timings_ms` gives the wall time of each stage, each charged the time
     since the previous one ended: tables, find, identity, classes and
     refute.

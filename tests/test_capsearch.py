@@ -3,7 +3,8 @@ independent include/exclude search with no symmetry reduction at n = 3,
 the affine-invariance sanity properties, and the steps of the slice-first
 refutation: the pair-count identity, the classes of maximum caps with
 their affine certificates (checked against an orbit-closure oracle and
-a collect walk from the root), their affine symmetries (checked against
+a collect walk from the root), their affine symmetries (found by
+origin cosets and checked against the frame search at every origin and
 a brute-force stabilizer) and the extension walk, orbit-pruned and
 plain."""
 import random
@@ -15,19 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound import golden
+from capbound import affine, golden
+from capbound.affine import FramedCap, lift, orbit_group
 from capbound.capsearch import (
     PointSet,
     _Extend,
     _ExtendAll,
     _forced_slice,
-    _FramedCap,
     _full_cap_classes,
-    _lift,
-    _orbit_group,
     _points,
     _proven_max,
-    _stabilizer,
     _Tables,
     _tables,
     _Walker,
@@ -135,7 +133,7 @@ def certificate_map(n: int, frame: tuple[int, ...],
             for c in product(range(3), repeat=n)}
 
 
-def assert_certifies(framed: _FramedCap, cap: tuple[int, ...],
+def assert_certifies(framed: FramedCap, cap: tuple[int, ...],
                      image: tuple[int, ...]) -> None:
     """The certificate's map is a bijection of F_3^n sending the framed
     set onto cap."""
@@ -443,7 +441,7 @@ def test_every_maximum_cap_gets_a_certificate(n, count):
     caps = sorted(all_caps(n, _proven_max(n)))
     assert len(caps) == count
     (rep,) = _full_cap_classes(n).reps
-    framed = _FramedCap(rep, n)
+    framed = FramedCap(rep, n)
     for cap in caps:
         image = framed.certificate(cap)
         assert image is not None
@@ -454,7 +452,7 @@ def test_set_with_a_line_gets_no_certificate():
     (rep,) = _full_cap_classes(3).reps
     line = (0, 1, 2)
     rest = [x for x in range(3, 27) if x not in rep][:6]
-    framed = _FramedCap(rep, 3)
+    framed = FramedCap(rep, 3)
     assert framed.certificate(tuple(sorted(line + tuple(rest)))) is None
     # every frame of the 9-point set was tried and failed
     assert framed.frames_tried == 9 * 8 * 7 * 6
@@ -463,13 +461,13 @@ def test_set_with_a_line_gets_no_certificate():
 def test_frame_of_a_normalized_cap_is_its_unit_vectors():
     # coordinates in the frame 0, 3^0, ..., 3^(n-1) are base-3 digits
     (rep,) = _full_cap_classes(3).reps
-    framed = _FramedCap(rep, 3)
+    framed = FramedCap(rep, 3)
     assert framed.frame == (0, 1, 3, 9)
     digits = [tuple((i, c) for i, c in enumerate(reversed(decode_point(x, 3)))
                     if c) for x in rep if x not in framed.frame]
     assert framed.coords == tuple(digits)
     with pytest.raises(ValueError, match="does not span"):
-        _FramedCap((0, 1, 3, 4), 3)
+        FramedCap((0, 1, 3, 4), 3)
 
 
 # An invertible affine map of F_3^n, n <= 4: a matrix whose map is a
@@ -498,7 +496,7 @@ def test_affine_images_of_witnesses_get_a_certificate(case):
     image = PointSet.from_vectors([
         tuple((x + t) % 3 for x, t in zip(apply_linear(matrix, v), shift))
         for v in PointSet(n, witness).vectors()])
-    framed = _FramedCap(witness, n)
+    framed = FramedCap(witness, n)
     frame = framed.certificate(image.points)
     assert frame is not None
     assert_certifies(framed, image.points, frame)
@@ -519,7 +517,7 @@ def test_normalized_full_caps_of_f3_cubed():
 def test_extension_collects_only_certified_maximum_caps(n):
     caps = all_caps(n, _proven_max(n))
     (rep,) = _full_cap_classes(n).reps
-    framed = _FramedCap(rep, n)
+    framed = FramedCap(rep, n)
     found = []
     for lower in _full_cap_classes(n - 1).reps:
         found += _ExtendAll(_Tables(n), lower, len(rep)).run()
@@ -569,6 +567,9 @@ def test_phase_counters_n4():
     # refutation skips 114 candidates that one of them sends lower
     assert c["class_automorphisms"] == 144
     assert result.prunes["orbit"] == 114
+    # the full frame search at one origin and one certificate for each
+    # of the 8 others; the search at every origin tries 3,024 frames
+    assert c["stabilizer_frames_tried"] == 446
     assert max_capset(4).counters == c
     assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
                                      + c["refute_nodes"])
@@ -642,6 +643,24 @@ def test_stabilizer_of_the_f3_cubed_class_by_brute_force():
     assert set(maps) == brute_force_stabilizer_3(rep)
 
 
+def sliced_orbit_group(lifted, n: int) -> tuple[tuple[int, int], ...]:
+    """The masks (fixed, lower) of every lifted table but the identity,
+    read off the whole table of F_3^n and then cut to the slices
+    x_1 = 1, 2, where the extension walks' candidates lie."""
+    slices = (1 << 3**n) - (1 << 3**(n - 1))
+    group = []
+    for g in lifted:
+        fixed = lower = 0
+        for x, y in enumerate(g):
+            if y == x:
+                fixed |= 1 << x
+            elif y < x:
+                lower |= 1 << x
+        if lower:
+            group.append((fixed & slices, lower & slices))
+    return tuple(group)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lifted_stabilizers_are_affine_and_fix_the_start(n):
     classes = _full_cap_classes(n - 1)
@@ -650,7 +669,7 @@ def test_lifted_stabilizers_are_affine_and_fix_the_start(n):
              for a in range(size)]
     for rep, maps, group in zip(classes.reps, classes.stabilizers,
                                 classes.orbit_groups):
-        lifted = [_lift(h, _tables(n)) for h in maps]
+        lifted = [lift(h, n) for h in maps]
         assert len(set(lifted)) == len(maps)
         for g in lifted:
             assert sorted(g) == list(range(size))
@@ -661,7 +680,7 @@ def test_lifted_stabilizers_are_affine_and_fix_the_start(n):
                     assert g[third[a][b]] == third[g[a]][g[b]]
         # one (fixed, lower) pair per map but the identity
         assert len(group) == len(maps) - 1
-        assert group == _orbit_group(lifted)
+        assert group == sliced_orbit_group(lifted, n)
 
 
 @pytest.mark.parametrize("m", [19, 20, 21])
@@ -671,7 +690,7 @@ def test_orbit_pruned_extension_agrees_with_the_plain_walk(m):
     caps = _normalized_full_caps(3).found
     assert len(caps) == 18
     for cap in caps:
-        group = _orbit_group(_lift(h, tables) for h in _stabilizer(cap, 3))
+        group = orbit_group(FramedCap(cap, 3).stabilizer(), 4)
         pruned = _Extend(tables, cap, m, None, group)
         plain = _Extend(tables, cap, m, None)
         found, expected = pruned.run(), plain.run()
@@ -682,3 +701,102 @@ def test_orbit_pruned_extension_agrees_with_the_plain_walk(m):
             assert len(found) == m
             assert set(cap) | {27} <= set(found)
             assert is_progression_free(PointSet(4, found))
+
+
+def all_origins_stabilizer(points: tuple[int, ...],
+                           n: int) -> list[tuple[int, ...]]:
+    """The reference for FramedCap.stabilizer: the map of every
+    certificate of the set onto itself, by the full frame search at
+    every origin, each map checked to be a bijection that sends the
+    frame to its certificate and the set onto itself."""
+    framed = FramedCap(points, n)
+    maps = []
+    for image in framed.certificates(points):
+        g = framed.affine_map(image)
+        assert sorted(g) == list(range(3**n))
+        assert tuple(g[r] for r in framed.frame) == image
+        assert sorted(g[x] for x in points) == list(points)
+        maps.append(g)
+    return maps
+
+
+def assert_same_stabilizer(points: tuple[int, ...], n: int) -> set:
+    maps = FramedCap(points, n).stabilizer()
+    expected = all_origins_stabilizer(points, n)
+    assert len(maps) == len(set(maps)) == len(expected)
+    assert set(maps) == set(expected)
+    return set(maps)
+
+
+def test_coset_stabilizers_of_the_classes_and_normalized_caps():
+    for k in range(4):
+        for rep in _full_cap_classes(k).reps:
+            assert_same_stabilizer(rep, k)
+    orders = {len(assert_same_stabilizer(cap, 3))
+              for cap in _normalized_full_caps(3).found}
+    assert orders == {144}
+
+
+def test_coset_stabilizer_of_the_n4_witness():
+    witness = max_capset(4).witness.points
+    assert len(assert_same_stabilizer(witness, 4)) == 2_880
+
+
+@lru_cache(maxsize=None)
+def intransitive_caps_3(count: int) -> tuple[tuple[int, ...], ...]:
+    """Seeded spanning caps of F_3^3 of 5 to 8 points, none of them
+    maximum, whose stabilizer does not send the least point to every
+    other point: the stabilizer finds no certificate for some origin."""
+    rng = random.Random(21)
+    caps = []
+    while len(caps) < count:
+        points = tuple(sorted(rng.sample(range(27), rng.randint(5, 8))))
+        try:
+            framed = FramedCap(points, 3)
+        except ValueError:
+            continue
+        if not is_progression_free(PointSet(3, points)):
+            continue
+        if len({g[points[0]] for g in framed.stabilizer()}) < len(points):
+            caps.append(points)
+    return tuple(caps)
+
+
+def test_coset_stabilizers_of_intransitive_caps():
+    caps = intransitive_caps_3(12)
+    assert {len(cap) for cap in caps} >= {6, 7}
+    for cap in caps:
+        assert_same_stabilizer(cap, 3)
+    for cap in caps[:2]:
+        assert set(FramedCap(cap, 3).stabilizer()) == (
+            brute_force_stabilizer_3(cap))
+
+
+@pytest.mark.parametrize("part", ["coset", "certificate"])
+def test_corrupted_stabilizer_map_raises(monkeypatch, part):
+    (rep,) = _full_cap_classes(3).reps
+    if part == "coset":
+        # one composed table swaps an image inside the cap with one
+        # outside: still a bijection, no longer onto the cap
+        outside = next(x for x in range(27) if x not in rep)
+        compose = affine._compose
+        calls = []
+
+        def corrupt(t, h):
+            g = list(compose(t, h))
+            calls.append(len(calls))
+            if len(calls) == 5:
+                i, j = g.index(rep[1]), g.index(outside)
+                g[i], g[j] = g[j], g[i]
+            return tuple(g)
+
+        monkeypatch.setattr(affine, "_compose", corrupt)
+    else:
+        # the identity sends the cap onto itself, but not its frame to
+        # any certificate but the frame itself
+        monkeypatch.setattr(FramedCap, "affine_map",
+                            lambda self, image: tuple(range(3**self.n)))
+    with pytest.raises(ArithmeticError, match="no affine automorphism"):
+        FramedCap(rep, 3).stabilizer()
+    if part == "coset":
+        assert len(calls) == 5

@@ -248,6 +248,7 @@ def test_search_reports_phase_costs(capsys):
     assert counters["forced_slice"] == 9
     assert counters["class_frames_tried"] == 21
     assert counters["class_automorphisms"] == 144
+    assert counters["stabilizer_frames_tried"] == 446
     assert set(result["prunes"]) == {"cardinality", "orbit"}
     assert result["prunes"]["orbit"] > 0
 
