@@ -1,6 +1,13 @@
 """Command-line interface: every operation behind one entry point, with a
 machine-readable JSON report on stdout.
 
+`capbound COMMAND [OPTIONS]`: each command's options come from one table
+(`_COMMANDS`), read as `--name value` or `--name=value`; a repeated
+option keeps its last value, a flag takes no value, and an option is
+never matched by a prefix of its name.  A negative int such as `--n -5`
+is a value, which the command's own checks then refuse.  `-h`/`--help`
+prints the top-level or the command's usage on stdout and exits 0.
+
 Exit codes: 0 when every reported check passes (or there are none),
 1 when some check fails, 2 for usage and domain errors (message on
 stderr, no JSON).  A reader that closes stdout early (`| head`) cuts the
@@ -13,14 +20,14 @@ the other commands do not pay for loading it at every start.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NoReturn
 
 from . import golden
 from .asymptotics import (
@@ -37,7 +44,12 @@ from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theore
 from .capsearch import MAX_BUDGET, is_progression_free, max_capset
 from .fixedpoint import BigFixed
 from .qnomial import qnomial
-from .verifier import format_pointset, parse_pointset, verify_support_bound
+from .verifier import (
+    check_reach,
+    format_pointset,
+    parse_pointset,
+    verify_support_bound,
+)
 
 
 def _bigfixed_json(value: BigFixed) -> dict:
@@ -239,6 +251,7 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
 
 def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
     if args.set:
+        check_reach(args.n)  # before reading and encoding a file of any size
         with open(args.set, encoding="utf-8") as fh:
             ps = parse_pointset(fh.read())
         if ps.n != args.n:
@@ -278,80 +291,222 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built at the first call and reused by every
-    later `main` call in the process; each parse makes a fresh
-    namespace, so nothing carries over between calls."""
-    top = argparse.ArgumentParser(
-        prog="capbound",
-        description="Exact bounds for progression-free subsets of F_q^n, "
-                    "proof-core verification, and growth-constant tables.")
-    sub = top.add_subparsers(dest="command", required=True)
+class _Opt:
+    """One option of a command.  kind is int, str, a tuple of the
+    allowed values, or bool for a flag, which takes no value and reads
+    True once given.  (Plain classes: a NamedTuple costs about 0.3 ms
+    of every start to create.)"""
+    __slots__ = ("kind", "default", "required", "help")
 
-    p = sub.add_parser("bound", help="bound family / optimal / headline / sharp")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--optimize-d", action="store_true")
-    p.add_argument("--theorem", action="store_true")
-    p.add_argument("--sharp", action="store_true")
-    p.set_defaults(func=_cmd_bound)
+    def __init__(self, kind, default=None, required=False, help=""):
+        self.kind, self.default = kind, default
+        self.required, self.help = required, help
 
-    p = sub.add_parser("qnomial", help="one exact coefficient")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, default=3)
-    p.set_defaults(func=_cmd_qnomial)
 
-    p = sub.add_parser("growth", help="growth constant for one q")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--digits", type=int, default=40)
-    p.add_argument("--method", choices=("saddle", "ratio", "both"),
-                   default="saddle")
-    p.set_defaults(func=_cmd_growth)
+class _Command:
+    """A command's handler, help line and options; exactly one of the
+    options in one_of must be given."""
+    __slots__ = ("handler", "help", "options", "one_of")
 
-    p = sub.add_parser("table", help="growth constants vs pinned references")
-    p.add_argument("--qmin", type=int, default=4)
-    p.add_argument("--qmax", type=int, default=31)
-    p.set_defaults(func=_cmd_table)
+    def __init__(self, handler, help, options, one_of=()):
+        self.handler, self.help = handler, help
+        self.options, self.one_of = options, one_of
 
-    p = sub.add_parser("alpha", help="base-3 growth constant digits")
-    p.add_argument("--digits", type=int, default=19)
-    p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("leading-constant", help="sqrt(n)-normalized constant")
-    p.add_argument("--digits", type=int, default=19)
-    p.set_defaults(func=_cmd_leading_constant)
+_DESCRIPTION = ("Exact bounds for progression-free subsets of F_q^n, "
+                "proof-core verification, and growth-constant tables.")
+_TOP_USAGE = "capbound [-h] COMMAND [OPTIONS]"
 
-    p = sub.add_parser("verify-recurrence", help="exact recurrence check")
-    p.add_argument("--nmax", type=int, required=True,
-                   help=f"check n = 0..nmax-2; nmax in [2, "
-                        f"{RECURRENCE_MAX_N}] (time grows like nmax^3)")
-    p.set_defaults(func=_cmd_verify_recurrence)
+_COMMANDS = {
+    "bound": _Command(
+        _cmd_bound, "bound family / optimal / headline / sharp", {
+            "--n": _Opt(int, required=True),
+            "--d": _Opt(int),
+            "--optimize-d": _Opt(bool, False),
+            "--theorem": _Opt(bool, False),
+            "--sharp": _Opt(bool, False),
+        }),
+    "qnomial": _Command(_cmd_qnomial, "one exact coefficient", {
+        "--n": _Opt(int, required=True),
+        "--k": _Opt(int, required=True),
+        "--q": _Opt(int, 3),
+    }),
+    "growth": _Command(_cmd_growth, "growth constant for one q", {
+        "--q": _Opt(int, required=True),
+        "--digits": _Opt(int, 40),
+        "--method": _Opt(("saddle", "ratio", "both"), "saddle"),
+    }),
+    "table": _Command(_cmd_table, "growth constants vs pinned references", {
+        "--qmin": _Opt(int, 4),
+        "--qmax": _Opt(int, 31),
+    }),
+    "alpha": _Command(_cmd_alpha, "base-3 growth constant digits", {
+        "--digits": _Opt(int, 19),
+    }),
+    "leading-constant": _Command(
+        _cmd_leading_constant, "sqrt(n)-normalized constant", {
+            "--digits": _Opt(int, 19),
+        }),
+    "verify-recurrence": _Command(
+        _cmd_verify_recurrence, "exact recurrence check", {
+            "--nmax": _Opt(int, required=True,
+                           help=f"check n = 0..nmax-2; nmax in [2, "
+                                f"{RECURRENCE_MAX_N}] (time grows like "
+                                "nmax^3)"),
+        }),
+    "search": _Command(_cmd_search, "maximum progression-free set search", {
+        "--n": _Opt(int, required=True),
+        "--budget": _Opt(int, help=f"node budget in [1, {MAX_BUDGET}], "
+                                   "required at n=5 (n >= 6 is refused); it "
+                                   "counts the nodes every walk enters, not "
+                                   "the children each node examines; a walk "
+                                   "cut short reports a lower bound"),
+        "--out": _Opt(str, help="write the witness in point-file format"),
+    }),
+    "verify-clp": _Command(
+        _cmd_verify_clp, "replay the rank argument on a set", {
+            "--n": _Opt(int, required=True),
+            "--d": _Opt(int, required=True),
+            "--set": _Opt(str, help="point file, one point per line"),
+            "--from-search": _Opt(bool, False,
+                                  help="the witness of `search --n N`"),
+        }, one_of=("--set", "--from-search")),
+    "verify-all": _Command(
+        _cmd_verify_all, "run the whole verification battery", {
+            "--level": _Opt(("quick", "full"), "quick"),
+        }),
+}
 
-    p = sub.add_parser("search", help="maximum progression-free set search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int,
-                   help=f"node budget in [1, {MAX_BUDGET}], required at "
-                        "n=5 (n >= 6 is refused); it counts the nodes every "
-                        "walk enters, not the children each node examines; "
-                        "a walk cut short reports a lower bound")
-    p.add_argument("--out", help="write the witness in point-file format")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify-clp", help="replay the rank argument on a set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--set", help="point file, one point per line")
-    group.add_argument("--from-search", action="store_true")
-    p.set_defaults(func=_cmd_verify_clp)
+def _spec(name: str, opt: _Opt) -> str:
+    """An option as usage and help show it, with the value it takes."""
+    if opt.kind is bool:
+        return name
+    if isinstance(opt.kind, tuple):
+        return f"{name} {{{','.join(opt.kind)}}}"
+    return f"{name} {name[2:].replace('-', '_').upper()}"
 
-    p = sub.add_parser("verify-all", help="run the whole verification battery")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=_cmd_verify_all)
 
-    return top
+def _usage(name: str) -> str:
+    command = _COMMANDS[name]
+    parts = [f"capbound {name} [-h]"]
+    for opt_name, opt in command.options.items():
+        if opt_name not in command.one_of:
+            spec = _spec(opt_name, opt)
+            parts.append(spec if opt.required else f"[{spec}]")
+    if command.one_of:
+        parts.append("(" + " | ".join(_spec(o, command.options[o])
+                                      for o in command.one_of) + ")")
+    return " ".join(parts)
+
+
+def _help(name: str | None) -> str:
+    """The top-level help, or one command's when name is given."""
+    import textwrap
+
+    if name is None:
+        lines = [f"usage: {_TOP_USAGE}", "", textwrap.fill(_DESCRIPTION, 79),
+                 "", "commands:"]
+        lines += [f"  {cmd:<17} {c.help}" for cmd, c in _COMMANDS.items()]
+        lines += ["", "Run `capbound COMMAND --help` for a command's options."]
+        return "\n".join(lines)
+    command = _COMMANDS[name]
+    lines = [f"usage: {_usage(name)}", "", command.help, "", "options:",
+             "  -h, --help        show this help message and exit"]
+    for opt_name, opt in command.options.items():
+        spec = _spec(opt_name, opt)
+        lines.append(textwrap.fill(opt.help, 79,
+                                   initial_indent=f"  {spec:<17} ",
+                                   subsequent_indent=" " * 20)
+                     if opt.help else f"  {spec}")
+    return "\n".join(lines)
+
+
+def _usage_error(prog: str, usage: str, message: str) -> NoReturn:
+    print(f"usage: {usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_value(token: str) -> bool:
+    """Whether a token after an option is its value: anything but another
+    option, so a negative int reaches the command's own checks."""
+    return not token.startswith("-") or token[1:].isdigit()
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its options, one attribute per option (dashes
+    turned to underscores) holding its value or default, plus `command`.
+
+    Prints help and exits 0 on -h/--help; prints the usage and the error
+    on stderr and exits 2 on any usage error.
+    """
+    if argv and argv[0] in ("-h", "--help"):
+        print(_help(None))
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("capbound", _TOP_USAGE,
+                     "the following arguments are required: COMMAND")
+    name = argv[0]
+    command = _COMMANDS.get(name)
+    if command is None:
+        _usage_error("capbound", _TOP_USAGE,
+                     f"invalid choice: {name!r} (choose from "
+                     f"{', '.join(_COMMANDS)})")
+
+    def fail(message: str) -> NoReturn:
+        _usage_error(f"capbound {name}", _usage(name), message)
+
+    values = {opt_name: opt.default
+              for opt_name, opt in command.options.items()}
+    given = set()
+    rest = argv[1:]
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token in ("-h", "--help"):
+            print(_help(name))
+            raise SystemExit(0)
+        opt_name, eq, value = token.partition("=")
+        opt = command.options.get(opt_name) if token.startswith("--") else None
+        if opt is None:
+            fail(f"unrecognized arguments: {token}")
+        if opt.kind is bool:
+            if eq:
+                fail(f"argument {opt_name}: ignored explicit argument "
+                     f"{value!r}")
+            value = True
+        else:
+            if not eq:
+                if i == len(rest) or not _is_value(rest[i]):
+                    fail(f"argument {opt_name}: expected one argument")
+                value = rest[i]
+                i += 1
+            if opt.kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    fail(f"argument {opt_name}: invalid int value: {value!r}")
+            elif isinstance(opt.kind, tuple) and value not in opt.kind:
+                fail(f"argument {opt_name}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, opt.kind))})")
+        values[opt_name] = value
+        given.add(opt_name)
+    missing = [opt_name for opt_name, opt in command.options.items()
+               if opt.required and opt_name not in given]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if command.one_of:
+        chosen = [opt_name for opt_name in command.one_of if opt_name in given]
+        if not chosen:
+            fail(f"one of the arguments {' '.join(command.one_of)} "
+                 "is required")
+        if len(chosen) > 1:
+            fail(f"argument {chosen[1]}: not allowed with argument "
+                 f"{chosen[0]}")
+    return SimpleNamespace(command=name, **{
+        opt_name[2:].replace("-", "_"): value
+        for opt_name, value in values.items()})
 
 
 @contextlib.contextmanager
@@ -373,7 +528,7 @@ def _unlimited_int_digits():
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     with _unlimited_int_digits():
         return _run(args)
 
@@ -381,12 +536,12 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args) -> int:
     started = time.monotonic()
     try:
-        result, checks = args.func(args)
+        result, checks = _COMMANDS[args.command].handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command") and v is not None}
+              if k != "command" and v is not None}
     report = {
         "command": args.command,
         "inputs": inputs,

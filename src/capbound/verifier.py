@@ -157,14 +157,19 @@ class _EvalTable(NamedTuple):
 _tables: dict[int, _EvalTable] = {}
 
 
+def check_reach(n: int) -> None:
+    """Raises ValueError for n above VERIFY_MAX_N."""
+    if n > VERIFY_MAX_N:
+        raise ValueError(f"n={n} is out of reach for the verifier "
+                         f"(its ceiling is n={VERIFY_MAX_N})")
+
+
 def _table(n: int) -> _EvalTable:
     """The evaluation table for n, built once per process.
 
     Raises ValueError above VERIFY_MAX_N before building anything.
     """
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"n={n} is out of reach for the verifier "
-                         f"(its ceiling is n={VERIFY_MAX_N})")
+    check_reach(n)
     if n in _tables:
         return _tables[n]
     size = 3**n

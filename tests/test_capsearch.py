@@ -573,8 +573,8 @@ def test_phase_counters_n4():
     assert max_capset(4).counters == c
     assert result.nodes_explored == (c["find_nodes"] + c["collect_nodes"]
                                      + c["refute_nodes"])
-    assert set(result.timings_ms) == {"tables", "find", "identity",
-                                      "classes", "refute"}
+    assert set(result.timings_ms) == {"lower_proofs", "tables", "find",
+                                      "identity", "classes", "refute"}
 
 
 def test_every_budget_short_of_the_proof_leaves_it_open():

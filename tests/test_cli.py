@@ -238,8 +238,8 @@ def test_search_reports_prune_counts(capsys):
 
 def test_search_reports_phase_costs(capsys):
     result = run_cli(capsys, "search", "--n", "4")[1]["result"]
-    assert set(result["timings_ms"]) == {"tables", "find", "identity",
-                                         "classes", "refute"}
+    assert set(result["timings_ms"]) == {"lower_proofs", "tables", "find",
+                                         "identity", "classes", "refute"}
     counters = result["counters"]
     assert result["nodes_explored"] == (counters["find_nodes"]
                                         + counters["collect_nodes"]
@@ -429,8 +429,8 @@ def test_repeat_invocations_stable(capsys):
 
 
 def test_repeated_main_calls_share_no_state(tmp_path, capsys):
-    # the parser is built once per process; each call must still start
-    # from the defaults, not from what an earlier call parsed
+    # each call must start from the defaults, not from what an earlier
+    # call parsed
     _, sharp, _ = run_cli(capsys, "bound", "--n", "3", "--sharp")
     assert [b["method"] for b in sharp["result"]["bounds"]] == ["sharp"]
     _, theorem, _ = run_cli(capsys, "bound", "--n", "3", "--theorem")
@@ -452,3 +452,134 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["growth", "--q", "3", "--method", "nonsense"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the option parser
+
+@pytest.mark.parametrize("argv,fragment", [
+    ([], "the following arguments are required: COMMAND"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["search", "--n", "4", "--bogus"], "unrecognized arguments: --bogus"),
+    (["bound", "--n", "3", "extra"], "unrecognized arguments: extra"),
+    # prefix abbreviations are not expanded
+    (["bound", "--n", "3", "--optimize"],
+     "unrecognized arguments: --optimize"),
+    (["search", "--n"], "argument --n: expected one argument"),
+    (["search", "--n", "--budget", "5"],
+     "argument --n: expected one argument"),
+    (["search", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["search", "--n=4.5"], "argument --n: invalid int value: '4.5'"),
+    (["growth", "--q", "5", "--method", "nonsense"],
+     "argument --method: invalid choice: 'nonsense'"),
+    (["verify-all", "--level=slow"], "argument --level: invalid choice"),
+    (["bound", "--n", "3", "--sharp=yes"], "ignored explicit argument 'yes'"),
+    (["qnomial", "--n", "6"], "the following arguments are required: --k"),
+    (["verify-clp", "--set", "w.txt"],
+     "the following arguments are required: --n, --d"),
+    (["verify-clp", "--n", "4", "--d", "2"],
+     "one of the arguments --set --from-search is required"),
+    (["verify-clp", "--n", "4", "--d", "2", "--set", "w.txt",
+      "--from-search"],
+     "argument --from-search: not allowed with argument --set"),
+])
+def test_usage_errors_exit_2(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: capbound")
+    assert "error: " in error and fragment in error
+
+
+def test_option_equals_value_form(capsys):
+    _, spaced, _ = run_cli(capsys, "bound", "--n", "6", "--optimize-d")
+    _, joined, _ = run_cli(capsys, "bound", "--n=6", "--optimize-d")
+    spaced.pop("elapsed_ms")
+    joined.pop("elapsed_ms")
+    assert joined == spaced
+
+
+def test_repeated_option_keeps_its_last_value(capsys):
+    code, report, _ = run_cli(capsys, "qnomial", "--n", "5", "--k", "4",
+                              "--n", "6")
+    assert code == 0
+    assert report["inputs"]["n"] == 6 and report["result"]["value"] == "90"
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["--help"], ["bound", "qnomial", "growth", "table", "alpha",
+                  "leading-constant", "verify-recurrence", "search",
+                  "verify-clp", "verify-all"]),
+    (["-h"], ["COMMAND"]),
+    (["bound", "-h"], ["--n", "--d", "--optimize-d", "--theorem",
+                       "--sharp"]),
+    (["qnomial", "--help"], ["--n", "--k", "--q"]),
+    (["growth", "--q", "3", "--help"],
+     ["--q", "--digits", "--method {saddle,ratio,both}"]),
+    (["table", "-h"], ["--qmin", "--qmax"]),
+    (["alpha", "-h"], ["--digits"]),
+    (["leading-constant", "-h"], ["--digits"]),
+    (["verify-recurrence", "-h"], ["--nmax", "2000"]),
+    (["search", "-h"], ["--n", "--budget", "--out", str(MAX_BUDGET)]),
+    (["verify-clp", "-h"], ["--n", "--d", "(--set SET | --from-search)"]),
+    (["verify-all", "-h"], ["--level {quick,full}"]),
+])
+def test_help_exits_0(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: capbound")
+    for name in names:
+        assert name in captured.out
+
+
+def test_inputs_are_pinned(tmp_path, capsys):
+    # every option in table order; flags read false unless given, defaults
+    # are filled in, and options left unset are left out
+    reports = [
+        run_cli(capsys, "bound", "--n", "6", "--optimize-d")[1],
+        run_cli(capsys, "growth", "--q", "3")[1],
+        run_cli(capsys, "verify-clp", "--n", "1", "--d", "1",
+                "--from-search")[1],
+    ]
+    out = tmp_path / "w.txt"
+    run_cli(capsys, "search", "--n", "2", "--out", str(out))
+    reports.append(run_cli(capsys, "verify-clp", "--n", "2", "--d", "2",
+                           "--set", str(out))[1])
+    assert [list(r["inputs"].items()) for r in reports] == [
+        [("n", 6), ("optimize_d", True), ("theorem", False),
+         ("sharp", False)],
+        [("q", 3), ("digits", 40), ("method", "saddle")],
+        [("n", 1), ("d", 1), ("from_search", True)],
+        [("n", 2), ("d", 2), ("set", str(out)), ("from_search", False)],
+    ]
+
+
+def test_import_loads_no_argparse():
+    src = str(Path(capbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, capbound.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() == "[]"
+
+
+def test_oversized_verify_clp_refused_before_reading(tmp_path, capsys,
+                                                     monkeypatch):
+    # parsing and encoding a point file is quadratic in its width, so an
+    # n above the verifier's ceiling is refused before the file is read
+    def unread(text):
+        raise AssertionError("the point file was read")
+
+    monkeypatch.setattr("capbound.cli.parse_pointset", unread)
+    points = tmp_path / "wide.txt"
+    points.write_text(" ".join("0" * 1000) + "\n")
+    code, report, err = run_cli(capsys, "verify-clp", "--n", "1000", "--d",
+                                "2", "--set", str(points))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "out of reach for the verifier" in err
