@@ -7,8 +7,10 @@ real thing.  Criterion 9 is soft: outside its tolerance it reports a
 warning instead of failing, everything else is a hard pass/fail.
 
 Every result carries the values its verdict was decided on (`measured`)
-and its wall time, so tests/test_acceptance.py holds the full level to
-its thresholds and time bounds without computing anything itself.
+and its wall time, with the wall times of its parts in `timings_s`
+(the search at each n in criterion 6), so tests/test_acceptance.py holds
+the full level to its thresholds and time bounds without computing
+anything itself, and `measured` is the same in every run of one commit.
 """
 from __future__ import annotations
 
@@ -52,6 +54,9 @@ class CriterionResult:
     measured: dict = field(default_factory=dict)
     warning: str | None = None
     elapsed_s: float = 0.0
+    # wall times of a criterion's parts, kept out of `measured` so that
+    # two runs of one commit report the same `measured`
+    timings_s: dict = field(default_factory=dict, compare=False)
 
 
 def _timed(criterion):
@@ -170,15 +175,15 @@ def c5_identity_chain(level: str) -> CriterionResult:
 @_timed
 def c6_oracle_domination(level: str) -> CriterionResult:
     top = 4 if level == "full" else 3
-    runs = {}
+    runs, seconds = {}, {}
     for n in range(1, top + 1):
         started = time.perf_counter()
         result = max_capset(n)
+        seconds[n] = time.perf_counter() - started
         runs[n] = {"size": result.max_size,
                    "proven": result.proven_optimal,
                    "witness": result.witness.points,
                    "nodes": result.nodes_explored,
-                   "seconds": time.perf_counter() - started,
                    "theorem_bound": theorem_bound(n).value,
                    "optimal_bound": optimal_bound(n).value}
     wrong = [n for n, run in runs.items()
@@ -190,7 +195,7 @@ def c6_oracle_domination(level: str) -> CriterionResult:
     detail += (f"; wrong at n = {wrong}" if wrong else " (all proven optimal,"
                " the pinned lex-least witnesses, within the bounds)")
     return CriterionResult("6_oracle_domination", not wrong, detail,
-                           {"runs": runs})
+                           {"runs": runs}, timings_s=seconds)
 
 
 @_timed

@@ -11,7 +11,8 @@ Three independent routes to the same numbers live here:
     pinned recurrence against a route that shares no code with the rows,
   * saddle-point root finding for general q: the minimizer x0 in (0, 1)
     of f(x) * x^(-(q-1)/3) with f = 1 + x + ... + x^(q-1) solves
-    sum_j (3j - (q-1)) x^j = 0, and the minimum value is the constant,
+    sum_j (3j - (q-1)) x^j = 0, found by Newton on its closed form
+    times (1-x)^2, and the minimum value is the constant,
   * coefficient-ratio extrapolation on exact rows, a float-precision
     cross-check with no root finding at all.
 
@@ -45,12 +46,11 @@ GUARD = 10
 # VM).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
-# and leading_constant accept.  At the ceiling alpha takes about 0.2 s,
-# leading_constant 1.3-1.5 s (1 s of it in pi), saddle_point(3) 0.2 s
-# and saddle_point(64) about 1.6 s, more than half of it in Newton and
-# 0.5-0.6 s in the constant, which rounds x0^63 from a bracket of about
-# 100,000 bits (the exact power has 6.3 Mbit and took 1.6 s); q = 31
-# takes 0.15 s at 10,000 digits.
+# and leading_constant accept.  At the ceiling alpha takes about 0.1 s,
+# leading_constant 0.35 s (0.08 s of it in pi), saddle_point(3) 0.15 s
+# and saddle_point(64) about 0.2 s, 0.1 s of it in the constant, which
+# rounds x0^63 from a bracket of about 100,000 bits (the exact power has
+# 6.3 Mbit and took 1.6 s); q = 31 takes 0.03 s at 10,000 digits.
 # Largest q that saddle_point and growth_constant_ratio accept, twice the
 # largest q of the reference table: growth_constant_ratio(64) takes about
 # 7 ms and q = 400 about 50 ms (Python 3.11, one core of a shared 2-core
@@ -60,7 +60,7 @@ MAX_Q = 64
 # saddle_point brackets its root by exact bisection to 2^-64 < 10^-19, so
 # its Newton ladder starts from LADDER_START correct digits; each ladder
 # precision carries LADDER_MARGIN digits for those a step loses to the
-# curvature of g.
+# curvature of h.
 BISECTION_STEPS = 64
 LADDER_START = 19
 LADDER_MARGIN = 4
@@ -188,22 +188,54 @@ def _to_decimal(x: int, bits: int, scale: int) -> BigFixed:
     return BigFixed((x * 10**scale + (1 << bits - 1)) >> bits, scale)
 
 
-def _horner(coeffs: list[int], x: int, bits: int) -> int:
-    """The polynomial at x * 2^-bits, as a multiple of 2^-bits; each
-    product rounds half up by a shift."""
+def _h_guard(q: int) -> int:
+    """Bits that h and h' carry past the Newton iterate: their
+    coefficients reach 2q^2, and without the guard their rounding noise
+    outgrows a Newton step near the root."""
+    return 2 * q.bit_length() + 8
+
+
+def _power(x: int, e: int, bits: int) -> int:
+    """(x * 2^-bits)^e for e >= 1, as a multiple of 2^-bits, by binary
+    powering; each product rounds half up by a shift."""
     half = 1 << bits - 1
-    acc = coeffs[-1] << bits
-    for c in reversed(coeffs[:-1]):
-        acc = ((acc * x + half) >> bits) + (c << bits)
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = (acc * acc + half) >> bits
+        if bit == "1":
+            acc = (acc * x + half) >> bits
     return acc
 
 
-def _dyadic_sign(coeffs: list[int], m: int, k: int) -> int:
-    """Sign of the polynomial at m/2^k, read off the integer
-    2^(k*deg) * g(m/2^k) = sum_j g_j m^j 2^(k*(deg-j)): no rounding."""
-    acc = coeffs[-1]
-    for i, c in enumerate(reversed(coeffs[:-1]), 1):
-        acc = acc * m + (c << k * i)
+def _h_slope(q: int, x: int, bits: int) -> tuple[int, int]:
+    """h and h' at x * 2^-bits, as multiples of 2^-(bits + _h_guard(q)).
+
+    h = (1-x)^2 g = -(q-1) + (q+2)x - (2q+1)x^q + 2(q-1)x^(q+1) and
+    h' = (q+2) - (2q^2+q)x^(q-1) + 2(q^2-1)x^q take one power x^(q-1)
+    and three products, where g and g' take q each."""
+    w = bits + _h_guard(q)
+    y = x << w - bits
+    one, half = 1 << w, 1 << w - 1
+    below = _power(y, q - 1, w)  # x^(q-1)
+    top = (below * y + half) >> w  # x^q
+    h = ((q + 2) * y - (q - 1) * one
+         + ((top * (2 * (q - 1) * y - (2 * q + 1) * one) + half) >> w))
+    slope = (q + 2) * one + ((below * (2 * (q * q - 1) * y
+                                       - (2 * q * q + q) * one) + half) >> w)
+    return h, slope
+
+
+def _g_of_h(x: int, h: int, bits: int) -> int:
+    """g = h / (1-x)^2 at x * 2^-bits from h as _h_slope gives it, in
+    the same units of 2^-(bits + _h_guard(q))."""
+    return div_nearest(h << 2 * bits, ((1 << bits) - x) ** 2)
+
+
+def _h_sign(q: int, m: int, k: int) -> int:
+    """Sign of h at m/2^k, read off the integer 2^(k(q+1)) h(m/2^k): no
+    rounding.  On (0, 1) it is the sign of g."""
+    acc = (((q + 2) * m - ((q - 1) << k)) << k * q) \
+        + m**q * (2 * (q - 1) * m - ((2 * q + 1) << k))
     return (acc > 0) - (acc < 0)
 
 
@@ -226,67 +258,69 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
 
     x0 is the unique root there of g(x) = sum_j (3j-(q-1)) x^j (g(0) < 0,
     g(1) = q(q-1)/2 > 0, and x*g'(x)/f(x) is an increasing mean, so the
-    sign change is single).  BISECTION_STEPS steps of exact dyadic
-    bisection bracket the root to 2^-64, Newton steps at about doubling
-    precision carry it to the working precision, and Newton at full
-    precision runs until the mantissa is stationary or 2-cycles, keeping
-    the 2-cycle element with the smaller |g| (then smaller mantissa).  The
-    fractional power is the integer cube root of x0^(q-1); no logarithms
-    and no floats anywhere.  Newton and the constant run on binary
-    mantissas, and x0, the constant and the residual are converted to
-    decimal once.  `counters` gives the bisection steps, the Newton steps
-    at each working precision (keyed by decimal digits), the working
-    digits and bits, the `stop` rule that ended Newton ("stationary" or
+    sign change is single), and so of h = (1-x)^2 g, a closed form since
+    f = (1 - x^q)/(1 - x): h and h' take one binary power x^(q-1) where
+    g takes q products.  BISECTION_STEPS steps of exact dyadic bisection
+    on the sign of h bracket the root to 2^-64, Newton steps on h at
+    about doubling precision carry it to the working precision, and
+    Newton at full precision runs until the mantissa is stationary or
+    2-cycles; h and h' carry _h_guard(q) bits, so rounding noise never
+    outgrows a step.  The residual is g(x0) = h(x0)/(1-x0)^2; of a
+    2-cycle the element with the smaller |g| (then smaller mantissa) is
+    kept.  The constant is (1 - x0^q)/(1 - x0) over the integer cube root
+    of x0^(q-1), one division; no logarithms and no floats anywhere.
+    Everything runs on binary mantissas, converted to decimal once.
+    `counters` gives the bisection steps, the Newton steps at each
+    working precision (keyed by decimal digits), the working digits and
+    bits, the `stop` rule that ended Newton ("stationary" or
     "two_cycle") and `exact_power`, true where the bracketed power
-    x0^(q-1) could not decide its rounding and the exact power ran.
-    Raises ArithmeticError if 200 full-precision steps end in neither,
-    rather than report digits that never settled.
+    x0^(q-1) could not decide its rounding and the exact power ran;
+    `timings_ms` gives the `bisection`, `ladder`, `newton`, `residual`
+    and `constant` stages.  Raises ArithmeticError if 200 full-precision
+    steps end in neither, rather than report digits that never settled.
     """
     _check_q(q)
     _check_digits(digits)
     return _saddle_point(q, digits)
 
 
-def _saddle_point(q: int, digits: int) -> SaddleResult:
-    """saddle_point without the ceilings, which leading_constant works past."""
+def _saddle_root(q: int, digits: int) -> tuple[int, int, int, dict, dict]:
+    """The root stages of saddle_point: x0 as an integer standing for
+    x0 * 2^-bits, bits, g(x0) in units of 2^-(bits + _h_guard(q)), the
+    counters and the timings."""
     clock = time.perf_counter
     started = clock()
     work = digits + GUARD
-    g_coeffs = [3 * j - (q - 1) for j in range(q)]
-    gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
 
     # the root lies in [m/2^k, (m+1)/2^k] after k steps
     m = 0
     for k in range(1, BISECTION_STEPS + 1):
-        m = 2 * m + (_dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
+        m = 2 * m + (_h_sign(q, 2 * m + 1, k) < 0)
     assert 0 < m < 2**BISECTION_STEPS - 1, \
         "no interior sign change; cannot happen for q >= 2"
     bisected = clock()
 
-    # every value below is an integer v standing for v * 2^-bits
     newton_steps: dict[int, int] = {}
     x, bits = m, BISECTION_STEPS
     for p in _ladder(work):
         x, bits = _rescale(x, bits, _bits(p)), _bits(p)
-        x -= div_nearest(_horner(g_coeffs, x, bits) << bits,
-                         _horner(gp_coeffs, x, bits))
+        h, slope = _h_slope(q, x, bits)
+        x -= div_nearest(h << bits, slope)
         newton_steps[p] = 1
     laddered = clock()
 
     x, bits = _rescale(x, bits, _bits(work)), _bits(work)
-    prev = prev_g = None
+    prev = prev_h = None
     for steps in range(1, 201):
-        g = _horner(g_coeffs, x, bits)
-        nxt = x - div_nearest(g << bits, _horner(gp_coeffs, x, bits))
+        h, slope = _h_slope(q, x, bits)
+        nxt = x - div_nearest(h << bits, slope)
         if nxt == x:
             stop = "stationary"
             break
         if nxt == prev:
             stop = "two_cycle"
-            x, g = min((x, g), (prev, prev_g),
-                       key=lambda e: (abs(e[1]), e[0]))
             break
-        prev, prev_g = x, g
+        prev, prev_h = x, h
         x = nxt
     else:
         raise ArithmeticError("Newton neither settled nor 2-cycled "
@@ -294,32 +328,53 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     newton_steps[work] = steps
     converged = clock()
 
-    # f(x0) / cbrt(x0^(q-1)): the power rounded by one shift, read off a
-    # bracket 64 bits wider than the result, or off the exact power where
-    # the bracket's ends round apart
-    f_val = _horner([1] * q, x, bits)
+    g = _g_of_h(x, h, bits)
+    if stop == "two_cycle":
+        x, g = min((x, g), (prev, _g_of_h(prev, prev_h, bits)),
+                   key=lambda e: (abs(e[1]), e[0]))
+    finished = clock()
+    counters = {"bisection_steps": BISECTION_STEPS,
+                "newton_steps": newton_steps, "work_digits": work,
+                "work_bits": bits, "stop": stop}
+    timings = {"bisection": (started, bisected),
+               "ladder": (bisected, laddered),
+               "newton": (laddered, converged),
+               "residual": (converged, finished)}
+    return x, bits, g, counters, timings
+
+
+def _saddle_point(q: int, digits: int) -> SaddleResult:
+    """saddle_point without the ceilings."""
+    x, bits, g, counters, timings = _saddle_root(q, digits)
+    started = time.perf_counter()
+
+    # x0^(q-1) rounded by one shift, read off a bracket 64 bits wider
+    # than the result, or off the exact power where the bracket's ends
+    # round apart
     lo, hi, s = _pow_interval(x, q - 1, bits + 64)
     power = _rescale(lo, bits * (q - 1) - s, bits)
     exact_power = _rescale(hi, bits * (q - 1) - s, bits) != power
     if exact_power:
-        power = _rescale(x ** (q - 1), bits * (q - 1), bits)
-    constant = div_nearest(f_val << bits, icbrt_newton(power << 2 * bits))
+        lo, s = x ** (q - 1), 0
+        power = _rescale(lo, bits * (q - 1), bits)
+    # f(x0) / cbrt(x0^(q-1)) = (1 - x0^q) / ((1 - x0) cbrt(x0^(q-1))),
+    # one division, with x0^q from the bracket's (or the power's) low
+    # end carried _h_guard(q) bits past x0
+    guard = _h_guard(q)
+    top = _rescale(lo * x, bits * q - s, bits + guard)
+    constant = div_nearest(((1 << bits + guard) - top) << 2 * bits,
+                           (((1 << bits) - x) << guard)
+                           * icbrt_newton(power << 2 * bits))
     x0, constant, residual = (_to_decimal(x, bits, digits),
                               _to_decimal(constant, bits, digits),
-                              _to_decimal(g, bits, work))
-    finished = clock()
+                              _to_decimal(g, bits + guard,
+                                          counters["work_digits"]))
+    timings["constant"] = (started, time.perf_counter())
     return SaddleResult(
         q=q, x0=x0, constant=constant, residual=residual,
-        counters={"bisection_steps": BISECTION_STEPS,
-                  "newton_steps": newton_steps, "work_digits": work,
-                  "work_bits": bits, "stop": stop,
-                  "exact_power": exact_power},
+        counters={**counters, "exact_power": exact_power},
         timings_ms={stage: round((end - start) * 1000, 3)
-                    for stage, start, end in (
-                        ("bisection", started, bisected),
-                        ("ladder", bisected, laddered),
-                        ("newton", laddered, converged),
-                        ("constant", converged, finished))})
+                    for stage, (start, end) in timings.items()})
 
 
 def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:
@@ -363,7 +418,8 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """
     _check_digits(digits)
     work = digits + GUARD
-    x0 = _saddle_point(3, work).x0
+    x, bits = _saddle_root(3, work)[:2]
+    x0 = _to_decimal(x, bits, work)
     one = BigFixed.from_int(1, work)
     f = one + x0 + x0.pow_int(2)
     v = x0 * (one + 4 * x0 + x0.pow_int(2)) / f.pow_int(2)

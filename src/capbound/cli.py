@@ -253,9 +253,7 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
     if args.set:
         check_reach(args.n)  # before reading and encoding a file of any size
         with open(args.set, encoding="utf-8") as fh:
-            ps = parse_pointset(fh.read())
-        if ps.n != args.n:
-            raise ValueError(f"point file has dimension {ps.n}, --n is {args.n}")
+            ps = parse_pointset(fh.read(), args.n)
     else:
         ps = max_capset(args.n).witness
     report = verify_support_bound(args.n, args.d, ps)
@@ -284,7 +282,9 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
               "criteria": [{"name": c.name, "pass": c.passed,
                             "warning": c.warning, "detail": c.detail,
                             "measured": c.measured,
-                            "elapsed_ms": round(c.elapsed_s * 1000, 3)}
+                            "elapsed_ms": round(c.elapsed_s * 1000, 3),
+                            "timings_ms": {k: round(v * 1000, 3) for k, v
+                                           in c.timings_s.items()}}
                            for c in criteria]}
     return result, checks
 

@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# icbrt_newton seeds Newton by recursion above this many bits
-_CBRT_SEED_BITS = 192
+# icbrt_newton's small roots, and the top of its ladder's seed rung
+_CBRT_SMALL_BITS = 192
+_CBRT_SEED_BITS = 64
 
 
 def div_nearest(a: int, b: int) -> int:
@@ -41,34 +42,63 @@ def isqrt_newton(n: int) -> int:
 
 
 def icbrt_newton(n: int) -> int:
-    """Floor cube root by Newton iteration from above, to a fixpoint.
+    """Floor cube root, ending in the exact check x^3 <= n < (x+1)^3.
 
-    Past _CBRT_SEED_BITS the iteration starts from the cube root of the
-    top half of n, found the same way: that seed is above the root and
-    carries about half its bits, so Newton needs about two full-size
-    divisions instead of one per bit-doubling from a power of two."""
+    Past _CBRT_SMALL_BITS bits the estimate is n v^2, with v = n^(-1/3)
+    from Newton's v <- v + v(1 - n v^3)/3 (products and a division by 3
+    only) on a precision ladder (Brent and Zimmermann, *Modern Computer
+    Arithmetic*, 2010, §4.2.3).  Unit steps carry it to the floor root,
+    keeping x^2 and x^3 exact, so the check costs no further cube."""
     if n < 0:
         raise ValueError("cube root of a negative number")
+    x = _icbrt_small(n) if n.bit_length() <= _CBRT_SMALL_BITS \
+        else _cbrt_estimate(n)
+    square = x * x
+    cube = square * x
+    while cube > n:
+        cube -= 3 * square - 3 * x + 1
+        square -= 2 * x - 1
+        x -= 1
+    above = cube + 3 * square + 3 * x + 1
+    while above <= n:
+        cube, square, x = above, square + 2 * x + 1, x + 1
+        above = cube + 3 * square + 3 * x + 1
+    assert cube <= n < above, "cube root is not the floor root"
+    return x
+
+
+def _icbrt_small(n: int) -> int:
+    """Floor cube root of a small n by integer Newton from above."""
     if n < 2:
         return n
-    size = n.bit_length()
-    if size <= _CBRT_SEED_BITS:
-        x = 1 << size // 3 + 1
-    else:
-        # n < (top + 1) * 2^(3t) <= ((r + 1) * 2^t)^3
-        t = size // 6
-        x = (icbrt_newton(n >> 3 * t) + 1) << t
+    x = 1 << n.bit_length() // 3 + 1
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:
-            break
+            return x
         x = y
-    while x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    assert x**3 <= n < (x + 1) ** 3
-    return x
+
+
+def _cbrt_estimate(n: int) -> int:
+    """n^(1/3) to within a unit or two.  With u = n / 2^(3 size) in
+    [1/8, 1), v = u^(-1/3) is kept as v * 2^p; a step doubles the square
+    of the relative error, so each rung carries 4 bits fewer than twice
+    the one below, and the top one, 8 bits past the root's, leaves
+    2^size u v^2 within two units."""
+    size = (n.bit_length() + 2) // 3  # 2^(3 size - 3) <= n < 2^(3 size)
+    precisions = [size + 8]
+    while precisions[-1] > _CBRT_SEED_BITS:
+        precisions.append(precisions[-1] // 2 + 4)
+    p = precisions.pop()
+    # (2^(6p) / (u 2^(3p)))^(1/3) = v 2^p, from the top 3p bits of n
+    v = _icbrt_small((1 << 6 * p) // (n >> 3 * (size - p)))
+    for rung in reversed(precisions):
+        # 1 - u v^3 in units of 2^-rung, from the lower rung's v
+        cube = v * v * v >> 3 * p - rung
+        error = (1 << rung) - ((n >> 3 * size - rung) * cube >> rung)
+        v = (v << rung - p) + (v * error >> p) // 3
+        p = rung
+    return (n >> 3 * size - p) * (v * v >> p) >> 2 * p - size
 
 
 def _pow_interval(b: int, e: int, w: int) -> tuple[int, int, int]:
@@ -256,22 +286,43 @@ class BigFixed:
 
 
 def pi(scale: int) -> BigFixed:
-    """pi at the given scale by the arctangent identity
-    pi = 16*atan(1/5) - 4*atan(1/239), summed in exact integers."""
-    work = scale + 10
+    """pi rounded half up to `scale` decimals, from Chudnovsky's series
+    by binary splitting on integers (Haible and Papanikolaou, "Fast
+    multiprecision evaluation of series of rational numbers", 1998),
+    with 10 more guard digits each time the two ends of its error
+    bracket round apart."""
+    guard = 10
+    while True:
+        unit = 10**guard
+        approx = _pi_scaled(scale + guard)
+        low = div_nearest(approx - 2, unit)
+        if low == div_nearest(approx + 2, unit):
+            return BigFixed(low, scale)
+        guard += 10
 
-    def atan_inv(k: int) -> int:
-        # atan(1/k) * 10^work as an integer, alternating series
-        total = 0
-        term_num = 10**work // k
-        ksq = k * k
-        i = 0
-        while term_num:
-            sign = -1 if i % 2 else 1
-            total += sign * (term_num // (2 * i + 1))
-            term_num //= ksq
-            i += 1
-        return total
 
-    raw = 16 * atan_inv(5) - 4 * atan_inv(239)
-    return BigFixed(div_nearest(raw, 10**10), scale)
+def _pi_scaled(work: int) -> int:
+    """pi * 10^work to within 2 units: pi = 426880 sqrt(10005) / S, each
+    term of S at most 2e-14 of the one before, so work // 13 + 2 terms
+    leave a tail far below a unit, and the floors and the trims below
+    cost under 1.1 units."""
+    q, t = _chudnovsky(1, work // 13 + 2)[1:]
+    d = 13591409 * q + t  # S = d / q over the summed terms
+    # d keeps 64 bits past the 10 * work / 3 >= log2(10^work) of the
+    # result, and q (24 bits shorter, as S > 2^23) loses as many as d
+    trim = max(0, d.bit_length() - 10 * work // 3 - 64)
+    root = math.isqrt(10005 * 10 ** (2 * work))
+    return 426880 * root * (q >> trim) // (d >> trim)
+
+
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """P, Q and T of the Chudnovsky terms k in [a, b): P / Q is the
+    product of their ratios, T / Q their sum relative to term a - 1."""
+    if b - a == 1:
+        p = -(6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        return (p, 10939058860032000 * a**3,
+                p * (13591409 + 545140134 * a))
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2

@@ -35,21 +35,27 @@ from .qnomial import mspace_size
 Monomial = tuple[int, ...]
 
 
-def parse_pointset(text: str) -> PointSet:
+def parse_pointset(text: str, n: int | None = None) -> PointSet:
     """Parse the flat file format: one point per line as space-separated
-    digits, '#' starting a comment."""
-    vectors = []
+    digits, '#' starting a comment.  Every point must have n coordinates
+    (as many as the first where n is None); widths are checked before any
+    point is encoded, whose cost grows with the square of its width."""
+    rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        vectors.append(tuple(int(tok) for tok in line.split()))
-    if not vectors:
+        tokens = line.split()
+        if n is None:
+            n = len(tokens)
+        elif len(tokens) != n:
+            raise ValueError(f"point file has dimension {len(tokens)}, "
+                             f"expected {n}")
+        rows.append(tokens)
+    if not rows:
         raise ValueError("no points found")
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise ValueError("inconsistent point dimensions")
-    return PointSet.from_vectors(vectors)
+    return PointSet.from_vectors(tuple(int(tok) for tok in row)
+                                 for row in rows)
 
 
 def format_pointset(ps: PointSet) -> str:

@@ -1,6 +1,7 @@
 """Recurrence verification, root digits, saddle-point constants, and the
 two cross-method agreement checks at unit-test scale."""
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ from capbound.asymptotics import (
     verify_recurrence,
 )
 from capbound.cli import _unlimited_int_digits
-from capbound.fixedpoint import BigFixed, div_nearest, isqrt_newton
+from capbound.fixedpoint import (BigFixed, div_nearest, icbrt_newton,
+                                 isqrt_newton)
 from capbound.qnomial import row_prefix
 
 try:
@@ -224,60 +226,232 @@ def test_saddle_point_counters():
     # and the full-precision loop only confirms a stationary mantissa
     assert len(precisions) <= 7
     assert 1 <= sp.counters["newton_steps"][work] <= 3
-    assert set(sp.timings_ms) == {"bisection", "ladder", "newton", "constant"}
+    assert set(sp.timings_ms) == {"bisection", "ladder", "newton",
+                                  "residual", "constant"}
     # the cost fields take no part in comparisons
     assert sp == asymptotics._saddle_point(31, 600)
+
+
+def _g_exact_dyadic(q, m, bits):
+    return _g_exact(q, Fraction(m, 1 << bits))
 
 
 def test_saddle_two_cycle_keeps_the_smaller_residual(monkeypatch):
     # where full-precision Newton 2-cycles, the kept element is the one
     # with the smaller |g| (then the smaller mantissa), not whichever the
-    # loop met first; the test replays the cycle by Newton on the binary
-    # mantissas at the saddle point's own precision.  Both elements
+    # loop stopped on.  Newton on h with its guard bits lands on the
+    # mantissa a nearest the root and stays there, so over these cases it
+    # never 2-cycles by itself.  The test forces a cycle: at a it sets h'
+    # to |h| * 2^bits, so the step is the sign of h and moves x across
+    # the root to a - sign(h), whose own step leads back; h itself, which
+    # the residual is taken from, is left alone.  (At q = 2 the root 1/2
+    # is a mantissa and h(a) = 0, so no slope moves it.)  Both elements
     # usually round to the same decimals, so the test reads the binary
-    # values that x0 and the residual are converted from.
-    horner = asymptotics._horner
+    # values that x0 and the residual are converted from, and compares
+    # them with exact g in Fraction.
+    h_slope = asymptotics._h_slope
     to_decimal = asymptotics._to_decimal
     converted = []
     monkeypatch.setattr(asymptotics, "_to_decimal",
                         lambda v, bits, scale: converted.append(v)
                         or to_decimal(v, bits, scale))
-    cycles = 0
-    for q in range(2, 7):
-        g_coeffs = [3 * j - (q - 1) for j in range(q)]
-        gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
+    cycles = kept_first_met = 0
+    for q in range(3, 7):
         for digits in range(1, 81):
+            a, bits = asymptotics._saddle_root(q, digits)[:2]
+            visited = []
+
+            def forced(q_, x, bits_, a=a, bits=bits, visited=visited):
+                h, slope = h_slope(q_, x, bits_)
+                if bits_ == bits:
+                    visited.append(x)
+                    if x == a and h:
+                        slope = abs(h) << bits
+                return h, slope
+
+            monkeypatch.setattr(asymptotics, "_h_slope", forced)
             converted.clear()
             sp = asymptotics._saddle_point(q, digits)
-            assert sp.counters["stop"] in ("stationary", "two_cycle")
+            monkeypatch.setattr(asymptotics, "_h_slope", h_slope)
             if sp.counters["stop"] != "two_cycle":
+                assert sp.counters["stop"] == "stationary"
                 continue
             cycles += 1
-            work = digits + asymptotics.GUARD
-            bits = sp.counters["work_bits"]
+            cycle = set(visited[-2:])
+            assert a in cycle and len(cycle) == 2
             x0, _, residual = converted
-            x = x0
-            seen = []
-            while x not in seen:
-                seen.append(x)
-                x -= div_nearest(horner(g_coeffs, x, bits) << bits,
-                                 horner(gp_coeffs, x, bits))
-            cycle = seen[seen.index(x):]
-            assert len(cycle) == 2
-            g = {m: horner(g_coeffs, m, bits) for m in cycle}
+            g = {m: _g_exact_dyadic(q, m, bits) for m in cycle}
             kept = min(cycle, key=lambda m: (abs(g[m]), m))
-            assert (x0, residual) == (kept, g[kept])
-            assert sp.residual == to_decimal(g[kept], bits, work)
+            assert x0 == kept
+            # g carries the guard bits of h, within a 16th of 2^-bits
+            guard = asymptotics._h_guard(q)
+            assert abs(residual - g[kept] * 2 ** (bits + guard)) \
+                <= 2 ** guard // 16
+            assert sp.residual == to_decimal(residual, bits + guard,
+                                             digits + asymptotics.GUARD)
+            kept_first_met += kept == visited[-2]
     assert cycles >= 10
+    # the rule decides: it keeps the element the loop met first as well
+    # as the one it met last
+    assert 0 < kept_first_met < cycles
 
 
 def test_saddle_refuses_newton_that_never_settles(monkeypatch):
-    # with g = g' = 1 every Newton step moves x by -1, so the
+    # with h = 2^-bits h' every Newton step moves x by -1, so the
     # full-precision loop meets neither a stationary mantissa nor a 2-cycle
-    monkeypatch.setattr(asymptotics, "_horner",
-                        lambda coeffs, x, bits: 1 << bits)
+    monkeypatch.setattr(asymptotics, "_h_slope",
+                        lambda q, x, bits: (1, 1 << bits))
     with pytest.raises(ArithmeticError, match="200 steps"):
         asymptotics._saddle_point(5, 20)
+
+
+def _h_poly(q, x):
+    """h = (1-x)^2 g in the form _h_slope evaluates."""
+    return (-(q - 1) + (q + 2) * x - (2 * q + 1) * x**q
+            + 2 * (q - 1) * x ** (q + 1))
+
+
+def _h_slope_poly(q, x):
+    return (q + 2) - (2 * q * q + q) * x ** (q - 1) + 2 * (q * q - 1) * x**q
+
+
+@settings(deadline=None, max_examples=200)
+@given(q=st.integers(2, 11), num=st.integers(-10**6, 10**6),
+       den=st.integers(1, 10**6))
+def test_h_is_the_closed_form_of_g(q, num, den):
+    # h = (1-x)^2 g and h' = (1-x)^2 g' - 2(1-x) g, exactly, with h also
+    # in the form 3x(1 - q x^(q-1) + (q-1)x^q) - (q-1)(1 - x^q)(1 - x)
+    # that f = (1 - x^q)/(1 - x) gives
+    x = Fraction(num, den)
+    g = _g_exact(q, x)
+    gp = sum(j * (3 * j - (q - 1)) * x ** (j - 1) for j in range(1, q))
+    h = _h_poly(q, x)
+    assert h == (1 - x) ** 2 * g
+    assert h == (3 * x * (1 - q * x ** (q - 1) + (q - 1) * x**q)
+                 - (q - 1) * (1 - x**q) * (1 - x))
+    assert _h_slope_poly(q, x) == (1 - x) ** 2 * gp - 2 * (1 - x) * g
+
+
+@settings(deadline=None, max_examples=200)
+@given(q=st.integers(2, MAX_Q), bits=st.integers(1, 400), data=st.data())
+def test_h_slope_and_sign_against_exact_values(q, bits, data):
+    # the fixed-point h and h' stay within q^2 and q^3 units of
+    # 2^-(bits + guard) of the exact values, far inside the guard's
+    # 2^guard >= 256 q^2, and the bisection reads the exact sign
+    m = data.draw(st.integers(0, 2**bits))
+    x = Fraction(m, 2**bits)
+    unit = 2 ** (bits + asymptotics._h_guard(q))
+    h, slope = asymptotics._h_slope(q, m, bits)
+    assert abs(h - _h_poly(q, x) * unit) <= q * q
+    assert abs(slope - _h_slope_poly(q, x) * unit) <= q**3
+    exact = _h_poly(q, x)
+    assert asymptotics._h_sign(q, m, bits) == (exact > 0) - (exact < 0)
+
+
+def _horner(coeffs, x, bits):
+    """The polynomial at x * 2^-bits, as a multiple of 2^-bits; each
+    product rounds half up by a shift."""
+    half = 1 << bits - 1
+    acc = coeffs[-1] << bits
+    for c in reversed(coeffs[:-1]):
+        acc = ((acc * x + half) >> bits) + (c << bits)
+    return acc
+
+
+def _dyadic_sign(coeffs, m, k):
+    """Sign of the polynomial at m/2^k, read off the integer
+    2^(k*deg) * g(m/2^k) = sum_j g_j m^j 2^(k*(deg-j)): no rounding."""
+    acc = coeffs[-1]
+    for i, c in enumerate(reversed(coeffs[:-1]), 1):
+        acc = acc * m + (c << k * i)
+    return (acc > 0) - (acc < 0)
+
+
+def _horner_saddle_point(q, digits):
+    """The saddle point as it was computed before Newton moved to h, the
+    reference for the h route: bisection on the sign of g, Newton on g and
+    g' by q-term Horner chains on the same ladder and stop rules, the
+    2-cycle element with the smaller Horner |g| kept, f(x0) by Horner
+    and the exact power x0^(q-1).  Returns x0, the constant and the
+    residual."""
+    work = digits + asymptotics.GUARD
+    g_coeffs = [3 * j - (q - 1) for j in range(q)]
+    gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
+    m = 0
+    for k in range(1, asymptotics.BISECTION_STEPS + 1):
+        m = 2 * m + (_dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
+    x, bits = m, asymptotics.BISECTION_STEPS
+    for p in asymptotics._ladder(work) + [work]:
+        x, bits = asymptotics._rescale(x, bits, asymptotics._bits(p)), \
+            asymptotics._bits(p)
+        if p < work:
+            x -= div_nearest(_horner(g_coeffs, x, bits) << bits,
+                             _horner(gp_coeffs, x, bits))
+    prev = prev_g = None
+    for _ in range(200):
+        g = _horner(g_coeffs, x, bits)
+        nxt = x - div_nearest(g << bits, _horner(gp_coeffs, x, bits))
+        if nxt == x:
+            break
+        if nxt == prev:
+            x, g = min((x, g), (prev, prev_g),
+                       key=lambda e: (abs(e[1]), e[0]))
+            break
+        prev, prev_g = x, g
+        x = nxt
+    else:
+        raise ArithmeticError("Newton neither settled nor 2-cycled")
+    power = asymptotics._rescale(x ** (q - 1), bits * (q - 1), bits)
+    constant = div_nearest(_horner([1] * q, x, bits) << bits,
+                           icbrt_newton(power << 2 * bits))
+    return tuple(asymptotics._to_decimal(v, bits, scale) for v, scale in
+                 ((x, digits), (constant, digits), (g, work)))
+
+
+# (q, digits) of the grid below where the residual g(x0) moved when
+# Newton moved to h: at four of them the h route stops one unit of
+# 2^-bits away from the Horner route, so the residual changes sign; at
+# the others the Horner chain's rounding, or the rounding of g to
+# 2^-bits before the decimal one, had moved g(x0) across a decimal
+# rounding boundary
+RESIDUAL_MOVES = {(17, 35), (17, 70), (18, 3), (24, 76), (32, 22), (39, 1),
+                  (39, 2), (43, 4), (43, 21), (45, 41), (50, 53), (54, 16),
+                  (55, 68), (57, 38), (64, 26)}
+
+
+def test_saddle_point_matches_the_horner_reference():
+    # every q and every precision up to 80 digits: x0 and the constant
+    # keep every digit, and the residual moves only where listed
+    moved = set()
+    for q in range(2, MAX_Q + 1):
+        for digits in range(1, 81):
+            sp = asymptotics._saddle_point(q, digits)
+            x0, constant, residual = _horner_saddle_point(q, digits)
+            assert (sp.x0, sp.constant) == (x0, constant), (q, digits)
+            if sp.residual != residual:
+                moved.add((q, digits))
+    assert moved == RESIDUAL_MOVES
+
+
+def _residual_is_rounded_exact_g(q, digits):
+    # the residual is exact g at the binary x0, rounded half up to the
+    # working digits
+    x, bits = asymptotics._saddle_root(q, digits)[:2]
+    work = digits + asymptotics.GUARD
+    exact = _g_exact_dyadic(q, x, bits) * 10**work
+    return asymptotics._saddle_point(q, digits).residual == \
+        BigFixed(math.floor(exact + Fraction(1, 2)), work)
+
+
+@pytest.mark.parametrize("q,digits", sorted(RESIDUAL_MOVES))
+def test_moved_residuals_are_rounded_exact_values(q, digits):
+    assert _residual_is_rounded_exact_g(q, digits)
+
+
+@settings(deadline=None, max_examples=60)
+@given(q=st.integers(2, MAX_Q), digits=st.integers(1, 300))
+def test_residual_is_the_rounded_exact_value(q, digits):
+    assert _residual_is_rounded_exact_g(q, digits)
 
 
 def _decimal_horner(coeffs, x, work):
@@ -297,7 +471,7 @@ def _decimal_saddle_point(q, digits):
     gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
     m = 0
     for k in range(1, asymptotics.BISECTION_STEPS + 1):
-        m = 2 * m + (asymptotics._dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
+        m = 2 * m + (_dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
     x = BigFixed.from_ratio(2 * m + 1, 2**(asymptotics.BISECTION_STEPS + 1),
                             asymptotics.LADDER_START)
     for p in asymptotics._ladder(work):

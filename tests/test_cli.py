@@ -12,7 +12,7 @@ import pytest
 import capbound
 from capbound import golden, verifier
 from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
-from capbound.capsearch import MAX_BUDGET, max_capset
+from capbound.capsearch import MAX_BUDGET, PointSet, max_capset
 from capbound.cli import main
 from capbound.qnomial import mspace_size, qnomial
 from capbound.verifier import parse_pointset
@@ -173,7 +173,7 @@ def test_growth_reports_cost(capsys):
     assert counters["work_digits"] == 210
     assert list(counters["newton_steps"])[-1] == "210"
     assert set(result["timings_ms"]) == {"bisection", "ladder", "newton",
-                                         "constant", "ratio"}
+                                         "residual", "constant", "ratio"}
 
 
 def test_verify_recurrence_command(capsys):
@@ -215,7 +215,7 @@ def test_table_rows_report_the_saddle_cost(capsys):
                                         "exact_power"}
         assert row["counters"]["work_digits"] == 40 + GUARD
         assert set(row["timings_ms"]) == {"bisection", "ladder", "newton",
-                                          "constant"}
+                                          "residual", "constant"}
 
 
 def test_search_writes_pointset(tmp_path, capsys):
@@ -404,6 +404,13 @@ def test_verify_all_quick(capsys):
     assert measured["2_root_and_alpha_digits"]["alpha_ulp"] <= 1
     assert measured["6_oracle_domination"]["runs"]["3"]["witness"] == [
         0, 1, 3, 4, 9, 10, 14, 17, 23]
+    # the searches' wall times sit next to elapsed_ms, not in measured
+    assert all("seconds" not in run for run in
+               measured["6_oracle_domination"]["runs"].values())
+    timings = {c["name"]: c["timings_ms"] for c in criteria}
+    assert set(timings["6_oracle_domination"]) == {"1", "2", "3"}
+    assert all(t == {} for name, t in timings.items()
+               if name != "6_oracle_domination")
     assert measured["8_leading_constant"]["value"]["decimal"].startswith(
         "3.326762746")
     # criterion 9 computes its estimate at quick level too
@@ -583,3 +590,22 @@ def test_oversized_verify_clp_refused_before_reading(tmp_path, capsys,
                                 "2", "--set", str(points))
     assert code == 2 and report is None
     assert err.startswith("error:") and "out of reach for the verifier" in err
+
+
+@pytest.mark.parametrize("lines", [["0 1 2 " * 2000], ["0 1 2 0", "1 1"]],
+                         ids=["wide-first-line", "narrow-second-line"])
+def test_verify_clp_refuses_a_wide_point_file_before_encoding(
+        tmp_path, capsys, monkeypatch, lines):
+    # a point of another width than --n is refused before any point is
+    # converted or encoded; encoding a point of width w costs time
+    # quadratic in w
+    def unencoded(vectors):
+        raise AssertionError("a point was encoded")
+
+    monkeypatch.setattr(PointSet, "from_vectors", unencoded)
+    points = tmp_path / "wide.txt"
+    points.write_text("\n".join(lines) + "\n")
+    code, report, err = run_cli(capsys, "verify-clp", "--n", "4", "--d", "2",
+                                "--set", str(points))
+    assert code == 2 and report is None
+    assert "point file has dimension" in err and "expected 4" in err

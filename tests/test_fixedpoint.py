@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound.fixedpoint import (BigFixed, _pow_interval, icbrt_newton,
-                                 isqrt_newton, pi)
+from capbound import fixedpoint
+from capbound.cli import _unlimited_int_digits
+from capbound.fixedpoint import (BigFixed, _pow_interval, div_nearest,
+                                 icbrt_newton, isqrt_newton, pi)
 
 
 def test_isqrt_matches_math_isqrt():
@@ -36,8 +38,8 @@ def test_icbrt_floor_property():
 
 @settings(deadline=None, max_examples=200)
 @given(root=st.integers(1, 2**3000), offset=st.integers(-1, 1))
-def test_icbrt_past_the_recursive_seed(root, offset):
-    # above 192 bits Newton starts from the cube root of the top bits;
+def test_icbrt_past_the_small_root(root, offset):
+    # above 192 bits the inverse root's Newton ladder gives the estimate;
     # around exact cubes the floor must still come out exactly
     n = root**3 + offset
     r = icbrt_newton(n)
@@ -62,6 +64,33 @@ def test_pow_interval_is_exact_while_it_fits():
     assert _pow_interval(0, 5, 8) == (0, 0, 0)
     lo, hi, s = _pow_interval(2, 1000, 16)
     assert lo == hi and lo << s == 2**1000
+
+
+@settings(deadline=None, max_examples=40)
+@given(bits=st.integers(200, 300_000), seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["any", "cube - 1", "cube", "cube + 1"]))
+def test_icbrt_floor_property_up_to_300000_bits(bits, seed, kind):
+    rng = random.Random(seed)
+    if kind == "any":
+        n = rng.getrandbits(bits) | 1 << bits - 1
+    else:
+        root = rng.getrandbits(bits // 3) | 1 << bits // 3 - 1
+        n = root**3 + {"cube - 1": -1, "cube": 0, "cube + 1": 1}[kind]
+    r = icbrt_newton(n)
+    assert r**3 <= n < (r + 1) ** 3
+
+
+@pytest.mark.parametrize("off", [-7, -2, -1, 1, 2, 7])
+def test_icbrt_steps_a_poor_estimate_to_the_floor(monkeypatch, off):
+    # the unit steps and the floor check, not the estimate, decide the
+    # result
+    estimate = fixedpoint._cbrt_estimate
+    monkeypatch.setattr(fixedpoint, "_cbrt_estimate",
+                        lambda n: estimate(n) + off)
+    root = 3**200 + 12345
+    for n in (root**3 - 1, root**3, root**3 + 1, root**3 + 3 * root**2):
+        r = icbrt_newton(n)
+        assert r**3 <= n < (r + 1) ** 3
 
 
 def test_negative_roots_rejected():
@@ -141,6 +170,54 @@ def test_pi_digits():
     want = "3.1415926535897932384626433832795028841972"
     assert pi(40).decimal() == want
     assert float(pi(20)) == pytest.approx(math.pi, abs=1e-15)
+
+
+def arctan_pi(scale):
+    """pi at the given scale by the arctangent identity
+    pi = 16*atan(1/5) - 4*atan(1/239), summed in exact integers: the
+    series pi was computed by before Chudnovsky's, kept as a reference."""
+    work = scale + 10
+
+    def atan_inv(k):
+        # atan(1/k) * 10^work as an integer, alternating series
+        total = 0
+        term_num = 10**work // k
+        ksq = k * k
+        i = 0
+        while term_num:
+            sign = -1 if i % 2 else 1
+            total += sign * (term_num // (2 * i + 1))
+            term_num //= ksq
+            i += 1
+        return total
+
+    raw = 16 * atan_inv(5) - 4 * atan_inv(239)
+    return BigFixed(div_nearest(raw, 10**10), scale)
+
+
+def test_pi_matches_the_arctangent_series():
+    for scale in range(1, 1201):
+        assert pi(scale) == arctan_pi(scale), scale
+    with _unlimited_int_digits():
+        assert pi(30_010) == arctan_pi(30_010)
+
+
+def test_pi_undecided_rounding_adds_guard_digits(monkeypatch):
+    # an approximation whose bracket straddles a rounding boundary must
+    # not be rounded; pi retries with 10 more guard digits
+    scaled = fixedpoint._pi_scaled
+    calls = []
+
+    def straddling(work):
+        calls.append(work)
+        if len(calls) == 1:
+            unit = 10 ** (work - 40)
+            return scaled(work) // unit * unit + unit // 2
+        return scaled(work)
+
+    monkeypatch.setattr(fixedpoint, "_pi_scaled", straddling)
+    assert pi(40).decimal() == "3.1415926535897932384626433832795028841972"
+    assert calls == [50, 60]
 
 
 # Exact properties against Fraction: a rounded result is the round-half-up

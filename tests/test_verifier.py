@@ -543,6 +543,10 @@ def test_pointset_file_roundtrip(tmp_path):
         parse_pointset("0 0\n1\n")
     with pytest.raises(ValueError):
         parse_pointset("# nothing\n")
+    assert parse_pointset(commented, 2) == ps
+    for wrong in ("0 0 0\n", "0 0\n0 1 2\n", "0\n"):
+        with pytest.raises(ValueError, match="has dimension"):
+            parse_pointset(wrong, 2)
 
 
 def test_fieldpoly_validation():
