@@ -37,7 +37,7 @@ from .capsearch import (
     is_progression_free,
     max_capset,
 )
-from .fixedpoint import BigFixed, icbrt_newton, isqrt_newton, pi
+from .fixedpoint import BigFixed, icbrt_newton, pi
 from .qnomial import (
     QNomialRow,
     mspace_size,

@@ -72,15 +72,15 @@ def _timed(criterion):
 def ulp_distance(value: BigFixed, pinned: str) -> Fraction:
     """Distance from a pinned decimal string in units of its last place."""
     ref = BigFixed.from_decimal(pinned)
-    return abs((value - ref).as_fraction()) * 10**ref.scale
+    return abs(value.as_fraction() - ref.as_fraction()) * 10**ref.scale
 
 
 def _digit_agreement(value: BigFixed) -> tuple[Fraction, int]:
     """Relative difference from the pinned leading constant, and how many
     significant digits agree; exact agreement counts every pinned digit."""
     pinned = golden.LEADING_CONSTANT_DIGITS
-    ref = BigFixed.from_decimal(pinned)
-    rel = abs((value - ref).as_fraction() / ref.as_fraction())
+    ref = BigFixed.from_decimal(pinned).as_fraction()
+    rel = abs((value.as_fraction() - ref) / ref)
     available = len(pinned.replace(".", "").lstrip("0"))
     digits = 0
     while digits < available and rel < Fraction(1, 10**(digits + 1)):

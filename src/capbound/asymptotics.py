@@ -17,10 +17,11 @@ Three independent routes to the same numbers live here:
     cross-check with no root finding at all.
 
 All fixed-point computation carries GUARD extra digits beyond what the
-caller asked for and rounds only on return.  The saddle point works on
-integers scaled by 2^bits, with bits = ceil(digits * log2 10) plus
-GUARD_BITS for each decimal precision, so every rescale is a shift; its
-results become decimal BigFixed values once, at the end.
+caller asked for and rounds only on return.  The saddle point, the
+characteristic root, alpha and the leading constant all work on integers
+scaled by 2^bits, with bits = ceil(digits * log2 10) plus GUARD_BITS for
+each decimal precision, so every rescale is a shift; each result becomes
+a decimal BigFixed value once, at the end.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from typing import Callable
 
 from . import golden
 from .bounds import sharp_bound
-from .fixedpoint import (BigFixed, _pow_interval, div_nearest, icbrt_newton,
-                         isqrt_newton, pi)
+from .fixedpoint import (BigFixed, _pi_scaled, _power_bracket, div_nearest,
+                         icbrt_newton)
 from .qnomial import row_prefix
 
 DEFAULT_DIGITS = 40
@@ -46,16 +47,17 @@ GUARD = 10
 # VM).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
-# and leading_constant accept.  At the ceiling alpha takes about 0.1 s,
-# leading_constant 0.35 s (0.08 s of it in pi), saddle_point(3) 0.15 s
-# and saddle_point(64) about 0.2 s, 0.1 s of it in the constant, which
-# rounds x0^63 from a bracket of about 100,000 bits (the exact power has
-# 6.3 Mbit and took 1.6 s); q = 31 takes 0.03 s at 10,000 digits.
+# and leading_constant accept.  At the ceiling characteristic_root takes
+# about 0.02 s, alpha 0.05 s, leading_constant 0.17 s (0.06 s of it in
+# pi), saddle_point(3) 0.11 s and saddle_point(64) about 0.2 s, 0.11 s of
+# it in the constant, which rounds x0^63 from a bracket of about 100,000
+# bits (the exact power has 6.3 Mbit and took 1.6 s); q = 31 takes 0.03 s
+# at 10,000 digits (Python 3.11, one core of a shared 2-core VM).
+MAX_DIGITS = 30_000
 # Largest q that saddle_point and growth_constant_ratio accept, twice the
 # largest q of the reference table: growth_constant_ratio(64) takes about
 # 7 ms and q = 400 about 50 ms (Python 3.11, one core of a shared 2-core
 # VM).
-MAX_DIGITS = 30_000
 MAX_Q = 64
 # saddle_point brackets its root by exact bisection to 2^-64 < 10^-19, so
 # its Newton ladder starts from LADDER_START correct digits; each ladder
@@ -148,23 +150,25 @@ def verify_recurrence(n_max: int,
 @lru_cache(maxsize=None)
 def characteristic_root(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """(5589 + 891*sqrt(33))/512, the largest root of the characteristic
-    quadratic, via integer Newton square root."""
+    quadratic, from one integer square root."""
     _check_digits(digits)
-    return _characteristic_root(digits)
+    bits = _bits(digits + GUARD)
+    return _to_decimal(_characteristic_root(bits), bits, digits)
 
 
-def _characteristic_root(digits: int) -> BigFixed:
-    """characteristic_root without the ceiling, which alpha works past."""
-    work = digits + GUARD
-    sqrt33 = BigFixed.from_int(33, work).sqrt()
-    return ((891 * sqrt33 + 5589) / 512).to_scale(digits)
+def _characteristic_root(bits: int) -> int:
+    """The characteristic root as a multiple of 2^-bits, floored."""
+    return ((5589 << bits) + 891 * math.isqrt(33 << 2 * bits)) >> 9
 
 
 @lru_cache(maxsize=None)
 def alpha(digits: int = DEFAULT_DIGITS) -> BigFixed:
-    """Cube root of characteristic_root: the base-3 growth constant."""
+    """Cube root of characteristic_root: the base-3 growth constant, from
+    the floor cube root of a root carried GUARD more digits."""
     _check_digits(digits)
-    return _characteristic_root(digits + GUARD).cbrt().to_scale(digits)
+    bits = _bits(digits + GUARD)
+    root = _characteristic_root(bits)
+    return _to_decimal(icbrt_newton(root << 2 * bits), bits, digits)
 
 
 def _bits(digits: int) -> int:
@@ -351,7 +355,7 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     # x0^(q-1) rounded by one shift, read off a bracket 64 bits wider
     # than the result, or off the exact power where the bracket's ends
     # round apart
-    lo, hi, s = _pow_interval(x, q - 1, bits + 64)
+    lo, hi, s = _power_bracket(x, q - 1, bits + 64)
     power = _rescale(lo, bits * (q - 1) - s, bits)
     exact_power = _rescale(hi, bits * (q - 1) - s, bits) != power
     if exact_power:
@@ -414,17 +418,21 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
 
         C = (3/(1-x0) - 1) / sqrt(2*pi*v),
 
-    with mu'(x) = (1 + 4x + x^2)/f(x)^2 for f = 1 + x + x^2.
+    with mu'(x) = (1 + 4x + x^2)/f(x)^2 for f = 1 + x + x^2, that is
+    C = (2+x0) f(x0) / ((1-x0) sqrt(2*pi*x0*(1 + 4x0 + x0^2))).  x0 is
+    the saddle root at q = 3 carried GUARD more digits; f, the square
+    root and the quotient are floored multiples of 2^-bits, with pi
+    times 2^bits from the same series as `pi`, and the result is
+    converted to decimal once.
     """
     _check_digits(digits)
-    work = digits + GUARD
-    x, bits = _saddle_root(3, work)[:2]
-    x0 = _to_decimal(x, bits, work)
-    one = BigFixed.from_int(1, work)
-    f = one + x0 + x0.pow_int(2)
-    v = x0 * (one + 4 * x0 + x0.pow_int(2)) / f.pow_int(2)
-    c = (3 / (one - x0) - one) / (2 * pi(work) * v).sqrt()
-    return c.to_scale(digits)
+    x, bits = _saddle_root(3, digits + GUARD)[:2]
+    one = 1 << bits
+    f = (one * one + x * one + x * x) >> bits
+    d = (one * one + 4 * x * one + x * x) >> bits  # v = x0 d / f^2
+    root = math.isqrt(2 * _pi_scaled(one) * x * d >> bits)
+    c = ((2 * one + x) * f << bits) // ((one - x) * root)
+    return _to_decimal(c, bits, digits)
 
 
 def normalized_sharp_bound(n: int) -> float:
@@ -442,9 +450,9 @@ def normalized_sharp_bound(n: int) -> float:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
     a = alpha(DEFAULT_DIGITS).mantissa
     unit = 10**DEFAULT_DIGITS
-    k = sharp_bound(n).value * isqrt_newton(n * unit**2)
-    num_lo, num_hi, num_s = _pow_interval(unit, n - 1, 128)
-    den_lo, den_hi, den_s = _pow_interval(a, n, 128)
+    k = sharp_bound(n).value * math.isqrt(n * unit**2)
+    num_lo, num_hi, num_s = _power_bracket(unit, n - 1, 128)
+    den_lo, den_hi, den_s = _power_bracket(a, n, 128)
     low = _shifted_ratio(k * num_lo, den_hi, num_s - den_s)
     if low == _shifted_ratio(k * num_hi, den_lo, num_s - den_s):
         return low

@@ -1,16 +1,17 @@
-"""Decimal fixed-point reals on arbitrary-precision integer mantissas.
+"""Decimal fixed-point reals on arbitrary-precision integer mantissas,
+and the integer roots and powers that the fixed-point layer runs on.
 
-A value is mantissa * 10^(-scale).  BigFixed is the decimal exchange type:
-results leave the library, the CLI report and the benchmark's oracles in
-it, read as mantissa * 10^(-scale).  Arithmetic that runs long at high
-precision (the saddle point in `asymptotics`) works on integers scaled by
-a power of two instead, where every rescale is a shift, and converts to
+A BigFixed value is mantissa * 10^(-scale).  It is the decimal exchange
+type and does no arithmetic: results leave the library, the CLI report
+and the benchmark's oracles in it, read as mantissa * 10^(-scale).  The
+computations behind them (the saddle point, the characteristic root,
+alpha and the leading constant in `asymptotics`) run on integers scaled
+by a power of two, where every rescale is a shift, and convert to
 BigFixed once at the end.
 
-All arithmetic is integer arithmetic on mantissas; square and cube roots
-are exact floor roots of the scaled integers.  Rounding, where a result
-does not fit the target scale, is round-half-up (toward +infinity);
-callers carry guard digits, so ties never matter.
+Roots are exact floor roots of integers; pi is computed on either
+radix's unit and rounded half up (toward +infinity) where it is
+returned as a BigFixed.
 """
 from __future__ import annotations
 
@@ -31,14 +32,6 @@ def div_nearest(a: int, b: int) -> int:
     if 2 * r >= b:
         q += 1
     return q
-
-
-def isqrt_newton(n: int) -> int:
-    """Floor square root; math.isqrt is exact, so only the sign is
-    checked here."""
-    if n < 0:
-        raise ValueError("square root of a negative number")
-    return math.isqrt(n)
 
 
 def icbrt_newton(n: int) -> int:
@@ -101,7 +94,7 @@ def _cbrt_estimate(n: int) -> int:
     return (n >> 3 * size - p) * (v * v >> p) >> 2 * p - size
 
 
-def _pow_interval(b: int, e: int, w: int) -> tuple[int, int, int]:
+def _power_bracket(b: int, e: int, w: int) -> tuple[int, int, int]:
     """A bracket (lo, hi, s) with lo * 2^s <= b^e <= hi * 2^s, for b >= 0,
     e >= 0 and w >= 2.
 
@@ -142,16 +135,6 @@ class BigFixed:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, value: int, scale: int) -> "BigFixed":
-        return cls(value * 10**scale, scale)
-
-    @classmethod
-    def from_ratio(cls, num: int, den: int, scale: int) -> "BigFixed":
-        if den == 0:
-            raise ZeroDivisionError("denominator is zero")
-        return cls(div_nearest(num * 10**scale, den), scale)
-
-    @classmethod
     def from_decimal(cls, text: str) -> "BigFixed":
         """Parse a plain decimal string; the scale is the digit count after
         the point (0 if there is none)."""
@@ -165,106 +148,6 @@ class BigFixed:
         if not (whole + frac).isdigit():
             raise ValueError(f"not a decimal literal: {text!r}")
         return cls(sign * int(whole + frac or "0"), len(frac))
-
-    # -- scale management ----------------------------------------------------
-
-    def to_scale(self, scale: int) -> "BigFixed":
-        if scale == self.scale:
-            return self
-        if scale > self.scale:
-            return BigFixed(self.mantissa * 10 ** (scale - self.scale), scale)
-        return BigFixed(
-            div_nearest(self.mantissa, 10 ** (self.scale - scale)), scale)
-
-    def _aligned(self, other: "BigFixed") -> tuple[int, int, int]:
-        scale = max(self.scale, other.scale)
-        return (self.to_scale(scale).mantissa, other.to_scale(scale).mantissa,
-                scale)
-
-    @staticmethod
-    def _coerce(value: "BigFixed | int", scale: int) -> "BigFixed":
-        if isinstance(value, BigFixed):
-            return value
-        return BigFixed.from_int(value, scale)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "BigFixed | int") -> "BigFixed":
-        other = self._coerce(other, self.scale)
-        a, b, s = self._aligned(other)
-        return BigFixed(a + b, s)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "BigFixed | int") -> "BigFixed":
-        other = self._coerce(other, self.scale)
-        a, b, s = self._aligned(other)
-        return BigFixed(a - b, s)
-
-    def __rsub__(self, other: "BigFixed | int") -> "BigFixed":
-        return self._coerce(other, self.scale).__sub__(self)
-
-    def __neg__(self) -> "BigFixed":
-        return BigFixed(-self.mantissa, self.scale)
-
-    def __mul__(self, other: "BigFixed | int") -> "BigFixed":
-        if isinstance(other, int):
-            return BigFixed(self.mantissa * other, self.scale)
-        a, b, s = self._aligned(other)
-        return BigFixed(div_nearest(a * b, 10**s), s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "BigFixed | int") -> "BigFixed":
-        other = self._coerce(other, self.scale)
-        a, b, s = self._aligned(other)
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return BigFixed(div_nearest(a * 10**s, b), s)
-
-    def __rtruediv__(self, other: "BigFixed | int") -> "BigFixed":
-        return self._coerce(other, self.scale).__truediv__(self)
-
-    def pow_int(self, k: int) -> "BigFixed":
-        """Integer power, exact until the final rescale."""
-        if k < 0:
-            raise ValueError("negative powers not supported; divide instead")
-        if k == 0:
-            return BigFixed.from_int(1, self.scale)
-        return BigFixed(
-            div_nearest(self.mantissa**k, 10 ** (self.scale * (k - 1))),
-            self.scale)
-
-    def sqrt(self) -> "BigFixed":
-        return BigFixed(isqrt_newton(self.mantissa * 10**self.scale),
-                        self.scale)
-
-    def cbrt(self) -> "BigFixed":
-        if self.mantissa < 0:
-            return -BigFixed(
-                icbrt_newton(-self.mantissa * 10 ** (2 * self.scale)),
-                self.scale)
-        return BigFixed(icbrt_newton(self.mantissa * 10 ** (2 * self.scale)),
-                        self.scale)
-
-    # -- comparisons ---------------------------------------------------------
-
-    def _cmp(self, other: "BigFixed | int") -> int:
-        other = self._coerce(other, self.scale)
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     # -- conversions ---------------------------------------------------------
 
@@ -294,24 +177,26 @@ def pi(scale: int) -> BigFixed:
     guard = 10
     while True:
         unit = 10**guard
-        approx = _pi_scaled(scale + guard)
+        approx = _pi_scaled(10 ** (scale + guard))
         low = div_nearest(approx - 2, unit)
         if low == div_nearest(approx + 2, unit):
             return BigFixed(low, scale)
         guard += 10
 
 
-def _pi_scaled(work: int) -> int:
-    """pi * 10^work to within 2 units: pi = 426880 sqrt(10005) / S, each
-    term of S at most 2e-14 of the one before, so work // 13 + 2 terms
-    leave a tail far below a unit, and the floors and the trims below
-    cost under 1.1 units."""
-    q, t = _chudnovsky(1, work // 13 + 2)[1:]
+def _pi_scaled(unit: int) -> int:
+    """pi * unit to within 2 units, for a unit of 10^work or 2^bits: pi =
+    426880 sqrt(10005) / S, each term of S at most 2e-14 < 2^-45 of the
+    one before, so bit_length(unit) // 45 + 2 terms leave a tail far
+    below a unit, and the floors and the trims below cost under 1.1
+    units."""
+    bits = unit.bit_length()
+    q, t = _chudnovsky(1, bits // 45 + 2)[1:]
     d = 13591409 * q + t  # S = d / q over the summed terms
-    # d keeps 64 bits past the 10 * work / 3 >= log2(10^work) of the
-    # result, and q (24 bits shorter, as S > 2^23) loses as many as d
-    trim = max(0, d.bit_length() - 10 * work // 3 - 64)
-    root = math.isqrt(10005 * 10 ** (2 * work))
+    # d keeps 64 bits past the bits >= log2(unit) of the result, and q
+    # (24 bits shorter, as S > 2^23) loses as many as d
+    trim = max(0, d.bit_length() - bits - 64)
+    root = math.isqrt(10005 * unit * unit)
     return 426880 * root * (q >> trim) // (d >> trim)
 
 

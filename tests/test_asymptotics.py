@@ -30,8 +30,7 @@ from capbound.asymptotics import (
     verify_recurrence,
 )
 from capbound.cli import _unlimited_int_digits
-from capbound.fixedpoint import (BigFixed, div_nearest, icbrt_newton,
-                                 isqrt_newton)
+from capbound.fixedpoint import BigFixed, div_nearest, icbrt_newton
 from capbound.qnomial import row_prefix
 
 try:
@@ -106,14 +105,13 @@ def test_characteristic_root_digits():
 
 def test_characteristic_root_satisfies_quadratic():
     a, b, c = golden.CHAR_QUADRATIC
-    root = characteristic_root(40)
-    residual = a * root.pow_int(2) + b * root + c
-    assert abs(residual.as_fraction()) < Fraction(1, 10**33)
+    root = characteristic_root(40).as_fraction()
+    assert abs(a * root**2 + b * root + c) < Fraction(1, 10**33)
     # Vieta: the two roots of the quadratic sum to -b/a and multiply to c/a
-    other = (BigFixed.from_int(5589, 50)
-             - 891 * BigFixed.from_int(33, 50).sqrt()) / 512
-    assert abs((root + other).as_fraction() - Fraction(-b, a)) < Fraction(1, 10**30)
-    assert abs((root * other).as_fraction() - Fraction(c, a)) < Fraction(1, 10**30)
+    other = Fraction(5589 * 10**50 - 891 * math.isqrt(33 * 10**100),
+                     512 * 10**50)
+    assert abs(root + other - Fraction(-b, a)) < Fraction(1, 10**30)
+    assert abs(root * other - Fraction(c, a)) < Fraction(1, 10**30)
 
 
 def test_char_quadratic_is_the_recurrence_limit():
@@ -145,30 +143,87 @@ def test_characteristic_root_brackets_the_larger_root(digits):
 
 def test_alpha_digits_and_cube():
     assert ulp_distance(alpha(19), golden.ALPHA_DIGITS) <= 1
-    cube = alpha(40).pow_int(3)
-    assert abs((cube - characteristic_root(40)).as_fraction()) \
+    cube = alpha(40).as_fraction() ** 3
+    assert abs(cube - characteristic_root(40).as_fraction()) \
         < Fraction(1, 10**36)
 
 
 def test_alpha_matches_saddle_constant():
-    a = alpha(30)
-    c = growth_constant(3, 30)
-    assert abs((a - c).as_fraction()) < Fraction(1, 10**28)
+    a = alpha(30).as_fraction()
+    c = growth_constant(3, 30).as_fraction()
+    assert abs(a - c) < Fraction(1, 10**28)
+
+
+def _rounded_root(d):
+    """(5589 + 891 sqrt(33))/512 rounded half up to d places, in integers:
+    floor((11178 10^d + 512 + 1782 sqrt(33) 10^d) / 1024)."""
+    return (11178 * 10**d + 512 + math.isqrt(1782**2 * 33 * 10 ** (2 * d))) \
+        // 1024
+
+
+def _rounded_alpha(d):
+    """The cube root of the characteristic root rounded half up to d
+    places: half of floor(2 alpha 10^d) + 1, where (2 alpha 10^d)^3 =
+    (5589 + 891 sqrt(33)) 10^(3d) / 64."""
+    eight_cubed = (5589 * 10 ** (3 * d)
+                   + math.isqrt(891**2 * 33 * 10 ** (6 * d))) // 64
+    return (icbrt_newton(eight_cubed) + 1) // 2
+
+
+def test_root_and_alpha_are_correctly_rounded():
+    # integer oracles with no floats: every precision to 2,000 digits and
+    # the 30,000-digit ceiling, through the uncached functions so that the
+    # sweep leaves the caches as it found them
+    for d in list(range(1, 2001)) + [MAX_DIGITS]:
+        assert characteristic_root.__wrapped__(d) == \
+            BigFixed(_rounded_root(d), d), d
+        assert alpha.__wrapped__(d) == BigFixed(_rounded_alpha(d), d), d
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
+@settings(deadline=None, max_examples=40)
+@given(digits=st.integers(1, 600))
+def test_leading_constant_matches_mpmath(digits):
+    # the closed form at x0 = (sqrt(33) - 1)/8, the root of 4x^2 + x - 2,
+    # evaluated by mpmath at 20 extra digits
+    with mpmath.workdps(digits + 20):
+        x = (mpmath.sqrt(33) - 1) / 8
+        f = 1 + x + x * x
+        c = (2 + x) * f / ((1 - x) * mpmath.sqrt(
+            2 * mpmath.pi * x * (1 + 4 * x + x * x)))
+        unit = mpmath.mpf(10) ** digits
+        assert abs(mpmath.mpf(leading_constant(digits).mantissa)
+                   - c * unit) <= 1
+
+
+@pytest.mark.parametrize("function,sha256", [
+    (characteristic_root,
+     "a9f72f8d25e45b7d4770ebf867188f46451a193920db2727f811e07e5c9f731b"),
+    (alpha,
+     "456ba6af8c933f11128bc3e11e0792fd749da10e36c231723d10d96321278559"),
+    (leading_constant,
+     "319418734a62889456da3c182a5bbe0564afa5c945d9257af4641fef4b5c8816"),
+], ids=["characteristic_root", "alpha", "leading_constant"])
+def test_constant_digests_at_3000_digits(function, sha256):
+    # SHA-256 of the decimals as decimal fixed point computed them, pinned
+    # before these constants moved to binary mantissas
+    text = function(3000).decimal()
+    assert len(text.partition(".")[2]) == 3000
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_saddle_q2_closed_form():
     sp = saddle_point(2, 30)
     assert sp.x0.decimal() == "0.500000000000000000000000000000"
     # constant = 1.5 * 2^(1/3), so its cube is exactly 6.75
-    cube = sp.constant.pow_int(3)
-    assert abs(cube.as_fraction() - Fraction(27, 4)) < Fraction(1, 10**27)
+    cube = sp.constant.as_fraction() ** 3
+    assert abs(cube - Fraction(27, 4)) < Fraction(1, 10**27)
 
 
 def test_saddle_q3_root_equation():
     sp = saddle_point(3, 40)
-    x = sp.x0
-    residual = 4 * x.pow_int(2) + x - 2
-    assert abs(residual.as_fraction()) < Fraction(1, 10**38)
+    x = sp.x0.as_fraction()
+    assert abs(4 * x**2 + x - 2) < Fraction(1, 10**38)
     assert abs(sp.residual.as_fraction()) < Fraction(1, 10**40)
 
 
@@ -454,47 +509,63 @@ def test_residual_is_the_rounded_exact_value(q, digits):
     assert _residual_is_rounded_exact_g(q, digits)
 
 
-def _decimal_horner(coeffs, x, work):
-    acc = BigFixed.from_int(coeffs[-1], work)
+def _to_scale(x, scale, to_scale):
+    """x * 10^-scale as a multiple of 10^-to_scale, rounding half up."""
+    if to_scale >= scale:
+        return x * 10 ** (to_scale - scale)
+    return div_nearest(x, 10 ** (scale - to_scale))
+
+
+def _decimal_horner(coeffs, x, p):
+    """The polynomial at x * 10^-p, as a multiple of 10^-p; each product
+    rounds half up by a division by 10^p."""
+    unit = 10**p
+    acc = coeffs[-1] * unit
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+        acc = div_nearest(acc * x, unit) + c * unit
     return acc
 
 
 def _decimal_saddle_point(q, digits):
-    """The saddle point on decimal BigFixed values, as it was computed
-    before the binary mantissas: the same bisection, ladder and stop rules,
-    with every product rescaled by a division by 10^work.  Returns x0 and
-    the constant at `digits`."""
+    """The saddle point on decimal mantissas, as it was computed before
+    the binary ones: the same bisection, ladder and stop rules, with every
+    product and quotient rounded half up at 10^-p.  Returns x0 and the
+    constant at `digits`."""
     work = digits + asymptotics.GUARD
     g_coeffs = [3 * j - (q - 1) for j in range(q)]
     gp_coeffs = [j * g_coeffs[j] for j in range(1, q)]
     m = 0
     for k in range(1, asymptotics.BISECTION_STEPS + 1):
         m = 2 * m + (_dyadic_sign(g_coeffs, 2 * m + 1, k) < 0)
-    x = BigFixed.from_ratio(2 * m + 1, 2**(asymptotics.BISECTION_STEPS + 1),
-                            asymptotics.LADDER_START)
+    scale = asymptotics.LADDER_START
+    x = div_nearest((2 * m + 1) * 10**scale,
+                    2 ** (asymptotics.BISECTION_STEPS + 1))
     for p in asymptotics._ladder(work):
-        x = x.to_scale(p)
-        x = x - (_decimal_horner(g_coeffs, x, p)
-                 / _decimal_horner(gp_coeffs, x, p))
-    x = x.to_scale(work)
+        x, scale = _to_scale(x, scale, p), p
+        x -= div_nearest(_decimal_horner(g_coeffs, x, p) * 10**p,
+                         _decimal_horner(gp_coeffs, x, p))
+    x = _to_scale(x, scale, work)
+    unit = 10**work
     prev = prev_g = None
     for _ in range(200):
         g = _decimal_horner(g_coeffs, x, work)
-        nxt = x - g / _decimal_horner(gp_coeffs, x, work)
-        if nxt.mantissa == x.mantissa:
+        nxt = x - div_nearest(g * unit, _decimal_horner(gp_coeffs, x, work))
+        if nxt == x:
             break
-        if prev is not None and nxt.mantissa == prev.mantissa:
+        if nxt == prev:
             x, g = min((x, g), (prev, prev_g),
-                       key=lambda e: (abs(e[1].mantissa), e[0].mantissa))
+                       key=lambda e: (abs(e[1]), e[0]))
             break
         prev, prev_g = x, g
         x = nxt
     else:
         raise ArithmeticError("Newton neither settled nor 2-cycled")
-    constant = _decimal_horner([1] * q, x, work) / x.pow_int(q - 1).cbrt()
-    return x.to_scale(digits), constant.to_scale(digits)
+    # x0^(q-1) rounded to 10^-work, then its floor cube root
+    power = div_nearest(x ** (q - 1), unit ** (q - 2))
+    constant = div_nearest(_decimal_horner([1] * q, x, work) * unit,
+                           icbrt_newton(power * unit**2))
+    return (BigFixed(_to_scale(x, work, digits), digits),
+            BigFixed(_to_scale(constant, work, digits), digits))
 
 
 @settings(deadline=None, max_examples=100)
@@ -535,7 +606,7 @@ def test_saddle_point_works_in_binary():
     bits = sp.counters["work_bits"] - asymptotics.GUARD_BITS
     assert 2 ** (bits - 1) < 10**work < 2**bits
     # the radix conversion rounds half up at the decimal scale
-    assert asymptotics._to_decimal(1, 1, 0) == BigFixed(5, 1).to_scale(0)
+    assert asymptotics._to_decimal(1, 1, 0) == BigFixed(1, 0)
     assert asymptotics._to_decimal(-1, 1, 0) == BigFixed(0, 0)
     assert asymptotics._rescale(3, 2, 1) == 2
     assert asymptotics._rescale(-3, 2, 1) == -1
@@ -607,9 +678,9 @@ def test_leading_constant_closed_form_digits():
     # frozen from the closed form (3/(1-x0) - 1)/sqrt(2*pi*x0*mu'(x0)); the
     # pinned reference value agrees with this to 10 significant digits
     assert leading_constant(19).decimal() == "3.3267627464655448561"
-    pinned = BigFixed.from_decimal(golden.LEADING_CONSTANT_DIGITS)
-    rel = abs((leading_constant(19) - pinned).as_fraction()
-              / pinned.as_fraction())
+    pinned = BigFixed.from_decimal(
+        golden.LEADING_CONSTANT_DIGITS).as_fraction()
+    rel = abs((leading_constant(19).as_fraction() - pinned) / pinned)
     assert rel < Fraction(1, 10**10)
 
 
@@ -659,7 +730,7 @@ def test_normalized_sharp_bound_is_the_rounded_ratio():
     # one correctly rounded int division gives the float of the exact ratio
     a = alpha(40)
     for n in (3, 30, 150, 1200, 2400):
-        num = (sharp_bound(n).value * isqrt_newton(n * 10**80)
+        num = (sharp_bound(n).value * math.isqrt(n * 10**80)
                * 10 ** (40 * n - 40))
         assert normalized_sharp_bound(n) == float(Fraction(num,
                                                            a.mantissa**n))
@@ -668,13 +739,13 @@ def test_normalized_sharp_bound_is_the_rounded_ratio():
 def _undecided_brackets(monkeypatch):
     """Patch the power bracket to one too wide for any rounding to agree
     at both ends, so every caller falls back to the exact power."""
-    bracket = asymptotics._pow_interval
+    bracket = asymptotics._power_bracket
 
     def wide(b, e, w):
         lo, hi, s = bracket(b, e, w)
         return lo // 2, 2 * hi, s
 
-    monkeypatch.setattr(asymptotics, "_pow_interval", wide)
+    monkeypatch.setattr(asymptotics, "_power_bracket", wide)
 
 
 def test_normalized_sharp_bound_falls_back_to_the_exact_ratio(monkeypatch):
@@ -682,7 +753,7 @@ def test_normalized_sharp_bound_falls_back_to_the_exact_ratio(monkeypatch):
     _undecided_brackets(monkeypatch)
     a = alpha(40)
     for n, value in bracketed.items():
-        num = (sharp_bound(n).value * isqrt_newton(n * 10**80)
+        num = (sharp_bound(n).value * math.isqrt(n * 10**80)
                * 10 ** (40 * n - 40))
         assert normalized_sharp_bound(n) == value == float(
             Fraction(num, a.mantissa**n))
