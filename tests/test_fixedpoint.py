@@ -161,3 +161,45 @@ def test_div_nearest_rounds_half_up(num, den):
     assert div_nearest(num, den) == math.floor(Fraction(num, den)
                                                + Fraction(1, 2))
     assert div_nearest(num, den) == div_nearest(-num, -den)
+
+
+# The fixed-point roundings, each a div_nearest on a unit of 10^s or 2^s:
+# the result is the round-half-up (toward +infinity) of the exact value
+# at the target scale.
+radices = st.sampled_from([2, 10])
+scales = st.integers(0, 30)
+mantissas = st.integers(-10**40, 10**40)
+nonzero = st.integers(-10**20, 10**20).filter(bool)
+
+
+def half_up(value: Fraction, unit: int) -> int:
+    return math.floor(value * unit + Fraction(1, 2))
+
+
+@given(mantissas, nonzero, scales, radices)
+def test_from_ratio_rounds_half_up(num, den, scale, radix):
+    unit = radix**scale
+    assert div_nearest(num * unit, den) == half_up(Fraction(num, den), unit)
+
+
+@given(mantissas, scales, scales, radices)
+def test_to_scale_rounds_half_up(m, scale, to, radix):
+    x = Fraction(m, radix**scale)
+    if to >= scale:
+        assert m * radix**(to - scale) == x * radix**to
+    else:
+        assert div_nearest(m, radix**(scale - to)) == half_up(x, radix**to)
+
+
+@given(mantissas, mantissas, scales, radices)
+def test_product_rounds_half_up(a, b, scale, radix):
+    unit = radix**scale
+    assert div_nearest(a * b, unit) == half_up(Fraction(a * b, unit**2),
+                                               unit)
+
+
+@given(mantissas, nonzero, scales, radices)
+def test_quotient_rounds_half_up(a, b, scale, radix):
+    unit = radix**scale
+    # (a / unit) / (b / unit) at the same scale
+    assert div_nearest(a * unit, b) == half_up(Fraction(a, b), unit)
