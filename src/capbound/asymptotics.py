@@ -29,7 +29,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from . import golden
@@ -47,12 +46,12 @@ GUARD = 10
 # VM).
 RECURRENCE_MAX_N = 2000
 # Largest number of digits that characteristic_root, alpha, saddle_point
-# and leading_constant accept.  At the ceiling characteristic_root takes
-# about 0.02 s, alpha 0.05 s, leading_constant 0.17 s (0.06 s of it in
-# pi), saddle_point(3) 0.11 s and saddle_point(64) about 0.2 s, 0.11 s of
-# it in the constant, which rounds x0^63 from a bracket of about 100,000
-# bits (the exact power has 6.3 Mbit and took 1.6 s); q = 31 takes 0.03 s
-# at 10,000 digits (Python 3.11, one core of a shared 2-core VM).
+# and leading_constant accept; none of them caches a result, so the
+# check runs on every call.  At the ceiling characteristic_root takes
+# about 0.02 s, alpha 0.04 s, leading_constant 0.13 s (0.05 s of it in
+# pi), saddle_point(3) 0.10 s and saddle_point(64) 0.17-0.21 s, about
+# 0.1 s of it in the constant's cube root and one division; q = 31 takes
+# 0.025 s at 10,000 digits (Python 3.11, one core of a shared 2-core VM).
 MAX_DIGITS = 30_000
 # Largest q that saddle_point and growth_constant_ratio accept, twice the
 # largest q of the reference table: growth_constant_ratio(64) takes about
@@ -147,7 +146,6 @@ def verify_recurrence(n_max: int,
                            first_failure=first_failure)
 
 
-@lru_cache(maxsize=None)
 def characteristic_root(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """(5589 + 891*sqrt(33))/512, the largest root of the characteristic
     quadratic, from one integer square root."""
@@ -161,7 +159,6 @@ def _characteristic_root(bits: int) -> int:
     return ((5589 << bits) + 891 * math.isqrt(33 << 2 * bits)) >> 9
 
 
-@lru_cache(maxsize=None)
 def alpha(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """Cube root of characteristic_root: the base-3 growth constant, from
     the floor cube root of a root carried GUARD more digits."""
@@ -211,17 +208,25 @@ def _power(x: int, e: int, bits: int) -> int:
     return acc
 
 
+def _powers(q: int, x: int, bits: int) -> tuple[int, int]:
+    """x^(q-1) and x^q at x * 2^-bits, as multiples of
+    2^-(bits + _h_guard(q)): one binary power and one product."""
+    w = bits + _h_guard(q)
+    y = x << w - bits
+    below = _power(y, q - 1, w)
+    return below, (below * y + (1 << w - 1)) >> w
+
+
 def _h_slope(q: int, x: int, bits: int) -> tuple[int, int]:
     """h and h' at x * 2^-bits, as multiples of 2^-(bits + _h_guard(q)).
 
     h = (1-x)^2 g = -(q-1) + (q+2)x - (2q+1)x^q + 2(q-1)x^(q+1) and
-    h' = (q+2) - (2q^2+q)x^(q-1) + 2(q^2-1)x^q take one power x^(q-1)
-    and three products, where g and g' take q each."""
+    h' = (q+2) - (2q^2+q)x^(q-1) + 2(q^2-1)x^q take the two powers of
+    _powers and three products, where g and g' take q each."""
     w = bits + _h_guard(q)
     y = x << w - bits
     one, half = 1 << w, 1 << w - 1
-    below = _power(y, q - 1, w)  # x^(q-1)
-    top = (below * y + half) >> w  # x^q
+    below, top = _powers(q, x, bits)  # x^(q-1), x^q
     h = ((q + 2) * y - (q - 1) * one
          + ((top * (2 * (q - 1) * y - (2 * q + 1) * one) + half) >> w))
     slope = (q + 2) * one + ((below * (2 * (q * q - 1) * y
@@ -256,7 +261,6 @@ def _ladder(work: int) -> list[int]:
     return precisions[::-1]
 
 
-@lru_cache(maxsize=None)
 def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     """Stationary point and value of f(x)*x^(-(q-1)/3) on (0, 1).
 
@@ -272,16 +276,15 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     outgrows a step.  The residual is g(x0) = h(x0)/(1-x0)^2; of a
     2-cycle the element with the smaller |g| (then smaller mantissa) is
     kept.  The constant is (1 - x0^q)/(1 - x0) over the integer cube root
-    of x0^(q-1), one division; no logarithms and no floats anywhere.
-    Everything runs on binary mantissas, converted to decimal once.
-    `counters` gives the bisection steps, the Newton steps at each
-    working precision (keyed by decimal digits), the working digits and
-    bits, the `stop` rule that ended Newton ("stationary" or
-    "two_cycle") and `exact_power`, true where the bracketed power
-    x0^(q-1) could not decide its rounding and the exact power ran;
-    `timings_ms` gives the `bisection`, `ladder`, `newton`, `residual`
-    and `constant` stages.  Raises ArithmeticError if 200 full-precision
-    steps end in neither, rather than report digits that never settled.
+    of x0^(q-1), one division, with both powers taken as Newton's h takes
+    them; no logarithms and no floats anywhere.  Everything runs on
+    binary mantissas, converted to decimal once.  `counters` gives the
+    bisection steps, the Newton steps at each working precision (keyed
+    by decimal digits), the working digits and bits and the `stop` rule
+    that ended Newton ("stationary" or "two_cycle"); `timings_ms` gives
+    the `bisection`, `ladder`, `newton`, `residual` and `constant`
+    stages.  Raises ArithmeticError if 200 full-precision steps end in
+    neither, rather than report digits that never settled.
     """
     _check_q(q)
     _check_digits(digits)
@@ -352,20 +355,12 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     x, bits, g, counters, timings = _saddle_root(q, digits)
     started = time.perf_counter()
 
-    # x0^(q-1) rounded by one shift, read off a bracket 64 bits wider
-    # than the result, or off the exact power where the bracket's ends
-    # round apart
-    lo, hi, s = _power_bracket(x, q - 1, bits + 64)
-    power = _rescale(lo, bits * (q - 1) - s, bits)
-    exact_power = _rescale(hi, bits * (q - 1) - s, bits) != power
-    if exact_power:
-        lo, s = x ** (q - 1), 0
-        power = _rescale(lo, bits * (q - 1), bits)
     # f(x0) / cbrt(x0^(q-1)) = (1 - x0^q) / ((1 - x0) cbrt(x0^(q-1))),
-    # one division, with x0^q from the bracket's (or the power's) low
-    # end carried _h_guard(q) bits past x0
+    # one division, with both powers carried _h_guard(q) bits past x0 as
+    # in Newton's h, and x0^(q-1) rounded to x0's units by one shift
     guard = _h_guard(q)
-    top = _rescale(lo * x, bits * q - s, bits + guard)
+    below, top = _powers(q, x, bits)
+    power = _rescale(below, bits + guard, bits)
     constant = div_nearest(((1 << bits + guard) - top) << 2 * bits,
                            (((1 << bits) - x) << guard)
                            * icbrt_newton(power << 2 * bits))
@@ -376,7 +371,7 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
     timings["constant"] = (started, time.perf_counter())
     return SaddleResult(
         q=q, x0=x0, constant=constant, residual=residual,
-        counters={**counters, "exact_power": exact_power},
+        counters=counters,
         timings_ms={stage: round((end - start) * 1000, 3)
                     for stage, (start, end) in timings.items()})
 
@@ -407,7 +402,6 @@ def growth_constant_ratio(q: int) -> float:
     return (t_n * rate(120) - t_m * rate(60)) / (t_n - t_m)
 
 
-@lru_cache(maxsize=None)
 def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
     """The limit of sharp_bound(n) * sqrt(n) / alpha^n.
 
@@ -419,15 +413,17 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
         C = (3/(1-x0) - 1) / sqrt(2*pi*v),
 
     with mu'(x) = (1 + 4x + x^2)/f(x)^2 for f = 1 + x + x^2, that is
-    C = (2+x0) f(x0) / ((1-x0) sqrt(2*pi*x0*(1 + 4x0 + x0^2))).  x0 is
-    the saddle root at q = 3 carried GUARD more digits; f, the square
-    root and the quotient are floored multiples of 2^-bits, with pi
-    times 2^bits from the same series as `pi`, and the result is
-    converted to decimal once.
+    C = (2+x0) f(x0) / ((1-x0) sqrt(2*pi*x0*(1 + 4x0 + x0^2))).  At
+    q = 3 the saddle root is x0 = (sqrt(33) - 1)/8, the root of
+    4x^2 + x - 2, taken from the integer square root that
+    _characteristic_root uses; x0, f, the square root and the quotient
+    are floored multiples of 2^-bits, with pi times 2^bits from the same
+    series as `pi`, and the result is converted to decimal once.
     """
     _check_digits(digits)
-    x, bits = _saddle_root(3, digits + GUARD)[:2]
+    bits = _bits(digits + GUARD)
     one = 1 << bits
+    x = (math.isqrt(33 << 2 * bits) - one) >> 3
     f = (one * one + x * one + x * x) >> bits
     d = (one * one + 4 * x * one + x * x) >> bits  # v = x0 d / f^2
     root = math.isqrt(2 * _pi_scaled(one) * x * d >> bits)

@@ -101,11 +101,12 @@ def _power_bracket(b: int, e: int, w: int) -> tuple[int, int, int]:
     Binary exponentiation in which every product keeps w bits: lo is
     floored and hi ceiled by the same shift, so both ends share s.  Each
     step adds a relative error below 2^(2-w) and a squaring doubles the
-    error it inherits, so (hi - lo) / lo stays of order e * 2^-w.  A
-    caller that rounds a power rounds both ends: rounding is monotone, so
-    where the two agree they are the rounding of b^e itself, and where
-    they do not the caller falls back to the exact power (Brent and
-    Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 3)."""
+    error it inherits, so (hi - lo) / lo stays of order e * 2^-w.  Its
+    one caller, asymptotics.normalized_sharp_bound, rounds a ratio of
+    such powers at both ends: rounding is monotone, so where the two
+    agree they are the rounding of the exact ratio, and where they do not
+    it falls back to the exact powers (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 2010, ch. 3)."""
     lo = hi = 1
     s = 0
     base_lo = base_hi = b

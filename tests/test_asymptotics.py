@@ -172,12 +172,20 @@ def _rounded_alpha(d):
 
 def test_root_and_alpha_are_correctly_rounded():
     # integer oracles with no floats: every precision to 2,000 digits and
-    # the 30,000-digit ceiling, through the uncached functions so that the
-    # sweep leaves the caches as it found them
+    # the 30,000-digit ceiling
     for d in list(range(1, 2001)) + [MAX_DIGITS]:
-        assert characteristic_root.__wrapped__(d) == \
-            BigFixed(_rounded_root(d), d), d
-        assert alpha.__wrapped__(d) == BigFixed(_rounded_alpha(d), d), d
+        assert characteristic_root(d) == BigFixed(_rounded_root(d), d), d
+        assert alpha(d) == BigFixed(_rounded_alpha(d), d), d
+
+
+def test_leading_constant_root_is_the_saddle_root():
+    # leading_constant takes x0 at q = 3 in closed form, (sqrt(33) - 1)/8
+    # floored to 2^-bits; the root finder's x0 at the same bits lies
+    # within one unit of it
+    for d in list(range(1, 1001)) + [5000]:
+        x, bits = asymptotics._saddle_root(3, d)[:2]
+        closed = (math.isqrt(33 << 2 * bits) - (1 << bits)) >> 3
+        assert abs(x - closed) <= 1, d
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
@@ -738,7 +746,8 @@ def test_normalized_sharp_bound_is_the_rounded_ratio():
 
 def _undecided_brackets(monkeypatch):
     """Patch the power bracket to one too wide for any rounding to agree
-    at both ends, so every caller falls back to the exact power."""
+    at both ends, so normalized_sharp_bound falls back to the exact
+    powers."""
     bracket = asymptotics._power_bracket
 
     def wide(b, e, w):
@@ -757,19 +766,6 @@ def test_normalized_sharp_bound_falls_back_to_the_exact_ratio(monkeypatch):
                * 10 ** (40 * n - 40))
         assert normalized_sharp_bound(n) == value == float(
             Fraction(num, a.mantissa**n))
-
-
-@pytest.mark.parametrize("q,digits", [(2, 30), (3, 300), (31, 200),
-                                      (64, 1000)])
-def test_saddle_constant_falls_back_to_the_exact_power(monkeypatch, q,
-                                                       digits):
-    bracketed = asymptotics._saddle_point(q, digits)
-    assert bracketed.counters["exact_power"] is False
-    _undecided_brackets(monkeypatch)
-    exact = asymptotics._saddle_point(q, digits)
-    assert exact.counters["exact_power"] is True
-    assert (exact.x0, exact.constant, exact.residual) == \
-        (bracketed.x0, bracketed.constant, bracketed.residual)
 
 
 @pytest.mark.parametrize("n", [0, -3, 1, 4, 299])
@@ -804,3 +800,16 @@ def test_digit_ceiling_admits_the_guard_digits(monkeypatch):
     assert leading_constant(57).decimal().startswith("3.326762746")
     with pytest.raises(ValueError):
         alpha(58)
+
+
+@pytest.mark.parametrize("call", [
+    alpha, characteristic_root, leading_constant,
+    lambda d: saddle_point(3, d),
+], ids=["alpha", "characteristic_root", "leading_constant", "saddle_point"])
+def test_digit_ceiling_holds_after_a_call(monkeypatch, call):
+    # no result is kept between calls, so one computed below the ceiling
+    # is refused once the ceiling drops under it
+    call(58)
+    monkeypatch.setattr(asymptotics, "MAX_DIGITS", 57)
+    with pytest.raises(ValueError, match="must be in"):
+        call(58)

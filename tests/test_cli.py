@@ -211,8 +211,7 @@ def test_table_rows_report_the_saddle_cost(capsys):
     assert [r["q"] for r in rows] == [5, 7, 8]
     for row in rows:
         assert set(row["counters"]) == {"bisection_steps", "newton_steps",
-                                        "work_digits", "work_bits", "stop",
-                                        "exact_power"}
+                                        "work_digits", "work_bits", "stop"}
         assert row["counters"]["work_digits"] == 40 + GUARD
         assert set(row["timings_ms"]) == {"bisection", "ladder", "newton",
                                           "residual", "constant"}
