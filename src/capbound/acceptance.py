@@ -3,20 +3,17 @@
 Each criterion is one function returning a CriterionResult; quick level
 caps the heavy inputs (search dimension, row length for the asymptotic
 ladders) so the whole battery finishes in seconds, full level runs the
-real thing.  Criterion 9 is soft: outside its tolerance it reports a
-warning instead of failing, everything else is a hard pass/fail.
+real thing.  Every criterion is a hard pass/fail.
 
 Every result carries the values its verdict was decided on (`measured`)
-and its wall time, with the wall times of its parts in `timings_s`
-(the search at each n in criterion 6), so tests/test_acceptance.py holds
-the full level to its thresholds and time bounds without computing
+and its cost (`elapsed_ms`, `timings_ms`), so tests/test_acceptance.py
+holds the full level to its thresholds and time bounds without computing
 anything itself, and `measured` is the same in every run of one commit.
 """
 from __future__ import annotations
 
 import functools
 import random
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -35,6 +32,7 @@ from .bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from .capsearch import PointSet, max_capset
 from .fixedpoint import BigFixed
 from .qnomial import qnomial, qnomial_row, row_prefix, series_coeff_bound
+from .stages import Stages
 from .verifier import (
     eval_poly,
     expand_neg_sum,
@@ -48,24 +46,24 @@ from .verifier import (
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A verdict, the values it was decided on, and its wall time and
+    those of its parts (the search at each n in criterion 6) in ms."""
     name: str
     passed: bool
     detail: str
     measured: dict = field(default_factory=dict)
-    warning: str | None = None
-    elapsed_s: float = 0.0
-    # wall times of a criterion's parts, kept out of `measured` so that
-    # two runs of one commit report the same `measured`
-    timings_s: dict = field(default_factory=dict, compare=False)
+    elapsed_ms: float = field(default=0.0, compare=False)
+    timings_ms: dict = field(default_factory=dict, compare=False)
 
 
 def _timed(criterion):
     """Stamp a criterion's result with its wall time."""
     @functools.wraps(criterion)
     def run(level: str) -> CriterionResult:
-        started = time.perf_counter()
+        clock = Stages()
         result = criterion(level)
-        return replace(result, elapsed_s=time.perf_counter() - started)
+        clock.lap("criterion")
+        return replace(result, elapsed_ms=clock.ms["criterion"])
     return run
 
 
@@ -175,17 +173,17 @@ def c5_identity_chain(level: str) -> CriterionResult:
 @_timed
 def c6_oracle_domination(level: str) -> CriterionResult:
     top = 4 if level == "full" else 3
-    runs, seconds = {}, {}
+    clock, searches = Stages(), {}
     for n in range(1, top + 1):
-        started = time.perf_counter()
-        result = max_capset(n)
-        seconds[n] = time.perf_counter() - started
-        runs[n] = {"size": result.max_size,
-                   "proven": result.proven_optimal,
-                   "witness": result.witness.points,
-                   "nodes": result.nodes_explored,
-                   "theorem_bound": theorem_bound(n).value,
-                   "optimal_bound": optimal_bound(n).value}
+        searches[n] = max_capset(n)
+        clock.lap(n)
+    runs = {n: {"size": result.max_size,
+                "proven": result.proven_optimal,
+                "witness": result.witness.points,
+                "nodes": result.nodes_explored,
+                "theorem_bound": theorem_bound(n).value,
+                "optimal_bound": optimal_bound(n).value}
+            for n, result in searches.items()}
     wrong = [n for n, run in runs.items()
              if not (run["proven"]
                      and run["witness"] == golden.LEX_LEAST_WITNESSES[n]
@@ -195,7 +193,7 @@ def c6_oracle_domination(level: str) -> CriterionResult:
     detail += (f"; wrong at n = {wrong}" if wrong else " (all proven optimal,"
                " the pinned lex-least witnesses, within the bounds)")
     return CriterionResult("6_oracle_domination", not wrong, detail,
-                           {"runs": runs}, timings_s=seconds)
+                           {"runs": runs}, timings_ms=clock.ms)
 
 
 @_timed
@@ -242,13 +240,11 @@ def c9_first_correction(level: str) -> CriterionResult:
     estimate = first_correction_estimate(n_max)
     target = golden.FIRST_CORRECTION
     rel = abs(estimate - target) / abs(target)
-    detail = (f"estimate {estimate:.6f} vs pinned {target} "
-              f"(relative difference {rel:.2e})")
-    within = rel <= 0.05 and estimate < 0
     return CriterionResult(
-        "9_first_correction", True, detail,
-        {"n_max": n_max, "estimate": estimate, "rel": rel},
-        None if within else f"outside the 5% tolerance: {detail}")
+        "9_first_correction", estimate < 0 and rel <= 0.05,
+        f"estimate {estimate:.6f} vs pinned {target} (relative difference "
+        f"{rel:.2e}, at most 5% allowed)",
+        {"n_max": n_max, "estimate": estimate, "rel": rel})
 
 
 @_timed

@@ -26,7 +26,6 @@ a decimal BigFixed value once, at the end.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -36,6 +35,7 @@ from .bounds import sharp_bound
 from .fixedpoint import (BigFixed, _pi_scaled, _power_bracket, div_nearest,
                          icbrt_newton)
 from .qnomial import row_prefix
+from .stages import Stages
 
 DEFAULT_DIGITS = 40
 GUARD = 10
@@ -217,21 +217,22 @@ def _powers(q: int, x: int, bits: int) -> tuple[int, int]:
     return below, (below * y + (1 << w - 1)) >> w
 
 
-def _h_slope(q: int, x: int, bits: int) -> tuple[int, int]:
-    """h and h' at x * 2^-bits, as multiples of 2^-(bits + _h_guard(q)).
+def _h_slope(q: int, x: int, bits: int) -> tuple[int, int, tuple[int, int]]:
+    """h and h' at x * 2^-bits, as multiples of 2^-(bits + _h_guard(q)),
+    and the two powers of _powers they were taken from.
 
     h = (1-x)^2 g = -(q-1) + (q+2)x - (2q+1)x^q + 2(q-1)x^(q+1) and
-    h' = (q+2) - (2q^2+q)x^(q-1) + 2(q^2-1)x^q take the two powers of
-    _powers and three products, where g and g' take q each."""
+    h' = (q+2) - (2q^2+q)x^(q-1) + 2(q^2-1)x^q take the two powers and
+    three products, where g and g' take q each."""
     w = bits + _h_guard(q)
     y = x << w - bits
     one, half = 1 << w, 1 << w - 1
-    below, top = _powers(q, x, bits)  # x^(q-1), x^q
+    powers = below, top = _powers(q, x, bits)  # x^(q-1), x^q
     h = ((q + 2) * y - (q - 1) * one
          + ((top * (2 * (q - 1) * y - (2 * q + 1) * one) + half) >> w))
     slope = (q + 2) * one + ((below * (2 * (q * q - 1) * y
                                        - (2 * q * q + q) * one) + half) >> w)
-    return h, slope
+    return h, slope, powers
 
 
 def _g_of_h(x: int, h: int, bits: int) -> int:
@@ -276,27 +277,28 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     outgrows a step.  The residual is g(x0) = h(x0)/(1-x0)^2; of a
     2-cycle the element with the smaller |g| (then smaller mantissa) is
     kept.  The constant is (1 - x0^q)/(1 - x0) over the integer cube root
-    of x0^(q-1), one division, with both powers taken as Newton's h takes
-    them; no logarithms and no floats anywhere.  Everything runs on
-    binary mantissas, converted to decimal once.  `counters` gives the
-    bisection steps, the Newton steps at each working precision (keyed
-    by decimal digits), the working digits and bits and the `stop` rule
-    that ended Newton ("stationary" or "two_cycle"); `timings_ms` gives
-    the `bisection`, `ladder`, `newton`, `residual` and `constant`
-    stages.  Raises ArithmeticError if 200 full-precision steps end in
-    neither, rather than report digits that never settled.
+    of x0^(q-1), one division, with the two powers Newton's h took at x0;
+    no logarithms and no floats anywhere.  Everything runs on binary
+    mantissas, converted to decimal once.  `counters` gives the bisection
+    steps, the Newton steps at each working precision (keyed by decimal
+    digits), the working digits and bits and the `stop` rule that ended
+    Newton ("stationary" or "two_cycle"); `timings_ms` gives the laps of
+    one stages.Stages clock: `bisection`, `ladder`, `newton`, `residual`
+    and `constant`.  Raises ArithmeticError if 200 full-precision steps
+    end in neither, rather than report digits that never settled.
     """
     _check_q(q)
     _check_digits(digits)
     return _saddle_point(q, digits)
 
 
-def _saddle_root(q: int, digits: int) -> tuple[int, int, int, dict, dict]:
+def _saddle_root(q: int, digits: int
+                 ) -> tuple[int, int, int, tuple[int, int], dict, Stages]:
     """The root stages of saddle_point: x0 as an integer standing for
     x0 * 2^-bits, bits, g(x0) in units of 2^-(bits + _h_guard(q)), the
-    counters and the timings."""
-    clock = time.perf_counter
-    started = clock()
+    powers x0^(q-1) and x0^q as _powers gives them (Newton took them at
+    the kept element), the counters and the clock, charged each stage."""
+    clock = Stages()
     work = digits + GUARD
 
     # the root lies in [m/2^k, (m+1)/2^k] after k steps
@@ -305,21 +307,21 @@ def _saddle_root(q: int, digits: int) -> tuple[int, int, int, dict, dict]:
         m = 2 * m + (_h_sign(q, 2 * m + 1, k) < 0)
     assert 0 < m < 2**BISECTION_STEPS - 1, \
         "no interior sign change; cannot happen for q >= 2"
-    bisected = clock()
+    clock.lap("bisection")
 
     newton_steps: dict[int, int] = {}
     x, bits = m, BISECTION_STEPS
     for p in _ladder(work):
         x, bits = _rescale(x, bits, _bits(p)), _bits(p)
-        h, slope = _h_slope(q, x, bits)
+        h, slope, _ = _h_slope(q, x, bits)
         x -= div_nearest(h << bits, slope)
         newton_steps[p] = 1
-    laddered = clock()
+    clock.lap("ladder")
 
     x, bits = _rescale(x, bits, _bits(work)), _bits(work)
-    prev = prev_h = None
+    prev = prev_h = prev_powers = None
     for steps in range(1, 201):
-        h, slope = _h_slope(q, x, bits)
+        h, slope, powers = _h_slope(q, x, bits)
         nxt = x - div_nearest(h << bits, slope)
         if nxt == x:
             stop = "stationary"
@@ -327,39 +329,34 @@ def _saddle_root(q: int, digits: int) -> tuple[int, int, int, dict, dict]:
         if nxt == prev:
             stop = "two_cycle"
             break
-        prev, prev_h = x, h
+        prev, prev_h, prev_powers = x, h, powers
         x = nxt
     else:
         raise ArithmeticError("Newton neither settled nor 2-cycled "
                               "in 200 steps")
     newton_steps[work] = steps
-    converged = clock()
+    clock.lap("newton")
 
     g = _g_of_h(x, h, bits)
     if stop == "two_cycle":
-        x, g = min((x, g), (prev, _g_of_h(prev, prev_h, bits)),
-                   key=lambda e: (abs(e[1]), e[0]))
-    finished = clock()
+        x, g, powers = min((x, g, powers),
+                           (prev, _g_of_h(prev, prev_h, bits), prev_powers),
+                           key=lambda e: (abs(e[1]), e[0]))
+    clock.lap("residual")
     counters = {"bisection_steps": BISECTION_STEPS,
                 "newton_steps": newton_steps, "work_digits": work,
                 "work_bits": bits, "stop": stop}
-    timings = {"bisection": (started, bisected),
-               "ladder": (bisected, laddered),
-               "newton": (laddered, converged),
-               "residual": (converged, finished)}
-    return x, bits, g, counters, timings
+    return x, bits, g, powers, counters, clock
 
 
 def _saddle_point(q: int, digits: int) -> SaddleResult:
     """saddle_point without the ceilings."""
-    x, bits, g, counters, timings = _saddle_root(q, digits)
-    started = time.perf_counter()
+    x, bits, g, (below, top), counters, clock = _saddle_root(q, digits)
 
     # f(x0) / cbrt(x0^(q-1)) = (1 - x0^q) / ((1 - x0) cbrt(x0^(q-1))),
     # one division, with both powers carried _h_guard(q) bits past x0 as
     # in Newton's h, and x0^(q-1) rounded to x0's units by one shift
     guard = _h_guard(q)
-    below, top = _powers(q, x, bits)
     power = _rescale(below, bits + guard, bits)
     constant = div_nearest(((1 << bits + guard) - top) << 2 * bits,
                            (((1 << bits) - x) << guard)
@@ -368,12 +365,9 @@ def _saddle_point(q: int, digits: int) -> SaddleResult:
                               _to_decimal(constant, bits, digits),
                               _to_decimal(g, bits + guard,
                                           counters["work_digits"]))
-    timings["constant"] = (started, time.perf_counter())
-    return SaddleResult(
-        q=q, x0=x0, constant=constant, residual=residual,
-        counters=counters,
-        timings_ms={stage: round((end - start) * 1000, 3)
-                    for stage, (start, end) in timings.items()})
+    clock.lap("constant")
+    return SaddleResult(q=q, x0=x0, constant=constant, residual=residual,
+                        counters=counters, timings_ms=clock.ms)
 
 
 def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:

@@ -47,11 +47,11 @@ about 15 s.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .affine import FramedCap, orbit_group
+from .stages import Stages
 
 # Largest node budget a search accepts, so that no budgeted run goes on
 # for more than minutes: at n = 5, 10^6 nodes take 3.5 to 7.6 s (Python
@@ -487,14 +487,12 @@ class _Proof(_Walker):
     node and prune totals over every walk)."""
 
     def __init__(self, n: int, node_budget: int | None):
-        self.lap_end = time.perf_counter()
-        self.timings = dict.fromkeys(
-            ("lower_proofs", "tables", "find", "identity", "classes",
-             "refute"), 0.0)
+        self.clock = Stages("lower_proofs", "tables", "find", "identity",
+                            "classes", "refute")
         # The tables need the proven maxima below n; proven here, they
         # are cached, so the tables' own calls cost nothing.
         _proven_max(n - 1)
-        self._lap("lower_proofs")
+        self.clock.lap("lower_proofs")
         super().__init__(_tables(n), 1, node_budget)
         self.n = n
         self.best: tuple[int, ...] = (0,)
@@ -504,13 +502,7 @@ class _Proof(_Walker):
             "class_automorphisms": 0, "stabilizer_frames_tried": 0,
             "forced_slice": None, "refuted_size": None}
         self.classes: _FullCapClasses | None = None
-        self._lap("tables")
-
-    def _lap(self, stage: str) -> None:
-        """Charges the stage the wall time since the previous one ended."""
-        now = time.perf_counter()
-        self.timings[stage] += now - self.lap_end
-        self.lap_end = now
+        self.clock.lap("tables")
 
     def _charge(self, phase: str, nodes: int, prunes) -> None:
         """Adds another walk's cost to the totals; it comes out of the
@@ -529,7 +521,7 @@ class _Proof(_Walker):
         if self.classes is None:
             self.classes = _full_cap_classes(self.n - 1)
             self.classes.orbit_groups  # built now, in the classes stage
-            self._lap("classes")
+            self.clock.lap("classes")
             self.counters["full_cap_classes"] = len(self.classes.reps)
             self.counters["class_frames_tried"] = self.classes.frames_tried
             self.counters["class_automorphisms"] = sum(
@@ -563,10 +555,10 @@ class _Proof(_Walker):
         its representative onto itself, lifted to fix e_1 (see _Walker):
         it still meets an m-point set if one exists.
         """
-        self._lap("find")
+        self.clock.lap("find")
         cap = self.tables.slice_cap
         s = _forced_slice(self.n, m, cap)
-        self._lap("identity")
+        self.clock.lap("identity")
         self.counters["forced_slice"] = s
         if s is not None and s < cap:
             return False
@@ -580,7 +572,7 @@ class _Proof(_Walker):
                 try:
                     found = walker.run()
                 finally:
-                    self._lap("refute")
+                    self.clock.lap("refute")
                     self._charge("refute_nodes", walker.nodes,
                                  walker.prunes.items())
                 if found is not None:
@@ -596,7 +588,7 @@ class _Proof(_Walker):
             pass
         except _BudgetExhausted:
             proven = False
-        self._lap("find")
+        self.clock.lap("find")
         c = self.counters
         c["find_nodes"] = self.nodes
         return SearchResult(
@@ -608,8 +600,7 @@ class _Proof(_Walker):
             prunes=dict(self.prunes),
             proven_optimal=proven,
             fixed_prefix=(0, 1) if self.n == 1 else (0, 1, 3),
-            timings_ms={k: round(v * 1000, 3)
-                        for k, v in self.timings.items()},
+            timings_ms=self.clock.ms,
             counters=dict(c),
         )
 
@@ -669,10 +660,10 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     identity allows for the last size asked about; None when none up to
     the cap does) and refuted_size (the size proven impossible, None if
     none was).
-    `timings_ms` gives the wall time of each stage, each charged the time
-    since the previous one ended: lower_proofs (the proofs of every
-    dimension below n, which the slice and shell caps rest on; near 0
-    once cached), tables, find, identity, classes and refute.
+    `timings_ms` gives the wall time of each stage from one stages.Stages
+    clock (a stage charged more than once adds up): lower_proofs (the
+    proofs of every dimension below n, which the slice and shell caps
+    rest on; near 0 once cached), tables, find, identity, classes, refute.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")

@@ -24,7 +24,6 @@ import contextlib
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import NoReturn
@@ -44,6 +43,7 @@ from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theore
 from .capsearch import MAX_BUDGET, is_progression_free, max_capset
 from .fixedpoint import BigFixed
 from .qnomial import qnomial
+from .stages import Stages
 from .verifier import (
     check_reach,
     format_pointset,
@@ -92,56 +92,48 @@ def _digit_check(name: str, value: BigFixed, pinned: str) -> dict:
     }
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
-
-
 def _prime_powers(lo: int, hi: int) -> list[int]:
-    return [q for q in range(max(lo, 2), hi + 1) if _is_prime_power(q)]
+    """The q in [lo, hi] that divide a power of their least factor p > 1:
+    the powers of the prime p."""
+    return [q for q in range(max(lo, 2), hi + 1)
+            if pow(next(p for p in range(2, q + 1) if q % p == 0), q, q) == 0]
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (result_object, checks_list)
 
 def _cmd_bound(args) -> tuple[dict, list[dict]]:
-    reports = []
-    if args.d is not None:
-        reports.append(bound_for_d(args.n, args.d))
-    if args.optimize_d:
-        reports.append(optimal_bound(args.n))
-    if args.theorem:
-        reports.append(theorem_bound(args.n))
-    if args.sharp:
-        reports.append(sharp_bound(args.n))
+    clock, reports, checks = Stages(), [], []
+    for wanted, bound in ((args.d is not None,
+                           lambda n: bound_for_d(n, args.d)),
+                          (args.optimize_d, optimal_bound),
+                          (args.theorem, theorem_bound),
+                          (args.sharp, sharp_bound)):
+        if wanted:
+            report = bound(args.n)
+            clock.lap(report.method)
+            reports.append(report)
+            checks += [{"name": f"{report.method}:{name}", "pass": ok,
+                        "detail": f"exact identity on n={report.n}"}
+                       for name, ok in report.identities]
     if not reports:
         raise ValueError(
             "pick at least one of --d, --optimize-d, --theorem, --sharp")
-    checks = []
-    for report in reports:
-        for name, ok in report.identities:
-            checks.append({"name": f"{report.method}:{name}", "pass": ok,
-                           "detail": f"exact identity on n={report.n}"})
-    return {"bounds": [_bound_json(r) for r in reports]}, checks
+    return {"bounds": [_bound_json(r) for r in reports],
+            "timings_ms": clock.ms}, checks
 
 
 def _cmd_qnomial(args) -> tuple[dict, list[dict]]:
-    return {"value": str(qnomial(args.n, args.k, args.q))}, []
+    clock = Stages()
+    value = qnomial(args.n, args.k, args.q)
+    clock.lap("row")
+    return {"value": str(value), "timings_ms": clock.ms}, []
 
 
 def _cmd_growth(args) -> tuple[dict, list[dict]]:
     result: dict = {}
     checks: list[dict] = []
-    counters: dict = {}
-    timings_ms: dict[str, float] = {}
+    counters, timings_ms = {}, {}  # the saddle's, where it runs
     if args.method in ("saddle", "both"):
         sp = saddle_point(args.q, args.digits)
         result["saddle"] = {
@@ -150,12 +142,11 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
             "constant": _bigfixed_json(sp.constant),
             "residual": _bigfixed_json(sp.residual),
         }
-        counters.update(sp.counters)
-        timings_ms.update(sp.timings_ms)
+        counters, timings_ms = sp.counters, sp.timings_ms
+    clock = Stages()
     if args.method in ("ratio", "both"):
-        started = time.perf_counter()
         result["ratio_estimate"] = growth_constant_ratio(args.q)
-        timings_ms["ratio"] = round((time.perf_counter() - started) * 1000, 3)
+        clock.lap("ratio")
     if args.method == "both":
         saddle_val = float(sp.constant)
         rel = abs(saddle_val - result["ratio_estimate"]) / saddle_val
@@ -164,9 +155,8 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
             "pass": rel < 1e-4,
             "detail": f"relative difference {rel:.3e}",
         })
-    result["counters"] = counters
-    result["timings_ms"] = timings_ms
-    return result, checks
+    return {**result, "counters": counters,
+            "timings_ms": {**timings_ms, **clock.ms}}, checks
 
 
 def _cmd_table(args) -> tuple[dict, list[dict]]:
@@ -175,8 +165,7 @@ def _cmd_table(args) -> tuple[dict, list[dict]]:
     if args.qmin > args.qmax:
         raise ValueError(f"qmin must be at most qmax, got qmin {args.qmin} "
                          f"and qmax {args.qmax}")
-    rows = []
-    checks = []
+    rows, checks = [], []
     for q in _prime_powers(args.qmin, args.qmax):
         sp = saddle_point(q)
         value = sp.constant
@@ -193,8 +182,11 @@ def _cmd_table(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_alpha(args) -> tuple[dict, list[dict]]:
+    clock = Stages()
     value = alpha(args.digits)
+    clock.lap("alpha")
     root = characteristic_root(args.digits)
+    clock.lap("characteristic_root")
     checks = []
     if args.digits >= len(golden.ALPHA_DIGITS.split(".")[1]):
         checks.append(_digit_check("alpha_matches_reference", value,
@@ -202,11 +194,14 @@ def _cmd_alpha(args) -> tuple[dict, list[dict]]:
         checks.append(_digit_check("characteristic_root_matches_reference",
                                    root, golden.CHARACTERISTIC_ROOT_DIGITS))
     return {"alpha": _bigfixed_json(value),
-            "characteristic_root": _bigfixed_json(root)}, checks
+            "characteristic_root": _bigfixed_json(root),
+            "timings_ms": clock.ms}, checks
 
 
 def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
+    clock = Stages("constant", "check")
     value = leading_constant(args.digits)
+    clock.lap("constant")
     checks = []
     if args.digits >= 12:
         from . import acceptance
@@ -214,13 +209,17 @@ def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
         ok, detail = acceptance.leading_constant_digit_check(value)
         checks.append({"name": "matches_reference_to_10_significant_digits",
                        "pass": ok, "detail": detail})
-    return {"leading_constant": _bigfixed_json(value)}, checks
+        clock.lap("check")
+    return {"leading_constant": _bigfixed_json(value),
+            "timings_ms": clock.ms}, checks
 
 
 def _cmd_verify_recurrence(args) -> tuple[dict, list[dict]]:
+    clock = Stages()
     check = verify_recurrence(args.nmax)
+    clock.lap("recurrence")
     result = {"n_max": check.n_max, "all_zero": check.all_zero,
-              "first_failure": check.first_failure}
+              "first_failure": check.first_failure, "timings_ms": clock.ms}
     return result, [{"name": "recurrence_all_zero", "pass": check.all_zero,
                      "detail": f"n = 0..{args.nmax - 2}, exact integers"}]
 
@@ -280,11 +279,9 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
               for c in criteria]
     result = {"level": args.level,
               "criteria": [{"name": c.name, "pass": c.passed,
-                            "warning": c.warning, "detail": c.detail,
-                            "measured": c.measured,
-                            "elapsed_ms": round(c.elapsed_s * 1000, 3),
-                            "timings_ms": {k: round(v * 1000, 3) for k, v
-                                           in c.timings_s.items()}}
+                            "detail": c.detail, "measured": c.measured,
+                            "elapsed_ms": c.elapsed_ms,
+                            "timings_ms": c.timings_ms}
                            for c in criteria]}
     return result, checks
 
@@ -534,12 +531,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    started = time.monotonic()
+    clock = Stages()
     try:
         result, checks = _COMMANDS[args.command].handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    clock.lap("command")
     inputs = {k: v for k, v in vars(args).items()
               if k != "command" and v is not None}
     report = {
@@ -547,7 +545,7 @@ def _run(args) -> int:
         "inputs": inputs,
         "result": result,
         "checks": checks,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
+        "elapsed_ms": clock.ms["command"],
     }
     text = json.dumps(report, indent=2, default=_json_default)
     try:

@@ -325,12 +325,12 @@ def test_saddle_two_cycle_keeps_the_smaller_residual(monkeypatch):
             visited = []
 
             def forced(q_, x, bits_, a=a, bits=bits, visited=visited):
-                h, slope = h_slope(q_, x, bits_)
+                h, slope, powers = h_slope(q_, x, bits_)
                 if bits_ == bits:
                     visited.append(x)
                     if x == a and h:
                         slope = abs(h) << bits
-                return h, slope
+                return h, slope, powers
 
             monkeypatch.setattr(asymptotics, "_h_slope", forced)
             converted.clear()
@@ -342,7 +342,7 @@ def test_saddle_two_cycle_keeps_the_smaller_residual(monkeypatch):
             cycles += 1
             cycle = set(visited[-2:])
             assert a in cycle and len(cycle) == 2
-            x0, _, residual = converted
+            x0, constant, residual = converted
             g = {m: _g_exact_dyadic(q, m, bits) for m in cycle}
             kept = min(cycle, key=lambda m: (abs(g[m]), m))
             assert x0 == kept
@@ -352,6 +352,14 @@ def test_saddle_two_cycle_keeps_the_smaller_residual(monkeypatch):
                 <= 2 ** guard // 16
             assert sp.residual == to_decimal(residual, bits + guard,
                                              digits + asymptotics.GUARD)
+            # the constant comes from the powers at the kept element,
+            # which Newton took there, one step earlier if it came first
+            below, top = asymptotics._powers(q, kept, bits)
+            cube = icbrt_newton(asymptotics._rescale(
+                below, bits + guard, bits) << 2 * bits)
+            assert constant == div_nearest(
+                ((1 << bits + guard) - top) << 2 * bits,
+                (((1 << bits) - kept) << guard) * cube)
             kept_first_met += kept == visited[-2]
     assert cycles >= 10
     # the rule decides: it keeps the element the loop met first as well
@@ -363,7 +371,7 @@ def test_saddle_refuses_newton_that_never_settles(monkeypatch):
     # with h = 2^-bits h' every Newton step moves x by -1, so the
     # full-precision loop meets neither a stationary mantissa nor a 2-cycle
     monkeypatch.setattr(asymptotics, "_h_slope",
-                        lambda q, x, bits: (1, 1 << bits))
+                        lambda q, x, bits: (1, 1 << bits, None))
     with pytest.raises(ArithmeticError, match="200 steps"):
         asymptotics._saddle_point(5, 20)
 
@@ -404,7 +412,8 @@ def test_h_slope_and_sign_against_exact_values(q, bits, data):
     m = data.draw(st.integers(0, 2**bits))
     x = Fraction(m, 2**bits)
     unit = 2 ** (bits + asymptotics._h_guard(q))
-    h, slope = asymptotics._h_slope(q, m, bits)
+    h, slope, powers = asymptotics._h_slope(q, m, bits)
+    assert powers == asymptotics._powers(q, m, bits)
     assert abs(h - _h_poly(q, x) * unit) <= q * q
     assert abs(slope - _h_slope_poly(q, x) * unit) <= q**3
     exact = _h_poly(q, x)

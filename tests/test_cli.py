@@ -417,7 +417,39 @@ def test_verify_all_quick(capsys):
     estimate = measured["9_first_correction"]["estimate"]
     target = golden.FIRST_CORRECTION
     assert estimate < 0 and abs(estimate - target) <= 0.05 * abs(target)
-    assert criteria[8]["warning"] is None
+    assert all("warning" not in c for c in criteria)
+
+
+SADDLE_STAGES = {"bisection", "ladder", "newton", "residual", "constant"}
+STAGE_CASES = [
+    (["bound", "--n", "30", "--theorem", "--sharp"], None,
+     [{"theorem", "sharp"}]),
+    (["qnomial", "--n", "10", "--k", "7"], None, [{"row"}]),
+    (["growth", "--q", "5", "--method", "both"], None,
+     [SADDLE_STAGES | {"ratio"}]),
+    (["table", "--qmin", "5", "--qmax", "8"], "rows", [SADDLE_STAGES] * 3),
+    (["alpha", "--digits", "100"], None, [{"alpha", "characteristic_root"}]),
+    (["leading-constant", "--digits", "100"], None, [{"constant", "check"}]),
+    (["verify-recurrence", "--nmax", "50"], None, [{"recurrence"}]),
+    (["search", "--n", "3"], None, [{"lower_proofs", "tables", "find",
+                                     "identity", "classes", "refute"}]),
+    (["verify-clp", "--n", "2", "--d", "2", "--from-search"], None,
+     [{"table", "nullspace", "checks"}]),
+    (["verify-all"], "criteria",
+     [set()] * 5 + [{"1", "2", "3"}] + [set()] * 4),
+]
+
+
+@pytest.mark.parametrize("argv,where,stages", STAGE_CASES,
+                         ids=[argv[0] for argv, _, _ in STAGE_CASES])
+def test_every_command_reports_its_stage_times(capsys, argv, where, stages):
+    # each timed part of a report (the result, or each table row and
+    # verify-all criterion) has timings_ms over its command's stages
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["elapsed_ms"] >= 0
+    parts = report["result"][where] if where else [report["result"]]
+    assert [set(part["timings_ms"]) for part in parts] == stages
+    assert all(ms >= 0 for part in parts for ms in part["timings_ms"].values())
 
 
 def test_missing_file_exit_2(capsys):
@@ -429,8 +461,9 @@ def test_missing_file_exit_2(capsys):
 def test_repeat_invocations_stable(capsys):
     _, first, _ = run_cli(capsys, "bound", "--n", "9", "--sharp")
     _, second, _ = run_cli(capsys, "bound", "--n", "9", "--sharp")
-    first.pop("elapsed_ms")
-    second.pop("elapsed_ms")
+    for report in (first, second):
+        report.pop("elapsed_ms")
+        report["result"].pop("timings_ms")
     assert first == second
 
 
@@ -503,8 +536,9 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
 def test_option_equals_value_form(capsys):
     _, spaced, _ = run_cli(capsys, "bound", "--n", "6", "--optimize-d")
     _, joined, _ = run_cli(capsys, "bound", "--n=6", "--optimize-d")
-    spaced.pop("elapsed_ms")
-    joined.pop("elapsed_ms")
+    for report in (spaced, joined):
+        report.pop("elapsed_ms")
+        report["result"].pop("timings_ms")
     assert joined == spaced
 
 
