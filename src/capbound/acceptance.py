@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import golden
 from .asymptotics import (
@@ -67,23 +66,31 @@ def _timed(criterion):
     return run
 
 
-def ulp_distance(value: BigFixed, pinned: str) -> Fraction:
-    """Distance from a pinned decimal string in units of its last place."""
+def pinned_gap(value: BigFixed, pinned: str) -> tuple[int, int, int]:
+    """|value - pinned|, one unit in pinned's last place and |pinned|, as
+    integers on the finer of the two scales.  A check against a pinned
+    decimal is decided on these (within one ulp when gap <= unit), and
+    gap / unit, a correctly rounded int division, is its distance in
+    ulps: no Fraction, so no gcd of 30,000-digit integers."""
     ref = BigFixed.from_decimal(pinned)
-    return abs(value.as_fraction() - ref.as_fraction()) * 10**ref.scale
+    scale = max(value.scale, ref.scale)
+    unit = 10**(scale - ref.scale)
+    ref_mantissa = ref.mantissa * unit
+    gap = abs(value.mantissa * 10**(scale - value.scale) - ref_mantissa)
+    return gap, unit, abs(ref_mantissa)
 
 
-def _digit_agreement(value: BigFixed) -> tuple[Fraction, int]:
+def _digit_agreement(value: BigFixed) -> tuple[float, int]:
     """Relative difference from the pinned leading constant, and how many
-    significant digits agree; exact agreement counts every pinned digit."""
+    significant digits agree (relative difference below 10^-digits);
+    exact agreement counts every pinned digit."""
     pinned = golden.LEADING_CONSTANT_DIGITS
-    ref = BigFixed.from_decimal(pinned).as_fraction()
-    rel = abs((value.as_fraction() - ref) / ref)
+    gap, _, size = pinned_gap(value, pinned)
     available = len(pinned.replace(".", "").lstrip("0"))
     digits = 0
-    while digits < available and rel < Fraction(1, 10**(digits + 1)):
+    while digits < available and gap * 10**(digits + 1) < size:
         digits += 1
-    return rel, digits
+    return gap / size, digits
 
 
 def leading_constant_digit_check(value: BigFixed) -> tuple[bool, str]:
@@ -94,11 +101,10 @@ def leading_constant_digit_check(value: BigFixed) -> tuple[bool, str]:
     spells the divergence out instead of hiding it.
     """
     rel, digits = _digit_agreement(value)
-    detail = (f"computed {value.decimal()} vs pinned "
-              f"{golden.LEADING_CONSTANT_DIGITS}: {digits} significant "
-              f"digits agree (relative difference {float(rel):.2e}); the "
-              f"closed form and the pinned value share only the first 10 "
-              f"by construction of the pinned value")
+    detail = (f"pinned {golden.LEADING_CONSTANT_DIGITS}: {digits} "
+              f"significant digits agree (relative difference {rel:.2e}); "
+              f"the closed form and the pinned value share only the first "
+              f"10 by construction of the pinned value")
     return digits >= 10, detail
 
 
@@ -117,23 +123,26 @@ def c1_recurrence(level: str) -> CriterionResult:
 
 @_timed
 def c2_root_digits(level: str) -> CriterionResult:
-    root_ulp = ulp_distance(characteristic_root(18),
-                            golden.CHARACTERISTIC_ROOT_DIGITS)
-    alpha_ulp = ulp_distance(alpha(19), golden.ALPHA_DIGITS)
-    ok = root_ulp <= 1 and alpha_ulp <= 1
+    root_gap, root_unit, _ = pinned_gap(characteristic_root(18),
+                                        golden.CHARACTERISTIC_ROOT_DIGITS)
+    alpha_gap, alpha_unit, _ = pinned_gap(alpha(19), golden.ALPHA_DIGITS)
+    ok = root_gap <= root_unit and alpha_gap <= alpha_unit
+    root_ulp, alpha_ulp = root_gap / root_unit, alpha_gap / alpha_unit
     return CriterionResult(
         "2_root_and_alpha_digits", ok,
-        f"characteristic_root(18) off by {float(root_ulp):.3g} ulp, "
-        f"alpha(19) off by {float(alpha_ulp):.3g} ulp",
+        f"characteristic_root(18) off by {root_ulp:.3g} ulp, "
+        f"alpha(19) off by {alpha_ulp:.3g} ulp",
         {"root_ulp": root_ulp, "alpha_ulp": alpha_ulp})
 
 
 @_timed
 def c3_growth_table(level: str) -> CriterionResult:
-    distances = {q: ulp_distance(growth_constant(q), pinned)
-                 for q, pinned in golden.GROWTH_TABLE.items()}
-    failures = [f"q={q}: {float(dist):.2f} ulp"
-                for q, dist in distances.items() if dist > 1]
+    distances, failures = {}, []
+    for q, pinned in golden.GROWTH_TABLE.items():
+        gap, unit, _ = pinned_gap(growth_constant(q), pinned)
+        distances[q] = gap / unit
+        if gap > unit:
+            failures.append(f"q={q}: {distances[q]:.2f} ulp")
     detail = "all 15 entries within 1 ulp" if not failures else "; ".join(failures)
     return CriterionResult("3_growth_table", not failures, detail,
                            {"ulp": distances})

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import golden
@@ -71,6 +70,8 @@ GUARD_BITS = 8
 
 @dataclass(frozen=True)
 class RecurrenceCheck:
+    """Whether the recurrence combination vanished for every n up to
+    n_max - 2, and the first n where it did not (None if none)."""
     n_max: int
     all_zero: bool
     first_failure: int | None
@@ -390,7 +391,7 @@ def growth_constant_ratio(q: int) -> float:
     def rate(n: int) -> float:
         a0 = row_prefix(n, q, (q - 1) * n // 3)[-1]
         a1 = row_prefix(n + 3, q, (q - 1) * (n + 3) // 3)[-1]
-        return float(Fraction(a1, a0)) ** (1.0 / 3.0)
+        return (a1 / a0) ** (1.0 / 3.0)
 
     t_m, t_n = 61.5, 121.5
     return (t_n * rate(120) - t_m * rate(60)) / (t_n - t_m)

@@ -25,6 +25,9 @@ Method = Literal["for_d", "optimal", "theorem", "sharp"]
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One bound on F_q^n: its exact value, the method that gave it, the
+    degree d where one applies, and the cross-check identities, each
+    with its verdict."""
     n: int
     q: int
     value: int

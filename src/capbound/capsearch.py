@@ -120,6 +120,9 @@ class PointSet:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The largest progression-free set a search found in F_3^n, with
+    its witness, whether the walk proved it maximum, and the walk's
+    node count and prunes (see max_capset)."""
     n: int
     max_size: int
     witness: PointSet

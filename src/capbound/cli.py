@@ -15,8 +15,14 @@ report short but changes neither the exit code nor stderr.
 Arbitrary-precision integers are serialized as decimal strings of any
 length; fixed-point values as {mantissa, scale, decimal}.
 
-The acceptance battery is imported only by the commands that use it, so
-the other commands do not pay for loading it at every start.
+Each command loads only the layers it runs.  The rows, the bound
+family, the search and the verifier are imported at the top: `bound`,
+`qnomial`, `search` and `verify-clp` take milliseconds, so importing
+them lazily would move their compile into the first job of a process
+that runs many.  The asymptotics layer (with fixedpoint and golden) is
+imported by the handlers of `growth`, `table`, `alpha`,
+`leading-constant` and `verify-recurrence`, and the acceptance battery
+by those that check pinned digits and by `verify-all`.
 """
 from __future__ import annotations
 
@@ -24,24 +30,11 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from . import golden
-from .asymptotics import (
-    MAX_Q,
-    RECURRENCE_MAX_N,
-    alpha,
-    characteristic_root,
-    growth_constant_ratio,
-    leading_constant,
-    saddle_point,
-    verify_recurrence,
-)
 from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from .capsearch import MAX_BUDGET, is_progression_free, max_capset
-from .fixedpoint import BigFixed
 from .qnomial import qnomial
 from .stages import Stages
 from .verifier import (
@@ -50,6 +43,9 @@ from .verifier import (
     parse_pointset,
     verify_support_bound,
 )
+
+if TYPE_CHECKING:
+    from .fixedpoint import BigFixed
 
 
 def _bigfixed_json(value: BigFixed) -> dict:
@@ -70,26 +66,24 @@ def _bound_json(report: BoundReport) -> dict:
 
 
 def _json_default(value):
-    """Exact ratios as floats (every verdict is decided on the exact value
-    first) and fixed-point values spelled out, for verify-all's measured
-    values."""
-    if isinstance(value, Fraction):
-        return float(value)
+    """Fixed-point values spelled out.  Only verify-all's measured values
+    hold values json cannot write itself, and it has loaded the
+    fixedpoint layer by then."""
+    from .fixedpoint import BigFixed
+
     if isinstance(value, BigFixed):
         return _bigfixed_json(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _digit_check(name: str, value: BigFixed, pinned: str) -> dict:
-    from . import acceptance
+    """Within one ulp of a pinned decimal; the report already holds the
+    computed value, so the detail names only the pinned one."""
+    from .acceptance import pinned_gap
 
-    dist = acceptance.ulp_distance(value, pinned)
-    return {
-        "name": name,
-        "pass": dist <= 1,
-        "detail": f"computed {value.decimal()} vs pinned {pinned} "
-                  f"({float(dist):.3g} ulp)",
-    }
+    gap, unit, _ = pinned_gap(value, pinned)
+    return {"name": name, "pass": gap <= unit,
+            "detail": f"pinned {pinned} ({gap / unit:.3g} ulp)"}
 
 
 def _prime_powers(lo: int, hi: int) -> list[int]:
@@ -131,6 +125,8 @@ def _cmd_qnomial(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_growth(args) -> tuple[dict, list[dict]]:
+    from .asymptotics import growth_constant_ratio, saddle_point
+
     result: dict = {}
     checks: list[dict] = []
     counters, timings_ms = {}, {}  # the saddle's, where it runs
@@ -160,6 +156,9 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_table(args) -> tuple[dict, list[dict]]:
+    from . import golden
+    from .asymptotics import MAX_Q, saddle_point
+
     if args.qmax > MAX_Q:
         raise ValueError(f"qmax must be at most {MAX_Q}, got {args.qmax}")
     if args.qmin > args.qmax:
@@ -182,6 +181,9 @@ def _cmd_table(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_alpha(args) -> tuple[dict, list[dict]]:
+    from . import golden
+    from .asymptotics import alpha, characteristic_root
+
     clock = Stages()
     value = alpha(args.digits)
     clock.lap("alpha")
@@ -199,6 +201,8 @@ def _cmd_alpha(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
+    from .asymptotics import leading_constant
+
     clock = Stages("constant", "check")
     value = leading_constant(args.digits)
     clock.lap("constant")
@@ -215,6 +219,8 @@ def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_verify_recurrence(args) -> tuple[dict, list[dict]]:
+    from .asymptotics import verify_recurrence
+
     clock = Stages()
     check = verify_recurrence(args.nmax)
     clock.lap("recurrence")
@@ -291,8 +297,10 @@ def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
 class _Opt:
     """One option of a command.  kind is int, str, a tuple of the
     allowed values, or bool for a flag, which takes no value and reads
-    True once given.  (Plain classes: a NamedTuple costs about 0.3 ms
-    of every start to create.)"""
+    True once given.  help is a string, or a function that returns it
+    when help is shown, for a text that needs a layer the command's
+    handler loads.  (Plain classes: a NamedTuple costs about 0.3 ms of
+    every start to create.)"""
     __slots__ = ("kind", "default", "required", "help")
 
     def __init__(self, kind, default=None, required=False, help=""):
@@ -308,6 +316,13 @@ class _Command:
     def __init__(self, handler, help, options, one_of=()):
         self.handler, self.help = handler, help
         self.options, self.one_of = options, one_of
+
+
+def _nmax_help() -> str:
+    from .asymptotics import RECURRENCE_MAX_N
+
+    return (f"check n = 0..nmax-2; nmax in [2, {RECURRENCE_MAX_N}] (time "
+            "grows like nmax^3)")
 
 
 _DESCRIPTION = ("Exact bounds for progression-free subsets of F_q^n, "
@@ -346,10 +361,7 @@ _COMMANDS = {
         }),
     "verify-recurrence": _Command(
         _cmd_verify_recurrence, "exact recurrence check", {
-            "--nmax": _Opt(int, required=True,
-                           help=f"check n = 0..nmax-2; nmax in [2, "
-                                f"{RECURRENCE_MAX_N}] (time grows like "
-                                "nmax^3)"),
+            "--nmax": _Opt(int, required=True, help=_nmax_help),
         }),
     "search": _Command(_cmd_search, "maximum progression-free set search", {
         "--n": _Opt(int, required=True),
@@ -412,10 +424,11 @@ def _help(name: str | None) -> str:
              "  -h, --help        show this help message and exit"]
     for opt_name, opt in command.options.items():
         spec = _spec(opt_name, opt)
-        lines.append(textwrap.fill(opt.help, 79,
+        text = opt.help() if callable(opt.help) else opt.help
+        lines.append(textwrap.fill(text, 79,
                                    initial_indent=f"  {spec:<17} ",
                                    subsequent_indent=" " * 20)
-                     if opt.help else f"  {spec}")
+                     if text else f"  {spec}")
     return "\n".join(lines)
 
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # icbrt_newton's small roots, and the top of its ladder's seed rung
 _CBRT_SMALL_BITS = 192
@@ -130,6 +133,8 @@ def _power_bracket(b: int, e: int, w: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class BigFixed:
+    """The decimal mantissa * 10^(-scale), exactly; it does no
+    arithmetic."""
     mantissa: int
     scale: int
 
@@ -153,10 +158,14 @@ class BigFixed:
     # -- conversions ---------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.mantissa, 10**self.scale)
 
     def __float__(self) -> float:
-        return float(self.as_fraction())
+        # CPython's int true division is correctly rounded, as
+        # float(self.as_fraction()) is, without the gcd
+        return self.mantissa / 10**self.scale
 
     def decimal(self) -> str:
         sign = "-" if self.mantissa < 0 else ""

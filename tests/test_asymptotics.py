@@ -6,12 +6,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capbound.qnomial as qnomial_module
-from capbound import asymptotics, golden
-from capbound.acceptance import leading_constant_digit_check, ulp_distance
+from capbound import acceptance, asymptotics, golden
+from capbound.acceptance import leading_constant_digit_check, pinned_gap
 from capbound.bounds import sharp_bound
 from capbound.asymptotics import (
     MAX_DIGITS,
@@ -99,8 +99,9 @@ def test_recurrence_leaves_the_row_cache_alone():
 
 
 def test_characteristic_root_digits():
-    assert ulp_distance(characteristic_root(18),
-                        golden.CHARACTERISTIC_ROOT_DIGITS) <= 1
+    gap, unit, _ = pinned_gap(characteristic_root(18),
+                              golden.CHARACTERISTIC_ROOT_DIGITS)
+    assert gap <= unit
 
 
 def test_characteristic_root_satisfies_quadratic():
@@ -142,7 +143,8 @@ def test_characteristic_root_brackets_the_larger_root(digits):
 
 
 def test_alpha_digits_and_cube():
-    assert ulp_distance(alpha(19), golden.ALPHA_DIGITS) <= 1
+    gap, unit, _ = pinned_gap(alpha(19), golden.ALPHA_DIGITS)
+    assert gap <= unit
     cube = alpha(40).as_fraction() ** 3
     assert abs(cube - characteristic_root(40).as_fraction()) \
         < Fraction(1, 10**36)
@@ -643,7 +645,8 @@ def test_growth_constants_monotone_and_below_q():
 def test_growth_table_census():
     # every entry within 1 ulp of the pinned digits
     for q, pinned in golden.GROWTH_TABLE.items():
-        assert ulp_distance(growth_constant(q), pinned) <= 1, q
+        gap, unit, _ = pinned_gap(growth_constant(q), pinned)
+        assert gap <= unit, q
 
 
 def test_growth_table_mpmath_oracle():
@@ -684,6 +687,19 @@ def test_ratio_method_agrees_small_q():
         assert abs(saddle - ratio) / saddle < 1e-4
 
 
+def test_ratio_method_matches_the_fraction_route():
+    # int true division is correctly rounded, as float(Fraction(a1, a0))
+    # is, so the estimate is the same double
+    def rate(q, n):
+        a0 = row_prefix(n, q, (q - 1) * n // 3)[-1]
+        a1 = row_prefix(n + 3, q, (q - 1) * (n + 3) // 3)[-1]
+        return float(Fraction(a1, a0)) ** (1.0 / 3.0)
+
+    for q in golden.GROWTH_TABLE:
+        by_fractions = (121.5 * rate(q, 120) - 61.5 * rate(q, 60)) / 60.0
+        assert growth_constant_ratio(q) == by_fractions, q
+
+
 def test_ratio_method_leaves_the_row_cache_alone():
     # it reads one coefficient of each of four rows from row prefixes
     qnomial_module.clear_cache()
@@ -712,6 +728,44 @@ def test_leading_constant_digit_check_exact_agreement():
     assert "10 significant digits agree" in detail
     ok, detail = leading_constant_digit_check(leading_constant(8))
     assert not ok
+
+
+def _ulps_by_fractions(value: BigFixed, pinned: str) -> Fraction:
+    ref = BigFixed.from_decimal(pinned)
+    return abs(value.as_fraction() - ref.as_fraction()) * 10**ref.scale
+
+
+@settings(deadline=None, max_examples=300)
+@given(mantissa=st.integers(-10**45, 10**45), scale=st.integers(0, 45),
+       pinned=st.builds(BigFixed, st.integers(-10**25, 10**25),
+                        st.integers(0, 25)))
+@example(mantissa=2 * 10**30 + 10**10, scale=30,
+         pinned=BigFixed(2 * 10**20, 20))  # exactly one ulp
+@example(mantissa=2 * 10**30 + 10**10 + 1, scale=30,
+         pinned=BigFixed(2 * 10**20, 20))  # just past it
+@example(mantissa=-7, scale=0, pinned=BigFixed(-71, 1))
+def test_pinned_gap_decides_as_fractions_do(mantissa, scale, pinned):
+    value = BigFixed(mantissa, scale)
+    exact = _ulps_by_fractions(value, pinned.decimal())
+    gap, unit, size = pinned_gap(value, pinned.decimal())
+    assert (gap <= unit) == (exact <= 1)
+    assert gap / unit == float(exact)
+    assert Fraction(size, unit) == abs(pinned.mantissa)
+
+
+@settings(deadline=None, max_examples=300)
+@given(offset=st.integers(-10**40, 10**40), scale=st.integers(1, 45))
+@example(offset=0, scale=19)
+@example(offset=33267627467425979588, scale=24)  # relative difference 10^-5
+def test_digit_agreement_counts_as_fractions_do(offset, scale):
+    ref = BigFixed.from_decimal(golden.LEADING_CONSTANT_DIGITS).as_fraction()
+    value = BigFixed(ref.numerator * 10**scale // ref.denominator + offset,
+                     scale)
+    rel = abs((value.as_fraction() - ref) / ref)
+    digits = 0
+    while digits < 20 and rel < Fraction(1, 10**(digits + 1)):
+        digits += 1
+    assert acceptance._digit_agreement(value) == (float(rel), digits)
 
 
 def test_leading_constant_empirical_small_ladder():

@@ -88,6 +88,14 @@ def test_negative_roots_rejected():
         icbrt_newton(-8)
 
 
+@settings(max_examples=300)
+@given(mantissa=st.integers(-10**300, 10**300), scale=st.integers(0, 700))
+def test_float_is_the_rounded_fraction(mantissa, scale):
+    # down to the subnormals, where both round to a few bits or to 0
+    assert float(BigFixed(mantissa, scale)) == float(
+        Fraction(mantissa, 10**scale))
+
+
 def test_decimal_string_roundtrip():
     for text in ("3.1415", "-0.001", "20.912901011846452219", "7", "-12.50"):
         bf = BigFixed.from_decimal(text)
