@@ -105,17 +105,20 @@ def trinomial_middle(n: int) -> int:
     Choosing j factors x^2, 2n - 2j factors x and n + j factors 1 gives
     d(n) = sum_{j=0..n} (3n)! / (j! (n+j)! (2n-2j)!).  The sum starts
     from its j = 0 term C(3n, n) and steps by the term ratio
-    t_(j+1) / t_j = (2n-2j)(2n-2j-1) / ((j+1)(n+j+1)), so it shares no
-    code with the rows.  Every term is a multinomial coefficient, so each
-    division is checked: a remainder raises ArithmeticError."""
+    t_j / t_(j-1) = m (m-1) / (j (n+j)), m = 2n-2j+2, so it shares no
+    code with the rows; each step multiplies the term by one small
+    integer and divides it by another.  Every term is a multinomial
+    coefficient, so each division is checked: a remainder raises
+    ArithmeticError."""
     term = total = math.comb(3 * n, n)
-    for j in range(n):
-        term, rest = divmod(term * (2 * n - 2 * j) * (2 * n - 2 * j - 1),
-                            (j + 1) * (n + j + 1))
+    m = 2 * n
+    for j in range(1, n + 1):
+        term, rest = divmod(term * (m * (m - 1)), j * (n + j))
         if rest:
             raise ArithmeticError(
                 f"term ratio not exact at n={n}, j={j}")
         total += term
+        m -= 2
     return total
 
 

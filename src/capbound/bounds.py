@@ -15,7 +15,6 @@ cross-check identities computed by independent routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Literal
 
 from .qnomial import mspace_size, qnomial, qnomial_row, series_coeff_bound
@@ -55,17 +54,32 @@ def optimal_bound(n: int) -> BoundReport:
 
     Ties break toward smaller d.  Odd d can beat the even choice d = 4n/3
     by a constant factor (e.g. 324 < 414 at n = 6) while sharing its
-    growth rate, so we search rather than trust a formula.  One prefix-sum
-    pass over the row gives every |M(n, d)|, d = 0..2n.
+    growth rate, so we search rather than trust a formula.
+
+    Only odd d and d = 2n need a look.  Write f(d) for the bound, S(d)
+    for |M(n, d)| and a_k for the row.  For 2m < 2n, floor((2m+1)/2) = m
+    gives f(2m+1) = f(2m) - a_(2m+1) < f(2m), since every a_k on [0, 2n]
+    is at least 1; so no even d below 2n is the first minimizer.  The scan
+    carries f over odd d, from f(1) = 3^n + 1 - n by
+    f(2m+1) = f(2m-1) + 2 a_m - a_(2m) - a_(2m+1), keeps the first
+    smallest, and compares it with f(2n) = 2 S(n) = 3^n + a_n (the row is
+    a palindrome), which wins only if strictly smaller.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    sizes = list(accumulate(qnomial_row(n, 3).coeffs))
+    coeffs = qnomial_row(n, 3).coeffs
     space = 3**n
-    values = [2 * sizes[d // 2] + space - sizes[d] for d in range(2 * n + 1)]
-    best_d = min(range(2 * n + 1), key=values.__getitem__)
-    return BoundReport(n=n, q=3, d=best_d, value=values[best_d],
-                       method="optimal")
+    best_d, best = 2 * n, space + coeffs[n]
+    if n:
+        odd_d = 1
+        odd = value = space + 1 - n
+        for m in range(1, n):
+            value += 2 * coeffs[m] - coeffs[2 * m] - coeffs[2 * m + 1]
+            if value < odd:
+                odd_d, odd = 2 * m + 1, value
+        if odd <= best:
+            best_d, best = odd_d, odd
+    return BoundReport(n=n, q=3, d=best_d, value=best, method="optimal")
 
 
 def theorem_bound(n: int) -> BoundReport:

@@ -49,8 +49,8 @@ if TYPE_CHECKING:
 
 
 def _bigfixed_json(value: BigFixed) -> dict:
-    return {"mantissa": str(value.mantissa), "scale": value.scale,
-            "decimal": value.decimal()}
+    mantissa, decimal = value.spelled()
+    return {"mantissa": mantissa, "scale": value.scale, "decimal": decimal}
 
 
 def _bound_json(report: BoundReport) -> dict:

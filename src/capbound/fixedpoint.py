@@ -168,11 +168,17 @@ class BigFixed:
         return self.mantissa / 10**self.scale
 
     def decimal(self) -> str:
+        return self.spelled()[1]
+
+    def spelled(self) -> tuple[str, str]:
+        """str(mantissa) and decimal(), from one int-to-str conversion
+        (quadratic in the digit count in CPython)."""
+        mantissa = str(self.mantissa)
         sign = "-" if self.mantissa < 0 else ""
-        digits = str(abs(self.mantissa)).rjust(self.scale + 1, "0")
+        digits = mantissa[len(sign):].rjust(self.scale + 1, "0")
         if self.scale == 0:
-            return sign + digits
-        return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
+            return mantissa, sign + digits
+        return mantissa, f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
 
     def __str__(self) -> str:
         return self.decimal()

@@ -15,8 +15,14 @@ and reading off the coefficient of x^(k-1) gives, for a_k = [x^k] f,
     a_0 = 1,   k * a_k = (n + k - 1) * a_(k-1) + (k - q - n*q) * a_(k-q)
                          + (n*(q-1) + q + 1 - k) * a_(k-q-1),
 
-with a_k = 0 for k < 0.  The recurrence has three terms for every q (read
-directly, P * f' = n * P' * f has q), so each entry costs three
+with a_k = 0 for k < 0.  Read directly, P * f' = n * P' * f has q - 1
+terms, so at q = 3, where P = 1 + x + x^2 and P' = 1 + 2x, the
+coefficient of x^(k-1) gives the two-term recurrence
+
+    k * a_k = (n - k + 1) * a_(k-1) + (2n - k + 2) * a_(k-2),
+
+and q = 3 rows, the rows of the bound family, use it.  Every other q
+uses the three-term form above.  Each entry costs two or three
 multiplications by small integers and one division by k, and a row of
 length (q-1)n + 1 costs O(q n) big-integer products instead of the
 O(q n^2) of multiplying by P one factor at a time.  Every division is
@@ -25,8 +31,8 @@ flooring.
 
 P^n is palindromic, a_k = a_((q-1)n-k), so qnomial_row recurs only up to
 q + 1 entries past the middle and mirrors the rest: a cached row at
-(n, q) = (2400, 3) takes 5.4 ms where the full recurrence takes 9.8 ms,
-and (405, 16) 4.1 ms against 6.1 ms (Python 3.11, one core of a shared
+(n, q) = (2400, 3) takes 5.3 ms where the full recurrence takes 8.4 ms,
+and (405, 16) 5.3 ms against 9.0 ms (Python 3.11, one core of a shared
 2-core VM).  The q + 1 entries recurred past the middle must equal their
 mirror images and the row must sum to q^n, or ArithmeticError is raised.
 
@@ -81,7 +87,38 @@ def _check_size(n: int, q: int, length: int) -> None:
 
 
 def _recurrence_row(n: int, q: int, top: int) -> list[int]:
-    """Coefficients 0..top of P^n from the three-term recurrence, exactly.
+    """Coefficients 0..top of P^n, exactly: from the two-term recurrence
+    of P * f' = n * P' * f at q = 3 and from the three-term one at every
+    other q.  Each division by k is checked."""
+    if q == 3:
+        return _trinomial_row(n, top)
+    return _three_term_row(n, q, top)
+
+
+def _trinomial_row(n: int, top: int) -> list[int]:
+    """Coefficients 0..top of (1 + x + x^2)^n by the two-term recurrence
+
+        k * a_k = (n - k + 1) * a_(k-1) + (2n - k + 2) * a_(k-2),
+
+    the coefficient of x^(k-1) in (1 + x + x^2) * f' = n * (1 + 2x) * f,
+    keeping the last two entries in locals."""
+    row = [1]
+    before, last = 0, 1
+    near, far = n, 2 * n + 1
+    for k in range(1, top + 1):
+        value, rest = divmod(near * last + far * before, k)
+        if rest:
+            raise ArithmeticError(
+                f"recurrence division not exact at n={n}, q=3, k={k}")
+        row.append(value)
+        before, last = last, value
+        near -= 1
+        far -= 1
+    return row
+
+
+def _three_term_row(n: int, q: int, top: int) -> list[int]:
+    """Coefficients 0..top of P^n from the three-term recurrence.
 
     The row is built behind q + 1 leading zeros, which stand for the
     entries of negative index, and the three multipliers step with k."""

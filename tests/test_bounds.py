@@ -35,6 +35,22 @@ def test_optimal_dominates_every_d():
         assert (report.d, report.value) == (values.index(best), best)
 
 
+@pytest.mark.parametrize("n", [150, 299, 300, 601])
+def test_optimal_matches_brute_force_at_scale(n):
+    # the odd-d scan against min over every d, first d on ties
+    values = [bound_for_d(n, d).value for d in range(2 * n + 1)]
+    best = min(values)
+    report = optimal_bound(n)
+    assert (report.d, report.value) == (values.index(best), best)
+
+
+def test_optimal_d_is_odd_or_the_top():
+    # f(2m+1) = f(2m) - a_(2m+1) < f(2m) for every 2m < 2n
+    for n in range(1, 301):
+        d = optimal_bound(n).d
+        assert d % 2 == 1 or d == 2 * n, (n, d)
+
+
 @pytest.mark.parametrize("n,expected", [(3, 30), (6, 504), (1, 3), (0, 3)])
 def test_theorem_bound_values(n, expected):
     assert theorem_bound(n).value == expected

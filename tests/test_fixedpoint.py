@@ -106,6 +106,16 @@ def test_decimal_string_roundtrip():
         BigFixed.from_decimal("12,5")
 
 
+@given(mantissa=st.integers(-10**40, 10**40), scale=st.integers(0, 50))
+def test_spelled_is_mantissa_and_decimal(mantissa, scale):
+    # both strings from one conversion, as the CLI's JSON writes them
+    value = BigFixed(mantissa, scale)
+    text, decimal = value.spelled()
+    assert text == str(mantissa)
+    assert decimal == value.decimal()
+    assert BigFixed.from_decimal(decimal) == value
+
+
 def test_pi_digits():
     # rounded (not truncated) at the 40th decimal
     want = "3.1415926535897932384626433832795028841972"

@@ -115,6 +115,9 @@ def test_inexact_division_raises(monkeypatch):
                         lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(ArithmeticError, match="not exact"):
         qnomial_row(4, 3)
+    # q = 3 runs the two-term recurrence, every other q the three-term one
+    with pytest.raises(ArithmeticError, match="not exact"):
+        qnomial_row(4, 4)
     monkeypatch.undo()
     assert list(qnomial_row(4, 3).coeffs) == expand_row(4, 3)
 
@@ -170,6 +173,15 @@ def test_mirrored_rows_match_the_full_recurrence():
         for n in [*range(0, 40), 101, 333]:
             assert list(qnomial_row(n, q).coeffs) == \
                 row_prefix(n, q, (q - 1) * n), (n, q)
+
+
+def test_two_term_trinomial_rows_match_the_three_term_recurrence():
+    # q = 3 rows come from the two-term recurrence; the three-term loop
+    # every other q uses is run at q = 3 here as its oracle
+    for n in [*range(0, 401), 2400]:
+        top = 2 * n
+        assert qnomial_module._recurrence_row(n, 3, top) == \
+            qnomial_module._three_term_row(n, 3, top), n
 
 
 @pytest.mark.parametrize("where", ["low", "past_middle"])
