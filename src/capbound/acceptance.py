@@ -80,32 +80,39 @@ def pinned_gap(value: BigFixed, pinned: str) -> tuple[int, int, int]:
     return gap, unit, abs(ref_mantissa)
 
 
-def _digit_agreement(value: BigFixed) -> tuple[float, int]:
-    """Relative difference from the pinned leading constant, and how many
-    significant digits agree (relative difference below 10^-digits);
-    exact agreement counts every pinned digit."""
+def digit_check(name: str, value: BigFixed, pinned: str) -> tuple[dict, float]:
+    """The report check that value lies within one ulp of a pinned
+    decimal, and the distance in ulps.  The report holds the computed
+    value, so the detail names only the pinned one."""
+    gap, unit, _ = pinned_gap(value, pinned)
+    ulps = gap / unit
+    return {"name": name, "pass": gap <= unit,
+            "detail": f"pinned {pinned} ({ulps:.3g} ulp)"}, ulps
+
+
+def leading_constant_digit_check(value: BigFixed
+                                 ) -> tuple[bool, str, float, int]:
+    """Significant-digit agreement with the pinned leading constant: the
+    verdict, its detail, the relative difference and how many
+    significant digits agree (relative difference below 10^-digits;
+    exact agreement counts every pinned digit).
+
+    The pinned reference and the closed form share 10 significant digits
+    and then diverge; the check requires at least those 10 and the detail
+    spells the divergence out instead of hiding it.
+    """
     pinned = golden.LEADING_CONSTANT_DIGITS
     gap, _, size = pinned_gap(value, pinned)
     available = len(pinned.replace(".", "").lstrip("0"))
     digits = 0
     while digits < available and gap * 10**(digits + 1) < size:
         digits += 1
-    return gap / size, digits
-
-
-def leading_constant_digit_check(value: BigFixed) -> tuple[bool, str]:
-    """Significant-digit agreement with the pinned leading constant.
-
-    The pinned reference and the closed form share 10 significant digits
-    and then diverge; the check requires at least those 10 and the detail
-    spells the divergence out instead of hiding it.
-    """
-    rel, digits = _digit_agreement(value)
-    detail = (f"pinned {golden.LEADING_CONSTANT_DIGITS}: {digits} "
+    rel = gap / size
+    detail = (f"pinned {pinned}: {digits} "
               f"significant digits agree (relative difference {rel:.2e}); "
               f"the closed form and the pinned value share only the first "
               f"10 by construction of the pinned value")
-    return digits >= 10, detail
+    return digits >= 10, detail, rel, digits
 
 
 # --------------------------------------------------------------------------
@@ -123,13 +130,13 @@ def c1_recurrence(level: str) -> CriterionResult:
 
 @_timed
 def c2_root_digits(level: str) -> CriterionResult:
-    root_gap, root_unit, _ = pinned_gap(characteristic_root(18),
-                                        golden.CHARACTERISTIC_ROOT_DIGITS)
-    alpha_gap, alpha_unit, _ = pinned_gap(alpha(19), golden.ALPHA_DIGITS)
-    ok = root_gap <= root_unit and alpha_gap <= alpha_unit
-    root_ulp, alpha_ulp = root_gap / root_unit, alpha_gap / alpha_unit
+    root_check, root_ulp = digit_check(
+        "characteristic_root", characteristic_root(18),
+        golden.CHARACTERISTIC_ROOT_DIGITS)
+    alpha_check, alpha_ulp = digit_check("alpha", alpha(19),
+                                         golden.ALPHA_DIGITS)
     return CriterionResult(
-        "2_root_and_alpha_digits", ok,
+        "2_root_and_alpha_digits", root_check["pass"] and alpha_check["pass"],
         f"characteristic_root(18) off by {root_ulp:.3g} ulp, "
         f"alpha(19) off by {alpha_ulp:.3g} ulp",
         {"root_ulp": root_ulp, "alpha_ulp": alpha_ulp})
@@ -139,9 +146,9 @@ def c2_root_digits(level: str) -> CriterionResult:
 def c3_growth_table(level: str) -> CriterionResult:
     distances, failures = {}, []
     for q, pinned in golden.GROWTH_TABLE.items():
-        gap, unit, _ = pinned_gap(growth_constant(q), pinned)
-        distances[q] = gap / unit
-        if gap > unit:
+        check, distances[q] = digit_check(f"q={q}", growth_constant(q),
+                                          pinned)
+        if not check["pass"]:
             failures.append(f"q={q}: {distances[q]:.2f} ulp")
     detail = "all 15 entries within 1 ulp" if not failures else "; ".join(failures)
     return CriterionResult("3_growth_table", not failures, detail,
@@ -229,8 +236,7 @@ def c7_proof_core(level: str) -> CriterionResult:
 @_timed
 def c8_leading_constant(level: str) -> CriterionResult:
     value = leading_constant(19)
-    rel, digits = _digit_agreement(value)
-    ok_digits, detail = leading_constant_digit_check(value)
+    ok_digits, detail, rel, digits = leading_constant_digit_check(value)
     samples = (300, 600, 1200, 2400) if level == "full" else (150, 300, 600)
     empirical = leading_constant_empirical(samples)
     emp_rel = abs(empirical - float(value)) / float(value)
@@ -239,8 +245,9 @@ def c8_leading_constant(level: str) -> CriterionResult:
         "8_leading_constant", ok_digits and ok_emp,
         detail + f"; extrapolation over n={samples} gives {empirical:.9f} "
                  f"(relative difference {emp_rel:.2e} vs closed form)",
-        {"value": value, "rel": rel, "digits": digits, "samples": samples,
-         "empirical": empirical, "empirical_rel": emp_rel})
+        {"value": value.as_json(), "rel": rel, "digits": digits,
+         "samples": samples, "empirical": empirical,
+         "empirical_rel": emp_rel})
 
 
 @_timed

@@ -293,7 +293,23 @@ def saddle_point(q: int, digits: int = DEFAULT_DIGITS) -> SaddleResult:
     """
     _check_q(q)
     _check_digits(digits)
-    return _saddle_point(q, digits)
+    x, bits, g, (below, top), counters, clock = _saddle_root(q, digits)
+
+    # f(x0) / cbrt(x0^(q-1)) = (1 - x0^q) / ((1 - x0) cbrt(x0^(q-1))),
+    # one division, with both powers carried _h_guard(q) bits past x0 as
+    # in Newton's h, and x0^(q-1) rounded to x0's units by one shift
+    guard = _h_guard(q)
+    power = _rescale(below, bits + guard, bits)
+    constant = div_nearest(((1 << bits + guard) - top) << 2 * bits,
+                           (((1 << bits) - x) << guard)
+                           * icbrt_newton(power << 2 * bits))
+    x0, constant, residual = (_to_decimal(x, bits, digits),
+                              _to_decimal(constant, bits, digits),
+                              _to_decimal(g, bits + guard,
+                                          counters["work_digits"]))
+    clock.lap("constant")
+    return SaddleResult(q=q, x0=x0, constant=constant, residual=residual,
+                        counters=counters, timings_ms=clock.ms)
 
 
 def _saddle_root(q: int, digits: int
@@ -351,27 +367,6 @@ def _saddle_root(q: int, digits: int
                 "newton_steps": newton_steps, "work_digits": work,
                 "work_bits": bits, "stop": stop}
     return x, bits, g, powers, counters, clock
-
-
-def _saddle_point(q: int, digits: int) -> SaddleResult:
-    """saddle_point without the ceilings."""
-    x, bits, g, (below, top), counters, clock = _saddle_root(q, digits)
-
-    # f(x0) / cbrt(x0^(q-1)) = (1 - x0^q) / ((1 - x0) cbrt(x0^(q-1))),
-    # one division, with both powers carried _h_guard(q) bits past x0 as
-    # in Newton's h, and x0^(q-1) rounded to x0's units by one shift
-    guard = _h_guard(q)
-    power = _rescale(below, bits + guard, bits)
-    constant = div_nearest(((1 << bits + guard) - top) << 2 * bits,
-                           (((1 << bits) - x) << guard)
-                           * icbrt_newton(power << 2 * bits))
-    x0, constant, residual = (_to_decimal(x, bits, digits),
-                              _to_decimal(constant, bits, digits),
-                              _to_decimal(g, bits + guard,
-                                          counters["work_digits"]))
-    clock.lap("constant")
-    return SaddleResult(q=q, x0=x0, constant=constant, residual=residual,
-                        counters=counters, timings_ms=clock.ms)
 
 
 def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:

@@ -129,7 +129,6 @@ class SearchResult:
     nodes_explored: int
     prunes: dict[str, int]
     proven_optimal: bool
-    fixed_prefix: tuple[int, ...]
     # the cost of the call (see max_capset); no part of comparisons
     timings_ms: dict[str, float] = field(default_factory=dict, compare=False)
     counters: dict[str, int | None] = field(default_factory=dict,
@@ -602,7 +601,6 @@ class _Proof(_Walker):
                             + c["refute_nodes"]),
             prunes=dict(self.prunes),
             proven_optimal=proven,
-            fixed_prefix=(0, 1) if self.n == 1 else (0, 1, 3),
             timings_ms=self.clock.ms,
             counters=dict(c),
         )

@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from .capsearch import MAX_BUDGET, is_progression_free, max_capset
@@ -44,14 +44,6 @@ from .verifier import (
     verify_support_bound,
 )
 
-if TYPE_CHECKING:
-    from .fixedpoint import BigFixed
-
-
-def _bigfixed_json(value: BigFixed) -> dict:
-    mantissa, decimal = value.spelled()
-    return {"mantissa": mantissa, "scale": value.scale, "decimal": decimal}
-
 
 def _bound_json(report: BoundReport) -> dict:
     return {
@@ -63,27 +55,6 @@ def _bound_json(report: BoundReport) -> dict:
         "identities": [{"name": name, "pass": ok}
                        for name, ok in report.identities],
     }
-
-
-def _json_default(value):
-    """Fixed-point values spelled out.  Only verify-all's measured values
-    hold values json cannot write itself, and it has loaded the
-    fixedpoint layer by then."""
-    from .fixedpoint import BigFixed
-
-    if isinstance(value, BigFixed):
-        return _bigfixed_json(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _digit_check(name: str, value: BigFixed, pinned: str) -> dict:
-    """Within one ulp of a pinned decimal; the report already holds the
-    computed value, so the detail names only the pinned one."""
-    from .acceptance import pinned_gap
-
-    gap, unit, _ = pinned_gap(value, pinned)
-    return {"name": name, "pass": gap <= unit,
-            "detail": f"pinned {pinned} ({gap / unit:.3g} ulp)"}
 
 
 def _prime_powers(lo: int, hi: int) -> list[int]:
@@ -134,9 +105,9 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
         sp = saddle_point(args.q, args.digits)
         result["saddle"] = {
             "q": sp.q,
-            "x0": _bigfixed_json(sp.x0),
-            "constant": _bigfixed_json(sp.constant),
-            "residual": _bigfixed_json(sp.residual),
+            "x0": sp.x0.as_json(),
+            "constant": sp.constant.as_json(),
+            "residual": sp.residual.as_json(),
         }
         counters, timings_ms = sp.counters, sp.timings_ms
     clock = Stages()
@@ -169,10 +140,12 @@ def _cmd_table(args) -> tuple[dict, list[dict]]:
         sp = saddle_point(q)
         value = sp.constant
         pinned = golden.GROWTH_TABLE.get(q)
-        row = {"q": q, "constant": _bigfixed_json(value),
+        row = {"q": q, "constant": value.as_json(),
                "counters": sp.counters, "timings_ms": sp.timings_ms}
         if pinned is not None:
-            check = _digit_check(f"q={q}_matches_reference", value, pinned)
+            from .acceptance import digit_check
+
+            check, _ = digit_check(f"q={q}_matches_reference", value, pinned)
             row["reference"] = pinned
             row["pass"] = check["pass"]
             checks.append(check)
@@ -191,12 +164,14 @@ def _cmd_alpha(args) -> tuple[dict, list[dict]]:
     clock.lap("characteristic_root")
     checks = []
     if args.digits >= len(golden.ALPHA_DIGITS.split(".")[1]):
-        checks.append(_digit_check("alpha_matches_reference", value,
-                                   golden.ALPHA_DIGITS))
-        checks.append(_digit_check("characteristic_root_matches_reference",
-                                   root, golden.CHARACTERISTIC_ROOT_DIGITS))
-    return {"alpha": _bigfixed_json(value),
-            "characteristic_root": _bigfixed_json(root),
+        from .acceptance import digit_check
+
+        checks = [digit_check("alpha_matches_reference", value,
+                              golden.ALPHA_DIGITS)[0],
+                  digit_check("characteristic_root_matches_reference", root,
+                              golden.CHARACTERISTIC_ROOT_DIGITS)[0]]
+    return {"alpha": value.as_json(),
+            "characteristic_root": root.as_json(),
             "timings_ms": clock.ms}, checks
 
 
@@ -210,11 +185,11 @@ def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
     if args.digits >= 12:
         from . import acceptance
 
-        ok, detail = acceptance.leading_constant_digit_check(value)
+        ok, detail, _, _ = acceptance.leading_constant_digit_check(value)
         checks.append({"name": "matches_reference_to_10_significant_digits",
                        "pass": ok, "detail": detail})
         clock.lap("check")
-    return {"leading_constant": _bigfixed_json(value),
+    return {"leading_constant": value.as_json(),
             "timings_ms": clock.ms}, checks
 
 
@@ -248,7 +223,6 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
         "nodes_explored": result.nodes_explored,
         "prunes": result.prunes,
         "proven_optimal": result.proven_optimal,
-        "fixed_prefix": list(result.fixed_prefix),
         "timings_ms": result.timings_ms,
         "counters": result.counters,
     }, checks
@@ -560,7 +534,7 @@ def _run(args) -> int:
         "checks": checks,
         "elapsed_ms": clock.ms["command"],
     }
-    text = json.dumps(report, indent=2, default=_json_default)
+    text = json.dumps(report, indent=2)
     try:
         print(text)
         sys.stdout.flush()

@@ -180,6 +180,12 @@ class BigFixed:
             return mantissa, sign + digits
         return mantissa, f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
 
+    def as_json(self) -> dict:
+        """{mantissa, scale, decimal}, the form reports write: the
+        mantissa and the decimal as strings of any length."""
+        mantissa, decimal = self.spelled()
+        return {"mantissa": mantissa, "scale": self.scale, "decimal": decimal}
+
     def __str__(self) -> str:
         return self.decimal()
 

@@ -16,8 +16,8 @@ every point's indicator; a polynomial vanishing off A is a combination
 of A's indicators, so one bitsliced elimination of |A| rows gives V.
 With pivots at the highest graded monomial, that one elimination serves
 every d: V_d is spanned by the rows whose pivot lies in M(n, d).  The
-process keeps the eliminations of the last few sets, with the rows'
-packed values, so a run over every d of a set eliminates it once.
+process keeps the last set's elimination, with the rows' packed values,
+so a run over every d of one set eliminates it once.
 Pair matrices are read off packed values with point masks, never built.
 """
 from __future__ import annotations
@@ -215,13 +215,14 @@ def _table(n: int) -> _EvalTable:
 
 
 def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
-    """Reduce packed F_3 rows, in place, to reduced row echelon form over
-    their low `cols` columns, scanning from the highest down, and return
-    the pivot columns, descending; row r holds the pivot of pivot column
-    r, its highest nonzero column.
+    """Reduce linearly independent packed F_3 rows, in place, to reduced
+    row echelon form over their low `cols` columns, scanning from the
+    highest down, and return the pivot columns, descending; row r holds
+    the pivot of pivot column r, its highest nonzero column.
 
     Stops once every row holds a pivot: the remaining columns are then
-    free and the form is already reduced.
+    free and the form is already reduced.  Raises ArithmeticError if the
+    rows are dependent, with fewer pivots than rows.
     """
     pivot_cols: list[int] = []
     nrows = len(ones)
@@ -248,14 +249,9 @@ def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
             elif twos[r] & bit:  # entry 2: subtract it twice, i.e. add it
                 ones[r], twos[r] = _add(ones[r], twos[r], p1, p2)
         pivot_cols.append(col)
+    if len(pivot_cols) < nrows:
+        raise ArithmeticError(f"{nrows} rows have {len(pivot_cols)} pivots")
     return pivot_cols
-
-
-# How many point sets keep their elimination, so that a run over every d
-# of a few sets eliminates each once.  At n = 6 a kept 80-point set holds
-# about 40 KB with all its values, and the most a set can hold, all 729
-# points, about 0.3 MB.
-_KEPT_ELIMINATIONS = 8
 
 
 class _Elimination:
@@ -265,8 +261,9 @@ class _Elimination:
     pivot (highest monomial) lies in M(n, d), a prefix of the graded-lex
     columns, so one elimination of the |A| indicators serves every d.
     The mask third_points(A), the reduction and each row's packed values
-    are computed on first use and kept.  A row's values are a signed sum
-    of the table columns of its monomials.
+    are computed on first use and kept while A is the last set verified.
+    A row's values are a signed sum of the table columns of its
+    monomials.
     """
 
     def __init__(self, A: PointSet):
@@ -280,9 +277,9 @@ class _Elimination:
 
     @cached_property
     def rows(self) -> tuple[list[int], list[int], list[int]]:
-        """(ones, twos, pivots): A's indicators in reduced row echelon
-        form, as _rref leaves them; every indicator adds rank, so row r
-        holds pivot r for every r."""
+        """(ones, twos, pivots): A's |A| indicators in reduced row
+        echelon form, as _rref leaves them; _rref checks that every
+        indicator adds rank, so row r holds pivot r for every r."""
         indicators = self.table.indicators
         ones = [indicators[x][0] for x in self.A.points]
         twos = [indicators[x][1] for x in self.A.points]
@@ -316,21 +313,18 @@ class _Elimination:
         return [self.values[r] for r in rows]
 
 
-_eliminations: dict[tuple[int, int], _Elimination] = {}
+_last_elimination: _Elimination | None = None
 
 
 def _elimination(A: PointSet) -> tuple[_Elimination, bool]:
-    """A's elimination and whether it was kept from an earlier call.  The
-    _KEPT_ELIMINATIONS most recently used sets are kept."""
-    key = (A.n, A.mask)
-    elimination = _eliminations.pop(key, None)
-    kept = elimination is not None
-    if elimination is None:
-        elimination = _Elimination(A)
-        if len(_eliminations) >= _KEPT_ELIMINATIONS:
-            del _eliminations[next(iter(_eliminations))]
-    _eliminations[key] = elimination
-    return elimination, kept
+    """A's elimination and whether it was kept from the call before.
+    Every caller runs the degrees of one set in a row, so only the last
+    set's is kept."""
+    global _last_elimination
+    if _last_elimination is not None and _last_elimination.A == A:
+        return _last_elimination, True
+    _last_elimination = _Elimination(A)
+    return _last_elimination, False
 
 
 def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
@@ -518,10 +512,9 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     if third & members:
         raise ValueError("the point set is not progression-free")
     clock.lap("checks")
-    elimination.rows  # reduced here, on the first call for A, and timed
+    pivots = elimination.rows[2]  # reduced here, on A's first call, and timed
     clock.lap("nullspace")
-    m_d = mspace_size(n, d, 3)
-    dim_lower = m_d - (3**n - A.size)
+    dim_lower = mspace_size(n, d, 3) - (3**n - A.size)
     support_cap = 2 * mspace_size(n, d // 2, 3)
 
     basis = elimination.basis_values(d)
@@ -555,9 +548,9 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         bound_ok=dim_v >= dim_lower,
         timings_ms=clock.ms,
         counters={
-            "eval_matrix_rows": 3**n - A.size,
-            "eval_matrix_cols": m_d,
-            "eval_matrix_rank": m_d - dim_v,  # rank-nullity
+            "elimination_rows": A.size,
+            "elimination_cols": len(elimination.table.monos),
+            "elimination_rank": len(pivots),
             "dim_v": dim_v,
             "third_points": third.bit_count(),
             "table_cached": cached,

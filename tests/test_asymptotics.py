@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capbound.qnomial as qnomial_module
-from capbound import acceptance, asymptotics, golden
+from capbound import asymptotics, golden
 from capbound.acceptance import leading_constant_digit_check, pinned_gap
 from capbound.bounds import sharp_bound
 from capbound.asymptotics import (
@@ -276,7 +276,7 @@ def test_saddle_point_5000_digits_is_fast():
     # VM); exact bisection and the Newton ladder took 0.2 s there on
     # decimal fixed point, and take 0.05 s on binary mantissas
     started = time.perf_counter()
-    asymptotics._saddle_point(31, 5000)
+    asymptotics.saddle_point(31, 5000)
     assert time.perf_counter() - started < 2.0
 
 
@@ -294,7 +294,7 @@ def test_saddle_point_counters():
     assert set(sp.timings_ms) == {"bisection", "ladder", "newton",
                                   "residual", "constant"}
     # the cost fields take no part in comparisons
-    assert sp == asymptotics._saddle_point(31, 600)
+    assert sp == asymptotics.saddle_point(31, 600)
 
 
 def _g_exact_dyadic(q, m, bits):
@@ -336,7 +336,7 @@ def test_saddle_two_cycle_keeps_the_smaller_residual(monkeypatch):
 
             monkeypatch.setattr(asymptotics, "_h_slope", forced)
             converted.clear()
-            sp = asymptotics._saddle_point(q, digits)
+            sp = asymptotics.saddle_point(q, digits)
             monkeypatch.setattr(asymptotics, "_h_slope", h_slope)
             if sp.counters["stop"] != "two_cycle":
                 assert sp.counters["stop"] == "stationary"
@@ -375,7 +375,7 @@ def test_saddle_refuses_newton_that_never_settles(monkeypatch):
     monkeypatch.setattr(asymptotics, "_h_slope",
                         lambda q, x, bits: (1, 1 << bits, None))
     with pytest.raises(ArithmeticError, match="200 steps"):
-        asymptotics._saddle_point(5, 20)
+        asymptotics.saddle_point(5, 20)
 
 
 def _h_poly(q, x):
@@ -499,7 +499,7 @@ def test_saddle_point_matches_the_horner_reference():
     moved = set()
     for q in range(2, MAX_Q + 1):
         for digits in range(1, 81):
-            sp = asymptotics._saddle_point(q, digits)
+            sp = asymptotics.saddle_point(q, digits)
             x0, constant, residual = _horner_saddle_point(q, digits)
             assert (sp.x0, sp.constant) == (x0, constant), (q, digits)
             if sp.residual != residual:
@@ -513,7 +513,7 @@ def _residual_is_rounded_exact_g(q, digits):
     x, bits = asymptotics._saddle_root(q, digits)[:2]
     work = digits + asymptotics.GUARD
     exact = _g_exact_dyadic(q, x, bits) * 10**work
-    return asymptotics._saddle_point(q, digits).residual == \
+    return asymptotics.saddle_point(q, digits).residual == \
         BigFixed(math.floor(exact + Fraction(1, 2)), work)
 
 
@@ -592,7 +592,7 @@ def _decimal_saddle_point(q, digits):
 def test_saddle_point_matches_the_decimal_reference(q, digits):
     # binary mantissas and one radix conversion give the very digits that
     # decimal fixed point gave, not merely digits within an ulp
-    sp = asymptotics._saddle_point(q, digits)
+    sp = asymptotics.saddle_point(q, digits)
     assert (sp.x0, sp.constant) == _decimal_saddle_point(q, digits)
 
 
@@ -610,7 +610,7 @@ def test_saddle_point_matches_the_decimal_reference(q, digits):
 def test_saddle_point_digests(q, digits, x0_sha256, constant_sha256):
     # SHA-256 of the x0 and constant decimals as decimal fixed point
     # computed them, pinned before the saddle point moved to binary
-    sp = asymptotics._saddle_point(q, digits)
+    sp = asymptotics.saddle_point(q, digits)
     with _unlimited_int_digits():
         x0, constant = sp.x0.decimal(), sp.constant.decimal()
     assert len(constant.partition(".")[2]) == digits
@@ -719,15 +719,15 @@ def test_leading_constant_closed_form_digits():
 
 def test_leading_constant_digit_check_exact_agreement():
     # the pinned string itself agrees in all 20 of its significant digits
-    ok, detail = leading_constant_digit_check(
+    ok, detail, rel, digits = leading_constant_digit_check(
         BigFixed.from_decimal(golden.LEADING_CONSTANT_DIGITS))
-    assert ok
+    assert ok and (rel, digits) == (0, 20)
     assert "20 significant digits agree" in detail
-    ok, detail = leading_constant_digit_check(leading_constant(19))
-    assert ok
+    ok, detail, _, digits = leading_constant_digit_check(leading_constant(19))
+    assert ok and digits == 10
     assert "10 significant digits agree" in detail
-    ok, detail = leading_constant_digit_check(leading_constant(8))
-    assert not ok
+    ok, detail, _, digits = leading_constant_digit_check(leading_constant(8))
+    assert not ok and digits < 10
 
 
 def _ulps_by_fractions(value: BigFixed, pinned: str) -> Fraction:
@@ -765,7 +765,7 @@ def test_digit_agreement_counts_as_fractions_do(offset, scale):
     digits = 0
     while digits < 20 and rel < Fraction(1, 10**(digits + 1)):
         digits += 1
-    assert acceptance._digit_agreement(value) == (float(rel), digits)
+    assert leading_constant_digit_check(value)[2:] == (float(rel), digits)
 
 
 def test_leading_constant_empirical_small_ladder():

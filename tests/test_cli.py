@@ -14,7 +14,7 @@ from capbound import golden, verifier
 from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
 from capbound.capsearch import MAX_BUDGET, PointSet, max_capset
 from capbound.cli import main
-from capbound.qnomial import mspace_size, qnomial
+from capbound.qnomial import qnomial
 from capbound.verifier import parse_pointset
 from test_qnomial import inclusion_exclusion
 from test_verifier import _values
@@ -228,6 +228,13 @@ def test_search_writes_pointset(tmp_path, capsys):
     assert ps.points == (0, 1, 3, 4)
 
 
+def test_search_result_fields(capsys):
+    result = run_cli(capsys, "search", "--n", "2")[1]["result"]
+    assert set(result) == {"n", "max_size", "witness", "nodes_explored",
+                           "prunes", "proven_optimal", "timings_ms",
+                           "counters"}
+
+
 def test_search_reports_prune_counts(capsys):
     result = run_cli(capsys, "search", "--n", "3")[1]["result"]
     search = max_capset(3)
@@ -312,10 +319,11 @@ def test_verify_clp_reports_cost(tmp_path, capsys):
     assert set(result["timings_ms"]) == {"table", "nullspace", "checks"}
     assert all(t >= 0 for t in result["timings_ms"].values())
     counters = result["counters"]
-    assert counters["eval_matrix_rows"] == 27 - 9
-    assert counters["eval_matrix_cols"] == mspace_size(3, 4, 3) == 23
-    assert (counters["eval_matrix_rank"] + counters["dim_v"]
-            == counters["eval_matrix_cols"])
+    # the elimination of the set's 9 indicators over all 27 monomials,
+    # each of which adds rank
+    assert counters["elimination_rows"] == 9
+    assert counters["elimination_cols"] == 27
+    assert counters["elimination_rank"] == 9
     assert counters["dim_v"] == result["dim_v"]
     # a maximum cap is complete: every other point completes a pair of it
     assert counters["third_points"] == 27 - 9

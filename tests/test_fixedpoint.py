@@ -116,6 +116,24 @@ def test_spelled_is_mantissa_and_decimal(mantissa, scale):
     assert BigFixed.from_decimal(decimal) == value
 
 
+def test_as_json_is_the_report_form():
+    # {mantissa, scale, decimal} as the CLI has always written it, the
+    # mantissa and the decimal as strings of any length
+    assert BigFixed(-1234, 2).as_json() == {
+        "mantissa": "-1234", "scale": 2, "decimal": "-12.34"}
+    assert BigFixed(-5, 3).as_json() == {
+        "mantissa": "-5", "scale": 3, "decimal": "-0.005"}
+    assert BigFixed(42, 0).as_json() == {
+        "mantissa": "42", "scale": 0, "decimal": "42"}
+    digits = "".join(str(i % 10) for i in range(1, 30_001))
+    with _unlimited_int_digits():
+        for sign in ("", "-"):
+            value = BigFixed(int(sign + digits), 29_999)
+            assert value.as_json() == {
+                "mantissa": sign + digits, "scale": 29_999,
+                "decimal": f"{sign}{digits[0]}.{digits[1:]}"}
+
+
 def test_pi_digits():
     # rounded (not truncated) at the 40th decimal
     want = "3.1415926535897932384626433832795028841972"

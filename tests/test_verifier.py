@@ -264,7 +264,7 @@ def test_verify_support_bound_preconditions():
 def test_progression_refused_before_the_null_space(monkeypatch):
     def no_null_space(*args):
         raise AssertionError("null space computed for a refused set")
-    monkeypatch.setattr(verifier, "_eliminations", {})
+    monkeypatch.setattr(verifier, "_last_elimination", None)
     monkeypatch.setattr(verifier, "_rref", no_null_space)
     with pytest.raises(ValueError, match="not progression-free"):
         verify_support_bound(2, 2, PointSet(2, (0, 1, 2)))
@@ -427,7 +427,7 @@ def test_verify_support_bound_n6_product_set(monkeypatch):
     # exactly
     A = product_set_n6()
     verifier._tables.pop(6, None)
-    monkeypatch.setattr(verifier, "_eliminations", {})
+    monkeypatch.setattr(verifier, "_last_elimination", None)
     started = time.perf_counter()
     report = verify_support_bound(6, 9, A)
     assert time.perf_counter() - started < 2.0
@@ -498,39 +498,44 @@ def test_reports_match_the_fieldpoly_route(name):
         assert report.all_ok
 
 
+def test_rref_refuses_dependent_rows():
+    # the indicators of distinct points are independent, so the
+    # verifier never meets this; a repeated row adds no pivot
+    table = verifier._table(2)
+    (o1, t1), (o2, t2) = table.indicators[4], table.indicators[7]
+    ones, twos = [o1, o2, o1], [t1, t2, t1]
+    with pytest.raises(ArithmeticError, match="3 rows have 2 pivots"):
+        verifier._rref(ones, twos, len(table.monos))
+    assert len(verifier._rref([o1, o2], [t1, t2], len(table.monos))) == 2
+
+
 def test_kept_eliminations(monkeypatch):
-    monkeypatch.setattr(verifier, "_eliminations", {})
     witness = PointSet(4, golden.LEX_LEAST_WITNESSES[4])
     cold = []
     for d in range(9):  # a cold call computes values for V_d's rows only
-        verifier._eliminations.clear()
+        monkeypatch.setattr(verifier, "_last_elimination", None)
         cold.append(verify_support_bound(4, d, witness))
         assert cold[-1].counters["elimination_cached"] is False
-        kept = verifier._eliminations[4, witness.mask]
+        kept = verifier._last_elimination
+        assert kept.A == witness
         assert len(kept.values) == cold[-1].dim_v
     for d in reversed(range(9)):
         warm = verify_support_bound(4, d, witness)
         assert warm.counters["elimination_cached"] is True
-        assert warm == cold[d]
-    # a translate: the same n and size, but an entry of its own
+        assert warm == cold[d] == reference_report(4, d, witness)
+    # a translate: the same n and size, but a set of its own, which takes
+    # the slot; the witness is then cold again
     shifted = PointSet.from_vectors([v[:-1] + ((v[-1] + 1) % 3,)
                                      for v in witness.vectors()])
     report = verify_support_bound(4, 5, shifted)
     assert report.counters["elimination_cached"] is False
     assert report == reference_report(4, 5, shifted)
-    assert len(verifier._eliminations) == 2
-    # only the most recently used sets stay
-    limit = verifier._KEPT_ELIMINATIONS
-    others = [greedy_set(4, 12, seed) for seed in range(limit)]
-    assert len({A.mask for A in others}) == limit
-    for A in others:
-        verify_support_bound(4, 3, A)
-        assert len(verifier._eliminations) <= limit
-    assert len(verifier._eliminations) == limit
-    assert verify_support_bound(4, 3, others[-1]).counters[
+    assert verifier._last_elimination.A == shifted
+    assert verify_support_bound(4, 6, shifted).counters[
         "elimination_cached"] is True
-    assert verify_support_bound(4, 5, witness).counters[
-        "elimination_cached"] is False
+    again = verify_support_bound(4, 5, witness)
+    assert again.counters["elimination_cached"] is False
+    assert again == cold[5]
 
 
 def test_pointset_file_roundtrip(tmp_path):
