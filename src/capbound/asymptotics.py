@@ -374,6 +374,11 @@ def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:
     return saddle_point(q, digits).constant
 
 
+# growth_constant_ratio's relative difference from the saddle constant
+# that `growth --method both` and criterion 4 accept (5.4e-5 at q = 2).
+RATIO_TOLERANCE = 1e-4
+
+
 def growth_constant_ratio(q: int) -> float:
     """The same constant from exact coefficient ratios.
 
@@ -434,7 +439,9 @@ def normalized_sharp_bound(n: int) -> float:
     The powers unit^(n-1) and mantissa^n run to 128-bit brackets, and the
     quotient is rounded at both ends of the ratio's bracket.  Rounding is
     monotone, so where the two doubles agree they are the rounded exact
-    ratio; otherwise the exact powers decide."""
+    ratio; otherwise the exact powers decide.  A bracket's exponent is its
+    power's bit length less about 128, and mantissa^n outweighs unit^(n-1)
+    by over 133 bits, so the denominator's exponent is the larger."""
     if n < 3 or n % 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
     a = alpha(DEFAULT_DIGITS).mantissa
@@ -442,17 +449,11 @@ def normalized_sharp_bound(n: int) -> float:
     k = sharp_bound(n).value * math.isqrt(n * unit**2)
     num_lo, num_hi, num_s = _power_bracket(unit, n - 1, 128)
     den_lo, den_hi, den_s = _power_bracket(a, n, 128)
-    low = _shifted_ratio(k * num_lo, den_hi, num_s - den_s)
-    if low == _shifted_ratio(k * num_hi, den_lo, num_s - den_s):
+    shift = den_s - num_s
+    low = k * num_lo / (den_hi << shift)
+    if low == k * num_hi / (den_lo << shift):
         return low
     return k * unit ** (n - 1) / a**n
-
-
-def _shifted_ratio(num: int, den: int, shift: int) -> float:
-    """num * 2^shift / den, correctly rounded to a double."""
-    if shift >= 0:
-        return (num << shift) / den
-    return num / (den << -shift)
 
 
 def richardson_limit(values: list[float]) -> float:

@@ -13,7 +13,7 @@ Exit codes: 0 when every reported check passes (or there are none),
 stderr, no JSON).  A reader that closes stdout early (`| head`) cuts the
 report short but changes neither the exit code nor stderr.
 Arbitrary-precision integers are serialized as decimal strings of any
-length; fixed-point values as {mantissa, scale, decimal}.
+length (stages._int_str), fixed-point values as {mantissa, scale, decimal}.
 
 Each command loads only the layers it runs.  The rows, the bound
 family, the search and the verifier are imported at the top: `bound`,
@@ -26,7 +26,6 @@ by those that check pinned digits and by `verify-all`.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
@@ -36,8 +35,9 @@ from typing import NoReturn
 from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from .capsearch import MAX_BUDGET, is_progression_free, max_capset
 from .qnomial import qnomial
-from .stages import Stages
+from .stages import Stages, _int_str
 from .verifier import (
+    POINT_FILE_MAX_CHARS,
     check_reach,
     format_pointset,
     parse_pointset,
@@ -51,7 +51,7 @@ def _bound_json(report: BoundReport) -> dict:
         "q": report.q,
         "d": report.d,
         "method": report.method,
-        "value": str(report.value),
+        "value": _int_str(report.value),
         "identities": [{"name": name, "pass": ok}
                        for name, ok in report.identities],
     }
@@ -92,11 +92,12 @@ def _cmd_qnomial(args) -> tuple[dict, list[dict]]:
     clock = Stages()
     value = qnomial(args.n, args.k, args.q)
     clock.lap("row")
-    return {"value": str(value), "timings_ms": clock.ms}, []
+    return {"value": _int_str(value), "timings_ms": clock.ms}, []
 
 
 def _cmd_growth(args) -> tuple[dict, list[dict]]:
-    from .asymptotics import growth_constant_ratio, saddle_point
+    from .asymptotics import (RATIO_TOLERANCE, growth_constant_ratio,
+                              saddle_point)
 
     result: dict = {}
     checks: list[dict] = []
@@ -119,7 +120,7 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
         rel = abs(saddle_val - result["ratio_estimate"]) / saddle_val
         checks.append({
             "name": "saddle_ratio_agree",
-            "pass": rel < 1e-4,
+            "pass": rel < RATIO_TOLERANCE,
             "detail": f"relative difference {rel:.3e}",
         })
     return {**result, "counters": counters,
@@ -230,25 +231,14 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
 
 def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
     if args.set:
-        check_reach(args.n)  # before reading and encoding a file of any size
+        check_reach(args.n)  # before reading and encoding the file
         with open(args.set, encoding="utf-8") as fh:
-            ps = parse_pointset(fh.read(), args.n)
+            ps = parse_pointset(fh.read(POINT_FILE_MAX_CHARS + 1), args.n)
     else:
         ps = max_capset(args.n).witness
     report = verify_support_bound(args.n, args.d, ps)
-    checks = [
-        {"name": "vanishes_off_set", "pass": report.vanishing_ok,
-         "detail": "every basis element is 0 at every point outside the set"},
-        {"name": "pair_matrix_diagonal", "pass": report.diagonal_ok,
-         "detail": "off-diagonal entries vanish"},
-        {"name": "rank_cap", "pass": report.rank_ok,
-         "detail": f"max rank {report.rank} <= {report.support_cap}"},
-        {"name": "support_cap", "pass": report.support_ok,
-         "detail": f"max support {report.max_support} <= {report.support_cap}"},
-        {"name": "dimension_bound", "pass": report.bound_ok,
-         "detail": f"dim V = {report.dim_v} >= {report.dim_lower_bound}"},
-    ]
-    return dict(vars(report)), checks
+    return dict(vars(report)), [{"name": name, "pass": ok, "detail": detail}
+                                for name, ok, detail in report.checks]
 
 
 def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
@@ -493,31 +483,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         for opt_name, value in values.items()})
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's int-to-decimal digit limit (4300 digits by
-    default, Python >= 3.10.7) while one command runs, then restore it.
-    Row sizes are capped by qnomial.MAX_ROW_BITS, and digit counts are
-    what the user asked for."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
-        yield
-        return
-    saved = limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    with _unlimited_int_digits():
-        return _run(args)
-
-
-def _run(args) -> int:
     clock = Stages()
     try:
         result, checks = _COMMANDS[args.command].handler(args)

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .stages import _int_str
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -172,8 +174,8 @@ class BigFixed:
 
     def spelled(self) -> tuple[str, str]:
         """str(mantissa) and decimal(), from one int-to-str conversion
-        (quadratic in the digit count in CPython)."""
-        mantissa = str(self.mantissa)
+        (quadratic in the digit count in CPython) of any length."""
+        mantissa = _int_str(self.mantissa)
         sign = "-" if self.mantissa < 0 else ""
         digits = mantissa[len(sign):].rjust(self.scale + 1, "0")
         if self.scale == 0:

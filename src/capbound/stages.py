@@ -1,4 +1,6 @@
-"""The stage clock behind every report's `timings_ms`."""
+"""The plumbing of every report: the stage clock behind its `timings_ms`,
+and the one spelling of its big integers as decimal strings."""
+import sys
 from time import perf_counter
 
 
@@ -22,3 +24,17 @@ class Stages:
     @property
     def ms(self) -> dict:
         return {k: round(s * 1000, 3) for k, s in self.seconds.items()}
+
+
+def _int_str(x: int) -> str:
+    """str(x) of any length: the interpreter's digit limit (4300 by
+    default, Python >= 3.10.7) is lifted for this one conversion only.
+    Private, so the benchmark's tracer makes no span of it."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is None:
+        return str(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(saved)

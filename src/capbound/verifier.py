@@ -6,7 +6,8 @@ verify_support_bound replays the linear-algebra core of the bound at
 small n: the space of degree-<=d polynomials vanishing off a
 progression-free set has the predicted dimension, its members vanish off
 the set and evaluate to diagonal pair matrices of bounded rank, and their
-supports respect the cap 2*|M(n, floor(d/2))|.
+supports respect the cap 2*|M(n, floor(d/2))|.  VerifierReport.checks
+names those five checks once, for `verify-clp` and criterion 7.
 
 The field is F_3 throughout, where -2*b = b makes the diagonal entries
 P(b).  eval_poly is the single-point evaluator the tests use as an
@@ -39,7 +40,11 @@ def parse_pointset(text: str, n: int | None = None) -> PointSet:
     """Parse the flat file format: one point per line as space-separated
     digits, '#' starting a comment.  Every point must have n coordinates
     (as many as the first where n is None); widths are checked before any
-    point is encoded, whose cost grows with the square of its width."""
+    point is encoded, whose cost grows with the square of its width; a
+    text over POINT_FILE_MAX_CHARS characters is refused before any."""
+    if len(text) > POINT_FILE_MAX_CHARS:
+        raise ValueError(f"point file exceeds {POINT_FILE_MAX_CHARS} "
+                         "characters")
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -134,6 +139,9 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 # to 0.16 s for a 180-point set (Python 3.11, one core of a shared 2-core
 # VM).
 VERIFY_MAX_N = 6
+# Longest point file parse_pointset accepts: four times the 8,748
+# characters format_pointset gives every point of F_3^VERIFY_MAX_N.
+POINT_FILE_MAX_CHARS = 4 * 2 * VERIFY_MAX_N * 3**VERIFY_MAX_N
 
 
 def _add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -460,7 +468,9 @@ class VerifierReport:
     ms of table, nullspace and checks (charged on both sides of the null
     space) and work counters.  rank is the most members of A at which one
     basis element is nonzero, its pair matrix's rank when diagonal_ok
-    holds (rank_ok requires it).  Cost fields take no part in comparisons."""
+    holds (rank_ok requires it).  Cost fields take no part in comparisons.
+    `checks` lists the five checks as (name, verdict, detail) for every
+    reader, so a new check is added there alone."""
 
     n: int
     d: int
@@ -479,9 +489,21 @@ class VerifierReport:
     counters: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
+    def checks(self) -> tuple[tuple[str, bool, str], ...]:
+        cap = self.support_cap
+        return (("vanishes_off_set", self.vanishing_ok, "every basis element"
+                 " is 0 at every point outside the set"),
+                ("pair_matrix_diagonal", self.diagonal_ok,
+                 "off-diagonal entries vanish"),
+                ("rank_cap", self.rank_ok, f"max rank {self.rank} <= {cap}"),
+                ("support_cap", self.support_ok,
+                 f"max support {self.max_support} <= {cap}"),
+                ("dimension_bound", self.bound_ok,
+                 f"dim V = {self.dim_v} >= {self.dim_lower_bound}"))
+
+    @property
     def all_ok(self) -> bool:
-        return (self.vanishing_ok and self.diagonal_ok and self.rank_ok
-                and self.support_ok and self.bound_ok)
+        return all(ok for _, ok, _ in self.checks)
 
 
 def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
@@ -533,19 +555,11 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     dim_v = len(basis)
 
     return VerifierReport(
-        n=n,
-        d=d,
-        set_size=A.size,
-        dim_v=dim_v,
-        dim_lower_bound=dim_lower,
-        max_support=max_support,
-        support_cap=support_cap,
-        rank=max_rank,
-        vanishing_ok=vanishing_ok,
-        diagonal_ok=diagonal_ok,
+        n=n, d=d, set_size=A.size, dim_v=dim_v, dim_lower_bound=dim_lower,
+        max_support=max_support, support_cap=support_cap, rank=max_rank,
+        vanishing_ok=vanishing_ok, diagonal_ok=diagonal_ok,
         rank_ok=diagonal_ok and max_rank <= support_cap,
-        support_ok=max_support <= support_cap,
-        bound_ok=dim_v >= dim_lower,
+        support_ok=max_support <= support_cap, bound_ok=dim_v >= dim_lower,
         timings_ms=clock.ms,
         counters={
             "elimination_rows": A.size,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from capbound import acceptance, golden
+from capbound import acceptance, bounds, golden
 
 
 def run(criterion):
@@ -69,6 +69,18 @@ def test_criterion_5_exact_identity_chain():
     assert result.passed
 
 
+def test_criterion_5_fails_where_an_identity_breaks(monkeypatch):
+    # the chain holds exactly where sharp_bound's identities pass, so a
+    # series coefficient off by one at one n breaks it there alone
+    series = bounds.series_coeff_bound
+    monkeypatch.setattr(bounds, "series_coeff_bound",
+                        lambda n, q: series(n, q) + (n == 33))
+    result = acceptance.c5_identity_chain("quick")
+    assert result.measured == {"top": 60, "broken_at": [33]}
+    assert result.detail == "chain broken at n = [33]"
+    assert not result.passed
+
+
 def test_criterion_6_oracle_domination():
     result, measured = run(acceptance.c6_oracle_domination)
     runs = measured["runs"]
@@ -103,12 +115,12 @@ def test_criterion_7_proof_core_verification():
     cases = measured["cases"]
     assert [(c["n"], c["d"]) for c in cases] == [(1, 1), (2, 2), (2, 3),
                                                  (3, 3), (3, 4)]
+    # each case keyed by the names of the verifier's five checks
     for case in cases:
-        assert case["vanishing"], case
-        assert case["diagonal"], case
-        assert case["rank"], case
-        assert case["support"], case
-        assert case["dimension"], case
+        assert list(case) == ["n", "d", "vanishes_off_set",
+                              "pair_matrix_diagonal", "rank_cap",
+                              "support_cap", "dimension_bound"], case
+        assert all(case[name] is True for name in list(case)[2:]), case
     assert result.elapsed_ms < 60_000
     assert result.passed
 

@@ -29,7 +29,6 @@ from capbound.asymptotics import (
     trinomial_middle,
     verify_recurrence,
 )
-from capbound.cli import _unlimited_int_digits
 from capbound.fixedpoint import BigFixed, div_nearest, icbrt_newton
 from capbound.qnomial import row_prefix
 
@@ -611,8 +610,7 @@ def test_saddle_point_digests(q, digits, x0_sha256, constant_sha256):
     # SHA-256 of the x0 and constant decimals as decimal fixed point
     # computed them, pinned before the saddle point moved to binary
     sp = asymptotics.saddle_point(q, digits)
-    with _unlimited_int_digits():
-        x0, constant = sp.x0.decimal(), sp.constant.decimal()
+    x0, constant = sp.x0.decimal(), sp.constant.decimal()
     assert len(constant.partition(".")[2]) == digits
     assert hashlib.sha256(x0.encode()).hexdigest() == x0_sha256
     assert hashlib.sha256(constant.encode()).hexdigest() == constant_sha256

@@ -300,6 +300,26 @@ def test_verify_clp_from_file(tmp_path, capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_verify_clp_renders_the_reports_checks(tmp_path, capsys):
+    # the five checks are named once, by VerifierReport.checks, and
+    # verify-clp prints that list as it stands at every d
+    witness = max_capset(3).witness
+    out = tmp_path / "w.txt"
+    out.write_text(verifier.format_pointset(witness))
+    for d in range(7):
+        report = verifier.verify_support_bound(3, d, witness)
+        code, cli_report, _ = run_cli(capsys, "verify-clp", "--n", "3",
+                                      "--d", str(d), "--set", str(out))
+        assert code == 0
+        assert cli_report["checks"] == [
+            {"name": name, "pass": ok, "detail": detail}
+            for name, ok, detail in report.checks]
+    assert [name for name, _, _ in report.checks] == [
+        "vanishes_off_set", "pair_matrix_diagonal", "rank_cap",
+        "support_cap", "dimension_bound"]
+    assert report.checks[2][2] == "max rank 8 <= 34"  # at d = 6
+
+
 def test_verify_clp_from_search(capsys):
     code, report, _ = run_cli(capsys, "verify-clp", "--n", "1", "--d", "1",
                               "--from-search")
@@ -650,3 +670,31 @@ def test_verify_clp_refuses_a_wide_point_file_before_encoding(
                                 "--set", str(points))
     assert code == 2 and report is None
     assert "point file has dimension" in err and "expected 4" in err
+
+
+@pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)],
+                         ids=["at-the-ceiling", "one-over"])
+def test_verify_clp_point_file_ceiling(tmp_path, capsys, extra, code):
+    # the file is read to one character past the ceiling, and a longer
+    # one is refused before any line is parsed
+    ceiling = verifier.POINT_FILE_MAX_CHARS
+    points = tmp_path / "long.txt"
+    text = "0 0 0 0\n# " + "x" * (ceiling + extra - 11) + "\n"
+    assert len(text) == ceiling + extra
+    points.write_text(text)
+    found, report, err = run_cli(capsys, "verify-clp", "--n", "4", "--d",
+                                 "2", "--set", str(points))
+    assert found == code
+    if code == 2:
+        assert report is None
+        assert err == f"error: point file exceeds {ceiling} characters\n"
+    else:
+        assert report["result"]["set_size"] == 1 and err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_verify_clp_refuses_an_endless_point_file(capsys):
+    code, report, err = run_cli(capsys, "verify-clp", "--n", "4", "--d", "2",
+                                "--set", "/dev/zero")
+    assert code == 2 and report is None
+    assert "point file exceeds" in err and "Traceback" not in err
