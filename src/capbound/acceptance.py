@@ -26,6 +26,7 @@ from .asymptotics import (
     growth_constant_ratio,
     leading_constant,
     leading_constant_empirical,
+    ratio_difference,
     verify_recurrence,
 )
 from .bounds import optimal_bound, sharp_bound, theorem_bound
@@ -160,9 +161,8 @@ def c3_growth_table(level: str) -> CriterionResult:
 def c4_method_independence(level: str) -> CriterionResult:
     rel_diff = {}
     for q in (2, 3, 4, 5, 8):
-        saddle = float(growth_constant(q))
-        ratio = growth_constant_ratio(q)
-        rel_diff[q] = abs(saddle - ratio) / saddle
+        rel_diff[q] = ratio_difference(growth_constant(q),
+                                       growth_constant_ratio(q))
     worst = max(rel_diff.values())
     return CriterionResult(
         "4_method_independence", worst < RATIO_TOLERANCE,

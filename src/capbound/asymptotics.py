@@ -379,6 +379,14 @@ def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:
 RATIO_TOLERANCE = 1e-4
 
 
+def ratio_difference(saddle: BigFixed, ratio: float) -> float:
+    """The relative difference |saddle - ratio| / saddle of a
+    growth_constant_ratio estimate from the saddle constant, in float:
+    the figure RATIO_TOLERANCE bounds."""
+    value = float(saddle)
+    return abs(value - ratio) / value
+
+
 def growth_constant_ratio(q: int) -> float:
     """The same constant from exact coefficient ratios.
 

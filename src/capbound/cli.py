@@ -97,7 +97,7 @@ def _cmd_qnomial(args) -> tuple[dict, list[dict]]:
 
 def _cmd_growth(args) -> tuple[dict, list[dict]]:
     from .asymptotics import (RATIO_TOLERANCE, growth_constant_ratio,
-                              saddle_point)
+                              ratio_difference, saddle_point)
 
     result: dict = {}
     checks: list[dict] = []
@@ -116,8 +116,7 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
         result["ratio_estimate"] = growth_constant_ratio(args.q)
         clock.lap("ratio")
     if args.method == "both":
-        saddle_val = float(sp.constant)
-        rel = abs(saddle_val - result["ratio_estimate"]) / saddle_val
+        rel = ratio_difference(sp.constant, result["ratio_estimate"])
         checks.append({
             "name": "saddle_ratio_agree",
             "pass": rel < RATIO_TOLERANCE,

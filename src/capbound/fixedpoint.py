@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .stages import _int_str
+from .stages import _int_str, _str_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -144,8 +144,8 @@ class BigFixed:
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigFixed":
-        """Parse a plain decimal string; the scale is the digit count after
-        the point (0 if there is none)."""
+        """Parse a plain decimal string of any length; the scale is the
+        digit count after the point (0 if there is none)."""
         text = text.strip()
         sign = -1 if text.startswith("-") else 1
         body = text.lstrip("+-")
@@ -155,7 +155,7 @@ class BigFixed:
             whole, frac = body, ""
         if not (whole + frac).isdigit():
             raise ValueError(f"not a decimal literal: {text!r}")
-        return cls(sign * int(whole + frac or "0"), len(frac))
+        return cls(sign * _str_int(whole + frac or "0"), len(frac))
 
     # -- conversions ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """The plumbing of every report: the stage clock behind its `timings_ms`,
-and the one spelling of its big integers as decimal strings."""
+and the one spelling of its big integers as decimal strings, with the
+one reading of them back."""
 import sys
 from time import perf_counter
 
@@ -30,11 +31,21 @@ def _int_str(x: int) -> str:
     """str(x) of any length: the interpreter's digit limit (4300 by
     default, Python >= 3.10.7) is lifted for this one conversion only.
     Private, so the benchmark's tracer makes no span of it."""
+    return _unlimited(str, x)
+
+
+def _str_int(text: str) -> int:
+    """int(text) of any length, the inverse of _int_str, with the digit
+    limit lifted for this one conversion only."""
+    return _unlimited(int, text)
+
+
+def _unlimited(convert, value):
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is None:
-        return str(x)
+        return convert(value)
     sys.set_int_max_str_digits(0)
     try:
-        return str(x)
+        return convert(value)
     finally:
         sys.set_int_max_str_digits(saved)

@@ -12,14 +12,17 @@ names those five checks once, for `verify-clp` and criterion 7.
 The field is F_3 throughout, where -2*b = b makes the diagonal entries
 P(b).  eval_poly is the single-point evaluator the tests use as an
 oracle.  The linear algebra packs vectors over F_3 into two bit-planes of
-a Python int.  One table per n holds every monomial at every point and
-every point's indicator; a polynomial vanishing off A is a combination
-of A's indicators, so one bitsliced elimination of |A| rows gives V.
-With pivots at the highest graded monomial, that one elimination serves
-every d: V_d is spanned by the rows whose pivot lies in M(n, d).  The
-process keeps the last set's elimination, with the rows' packed values,
-so a run over every d of one set eliminates it once.
-Pair matrices are read off packed values with point masks, never built.
+a Python int, with coefficients and values in one tensor order: bit k
+is the monomial, or the point, of base-3 index k.  A polynomial
+vanishing off A is a combination of A's indicators, built for A's
+points alone, so one bitsliced elimination of |A| rows gives V.  With
+pivots at the highest graded monomial, that one elimination serves every
+d: V_d is spanned by the rows whose pivot has degree at most d.  Each
+basis element's values at all 3^n points come from its own coefficients
+by n bitsliced stages of Yates's algorithm.  The process keeps the last
+set's elimination, with the rows' packed values, so a run over every d
+of one set eliminates it once.  Pair matrices are read off packed values
+with point masks, never built.
 """
 from __future__ import annotations
 
@@ -119,7 +122,8 @@ def eval_poly(P: FieldPoly, x: tuple[int, ...] | list[int]) -> int:
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:
     """All exponent tuples with entries < 3 and total degree <= d, in graded
-    lexicographic order (the canonical column order everywhere here)."""
+    lexicographic order, the order of V's basis (the elimination scans it
+    from the top)."""
     out = [m for m in product(range(min(3, d + 1)), repeat=n) if sum(m) <= d]
     out.sort(key=lambda m: (sum(m), m))
     return out
@@ -134,10 +138,10 @@ def monomials_up_to(n: int, d: int) -> list[Monomial]:
 
 # Largest n the verifier accepts, so that every accepted input verifies
 # in well under a second per d.  At n = 6 the table builds in about
-# 0.007 s, and an 80-point set verifies in at most 0.02 s at its first d
-# and in about 0.02 s at all 13; at n = 7 they would take 0.025 s and up
-# to 0.16 s for a 180-point set (Python 3.11, one core of a shared 2-core
-# VM).
+# 0.5 ms, and an 80-point set verifies in about 7 ms at its first d and
+# in about 7 ms at all 13; at n = 7 they would take 2 ms and about 35 ms
+# for a 180-point set, at its first d or at all 15 (Python 3.11, one
+# core of a shared 2-core VM).
 VERIFY_MAX_N = 6
 # Longest point file parse_pointset accepts: four times the 8,748
 # characters format_pointset gives every point of F_3^VERIFY_MAX_N.
@@ -153,22 +157,23 @@ def _add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
     return (x ^ z) | (a2 & b2), (y ^ z) | (a1 & b1)
 
 
-class _EvalTable(NamedTuple):
-    """Every monomial of monomials_up_to(n, 2n) at every point of F_3^n.
-
-    columns[j] packs monomial j's values over the points (bit x for the
-    point of base-3 index x); indicators[x] packs the coefficients (bit j
-    for monomial j) of delta_x(y) = prod_i (1 - (y_i - x_i)^2), 1 at x
-    and 0 elsewhere.  The monomials are in graded-lex order, so the first
-    |M(n, d)| of them are M(n, d) for every d.
+class _Table(NamedTuple):
+    """The monomials of F_3^n in tensor order, which a packed coefficient
+    vector's bits follow: bit k is the monomial whose exponent vector has
+    base-3 index k, first variable most significant, as points are
+    numbered.  zeros[i] marks the positions whose exponent of variable i
+    is 0; shifted by 3^(n-1-i) and by twice that, it marks exponents 1
+    and 2.  order lists the positions in descending graded-lex order, the
+    order _rref scans.
     """
 
     monos: list[Monomial]
-    columns: list[tuple[int, int]]
-    indicators: list[tuple[int, int]]
+    degrees: list[int]
+    zeros: list[int]
+    order: list[int]
 
 
-_tables: dict[int, _EvalTable] = {}
+_tables: dict[int, _Table] = {}
 
 
 def check_reach(n: int) -> None:
@@ -178,8 +183,8 @@ def check_reach(n: int) -> None:
                          f"(its ceiling is n={VERIFY_MAX_N})")
 
 
-def _table(n: int) -> _EvalTable:
-    """The evaluation table for n, built once per process.
+def _table(n: int) -> _Table:
+    """The monomial table for n, built once per process.
 
     Raises ValueError above VERIFY_MAX_N before building anything.
     """
@@ -187,46 +192,62 @@ def _table(n: int) -> _EvalTable:
     if n in _tables:
         return _tables[n]
     size = 3**n
+    monos = list(product(range(3), repeat=n))  # base-3 index order
+    degrees = [sum(m) for m in monos]
+    order = sorted(range(size), key=lambda k: (degrees[k], monos[k]),
+                   reverse=True)
+    # variable i's exponent is 0 in runs of 3^(n-1-i) positions, one run
+    # in every 3^(n-i)
     full = (1 << size) - 1
-    points = list(product(range(3), repeat=n))  # base-3 index order
-    monos = monomials_up_to(n, 2 * n)
-    # at[i][v]: the points whose coordinate i is v; ex[i][v]: the
-    # monomials whose exponent of variable i is v.  Columns and indicators
-    # are products of one-variable factors: nonzero where every factor
-    # is, and there 2 where an odd number of factors are 2 (2^2 = 1).
-    at = [[0, 0, 0] for _ in range(n)]
-    ex = [[0, 0, 0] for _ in range(n)]
-    for k in range(size):
-        for i in range(n):
-            at[i][points[k][i]] |= 1 << k
-            ex[i][monos[k][i]] |= 1 << k
-    columns = []
-    for mono in monos:  # y_i^e is 0 at y_i = 0, and 2 at y_i = 2 if e = 1
-        support, odd = full, 0
-        for i, e in enumerate(mono):
-            if e:
-                support &= ~at[i][0]
-            if e == 1:
-                odd ^= at[i][2]
-        columns.append((support & ~odd, support & odd))
-    # 1 - (y_i - a)^2 has coefficients (1, 0, 2), (0, 2, 2) and (0, 1, 2)
-    # at y_i^0, y_i^1, y_i^2 for a = 0, 1, 2.
-    indicators = []
-    for x in points:
-        support, odd = full, 0
-        for i, a in enumerate(x):
-            support &= ~ex[i][0 if a else 1]
-            odd ^= full if a == 1 else ex[i][2]
-        indicators.append((support & ~odd, support & odd))
-    _tables[n] = _EvalTable(monos, columns, indicators)
+    zeros = [((1 << 3**i) - 1) * (full // ((1 << 3**(i + 1)) - 1))
+             for i in reversed(range(n))]
+    _tables[n] = _Table(monos, degrees, zeros, order)
     return _tables[n]
 
 
-def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
+def _indicator(table: _Table, x: tuple[int, ...]) -> tuple[int, int]:
+    """The packed coefficients of delta_x(y) = prod_i (1 - (y_i - x_i)^2),
+    1 at x and 0 elsewhere.  1 - (y_i - a)^2 has coefficients (1, 0, 2),
+    (0, 2, 2) and (0, 1, 2) at y_i^0, y_i^1, y_i^2 for a = 0, 1, 2.  The
+    product is nonzero where every factor is, and there 2 where an odd
+    number of factors are 2 (2^2 = 1)."""
+    full = (1 << len(table.monos)) - 1
+    support, odd = full, 0
+    stride = len(table.monos)
+    for a, zero in zip(x, table.zeros):
+        stride //= 3
+        support &= ~(zero << stride if a == 0 else zero)
+        odd ^= full if a == 1 else zero << 2 * stride
+    return support & ~odd, support & odd
+
+
+def _evaluate(table: _Table, ones: int, twos: int) -> tuple[int, int]:
+    """The packed values at every point of F_3^n (bit x for the point of
+    base-3 index x) of the polynomial with packed coefficients (ones,
+    twos), by Yates's algorithm (Yates, "The design and analysis of
+    factorial experiments", 1937): evaluation is the tensor product of one
+    3x3 map per variable, which takes the coefficients c0, c1, c2 of
+    exponents 0, 1, 2 to the values c0, c0 + c1 + c2 and c0 - c1 + c2 at
+    0, 1, 2.  One stage per variable applies it to every slice at once."""
+    stride = 1
+    for zero in reversed(table.zeros):
+        a1, a2 = ones & zero, twos & zero
+        b1, b2 = ones >> stride & zero, twos >> stride & zero
+        c1, c2 = ones >> 2 * stride & zero, twos >> 2 * stride & zero
+        s1, s2 = _add(a1, a2, c1, c2)
+        p1, p2 = _add(s1, s2, b1, b2)
+        m1, m2 = _add(s1, s2, b2, b1)
+        ones = a1 | p1 << stride | m1 << 2 * stride
+        twos = a2 | p2 << stride | m2 << 2 * stride
+        stride *= 3
+    return ones, twos
+
+
+def _rref(ones: list[int], twos: list[int], order: list[int]) -> list[int]:
     """Reduce linearly independent packed F_3 rows, in place, to reduced
-    row echelon form over their low `cols` columns, scanning from the
-    highest down, and return the pivot columns, descending; row r holds
-    the pivot of pivot column r, its highest nonzero column.
+    row echelon form over the columns of `order`, scanned in that order,
+    and return the pivot columns in it; row r holds pivot column r, its
+    first nonzero column in that order.
 
     Stops once every row holds a pivot: the remaining columns are then
     free and the form is already reduced.  Raises ArithmeticError if the
@@ -234,7 +255,7 @@ def _rref(ones: list[int], twos: list[int], cols: int) -> list[int]:
     """
     pivot_cols: list[int] = []
     nrows = len(ones)
-    for col in reversed(range(cols)):
+    for col in order:
         rank = len(pivot_cols)
         if rank == nrows:
             break
@@ -266,12 +287,11 @@ class _Elimination:
     """The indicators of one set A in F_3^n, reduced once for every d.
 
     V_0 <= V_1 <= ... <= V_2n, and a basis of V_d is the reduced rows whose
-    pivot (highest monomial) lies in M(n, d), a prefix of the graded-lex
-    columns, so one elimination of the |A| indicators serves every d.
-    The mask third_points(A), the reduction and each row's packed values
-    are computed on first use and kept while A is the last set verified.
-    A row's values are a signed sum of the table columns of its
-    monomials.
+    pivot (highest graded-lex monomial) has degree at most d, so one
+    elimination of the |A| indicators serves every d.  The mask
+    third_points(A), the reduction and each row's packed values are
+    computed on first use and kept while A is the last set verified.  A
+    row's values come from its own coefficients by _evaluate.
     """
 
     def __init__(self, A: PointSet):
@@ -288,36 +308,25 @@ class _Elimination:
         """(ones, twos, pivots): A's |A| indicators in reduced row
         echelon form, as _rref leaves them; _rref checks that every
         indicator adds rank, so row r holds pivot r for every r."""
-        indicators = self.table.indicators
-        ones = [indicators[x][0] for x in self.A.points]
-        twos = [indicators[x][1] for x in self.A.points]
-        return ones, twos, _rref(ones, twos, len(self.table.monos))
+        indicators = [_indicator(self.table, x) for x in self.A.vectors()]
+        ones = [o for o, _ in indicators]
+        twos = [t for _, t in indicators]
+        return ones, twos, _rref(ones, twos, self.table.order)
 
     def basis_rows(self, d: int) -> range:
         """The rows spanning V_d, pivots ascending."""
         pivots = self.rows[2]
-        width = mspace_size(self.A.n, d, 3)
-        high = sum(col >= width for col in pivots)  # pivots descend
+        degrees = self.table.degrees
+        high = sum(degrees[col] > d for col in pivots)  # pivots descend
         return range(len(pivots) - 1, high - 1, -1)
 
     def basis_values(self, d: int) -> list[tuple[int, int]]:
         """The packed values at every point of F_3^n of V_d's basis."""
         ones, twos, _ = self.rows
-        columns = self.table.columns
         rows = self.basis_rows(d)
         for r in rows:
-            if r in self.values:
-                continue
-            v1 = v2 = 0
-            for plane, negate in ((ones[r], False), (twos[r], True)):
-                while plane:
-                    low = plane & -plane
-                    c1, c2 = columns[low.bit_length() - 1]
-                    if negate:  # coefficient 2 = -1
-                        c1, c2 = c2, c1
-                    v1, v2 = _add(v1, v2, c1, c2)
-                    plane ^= low
-            self.values[r] = v1, v2
+            if r not in self.values:
+                self.values[r] = _evaluate(self.table, ones[r], twos[r])
         return [self.values[r] for r in rows]
 
 
@@ -339,9 +348,10 @@ def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
     """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
 
     The reduced rows of the indicators of the points off S whose pivot
-    (highest monomial) lies in M(n, d), ascending: every such polynomial
-    is a combination of those indicators.  Its size is |M(n,d)| - rank
-    >= |M(n,d)| - |S| for the rank of the |S| x |M(n,d)| evaluation matrix.
+    (highest graded-lex monomial) lies in M(n, d), ascending: every such
+    polynomial is a combination of those indicators.  Its size is
+    |M(n,d)| - rank >= |M(n,d)| - |S| for the rank of the |S| x |M(n,d)|
+    evaluation matrix.
     """
     if S.n != n:
         raise ValueError(f"point set lies in dimension {S.n}, not {n}")

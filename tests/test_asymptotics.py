@@ -25,6 +25,7 @@ from capbound.asymptotics import (
     leading_constant,
     leading_constant_empirical,
     normalized_sharp_bound,
+    ratio_difference,
     saddle_point,
     trinomial_middle,
     verify_recurrence,
@@ -679,10 +680,15 @@ def test_growth_table_mpmath_oracle():
 
 
 def test_ratio_method_agrees_small_q():
+    # ratio_difference, which `growth --method both` and criterion 4
+    # read, is this relative difference
     for q in (2, 3):
-        saddle = float(growth_constant(q))
+        constant = growth_constant(q)
+        saddle = float(constant)
         ratio = growth_constant_ratio(q)
         assert abs(saddle - ratio) / saddle < 1e-4
+        assert ratio_difference(constant, ratio) == abs(
+            saddle - ratio) / saddle
 
 
 def test_ratio_method_matches_the_fraction_route():

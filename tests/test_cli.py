@@ -15,6 +15,7 @@ from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
 from capbound.capsearch import MAX_BUDGET, PointSet, max_capset
 from capbound.cli import main
 from capbound.qnomial import qnomial
+from capbound.stages import _str_int
 from capbound.verifier import parse_pointset
 from test_qnomial import inclusion_exclusion
 from test_verifier import _values
@@ -41,21 +42,12 @@ def test_qnomial_big_value_survives_json(capsys):
     assert int(report["result"]["value"]) == qnomial(400, 400, 3)
 
 
-def parse_decimal(text: str) -> int:
-    """int(text) in 1000-digit chunks, below the interpreter's digit limit."""
-    value = 0
-    for start in range(0, len(text), 1000):
-        chunk = text[start:start + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
 def test_qnomial_value_past_4300_digits(capsys):
     code, report, _ = run_cli(capsys, "qnomial", "--n", "10000", "--k", "6666")
     assert code == 0
     value = report["result"]["value"]
     assert len(value) > 4300
-    assert parse_decimal(value) == inclusion_exclusion(10000, 6666, 3)
+    assert _str_int(value) == inclusion_exclusion(10000, 6666, 3)
 
 
 def test_oversized_row_exit_2_at_once(capsys):

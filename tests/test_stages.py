@@ -1,6 +1,7 @@
 """The stage clock behind every report's `timings_ms`, on a clock that
 reads out set times instead of the wall clock, and the one spelling of
-big integers, which leaves the interpreter's digit limit as it was."""
+big integers and its reading back, which leave the interpreter's digit
+limit as it was."""
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import capbound
 from capbound import stages
-from capbound.stages import Stages, _int_str
+from capbound.stages import Stages, _int_str, _str_int
 
 
 def test_laps_charge_the_time_since_the_previous_lap(monkeypatch):
@@ -44,6 +45,11 @@ def test_int_str_lifts_the_limit_for_one_conversion():
         assert sys.get_int_max_str_digits() == 640
         with pytest.raises(ValueError):
             str(value)
+        assert _str_int("7" + "0" * 4999 + "1") == value
+        assert _str_int("-7" + "0" * 4999 + "1") == -value
+        assert sys.get_int_max_str_digits() == 640
+        with pytest.raises(ValueError):
+            int("7" + "0" * 4999 + "1")
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -67,15 +73,41 @@ print("ok")
 """
 
 
+READ_BACK = """\
+import sys
+from capbound import alpha
+from capbound.fixedpoint import BigFixed
+limit = sys.get_int_max_str_digits()
+assert limit > 0, limit
+value = alpha(30000)
+assert BigFixed.from_decimal(value.decimal()) == value
+assert sys.get_int_max_str_digits() == limit
+print("ok")
+"""
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter at the default digit limit and
+    return its output."""
+    src = str(Path(capbound.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONINTMAXSTRDIGITS"}
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(env, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @limit_api
 def test_library_and_cli_spell_big_values_under_the_limit():
     # no command wraps the process: alpha's 30,000 decimals spell without
     # the CLI, and a command's 7,043-digit value leaves the limit as it was
-    src = str(Path(capbound.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONINTMAXSTRDIGITS"}
-    done = subprocess.run([sys.executable, "-c", SPELLED],
-                          env=dict(env, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    assert run_fresh(SPELLED) == "ok\n"
+
+
+@limit_api
+def test_big_decimals_read_back_under_the_limit():
+    # alpha's 30,000 decimals parse back to the same value, and the
+    # limit is as it was afterwards
+    assert run_fresh(READ_BACK) == "ok\n"

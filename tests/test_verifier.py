@@ -2,11 +2,13 @@
 a brute-force vanishing-count oracle, pair matrices built from eval_poly
 with a rank oracle of their own (itself checked against determinants),
 affine images of the pinned witnesses, the split/reconstruction and
-eval/expand consistency properties, and every report against the
-FieldPoly route (a fresh elimination, a polynomial per basis element,
-values from its terms) that the kept per-set elimination replaced."""
+eval/expand consistency properties, the bitsliced transform and point
+indicators against eval_poly, and every report against the FieldPoly
+route (a fresh elimination of indicators expanded term by term, a
+polynomial per basis element, values from eval_poly at every point)."""
 import random
 import time
+from functools import cache
 from itertools import product
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbound import golden, verifier
-from capbound.capsearch import (complete_triple, decode_point,
+from capbound.capsearch import (complete_triple, decode_point, encode_point,
                                 is_progression_free, max_capset, third_points)
 from capbound.qnomial import mspace_size
 from capbound.verifier import (
@@ -171,20 +173,76 @@ def matrix_rank(M):
     return rank
 
 
+# Bits per point of monomial_values: a sum of at most 3^6 terms, each a
+# coefficient times a monomial's value, at most 2 * 2, stays below 2^12.
+SLOT = 16
+
+
+@cache
+def monomial_values(n):
+    """Each monomial's values from eval_poly, point by point, one value
+    per SLOT-bit slot of an int: slot x for the point of base-3 index x."""
+    points = list(product(range(3), repeat=n))
+    columns = {}
+    for m in points:  # exponent vectors run over the same tuples
+        P = FieldPoly(n, {m: 1})
+        columns[m] = sum(eval_poly(P, v) << SLOT * x
+                         for x, v in enumerate(points))
+    return columns
+
+
 def _values(P):
-    """P's values at every point of F_3^n, packed: a signed sum of the
-    evaluation table's columns, one per term of the FieldPoly.  The
-    verifier once checked every basis element this way; it stays here as
-    the reference for its elimination's packed values."""
-    table = verifier._table(P.n)
-    index = {m: j for j, m in enumerate(table.monos)}
+    """P's values at every point of F_3^n, packed (bit x for the point of
+    base-3 index x): at each point, the sum of P's terms at it, each a
+    coefficient times the monomial's eval_poly value there.  The reference
+    for the verifier's bitsliced transform, sharing no code with it."""
+    columns = monomial_values(P.n)
+    total = sum(c * columns[m] for m, c in P.terms.items())
     ones = twos = 0
-    for mono, coeff in P.terms.items():
-        c1, c2 = table.columns[index[mono]]
-        if coeff == 2:
-            c1, c2 = c2, c1
-        ones, twos = verifier._add(ones, twos, c1, c2)
+    for x in range(3**P.n):
+        value = (total >> SLOT * x & (1 << SLOT) - 1) % 3
+        ones |= (value == 1) << x
+        twos |= (value == 2) << x
     return ones, twos
+
+
+# Coefficients of 1 - (y - a)^2 at y^0, y^1, y^2 for a = 0, 1, 2.
+INDICATOR_FACTORS = ((1, 0, 2), (0, 2, 2), (0, 1, 2))
+
+
+def indicator_poly(x):
+    """delta_x(y) = prod_i (1 - (y_i - x_i)^2), 1 at x and 0 elsewhere,
+    expanded term by term."""
+    terms = {}
+    for mono in product(range(3), repeat=len(x)):
+        coeff = 1
+        for a, e in zip(x, mono):
+            coeff = coeff * INDICATOR_FACTORS[a][e] % 3
+        terms[mono] = coeff
+    return make_poly(len(x), terms)
+
+
+def graded_lex_descending(n):
+    """The tensor-order positions of the monomials, in descending
+    graded-lex order."""
+    return [encode_point(m) for m in reversed(monomials_up_to(n, 2 * n))]
+
+
+def packed_coefficients(P):
+    """P's coefficients packed in the verifier's tensor order: bit k for
+    the monomial whose exponent vector has base-3 index k."""
+    ones = twos = 0
+    for k, mono in enumerate(product(range(3), repeat=P.n)):
+        c = P.terms.get(mono, 0)
+        ones |= (c == 1) << k
+        twos |= (c == 2) << k
+    return ones, twos
+
+
+def unpack(ones, twos, size):
+    """The entries of a packed F_3 vector of the given length."""
+    return [1 if ones >> x & 1 else 2 if twos >> x & 1 else 0
+            for x in range(size)]
 
 
 def test_product_matrix_examples():
@@ -303,10 +361,43 @@ def test_packed_values_match_eval_poly(case):
     for P, (ones, twos) in zip(basis, packed):
         values = [eval_poly(P, v) for v in points]
         assert not any(values[x] for x in S.points)
-        assert [1 if ones >> x & 1 else 2 if twos >> x & 1 else 0
-                for x in range(3**n)] == values
+        assert unpack(ones, twos, 3**n) == values
         assert _values(P) == (ones, twos)
         assert support_size((ones, twos)) == sum(1 for v in values if v)
+
+
+# A polynomial over F_3 in n <= 4 variables, with any exponents below 3.
+@st.composite
+def field_polys(draw):
+    n = draw(st.integers(1, 4))
+    monos = list(product(range(3), repeat=n))
+    return make_poly(n, draw(st.dictionaries(st.sampled_from(monos),
+                                             st.integers(1, 2))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(field_polys())
+def test_transform_matches_eval_poly(P):
+    table = verifier._table(P.n)
+    values = verifier._evaluate(table, *packed_coefficients(P))
+    assert unpack(*values, 3**P.n) == [
+        eval_poly(P, v) for v in product(range(3), repeat=P.n)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+def test_indicator_is_the_unit_vector_at_its_point(x):
+    # the verifier's packed indicator is indicator_poly's coefficients,
+    # and the transform takes it to 1 at x and 0 at every other point
+    x = tuple(x)
+    table = verifier._table(len(x))
+    packed = verifier._indicator(table, x)
+    assert packed == packed_coefficients(indicator_poly(x))
+    assert verifier._evaluate(table, *packed) == (1 << encode_point(x), 0)
+    assert [eval_poly(indicator_poly(x), v)
+            for v in product(range(3), repeat=len(x))] == unpack(
+        1 << encode_point(x), 0, 3**len(x))
 
 
 # A progression-free A in F_3^n, n <= 3, a degree d in [0, 2n] for the
@@ -456,18 +547,11 @@ def greedy_set(n, size, seed):
 
 
 def reference_report(n, d, A):
-    """verify_support_bound by the FieldPoly route: A's indicators reduced
-    afresh, each basis element made a FieldPoly and its values computed
-    from its terms by _values."""
-    table = verifier._table(n)
-    ones = [table.indicators[x][0] for x in A.points]
-    twos = [table.indicators[x][1] for x in A.points]
-    pivots = verifier._rref(ones, twos, len(table.monos))
+    """verify_support_bound by the FieldPoly route: V_d's basis among
+    reference_rows(A), the rows of degree at most d (a row's degree is
+    its pivot's), each with its values from eval_poly."""
     m_d = mspace_size(n, d, 3)
-    basis = [make_poly(n, {m: (ones[r] >> j & 1) + 2 * (twos[r] >> j & 1)
-                           for j, m in enumerate(table.monos)})
-             for r, col in enumerate(pivots) if col < m_d]
-    nonzero = [v1 | v2 for v1, v2 in map(_values, basis)]
+    nonzero = [z for P, z in reference_rows(A) if P.degree <= d]
     third = third_points(A)
     cap = 2 * mspace_size(n, d // 2, 3)
     diagonal_ok = not any(z & third for z in nonzero)
@@ -475,11 +559,31 @@ def reference_report(n, d, A):
     support = max((bin(z).count("1") for z in nonzero), default=0)
     lower = m_d - (3**n - A.size)
     return verifier.VerifierReport(
-        n=n, d=d, set_size=A.size, dim_v=len(basis), dim_lower_bound=lower,
+        n=n, d=d, set_size=A.size, dim_v=len(nonzero),
+        dim_lower_bound=lower,
         max_support=support, support_cap=cap, rank=rank,
         vanishing_ok=not any(z & ~A.mask for z in nonzero),
         diagonal_ok=diagonal_ok, rank_ok=diagonal_ok and rank <= cap,
-        support_ok=support <= cap, bound_ok=len(basis) >= lower)
+        support_ok=support <= cap, bound_ok=len(nonzero) >= lower)
+
+
+@cache
+def reference_rows(A):
+    """A's indicators, expanded by indicator_poly, reduced afresh by _rref
+    in descending graded-lex order: each reduced row as a FieldPoly with
+    the mask of the points where _values finds it nonzero, rows
+    ascending (the basis of V_d is those of degree at most d)."""
+    packed = [packed_coefficients(indicator_poly(v)) for v in A.vectors()]
+    ones, twos = [o for o, _ in packed], [t for _, t in packed]
+    verifier._rref(ones, twos, graded_lex_descending(A.n))
+    monos = list(product(range(3), repeat=A.n))
+    rows = []
+    for o, t in zip(reversed(ones), reversed(twos)):
+        P = make_poly(A.n, {m: (o >> k & 1) + 2 * (t >> k & 1)
+                            for k, m in enumerate(monos)})
+        v1, v2 = _values(P)
+        rows.append((P, v1 | v2))
+    return rows
 
 
 @pytest.mark.parametrize("name", ["witness-1", "witness-2", "witness-3",
@@ -501,12 +605,13 @@ def test_reports_match_the_fieldpoly_route(name):
 def test_rref_refuses_dependent_rows():
     # the indicators of distinct points are independent, so the
     # verifier never meets this; a repeated row adds no pivot
-    table = verifier._table(2)
-    (o1, t1), (o2, t2) = table.indicators[4], table.indicators[7]
+    order = graded_lex_descending(2)
+    o1, t1 = packed_coefficients(indicator_poly(decode_point(4, 2)))
+    o2, t2 = packed_coefficients(indicator_poly(decode_point(7, 2)))
     ones, twos = [o1, o2, o1], [t1, t2, t1]
     with pytest.raises(ArithmeticError, match="3 rows have 2 pivots"):
-        verifier._rref(ones, twos, len(table.monos))
-    assert len(verifier._rref([o1, o2], [t1, t2], len(table.monos))) == 2
+        verifier._rref(ones, twos, order)
+    assert len(verifier._rref([o1, o2], [t1, t2], order)) == 2
 
 
 def test_kept_eliminations(monkeypatch):
