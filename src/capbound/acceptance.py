@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 from . import golden
 from .asymptotics import (
-    RATIO_TOLERANCE,
     alpha,
     characteristic_root,
     first_correction_estimate,
@@ -26,14 +25,14 @@ from .asymptotics import (
     growth_constant_ratio,
     leading_constant,
     leading_constant_empirical,
-    ratio_difference,
+    ratio_check,
     verify_recurrence,
 )
 from .bounds import optimal_bound, sharp_bound, theorem_bound
 from .capsearch import PointSet, max_capset
-from .fixedpoint import BigFixed
+from .golden import digit_check, leading_constant_digit_check
 from .qnomial import qnomial, qnomial_row, row_prefix
-from .stages import Stages
+from .stages import Check, Stages
 from .verifier import (
     eval_poly,
     expand_neg_sum,
@@ -56,6 +55,10 @@ class CriterionResult:
     elapsed_ms: float = field(default=0.0, compare=False)
     timings_ms: dict = field(default_factory=dict, compare=False)
 
+    @property
+    def check(self) -> Check:
+        return Check(self.name, self.passed, self.detail)
+
 
 def _timed(criterion):
     """Stamp a criterion's result with its wall time."""
@@ -66,55 +69,6 @@ def _timed(criterion):
         clock.lap("criterion")
         return replace(result, elapsed_ms=clock.ms["criterion"])
     return run
-
-
-def pinned_gap(value: BigFixed, pinned: str) -> tuple[int, int, int]:
-    """|value - pinned|, one unit in pinned's last place and |pinned|, as
-    integers on the finer of the two scales.  A check against a pinned
-    decimal is decided on these (within one ulp when gap <= unit), and
-    gap / unit, a correctly rounded int division, is its distance in
-    ulps: no Fraction, so no gcd of 30,000-digit integers."""
-    ref = BigFixed.from_decimal(pinned)
-    scale = max(value.scale, ref.scale)
-    unit = 10**(scale - ref.scale)
-    ref_mantissa = ref.mantissa * unit
-    gap = abs(value.mantissa * 10**(scale - value.scale) - ref_mantissa)
-    return gap, unit, abs(ref_mantissa)
-
-
-def digit_check(name: str, value: BigFixed, pinned: str) -> tuple[dict, float]:
-    """The report check that value lies within one ulp of a pinned
-    decimal, and the distance in ulps.  The report holds the computed
-    value, so the detail names only the pinned one."""
-    gap, unit, _ = pinned_gap(value, pinned)
-    ulps = gap / unit
-    return {"name": name, "pass": gap <= unit,
-            "detail": f"pinned {pinned} ({ulps:.3g} ulp)"}, ulps
-
-
-def leading_constant_digit_check(value: BigFixed
-                                 ) -> tuple[bool, str, float, int]:
-    """Significant-digit agreement with the pinned leading constant: the
-    verdict, its detail, the relative difference and how many
-    significant digits agree (relative difference below 10^-digits;
-    exact agreement counts every pinned digit).
-
-    The pinned reference and the closed form share 10 significant digits
-    and then diverge; the check requires at least those 10 and the detail
-    spells the divergence out instead of hiding it.
-    """
-    pinned = golden.LEADING_CONSTANT_DIGITS
-    gap, _, size = pinned_gap(value, pinned)
-    available = len(pinned.replace(".", "").lstrip("0"))
-    digits = 0
-    while digits < available and gap * 10**(digits + 1) < size:
-        digits += 1
-    rel = gap / size
-    detail = (f"pinned {pinned}: {digits} "
-              f"significant digits agree (relative difference {rel:.2e}); "
-              f"the closed form and the pinned value share only the first "
-              f"10 by construction of the pinned value")
-    return digits >= 10, detail, rel, digits
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +92,7 @@ def c2_root_digits(level: str) -> CriterionResult:
     alpha_check, alpha_ulp = digit_check("alpha", alpha(19),
                                          golden.ALPHA_DIGITS)
     return CriterionResult(
-        "2_root_and_alpha_digits", root_check["pass"] and alpha_check["pass"],
+        "2_root_and_alpha_digits", root_check.passed and alpha_check.passed,
         f"characteristic_root(18) off by {root_ulp:.3g} ulp, "
         f"alpha(19) off by {alpha_ulp:.3g} ulp",
         {"root_ulp": root_ulp, "alpha_ulp": alpha_ulp})
@@ -150,7 +104,7 @@ def c3_growth_table(level: str) -> CriterionResult:
     for q, pinned in golden.GROWTH_TABLE.items():
         check, distances[q] = digit_check(f"q={q}", growth_constant(q),
                                           pinned)
-        if not check["pass"]:
+        if not check.passed:
             failures.append(f"q={q}: {distances[q]:.2f} ulp")
     detail = "all 15 entries within 1 ulp" if not failures else "; ".join(failures)
     return CriterionResult("3_growth_table", not failures, detail,
@@ -159,13 +113,12 @@ def c3_growth_table(level: str) -> CriterionResult:
 
 @_timed
 def c4_method_independence(level: str) -> CriterionResult:
-    rel_diff = {}
-    for q in (2, 3, 4, 5, 8):
-        rel_diff[q] = ratio_difference(growth_constant(q),
-                                       growth_constant_ratio(q))
+    checks = {q: ratio_check(growth_constant(q), growth_constant_ratio(q))
+              for q in (2, 3, 4, 5, 8)}
+    rel_diff = {q: rel for q, (_, rel) in checks.items()}
     worst = max(rel_diff.values())
     return CriterionResult(
-        "4_method_independence", worst < RATIO_TOLERANCE,
+        "4_method_independence", all(c.passed for c, _ in checks.values()),
         f"worst relative difference over q in (2,3,4,5,8): {worst:.2e}",
         {"relative_difference": rel_diff})
 
@@ -227,7 +180,7 @@ def c7_proof_core(level: str) -> CriterionResult:
     detail = (f"checks fail at (n, d) = {failed}" if failed
               else f"{len(cases)} cases, all five checks each")
     measured = {"cases": [{"n": r.n, "d": r.d,
-                           **{name: ok for name, ok, _ in r.checks}}
+                           **{c.name: c.passed for c in r.checks}}
                           for r in reports]}
     return CriterionResult("7_proof_core", not failed, detail, measured)
 
@@ -235,15 +188,15 @@ def c7_proof_core(level: str) -> CriterionResult:
 @_timed
 def c8_leading_constant(level: str) -> CriterionResult:
     value = leading_constant(19)
-    ok_digits, detail, rel, digits = leading_constant_digit_check(value)
+    check, rel, digits = leading_constant_digit_check(value)
     samples = (300, 600, 1200, 2400) if level == "full" else (150, 300, 600)
     empirical = leading_constant_empirical(samples)
     emp_rel = abs(empirical - float(value)) / float(value)
     ok_emp = emp_rel < 1e-3
     return CriterionResult(
-        "8_leading_constant", ok_digits and ok_emp,
-        detail + f"; extrapolation over n={samples} gives {empirical:.9f} "
-                 f"(relative difference {emp_rel:.2e} vs closed form)",
+        "8_leading_constant", check.passed and ok_emp,
+        f"{check.detail}; extrapolation over n={samples} gives "
+        f"{empirical:.9f} (relative difference {emp_rel:.2e} vs closed form)",
         {"value": value.as_json(), "rel": rel, "digits": digits,
          "samples": samples, "empirical": empirical,
          "empirical_rel": emp_rel})

@@ -34,7 +34,7 @@ from .bounds import sharp_bound
 from .fixedpoint import (BigFixed, _pi_scaled, _power_bracket, div_nearest,
                          icbrt_newton)
 from .qnomial import row_prefix
-from .stages import Stages
+from .stages import Check, Stages
 
 DEFAULT_DIGITS = 40
 GUARD = 10
@@ -375,16 +375,18 @@ def growth_constant(q: int, digits: int = DEFAULT_DIGITS) -> BigFixed:
 
 
 # growth_constant_ratio's relative difference from the saddle constant
-# that `growth --method both` and criterion 4 accept (5.4e-5 at q = 2).
+# that ratio_check accepts (5.4e-5 at q = 2).
 RATIO_TOLERANCE = 1e-4
 
 
-def ratio_difference(saddle: BigFixed, ratio: float) -> float:
-    """The relative difference |saddle - ratio| / saddle of a
-    growth_constant_ratio estimate from the saddle constant, in float:
-    the figure RATIO_TOLERANCE bounds."""
+def ratio_check(saddle: BigFixed, ratio: float) -> tuple[Check, float]:
+    """Whether a growth_constant_ratio estimate agrees with the saddle
+    constant, for `growth --method both` and criterion 4 alike, and the
+    relative difference |saddle - ratio| / saddle it decides on, in float."""
     value = float(saddle)
-    return abs(value - ratio) / value
+    rel = abs(value - ratio) / value
+    return Check("saddle_ratio_agree", rel < RATIO_TOLERANCE,
+                 f"relative difference {rel:.3e}"), rel
 
 
 def growth_constant_ratio(q: int) -> float:

@@ -26,7 +26,7 @@ Method = Literal["for_d", "optimal", "theorem", "sharp"]
 class BoundReport:
     """One bound on F_q^n: its exact value, the method that gave it, the
     degree d where one applies, and the cross-check identities, each
-    with its verdict."""
+    with its verdict; `checks` gives them as report checks."""
     n: int
     q: int
     value: int
@@ -37,6 +37,14 @@ class BoundReport:
     @property
     def all_identities_pass(self) -> bool:
         return all(ok for _, ok in self.identities)
+
+    @property
+    def checks(self) -> list:
+        from .stages import Check  # here, so a bound loads only its layers
+
+        return [Check(f"{self.method}:{name}", ok,
+                      f"exact identity on n={self.n}")
+                for name, ok in self.identities]
 
 
 def bound_for_d(n: int, d: int) -> BoundReport:

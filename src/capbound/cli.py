@@ -8,10 +8,11 @@ never matched by a prefix of its name.  A negative int such as `--n -5`
 is a value, which the command's own checks then refuse.  `-h`/`--help`
 prints the top-level or the command's usage on stdout and exits 0.
 
-Exit codes: 0 when every reported check passes (or there are none),
-1 when some check fails, 2 for usage and domain errors (message on
-stderr, no JSON).  A reader that closes stdout early (`| head`) cuts the
-report short but changes neither the exit code nor stderr.
+Checks are stages.Check values, rendered here alone as {name, pass,
+detail}.  Exit codes: 0 when every reported check passes (or there are
+none), 1 when some check fails, 2 for usage and domain errors (message
+on stderr, no JSON).  A reader that closes stdout early (`| head`) cuts
+the report short but changes neither the exit code nor stderr.
 Arbitrary-precision integers are serialized as decimal strings of any
 length (stages._int_str), fixed-point values as {mantissa, scale, decimal}.
 
@@ -22,7 +23,7 @@ them lazily would move their compile into the first job of a process
 that runs many.  The asymptotics layer (with fixedpoint and golden) is
 imported by the handlers of `growth`, `table`, `alpha`,
 `leading-constant` and `verify-recurrence`, and the acceptance battery
-by those that check pinned digits and by `verify-all`.
+by `verify-all` alone.
 """
 from __future__ import annotations
 
@@ -32,10 +33,10 @@ import sys
 from types import SimpleNamespace
 from typing import NoReturn
 
-from .bounds import BoundReport, bound_for_d, optimal_bound, sharp_bound, theorem_bound
+from .bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from .capsearch import MAX_BUDGET, is_progression_free, max_capset
 from .qnomial import qnomial
-from .stages import Stages, _int_str
+from .stages import Check, Stages, _int_str
 from .verifier import (
     POINT_FILE_MAX_CHARS,
     check_reach,
@@ -43,18 +44,6 @@ from .verifier import (
     parse_pointset,
     verify_support_bound,
 )
-
-
-def _bound_json(report: BoundReport) -> dict:
-    return {
-        "n": report.n,
-        "q": report.q,
-        "d": report.d,
-        "method": report.method,
-        "value": _int_str(report.value),
-        "identities": [{"name": name, "pass": ok}
-                       for name, ok in report.identities],
-    }
 
 
 def _prime_powers(lo: int, hi: int) -> list[int]:
@@ -67,7 +56,7 @@ def _prime_powers(lo: int, hi: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (result_object, checks_list)
 
-def _cmd_bound(args) -> tuple[dict, list[dict]]:
+def _cmd_bound(args) -> tuple[dict, list[Check]]:
     clock, reports, checks = Stages(), [], []
     for wanted, bound in ((args.d is not None,
                            lambda n: bound_for_d(n, args.d)),
@@ -78,29 +67,29 @@ def _cmd_bound(args) -> tuple[dict, list[dict]]:
             report = bound(args.n)
             clock.lap(report.method)
             reports.append(report)
-            checks += [{"name": f"{report.method}:{name}", "pass": ok,
-                        "detail": f"exact identity on n={report.n}"}
-                       for name, ok in report.identities]
+            checks += report.checks
     if not reports:
         raise ValueError(
             "pick at least one of --d, --optimize-d, --theorem, --sharp")
-    return {"bounds": [_bound_json(r) for r in reports],
+    return {"bounds": [{"n": r.n, "q": r.q, "d": r.d, "method": r.method,
+                        "value": _int_str(r.value),
+                        "identities": [{"name": name, "pass": ok}
+                                       for name, ok in r.identities]}
+                       for r in reports],
             "timings_ms": clock.ms}, checks
 
 
-def _cmd_qnomial(args) -> tuple[dict, list[dict]]:
+def _cmd_qnomial(args) -> tuple[dict, list[Check]]:
     clock = Stages()
     value = qnomial(args.n, args.k, args.q)
     clock.lap("row")
     return {"value": _int_str(value), "timings_ms": clock.ms}, []
 
 
-def _cmd_growth(args) -> tuple[dict, list[dict]]:
-    from .asymptotics import (RATIO_TOLERANCE, growth_constant_ratio,
-                              ratio_difference, saddle_point)
+def _cmd_growth(args) -> tuple[dict, list[Check]]:
+    from .asymptotics import growth_constant_ratio, ratio_check, saddle_point
 
     result: dict = {}
-    checks: list[dict] = []
     counters, timings_ms = {}, {}  # the saddle's, where it runs
     if args.method in ("saddle", "both"):
         sp = saddle_point(args.q, args.digits)
@@ -115,18 +104,13 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
     if args.method in ("ratio", "both"):
         result["ratio_estimate"] = growth_constant_ratio(args.q)
         clock.lap("ratio")
-    if args.method == "both":
-        rel = ratio_difference(sp.constant, result["ratio_estimate"])
-        checks.append({
-            "name": "saddle_ratio_agree",
-            "pass": rel < RATIO_TOLERANCE,
-            "detail": f"relative difference {rel:.3e}",
-        })
+    checks = ([ratio_check(sp.constant, result["ratio_estimate"])[0]]
+              if args.method == "both" else [])
     return {**result, "counters": counters,
             "timings_ms": {**timings_ms, **clock.ms}}, checks
 
 
-def _cmd_table(args) -> tuple[dict, list[dict]]:
+def _cmd_table(args) -> tuple[dict, list[Check]]:
     from . import golden
     from .asymptotics import MAX_Q, saddle_point
 
@@ -138,22 +122,20 @@ def _cmd_table(args) -> tuple[dict, list[dict]]:
     rows, checks = [], []
     for q in _prime_powers(args.qmin, args.qmax):
         sp = saddle_point(q)
-        value = sp.constant
         pinned = golden.GROWTH_TABLE.get(q)
-        row = {"q": q, "constant": value.as_json(),
+        row = {"q": q, "constant": sp.constant.as_json(),
                "counters": sp.counters, "timings_ms": sp.timings_ms}
         if pinned is not None:
-            from .acceptance import digit_check
-
-            check, _ = digit_check(f"q={q}_matches_reference", value, pinned)
+            check, _ = golden.digit_check(f"q={q}_matches_reference",
+                                          sp.constant, pinned)
             row["reference"] = pinned
-            row["pass"] = check["pass"]
+            row["pass"] = check.passed
             checks.append(check)
         rows.append(row)
     return {"rows": rows}, checks
 
 
-def _cmd_alpha(args) -> tuple[dict, list[dict]]:
+def _cmd_alpha(args) -> tuple[dict, list[Check]]:
     from . import golden
     from .asymptotics import alpha, characteristic_root
 
@@ -163,59 +145,53 @@ def _cmd_alpha(args) -> tuple[dict, list[dict]]:
     root = characteristic_root(args.digits)
     clock.lap("characteristic_root")
     checks = []
-    if args.digits >= len(golden.ALPHA_DIGITS.split(".")[1]):
-        from .acceptance import digit_check
-
-        checks = [digit_check("alpha_matches_reference", value,
-                              golden.ALPHA_DIGITS)[0],
-                  digit_check("characteristic_root_matches_reference", root,
-                              golden.CHARACTERISTIC_ROOT_DIGITS)[0]]
+    if args.digits >= golden.ALPHA_CHECK_PLACES:
+        checks = [golden.digit_check("alpha_matches_reference", value,
+                                     golden.ALPHA_DIGITS)[0],
+                  golden.digit_check("characteristic_root_matches_reference",
+                                     root,
+                                     golden.CHARACTERISTIC_ROOT_DIGITS)[0]]
     return {"alpha": value.as_json(),
             "characteristic_root": root.as_json(),
             "timings_ms": clock.ms}, checks
 
 
-def _cmd_leading_constant(args) -> tuple[dict, list[dict]]:
+def _cmd_leading_constant(args) -> tuple[dict, list[Check]]:
+    from . import golden
     from .asymptotics import leading_constant
 
     clock = Stages("constant", "check")
     value = leading_constant(args.digits)
     clock.lap("constant")
     checks = []
-    if args.digits >= 12:
-        from . import acceptance
-
-        ok, detail, _, _ = acceptance.leading_constant_digit_check(value)
-        checks.append({"name": "matches_reference_to_10_significant_digits",
-                       "pass": ok, "detail": detail})
+    if args.digits >= golden.LEADING_CONSTANT_CHECK_PLACES:
+        checks.append(golden.leading_constant_digit_check(value)[0])
         clock.lap("check")
     return {"leading_constant": value.as_json(),
             "timings_ms": clock.ms}, checks
 
 
-def _cmd_verify_recurrence(args) -> tuple[dict, list[dict]]:
+def _cmd_verify_recurrence(args) -> tuple[dict, list[Check]]:
     from .asymptotics import verify_recurrence
 
     clock = Stages()
-    check = verify_recurrence(args.nmax)
+    found = verify_recurrence(args.nmax)
     clock.lap("recurrence")
-    result = {"n_max": check.n_max, "all_zero": check.all_zero,
-              "first_failure": check.first_failure, "timings_ms": clock.ms}
-    return result, [{"name": "recurrence_all_zero", "pass": check.all_zero,
-                     "detail": f"n = 0..{args.nmax - 2}, exact integers"}]
+    result = {"n_max": found.n_max, "all_zero": found.all_zero,
+              "first_failure": found.first_failure, "timings_ms": clock.ms}
+    return result, [Check("recurrence_all_zero", found.all_zero,
+                          f"n = 0..{args.nmax - 2}, exact integers")]
 
 
-def _cmd_search(args) -> tuple[dict, list[dict]]:
+def _cmd_search(args) -> tuple[dict, list[Check]]:
     result = max_capset(args.n, node_budget=args.budget)
     witness_text = format_pointset(result.witness)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(witness_text)
-    checks = [{
-        "name": "witness_progression_free",
-        "pass": is_progression_free(result.witness),
-        "detail": f"witness of size {result.max_size}",
-    }]
+    checks = [Check("witness_progression_free",
+                    is_progression_free(result.witness),
+                    f"witness of size {result.max_size}")]
     return {
         "n": result.n,
         "max_size": result.max_size,
@@ -228,7 +204,7 @@ def _cmd_search(args) -> tuple[dict, list[dict]]:
     }, checks
 
 
-def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
+def _cmd_verify_clp(args) -> tuple[dict, list[Check]]:
     if args.set:
         check_reach(args.n)  # before reading and encoding the file
         with open(args.set, encoding="utf-8") as fh:
@@ -236,23 +212,20 @@ def _cmd_verify_clp(args) -> tuple[dict, list[dict]]:
     else:
         ps = max_capset(args.n).witness
     report = verify_support_bound(args.n, args.d, ps)
-    return dict(vars(report)), [{"name": name, "pass": ok, "detail": detail}
-                                for name, ok, detail in report.checks]
+    return dict(vars(report)), list(report.checks)
 
 
-def _cmd_verify_all(args) -> tuple[dict, list[dict]]:
+def _cmd_verify_all(args) -> tuple[dict, list[Check]]:
     from . import acceptance
 
     criteria = acceptance.run_all(level=args.level)
-    checks = [{"name": c.name, "pass": c.passed, "detail": c.detail}
-              for c in criteria]
     result = {"level": args.level,
               "criteria": [{"name": c.name, "pass": c.passed,
                             "detail": c.detail, "measured": c.measured,
                             "elapsed_ms": c.elapsed_ms,
                             "timings_ms": c.timings_ms}
                            for c in criteria]}
-    return result, checks
+    return result, [c.check for c in criteria]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +470,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "inputs": inputs,
         "result": result,
-        "checks": checks,
+        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
+                   for c in checks],
         "elapsed_ms": clock.ms["command"],
     }
     text = json.dumps(report, indent=2)
@@ -510,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    return 0 if all(c["pass"] for c in checks) else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 if __name__ == "__main__":

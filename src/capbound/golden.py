@@ -1,10 +1,10 @@
-"""Pinned reference values for the regression table and digit checks.
+"""Pinned reference values and the rules that compare fresh digits with them.
 
 Every number here is recomputed independently at runtime (closed forms,
 saddle-point root finding, exact coefficient ratios); these copies exist
 so the CLI and the acceptance suite can diff fresh computations against a
 fixed reference.  Digit strings are compared at +-1 unit in their last
-place.
+place, the leading constant at 10 significant digits.
 
 The growth-table strings are truncated, not rounded: an mpmath oracle
 puts every one of the 15 between 0.05 and 0.97 units in the last place
@@ -13,6 +13,9 @@ a full unit from the value it stands for, which is why the tolerance is
 1 ulp and not 0.5.
 """
 from __future__ import annotations
+
+from .fixedpoint import BigFixed
+from .stages import Check
 
 # Largest root of CHAR_QUADRATIC, i.e. (5589 + 891*sqrt(33))/512, and its
 # cube root, the base-3 growth constant.
@@ -48,10 +51,11 @@ LEX_LEAST_WITNESSES = {
 
 # Leading constant and first 1/n correction of
 #   sharp_bound(n) ~ C * alpha^n / sqrt(n) * (1 + c1/n + ...).
-# The pinned C is trustworthy to ~10 significant digits; the closed form
-# (3/(1-x0) - 1)/sqrt(2*pi*x0*mu'(x0)) continues ...46465544856... after
-# the shared prefix 3.326762746.
+# The pinned C is trustworthy to its first SHARED_DIGITS significant
+# digits; the closed form (3/(1-x0) - 1)/sqrt(2*pi*x0*mu'(x0)) continues
+# ...46465544856... after the shared prefix 3.326762746.
 LEADING_CONSTANT_DIGITS = "3.3267627467425979588"
+SHARED_DIGITS = 10
 FIRST_CORRECTION = -5.1543714155636062458
 
 # Growth constants f(x0)*x0^(-(q-1)/3) for prime powers 4 <= q <= 31,
@@ -74,3 +78,55 @@ GROWTH_TABLE = {
     29: "24.69359086763659",
     31: "26.3770467097314914",
 }
+
+
+# The fewest decimal places at which the CLI checks computed digits: all
+# of ALPHA_DIGITS's, and SHARED_DIGITS for the leading constant (about
+# 3.3), which rounding to them moves by a relative 10^-SHARED_DIGITS / 6.
+ALPHA_CHECK_PLACES = len(ALPHA_DIGITS.partition(".")[2])
+LEADING_CONSTANT_CHECK_PLACES = SHARED_DIGITS
+
+
+def pinned_gap(value: BigFixed, pinned: str) -> tuple[int, int, int]:
+    """|value - pinned|, one unit in pinned's last place and |pinned|, as
+    integers on the finer of the two scales.  A check against a pinned
+    decimal is decided on these (within one ulp when gap <= unit), and
+    gap / unit, a correctly rounded int division, is its distance in
+    ulps: no Fraction, so no gcd of 30,000-digit integers."""
+    ref = BigFixed.from_decimal(pinned)
+    scale = max(value.scale, ref.scale)
+    unit = 10**(scale - ref.scale)
+    ref_mantissa = ref.mantissa * unit
+    gap = abs(value.mantissa * 10**(scale - value.scale) - ref_mantissa)
+    return gap, unit, abs(ref_mantissa)
+
+
+def digit_check(name: str, value: BigFixed, pinned: str
+                ) -> tuple[Check, float]:
+    """The check that value lies within one ulp of a pinned decimal, and
+    the distance in ulps.  The report holds the computed value, so the
+    detail names only the pinned one."""
+    gap, unit, _ = pinned_gap(value, pinned)
+    ulps = gap / unit
+    return Check(name, gap <= unit, f"pinned {pinned} ({ulps:.3g} ulp)"), ulps
+
+
+def leading_constant_digit_check(value: BigFixed
+                                 ) -> tuple[Check, float, int]:
+    """Significant-digit agreement with the pinned leading constant: the
+    check, which requires the SHARED_DIGITS and spells the divergence after
+    them out, the relative difference and how many significant digits agree
+    (relative difference below 10^-digits; exact agreement counts all)."""
+    pinned = LEADING_CONSTANT_DIGITS
+    gap, _, size = pinned_gap(value, pinned)
+    available = len(pinned.replace(".", "").lstrip("0"))
+    digits = 0
+    while digits < available and gap * 10**(digits + 1) < size:
+        digits += 1
+    rel = gap / size
+    detail = (f"pinned {pinned}: {digits} "
+              f"significant digits agree (relative difference {rel:.2e}); "
+              f"the closed form and the pinned value share only the first "
+              f"{SHARED_DIGITS} by construction of the pinned value")
+    return Check(f"matches_reference_to_{SHARED_DIGITS}_significant_digits",
+                 digits >= SHARED_DIGITS, detail), rel, digits

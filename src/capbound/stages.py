@@ -1,8 +1,17 @@
-"""The plumbing of every report: the stage clock behind its `timings_ms`,
-and the one spelling of its big integers as decimal strings, with the
-one reading of them back."""
+"""The plumbing of every report: the one shape of its checks, the stage
+clock behind its `timings_ms`, and the one spelling of its big integers
+as decimal strings, with the one reading of them back."""
 import sys
 from time import perf_counter
+
+
+class Check:
+    """A named pass/fail verdict and its detail, made where its rule lives
+    and rendered by cli.main alone; a plain class, as cli._Opt is."""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.name, self.passed, self.detail = name, passed, detail
 
 
 class Stages:

@@ -32,9 +32,9 @@ from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .capsearch import PointSet, third_points
+from .capsearch import PointSet, encode_point, third_points
 from .qnomial import mspace_size
-from .stages import Stages
+from .stages import Check, Stages
 
 Monomial = tuple[int, ...]
 
@@ -122,8 +122,7 @@ def eval_poly(P: FieldPoly, x: tuple[int, ...] | list[int]) -> int:
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:
     """All exponent tuples with entries < 3 and total degree <= d, in graded
-    lexicographic order, the order of V's basis (the elimination scans it
-    from the top)."""
+    lexicographic order, the order of V's basis."""
     out = [m for m in product(range(min(3, d + 1)), repeat=n) if sum(m) <= d]
     out.sort(key=lambda m: (sum(m), m))
     return out
@@ -163,8 +162,8 @@ class _Table(NamedTuple):
     base-3 index k, first variable most significant, as points are
     numbered.  zeros[i] marks the positions whose exponent of variable i
     is 0; shifted by 3^(n-1-i) and by twice that, it marks exponents 1
-    and 2.  order lists the positions in descending graded-lex order, the
-    order _rref scans.
+    and 2.  order lists the positions in monomials_up_to's graded-lex
+    order reversed, the order _rref scans.
     """
 
     monos: list[Monomial]
@@ -191,14 +190,12 @@ def _table(n: int) -> _Table:
     check_reach(n)
     if n in _tables:
         return _tables[n]
-    size = 3**n
     monos = list(product(range(3), repeat=n))  # base-3 index order
     degrees = [sum(m) for m in monos]
-    order = sorted(range(size), key=lambda k: (degrees[k], monos[k]),
-                   reverse=True)
+    order = [encode_point(m) for m in reversed(monomials_up_to(n, 2 * n))]
     # variable i's exponent is 0 in runs of 3^(n-1-i) positions, one run
     # in every 3^(n-i)
-    full = (1 << size) - 1
+    full = (1 << 3**n) - 1
     zeros = [((1 << 3**i) - 1) * (full // ((1 << 3**(i + 1)) - 1))
              for i in reversed(range(n))]
     _tables[n] = _Table(monos, degrees, zeros, order)
@@ -479,8 +476,8 @@ class VerifierReport:
     space) and work counters.  rank is the most members of A at which one
     basis element is nonzero, its pair matrix's rank when diagonal_ok
     holds (rank_ok requires it).  Cost fields take no part in comparisons.
-    `checks` lists the five checks as (name, verdict, detail) for every
-    reader, so a new check is added there alone."""
+    `checks` lists the five checks for every reader, so a new check is
+    added there alone."""
 
     n: int
     d: int
@@ -499,21 +496,22 @@ class VerifierReport:
     counters: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
-    def checks(self) -> tuple[tuple[str, bool, str], ...]:
+    def checks(self) -> tuple[Check, ...]:
         cap = self.support_cap
-        return (("vanishes_off_set", self.vanishing_ok, "every basis element"
-                 " is 0 at every point outside the set"),
-                ("pair_matrix_diagonal", self.diagonal_ok,
-                 "off-diagonal entries vanish"),
-                ("rank_cap", self.rank_ok, f"max rank {self.rank} <= {cap}"),
-                ("support_cap", self.support_ok,
-                 f"max support {self.max_support} <= {cap}"),
-                ("dimension_bound", self.bound_ok,
-                 f"dim V = {self.dim_v} >= {self.dim_lower_bound}"))
+        return (Check("vanishes_off_set", self.vanishing_ok, "every basis "
+                      "element is 0 at every point outside the set"),
+                Check("pair_matrix_diagonal", self.diagonal_ok,
+                      "off-diagonal entries vanish"),
+                Check("rank_cap", self.rank_ok,
+                      f"max rank {self.rank} <= {cap}"),
+                Check("support_cap", self.support_ok,
+                      f"max support {self.max_support} <= {cap}"),
+                Check("dimension_bound", self.bound_ok,
+                      f"dim V = {self.dim_v} >= {self.dim_lower_bound}"))
 
     @property
     def all_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:

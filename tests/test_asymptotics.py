@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import capbound.qnomial as qnomial_module
 from capbound import asymptotics, golden
-from capbound.acceptance import leading_constant_digit_check, pinned_gap
 from capbound.bounds import sharp_bound
 from capbound.asymptotics import (
     MAX_DIGITS,
@@ -25,12 +24,13 @@ from capbound.asymptotics import (
     leading_constant,
     leading_constant_empirical,
     normalized_sharp_bound,
-    ratio_difference,
+    ratio_check,
     saddle_point,
     trinomial_middle,
     verify_recurrence,
 )
 from capbound.fixedpoint import BigFixed, div_nearest, icbrt_newton
+from capbound.golden import leading_constant_digit_check, pinned_gap
 from capbound.qnomial import row_prefix
 
 try:
@@ -680,15 +680,17 @@ def test_growth_table_mpmath_oracle():
 
 
 def test_ratio_method_agrees_small_q():
-    # ratio_difference, which `growth --method both` and criterion 4
-    # read, is this relative difference
+    # ratio_check, which `growth --method both` and criterion 4 read,
+    # decides on this relative difference
     for q in (2, 3):
         constant = growth_constant(q)
         saddle = float(constant)
         ratio = growth_constant_ratio(q)
         assert abs(saddle - ratio) / saddle < 1e-4
-        assert ratio_difference(constant, ratio) == abs(
-            saddle - ratio) / saddle
+        check, rel = ratio_check(constant, ratio)
+        assert rel == abs(saddle - ratio) / saddle
+        assert check.name == "saddle_ratio_agree" and check.passed
+        assert check.detail == f"relative difference {rel:.3e}"
 
 
 def test_ratio_method_matches_the_fraction_route():
@@ -723,15 +725,26 @@ def test_leading_constant_closed_form_digits():
 
 def test_leading_constant_digit_check_exact_agreement():
     # the pinned string itself agrees in all 20 of its significant digits
-    ok, detail, rel, digits = leading_constant_digit_check(
+    check, rel, digits = leading_constant_digit_check(
         BigFixed.from_decimal(golden.LEADING_CONSTANT_DIGITS))
-    assert ok and (rel, digits) == (0, 20)
-    assert "20 significant digits agree" in detail
-    ok, detail, _, digits = leading_constant_digit_check(leading_constant(19))
-    assert ok and digits == 10
-    assert "10 significant digits agree" in detail
-    ok, detail, _, digits = leading_constant_digit_check(leading_constant(8))
-    assert not ok and digits < 10
+    assert check.passed and (rel, digits) == (0, 20)
+    assert check.name == "matches_reference_to_10_significant_digits"
+    assert "20 significant digits agree" in check.detail
+    check, _, digits = leading_constant_digit_check(leading_constant(19))
+    assert check.passed and digits == 10
+    assert "10 significant digits agree" in check.detail
+    check, _, digits = leading_constant_digit_check(leading_constant(8))
+    assert not check.passed and digits < 10
+
+
+def test_leading_constant_check_holds_from_its_gate():
+    # the CLI checks the constant from LEADING_CONSTANT_CHECK_PLACES on,
+    # where rounding leaves its shared digits showing; below, it cannot
+    gate = golden.LEADING_CONSTANT_CHECK_PLACES
+    assert gate == golden.SHARED_DIGITS == 10
+    for digits in range(1, 21):
+        check = leading_constant_digit_check(leading_constant(digits))[0]
+        assert check.passed == (digits >= gate), digits
 
 
 def _ulps_by_fractions(value: BigFixed, pinned: str) -> Fraction:
@@ -769,7 +782,7 @@ def test_digit_agreement_counts_as_fractions_do(offset, scale):
     digits = 0
     while digits < 20 and rel < Fraction(1, 10**(digits + 1)):
         digits += 1
-    assert leading_constant_digit_check(value)[2:] == (float(rel), digits)
+    assert leading_constant_digit_check(value)[1:] == (float(rel), digits)
 
 
 def test_leading_constant_empirical_small_ladder():

@@ -65,6 +65,10 @@ def test_sharp_bound_values(n, expected):
         "equals_bound_for_d_4n_3": True,
         "equals_series_coeff_bound": True,
     }
+    # the same identities as report checks, named by method
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        (f"sharp:{name}", True, f"exact identity on n={n}")
+        for name in ("equals_bound_for_d_4n_3", "equals_series_coeff_bound")]
 
 
 def test_identity_chain_to_60():

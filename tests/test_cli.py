@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import capbound
-from capbound import golden, verifier
+from capbound import acceptance, asymptotics, golden, verifier
 from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
 from capbound.capsearch import MAX_BUDGET, PointSet, max_capset
 from capbound.cli import main
@@ -304,12 +304,12 @@ def test_verify_clp_renders_the_reports_checks(tmp_path, capsys):
                                       "--d", str(d), "--set", str(out))
         assert code == 0
         assert cli_report["checks"] == [
-            {"name": name, "pass": ok, "detail": detail}
-            for name, ok, detail in report.checks]
-    assert [name for name, _, _ in report.checks] == [
+            {"name": c.name, "pass": c.passed, "detail": c.detail}
+            for c in report.checks]
+    assert [c.name for c in report.checks] == [
         "vanishes_off_set", "pair_matrix_diagonal", "rank_cap",
         "support_cap", "dimension_bound"]
-    assert report.checks[2][2] == "max rank 8 <= 34"  # at d = 6
+    assert report.checks[2].detail == "max rank 8 <= 34"  # at d = 6
 
 
 def test_verify_clp_from_search(capsys):
@@ -470,6 +470,50 @@ def test_every_command_reports_its_stage_times(capsys, argv, where, stages):
     parts = report["result"][where] if where else [report["result"]]
     assert [set(part["timings_ms"]) for part in parts] == stages
     assert all(ms >= 0 for part in parts for ms in part["timings_ms"].values())
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in STAGE_CASES],
+                         ids=[argv[0] for argv, _, _ in STAGE_CASES])
+def test_every_command_renders_its_checks_in_one_shape(capsys, argv):
+    # cli.main renders every check as exactly {name, pass, detail} and
+    # exits 1 iff one of them fails
+    code, report, _ = run_cli(capsys, *argv)
+    for check in report["checks"]:
+        assert list(check) == ["name", "pass", "detail"]
+        assert type(check["name"]) is str and type(check["pass"]) is bool
+        assert type(check["detail"]) is str
+    assert code == (0 if all(c["pass"] for c in report["checks"]) else 1)
+
+
+def test_one_ratio_tolerance_decides_growth_and_criterion_4(capsys,
+                                                            monkeypatch):
+    # the tolerance is read where ratio_check decides, so tightening it
+    # fails `growth --method both` and criterion 4 alike
+    monkeypatch.setattr(asymptotics, "RATIO_TOLERANCE", 1e-9)
+    code, report, _ = run_cli(capsys, "growth", "--q", "5", "--method", "both")
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("saddle_ratio_agree", False)]
+    assert not acceptance.c4_method_independence("quick").passed
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["leading-constant", "--digits", "9"], []),
+    (["leading-constant", "--digits", "10"],
+     ["matches_reference_to_10_significant_digits"]),
+    (["leading-constant", "--digits", "11"],
+     ["matches_reference_to_10_significant_digits"]),
+    (["alpha", "--digits", "18"], []),
+    (["alpha", "--digits", "19"], ["alpha_matches_reference",
+                                   "characteristic_root_matches_reference"]),
+])
+def test_digit_checks_start_at_their_gates(capsys, argv, names):
+    # golden's gates: the leading constant is checked from the 10 places
+    # its 10 shared significant digits need, alpha from its pinned places
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == names
+    assert all(c["pass"] for c in report["checks"])
 
 
 def test_missing_file_exit_2(capsys):

@@ -101,11 +101,12 @@ def test_growth_loads_asymptotics_without_fractions():
 
 
 def test_digit_checks_load_no_fractions():
-    # alpha's two checks against pinned digits run on integer mantissas
+    # alpha's two checks against pinned digits run on integer mantissas,
+    # in golden beside those digits, without the acceptance battery
     modules = loaded_after(CLI_RUN.format(argvs=[
         ["alpha", "--digits", "20"]]))
-    assert "capbound.acceptance" in modules
-    assert "fractions" not in modules
+    assert "capbound.golden" in modules
+    assert not {"capbound.acceptance", "fractions"} & modules
 
 
 def test_all_lists_the_same_names():

@@ -1,7 +1,7 @@
-"""The stage clock behind every report's `timings_ms`, on a clock that
-reads out set times instead of the wall clock, and the one spelling of
-big integers and its reading back, which leave the interpreter's digit
-limit as it was."""
+"""The one shape of a report's checks; the stage clock behind every
+report's `timings_ms`, on a clock that reads out set times instead of
+the wall clock; and the one spelling of big integers and its reading
+back, which leave the interpreter's digit limit as it was."""
 import os
 import subprocess
 import sys
@@ -11,7 +11,7 @@ import pytest
 
 import capbound
 from capbound import stages
-from capbound.stages import Stages, _int_str, _str_int
+from capbound.stages import Check, Stages, _int_str, _str_int
 
 
 def test_laps_charge_the_time_since_the_previous_lap(monkeypatch):
@@ -28,6 +28,14 @@ def test_laps_charge_the_time_since_the_previous_lap(monkeypatch):
     assert clock.ms == {"find": 750.0, "refute": 0.0, "tables": 250.0,
                         4: 1.234}
     assert list(clock.ms) == ["find", "refute", "tables", 4]
+
+
+def test_a_check_is_a_plain_slotted_verdict():
+    check = Check("rank_cap", True, "max rank 8 <= 34")
+    assert (check.name, check.passed, check.detail) == (
+        "rank_cap", True, "max rank 8 <= 34")
+    with pytest.raises(AttributeError):
+        check.extra = 1  # no field beyond the three
 
 
 limit_api = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
