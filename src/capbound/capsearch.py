@@ -12,11 +12,8 @@ vector.  The cardinality bound prunes the walk: chosen points, remaining
 candidates, and caps on the not-yet-opened coordinate shells, each shell
 capped by the exhaustively proven lower-dimensional maxima.
 
-A proof has two phases.  The find walk meets the lex-least maximum set
-early (node 1,552 at n = 4); each time it records a larger set, of size
-b, a refutation is asked whether b + 1 points are impossible, and the
-walk stops once they are proven so.  The refutation first counts pairs:
-every m-point set satisfies
+A proof has two phases.  The refutation first bounds the maximum from
+the top.  It counts pairs: every m-point set satisfies
 sum_u sum_v C(|A & H_uv|, 2) = C(m, 2) (3^(n-1) - 1)/2 over the three
 parallel slices H_uv = {x : u.x = v} of each hyperplane direction u,
 which forces some slice to hold at least s points (_forced_slice).  Each
@@ -30,20 +27,24 @@ representative (_Extend) settles m.  This is how Edel, Ferret, Landjev
 and Storme (2002) and Potechin (2008) classified large caps.  The
 classes come by the same extension one dimension down, which meets
 every class of F_3^k where the identity forces a maximum slice, as it
-does for k <= 3 (_full_cap_classes); each cap met is matched against
+does for k <= 3 (_forces_full_slice); each cap met is matched against
 the representatives so far by an explicit affine certificate, a map
 from a representative's frame onto a frame of the cap, in the spirit
 of McKay's isomorph-free generation (1998).  The same certificates,
 from a representative onto itself, give its affine symmetries (see
 the affine module); lifted to F_3^n so that they fix e_1 and the
 slice, they let each extension walk branch only on orbit
-representatives (McKay's isomorph rejection; see _Walker).  n = 4 is
-proven in 2,254 nodes (1,552 find, 46 classifying the 9-caps of F_3^3
-into one class after 21 frame tries, and 656 extending it under its
-144 symmetries instead of 6,233 without them), about 0.02 s on a
-2-core VM with Python 3.11, of which the symmetries and their masks
-take about 1.5 ms; the find walk run out takes 6,008,923 nodes and
-about 15 s.
+representatives (McKay's isomorph rejection; see _Walker).  Scanning
+upward, the first size m ruled out gives the upper bound U = m - 1
+(_Proof.upper_bound).  The find walk then starts at best size
+U - 1 and stops at the first U-point set it meets, the lex-least one
+(_Proof.find).  n = 4 is proven in 1,487 nodes (46 classifying the
+9-caps of F_3^3 into one class after 21 frame tries, 656 extending it
+under its 144 symmetries to refute 21 points, instead of 6,233 without
+them, and 785 finding the witness), about 6 ms on a 2-core VM with
+Python 3.11, of which the symmetries and their masks take about 1.5 ms;
+the find walk run out at best size 20 takes 6,007,821 nodes and about
+22 s.
 """
 from __future__ import annotations
 
@@ -446,22 +447,33 @@ class _FullCapClasses:
                      for maps in self.stabilizers)
 
 
+def _forces_full_slice(n: int) -> bool:
+    """True iff the pair-count identity forces every maximum cap of F_3^n
+    a slice that is a maximum cap of F_3^(n-1), so that the classes of
+    F_3^n come by extension (_full_cap_classes).  It does for n <= 3 and
+    not for n = 4, whose 20-caps need only an 8-point slice.  F_3^0 is a
+    single point, its own class."""
+    if n == 0:
+        return True
+    cap = _proven_max(n - 1)
+    return _forced_slice(n, _proven_max(n), cap) == cap
+
+
 @lru_cache(maxsize=None)
 def _full_cap_classes(n: int) -> _FullCapClasses:
-    """The maximum caps of F_3^n up to affine equivalence.  If the
-    pair-count identity forces them a maximum slice, each has an image
-    that the extension walk from some class of F_3^(n-1) meets (see
-    _Proof.refute); the caps met are kept in walk order, each as a
-    representative unless an earlier one has a certificate for it.  If
-    not, a class could be missed, and the call is refused.  F_3^0 is a
-    single point."""
+    """The maximum caps of F_3^n up to affine equivalence.  Where
+    _forces_full_slice(n) holds, each has an image that the extension
+    walk from some class of F_3^(n-1) meets (see _Proof.extends); the
+    caps met are kept in walk order, each as a representative unless an
+    earlier one has a certificate for it.  Elsewhere a class could be
+    missed, and the call is refused."""
     if n == 0:
         return _FullCapClasses(0, ((0,),), 0,
                                (("cardinality", 0), ("orbit", 0)), 0)
     tables = _tables(n)
     m = _proven_max(n)
-    s = _forced_slice(n, m, tables.slice_cap)
-    if s != tables.slice_cap:
+    if not _forces_full_slice(n):
+        s = _forced_slice(n, m, tables.slice_cap)
         raise ValueError(f"extension cannot classify the {m}-caps of "
                          f"F_3^{n}: they need only a slice of {s} points")
     lower = _full_cap_classes(n - 1)
@@ -483,10 +495,10 @@ def _full_cap_classes(n: int) -> _FullCapClasses:
 
 
 class _Proof(_Walker):
-    """One max_capset call: the find walk, which records each larger set
-    as the best and asks `refute` whether one point more is impossible,
-    stopping once it is, and the cost of the call (stage times, counters,
-    node and prune totals over every walk)."""
+    """One max_capset call in two phases, and its cost (stage times,
+    counters, node and prune totals over every walk).  `upper_bound`
+    proves that no cap has U + 1 points; the find walk then only has to
+    meet the lex-least U-point set (`find`)."""
 
     def __init__(self, n: int, node_budget: int | None):
         self.clock = Stages("lower_proofs", "tables", "find", "identity",
@@ -498,6 +510,7 @@ class _Proof(_Walker):
         super().__init__(_tables(n), 1, node_budget)
         self.n = n
         self.best: tuple[int, ...] = (0,)
+        self.upper: int | None = None
         self.counters: dict[str, int | None] = {
             "find_nodes": 0, "collect_nodes": 0, "refute_nodes": 0,
             "full_cap_classes": 0, "class_frames_tried": 0,
@@ -534,60 +547,99 @@ class _Proof(_Walker):
                          self.classes.prunes)
         return self.classes
 
-    def record(self, mask: int) -> None:
-        self.best_size = mask.bit_count()
-        self.best = _points(mask)
-        if self.refute(self.best_size + 1):
-            raise _Stop
+    def upper_bound(self) -> int | None:
+        """An upper bound U on the size of a cap of F_3^n, proven by
+        ruling out U + 1 points; None if the scan meets a size it cannot
+        decide.
 
-    def refute(self, m: int) -> bool:
-        """True once it has proven that no m-point cap of F_3^n exists.
+        With every slice capped at the proven (n-1) maximum,
+        `_forced_slice` says for each m how large the largest slice of an
+        m-point cap must be, scanning m upward.  None rules m out.  Below
+        the cap, nothing is decided and the scan moves on.  At the cap,
+        some slice is a maximum cap of F_3^(n-1), and `extends` settles
+        m if the classes of those caps come by extension
+        (_forces_full_slice(n - 1)); if they do not, as at n = 5, the
+        scan ends with no U.  A walk that meets an m-point set moves the
+        scan on.  The first m ruled out gives U = m - 1, since every
+        subset of a cap is a cap.
+        """
+        cap = self.tables.slice_cap
+        m = 1
+        while True:
+            s = _forced_slice(self.n, m, cap)
+            self.clock.lap("identity")
+            self.counters["forced_slice"] = s
+            if s is None:
+                break
+            if s == cap:
+                if not _forces_full_slice(self.n - 1):
+                    return None
+                if not self.extends(m):
+                    break
+            m += 1
+        self.counters["refuted_size"] = m
+        return m - 1
 
-        Step 1: with every slice capped at the proven (n-1) maximum,
-        `_forced_slice` either rules m out or says how large the largest
-        slice must be.  If that is below the cap, nothing is decided.
-        Step 2: if it is the cap, some slice is a maximum cap of
-        F_3^(n-1).  An affine map sends that slice to x_1 = 0 and, acting
-        on the last n-1 coordinates, the cap to its class representative.
+    def extends(self, m: int) -> bool:
+        """True iff some m-point cap of F_3^n has a slice that is a
+        maximum cap of F_3^(n-1).
+
+        An affine map sends that slice to x_1 = 0 and, acting on the
+        last n-1 coordinates, the cap to its class representative.
         x_1 -> -x_1 and the shear x -> x - x_1 p' (which fix x_1 = 0
         pointwise) then send some point p = (1, p') or (2, p') of the set
-        to e_1.  So an m-point cap exists only if some representative
+        to e_1.  So such a cap exists only if some representative
         extends through e_1, and `_Extend` tries each one.  Each walk
         branches only on orbit representatives under the affine maps of
         its representative onto itself, lifted to fix e_1 (see _Walker):
         it still meets an m-point set if one exists.
         """
-        self.clock.lap("find")
-        cap = self.tables.slice_cap
-        s = _forced_slice(self.n, m, cap)
-        self.clock.lap("identity")
-        self.counters["forced_slice"] = s
-        if s is not None and s < cap:
-            return False
-        if s == cap:
-            classes = self._full_caps()
-            for rep, group in zip(classes.reps, classes.orbit_groups):
-                budget = self.node_budget
-                walker = _Extend(self.tables, rep, m,
-                                 None if budget is None else budget - self.nodes,
-                                 group)
-                try:
-                    found = walker.run()
-                finally:
-                    self.clock.lap("refute")
-                    self._charge("refute_nodes", walker.nodes,
-                                 walker.prunes.items())
-                if found is not None:
-                    return False
-        self.counters["refuted_size"] = m
-        return True
+        classes = self._full_caps()
+        for rep, group in zip(classes.reps, classes.orbit_groups):
+            budget = self.node_budget
+            walker = _Extend(self.tables, rep, m,
+                             None if budget is None else budget - self.nodes,
+                             group)
+            try:
+                found = walker.run()
+            finally:
+                self.clock.lap("refute")
+                self._charge("refute_nodes", walker.nodes,
+                             walker.prunes.items())
+            if found is not None:
+                return True
+        return False
+
+    def record(self, mask: int) -> None:
+        self.best_size = mask.bit_count()
+        self.best = _points(mask)
+        if self.upper is not None:
+            raise _Stop
+
+    def find(self) -> None:
+        """The witness phase.  With an upper bound, each walk starts at
+        best size upper - 1 and stops at the first set it records, of
+        upper points: the lex-least one, since the walk cuts no subtree
+        that holds a set larger than its best.  A walk that runs out
+        without one proves that no such set exists, and upper is lowered
+        by one.  With none, one walk from best size 1 records each larger
+        set; run out, it proves the last one maximum."""
+        if self.upper is None:
+            self.dfs(1, 1, 0, 0)
+            return
+        try:
+            while True:
+                self.best_size = self.upper - 1
+                self.dfs(1, 1, 0, 0)
+                self.upper -= 1
+        except _Stop:
+            pass
 
     def run(self) -> SearchResult:
         proven = True
         try:
-            self.dfs(1, 1, 0, 0)
-        except _Stop:
-            pass
+            self.upper = self.upper_bound()
+            self.find()
         except _BudgetExhausted:
             proven = False
         self.clock.lap("find")
@@ -595,7 +647,7 @@ class _Proof(_Walker):
         c["find_nodes"] = self.nodes
         return SearchResult(
             n=self.n,
-            max_size=self.best_size,
+            max_size=len(self.best),
             witness=PointSet(self.n, self.best),
             nodes_explored=(c["find_nodes"] + c["collect_nodes"]
                             + c["refute_nodes"]),
@@ -616,26 +668,31 @@ def _proven_max(n: int) -> int:
 def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     """Exhaustive search for a maximum progression-free subset of F_3^n.
 
-    Find: translation puts 0 in some maximum set, and the
-    coordinate-opening normalization (see _Walker) handles the rest of
-    the affine symmetry, so the walk starts from the point 0 with no
-    coordinate opened.  Each time it records a larger set, of size b, it
-    asks the refutation (see _Proof.refute) whether b + 1 points are
-    impossible, and it stops as soon as they are proven so; a walk that
-    runs out is a proof as well.  The witness is the lexicographically
-    least maximum set: the normalized escapes are exactly the
-    lex-minimal choices, the walk runs in canonical order, up to the
-    stop it never cuts a subtree holding a set larger than its best,
-    and only a strictly larger set replaces the recorded one.
+    First the refutation proves an upper bound U (see
+    _Proof.upper_bound); at n = 5 it finds none.  Then the find walk:
+    translation puts 0 in some maximum set, and the coordinate-opening
+    normalization (see _Walker) handles the rest of the affine symmetry,
+    so the walk starts from the point 0 with no coordinate opened.  With
+    U, it starts at best size U - 1 and stops at the first U-point set
+    it meets, walking again for one point less each time it runs out
+    without one (see _Proof.find).  Without U, it starts at best size 1,
+    records each larger set, and only running out proves the last one
+    maximum.  The witness is the lexicographically least maximum set:
+    the normalized escapes are exactly the lex-minimal choices, the walk
+    runs in canonical order, up to the stop it never cuts a subtree
+    holding a set larger than its best, and only a strictly larger set
+    replaces the recorded one.
 
-    nodes_explored counts the nodes of every walk the call makes: find,
-    the extension walks that classify the maximum caps of F_3^(n-1)
+    nodes_explored counts the nodes of every walk the call makes: the
+    extension walks that classify the maximum caps of F_3^(n-1)
     (counted at their full cost, every dimension down, even when the
-    classes are cached) and those of the refutation.  The search stops
-    once that count passes node_budget; max_size is then a valid lower
-    bound and proven_optimal is False.  A node_budget below 1 is
-    refused: not even the root node would be searched; so is one above
-    MAX_BUDGET.
+    classes are cached), those of the refutation, and find.  The search
+    stops once that count passes node_budget; max_size is then a valid
+    lower bound and proven_optimal is False.  At n <= 4 a budget that
+    runs out before the find walk meets its U-point set leaves only the
+    one-point set {0}, a small but valid lower bound.  A node_budget
+    below 1 is refused: not even the root node would be searched; so is
+    one above MAX_BUDGET.
 
     The slice cap of F_3^n needs the proven maximum of F_3^(n-1), so n = 5
     rests on the n = 4 proof and then runs without end unless budgeted;
@@ -658,9 +715,11 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     stabilizer_frames_tried (the frames the search for those maps tried
     or ruled out, see affine.FramedCap.stabilizer; 0 if none were
     needed), forced_slice (the least largest slice the pair-count
-    identity allows for the last size asked about; None when none up to
-    the cap does) and refuted_size (the size proven impossible, None if
-    none was).
+    identity allows for the last size the bound scan asked about: at
+    n <= 4 the refuted size, at n = 5 the first size it could not
+    decide, 51, where it reads the cap 20; None when none up to the cap
+    does) and refuted_size (the size proven impossible, None if none
+    was).
     `timings_ms` gives the wall time of each stage from one stages.Stages
     clock (a stage charged more than once adds up): lower_proofs (the
     proofs of every dimension below n, which the slice and shell caps

@@ -13,6 +13,15 @@ class Check:
     def __init__(self, name: str, passed: bool, detail: str) -> None:
         self.name, self.passed, self.detail = name, passed, detail
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Check):
+            return NotImplemented
+        return ((self.name, self.passed, self.detail)
+                == (other.name, other.passed, other.detail))
+
+    def __repr__(self) -> str:
+        return f"Check({self.name!r}, {self.passed!r}, {self.detail!r})"
+
 
 class Stages:
     """Wall time per stage of one call.  Each lap charges its stage the

@@ -32,6 +32,7 @@ from capbound.asymptotics import (
 from capbound.fixedpoint import BigFixed, div_nearest, icbrt_newton
 from capbound.golden import leading_constant_digit_check, pinned_gap
 from capbound.qnomial import row_prefix
+from capbound.stages import Check
 
 try:
     import mpmath
@@ -689,8 +690,8 @@ def test_ratio_method_agrees_small_q():
         assert abs(saddle - ratio) / saddle < 1e-4
         check, rel = ratio_check(constant, ratio)
         assert rel == abs(saddle - ratio) / saddle
-        assert check.name == "saddle_ratio_agree" and check.passed
-        assert check.detail == f"relative difference {rel:.3e}"
+        assert check == Check("saddle_ratio_agree", True,
+                              f"relative difference {rel:.3e}")
 
 
 def test_ratio_method_matches_the_fraction_route():

@@ -4,6 +4,7 @@ import pytest
 
 from capbound.bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from capbound.qnomial import qnomial, series_coeff_bound
+from capbound.stages import Check
 
 
 @pytest.mark.parametrize("n,d,expected", [
@@ -66,8 +67,8 @@ def test_sharp_bound_values(n, expected):
         "equals_series_coeff_bound": True,
     }
     # the same identities as report checks, named by method
-    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
-        (f"sharp:{name}", True, f"exact identity on n={n}")
+    assert report.checks == [
+        Check(f"sharp:{name}", True, f"exact identity on n={n}")
         for name in ("equals_bound_for_d_4n_3", "equals_series_coeff_bound")]
 
 

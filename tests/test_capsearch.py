@@ -1,12 +1,12 @@
 """Search oracle cross-checks: brute force over all subsets at tiny n, an
 independent include/exclude search with no symmetry reduction at n = 3,
-the affine-invariance sanity properties, and the steps of the slice-first
-refutation: the pair-count identity, the classes of maximum caps with
-their affine certificates (checked against an orbit-closure oracle and
-a collect walk from the root), their affine symmetries (found by
-origin cosets and checked against the frame search at every origin and
-a brute-force stabilizer) and the extension walk, orbit-pruned and
-plain."""
+the affine-invariance sanity properties, the witness phase started above
+the maximum, and the steps of the slice-first refutation: the pair-count
+identity, the classes of maximum caps with their affine certificates
+(checked against an orbit-closure oracle and a collect walk from the
+root), their affine symmetries (found by origin cosets and checked
+against the frame search at every origin and a brute-force stabilizer)
+and the extension walk, orbit-pruned and plain."""
 import random
 import time
 from functools import lru_cache
@@ -23,8 +23,10 @@ from capbound.capsearch import (
     _Extend,
     _ExtendAll,
     _forced_slice,
+    _forces_full_slice,
     _full_cap_classes,
     _points,
+    _Proof,
     _proven_max,
     _Tables,
     _tables,
@@ -556,8 +558,9 @@ def test_every_normalized_cap_refutes_21_without_the_dedupe():
 def test_phase_counters_n4():
     result = max_capset(4)
     c = result.counters
-    # the walk meets the lex-least 20-point set at node 1,552
-    assert c["find_nodes"] == 1_552
+    # started at best size 19 once 21 points are refuted, the walk meets
+    # the lex-least 20-point set at node 785
+    assert c["find_nodes"] == 785
     assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
         9, 21, 1)
     # charged in full when the classes come from the cache, too
@@ -578,13 +581,47 @@ def test_phase_counters_n4():
 
 
 def test_every_budget_short_of_the_proof_leaves_it_open():
-    full = max_capset(3)
-    for budget in range(1, full.nodes_explored):
-        result = max_capset(3, node_budget=budget)
-        assert not result.proven_optimal
-        assert 0 < result.max_size <= 9
-        assert is_progression_free(result.witness)
-    assert max_capset(3, node_budget=full.nodes_explored) == full
+    # every budget at n = 3; at n = 4 a stride of them cuts each phase:
+    # collect (budgets 1-45), refute (46-701) and find (702-1,486)
+    for n, stride in ((3, 1), (4, 37)):
+        full = max_capset(n)
+        for budget in range(1, full.nodes_explored, stride):
+            result = max_capset(n, node_budget=budget)
+            assert not result.proven_optimal
+            assert 0 < result.max_size <= full.max_size
+            assert is_progression_free(result.witness)
+        assert max_capset(n, node_budget=full.nodes_explored) == full
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_witness_phase_lowers_a_bound_set_too_high(n):
+    # a walk for one point more than the maximum runs out, which proves
+    # that size impossible, and the next walk meets the lex-least maximum
+    # set; at n = 4 the walk run out takes about 6 million nodes, so it
+    # also proves the maximum without the slice refutation
+    witness = golden.LEX_LEAST_WITNESSES[n]
+    _proven_max(n - 1)
+
+    class TooHigh(_Proof):
+        def upper_bound(self):
+            return len(witness) + 1
+
+    result = TooHigh(n, None).run()
+    assert result.witness == PointSet(n, witness)
+    assert result.proven_optimal
+    assert result.nodes_explored == result.counters["find_nodes"]
+    assert result.nodes_explored > max_capset(n).counters["find_nodes"]
+
+
+def test_n5_bound_scan_ends_without_a_bound():
+    # the 20-caps of F_3^4 need only an 8-point slice, so their classes do
+    # not come by extension, and the scan stops at the first size that
+    # forces a 20-point slice, 51, instead of refusing the classification
+    assert [_forces_full_slice(k) for k in range(5)] == [True] * 4 + [False]
+    proof = _Proof(5, 1)
+    assert proof.upper_bound() is None
+    assert (proof.counters["forced_slice"], proof.counters["refuted_size"],
+            proof.nodes) == (20, None, 0)
 
 
 def test_budgeted_n5_rests_on_a_fast_n4_proof():
@@ -597,8 +634,9 @@ def test_budgeted_n5_rests_on_a_fast_n4_proof():
     assert time.perf_counter() - started < 5.0
     assert result.max_size == 38
     assert not result.proven_optimal
-    # no size up to 38 forces a maximum slice, so no extension walk runs
+    # no extension walk runs (see test_n5_bound_scan_ends_without_a_bound)
     assert result.prunes == {"cardinality": 62_650, "orbit": 0}
+    assert result.counters["refute_nodes"] == 0
     assert is_progression_free(result.witness)
 
 

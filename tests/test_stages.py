@@ -34,6 +34,13 @@ def test_a_check_is_a_plain_slotted_verdict():
     check = Check("rank_cap", True, "max rank 8 <= 34")
     assert (check.name, check.passed, check.detail) == (
         "rank_cap", True, "max rank 8 <= 34")
+    # equal on its three fields alone, and shown by them
+    assert check == Check("rank_cap", True, "max rank 8 <= 34")
+    assert check != Check("rank_cap", False, "max rank 8 <= 34")
+    assert check != Check("rank_cap", True, "max rank 9 <= 34")
+    assert check != Check("support_cap", True, "max rank 8 <= 34")
+    assert check != ("rank_cap", True, "max rank 8 <= 34")
+    assert repr(check) == "Check('rank_cap', True, 'max rank 8 <= 34')"
     with pytest.raises(AttributeError):
         check.extra = 1  # no field beyond the three
 
