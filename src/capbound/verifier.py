@@ -42,18 +42,20 @@ Monomial = tuple[int, ...]
 def parse_pointset(text: str, n: int | None = None) -> PointSet:
     """Parse the flat file format: one point per line as space-separated
     digits, '#' starting a comment.  Every point must have n coordinates
-    (as many as the first where n is None); widths are checked before any
-    point is encoded, whose cost grows with the square of its width; a
-    text over POINT_FILE_MAX_CHARS characters is refused before any."""
+    (as many as the first where n is None), and every row's width is
+    checked before any point is converted: the cost of converting a
+    point grows with the square of its width.  A text over
+    POINT_FILE_MAX_CHARS characters is refused before any parsing.  Each
+    row is then converted once by _point_index and the PointSet built
+    from the indices, which checks their range and duplicates."""
     if len(text) > POINT_FILE_MAX_CHARS:
         raise ValueError(f"point file exceeds {POINT_FILE_MAX_CHARS} "
                          "characters")
     rows = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if n is None:
             n = len(tokens)
         elif len(tokens) != n:
@@ -62,8 +64,25 @@ def parse_pointset(text: str, n: int | None = None) -> PointSet:
         rows.append(tokens)
     if not rows:
         raise ValueError("no points found")
-    return PointSet.from_vectors(tuple(int(tok) for tok in row)
-                                 for row in rows)
+    return PointSet(n, tuple(map(_point_index, rows)))
+
+
+# The digits of a point file's coordinates, and the widest row read as
+# one base-3 numeral: 640 is the least digit limit the interpreter lets
+# sys.set_int_max_str_digits set, so int(..., 3) never meets the limit.
+_TRITS = frozenset("012")
+_NUMERAL_MAX_WIDTH = 640
+
+
+def _point_index(tokens: list[str]) -> int:
+    """The base-3 index of one row of a point file.  A row of single
+    digits 0, 1 and 2 is one base-3 numeral; any other row (such as
+    "00", "+1", "3" or a row wider than _NUMERAL_MAX_WIDTH) goes token
+    by token through int and encode_point, which give the same index or
+    ValueError."""
+    if len(tokens) <= _NUMERAL_MAX_WIDTH and _TRITS.issuperset(tokens):
+        return int("".join(tokens), 3)
+    return encode_point([int(tok) for tok in tokens])
 
 
 def format_pointset(ps: PointSet) -> str:

@@ -12,7 +12,7 @@ import pytest
 import capbound
 from capbound import acceptance, asymptotics, golden, verifier
 from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
-from capbound.capsearch import MAX_BUDGET, PointSet, max_capset
+from capbound.capsearch import MAX_BUDGET, max_capset
 from capbound.cli import main
 from capbound.qnomial import qnomial
 from capbound.stages import _str_int
@@ -207,6 +207,23 @@ def test_table_rows_report_the_saddle_cost(capsys):
         assert row["counters"]["work_digits"] == 40 + GUARD
         assert set(row["timings_ms"]) == {"bisection", "ladder", "newton",
                                           "residual", "constant"}
+
+
+def test_table_rows_leave_the_verdict_to_checks(capsys):
+    # a pinned row carries its reference, and its verdict only as the one
+    # q=..._matches_reference check; an unpinned row has neither
+    code, report, _ = run_cli(capsys, "table", "--qmin", "29", "--qmax", "37")
+    assert code == 0
+    rows = report["result"]["rows"]
+    assert [r["q"] for r in rows] == [29, 31, 32, 37]
+    assert not any("pass" in row for row in rows)
+    names = [c["name"] for c in report["checks"]]
+    for row in rows:
+        pinned = golden.GROWTH_TABLE.get(row["q"])
+        assert row.get("reference") == pinned
+        assert names.count(f"q={row['q']}_matches_reference") == \
+            (pinned is not None)
+    assert len(names) == 2
 
 
 def test_search_writes_pointset(tmp_path, capsys):
@@ -476,8 +493,12 @@ def test_every_command_reports_its_stage_times(capsys, argv, where, stages):
                          ids=[argv[0] for argv, _, _ in STAGE_CASES])
 def test_every_command_renders_its_checks_in_one_shape(capsys, argv):
     # cli.main renders every check as exactly {name, pass, detail} and
-    # exits 1 iff one of them fails
-    code, report, _ = run_cli(capsys, *argv)
+    # exits 1 iff one of them fails, and prints the report as one line in
+    # json.dumps's default form, the one json's C encoder writes
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report) + "\n"
     for check in report["checks"]:
         assert list(check) == ["name", "pass", "detail"]
         assert type(check["name"]) is str and type(check["pass"]) is bool
@@ -694,12 +715,11 @@ def test_oversized_verify_clp_refused_before_reading(tmp_path, capsys,
 def test_verify_clp_refuses_a_wide_point_file_before_encoding(
         tmp_path, capsys, monkeypatch, lines):
     # a point of another width than --n is refused before any point is
-    # converted or encoded; encoding a point of width w costs time
-    # quadratic in w
-    def unencoded(vectors):
-        raise AssertionError("a point was encoded")
+    # converted; converting a point of width w costs time quadratic in w
+    def unconverted(tokens):
+        raise AssertionError("a point was converted")
 
-    monkeypatch.setattr(PointSet, "from_vectors", unencoded)
+    monkeypatch.setattr(verifier, "_point_index", unconverted)
     points = tmp_path / "wide.txt"
     points.write_text("\n".join(lines) + "\n")
     code, report, err = run_cli(capsys, "verify-clp", "--n", "4", "--d", "2",

@@ -5,7 +5,9 @@ affine images of the pinned witnesses, the split/reconstruction and
 eval/expand consistency properties, the bitsliced transform and point
 indicators against eval_poly, and every report against the FieldPoly
 route (a fresh elimination of indicators expanded term by term, a
-polynomial per basis element, values from eval_poly at every point)."""
+polynomial per basis element, values from eval_poly at every point), and
+the point-file reader against format_pointset and a token-by-token
+reference reader."""
 import random
 import time
 from functools import cache
@@ -657,6 +659,86 @@ def test_pointset_file_roundtrip(tmp_path):
     for wrong in ("0 0 0\n", "0 0\n0 1 2\n", "0\n"):
         with pytest.raises(ValueError, match="has dimension"):
             parse_pointset(wrong, 2)
+
+
+@st.composite
+def point_files(draw):
+    """A nonempty subset of F_3^n (n <= 4) and its point file, with comment
+    lines, blank lines, inline comments and extra spaces drawn in."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.sets(st.integers(0, 3**n - 1), min_size=1))
+    ps = PointSet(n, tuple(points))
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for line in format_pointset(ps).splitlines():
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "# a comment",
+                                               "  # indented comment"])))
+        gap = draw(space)
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(space)
+        inline = draw(st.sampled_from(["", "# inline", "#0 1 2"]))
+        lines.append(lead + line.replace(" ", gap) + trail + inline)
+    return ps, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(point_files())
+def test_parse_pointset_reads_what_format_pointset_writes(case):
+    ps, text = case
+    assert parse_pointset(text, ps.n) == ps
+    assert parse_pointset(text) == ps
+
+
+def reference_parse_pointset(text, n=None):
+    """The reader before rows were read as base-3 numerals: every token
+    through int, every point through encode_point."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n is None:
+            n = len(tokens)
+        elif len(tokens) != n:
+            raise ValueError(f"point file has dimension {len(tokens)}, "
+                             f"expected {n}")
+        rows.append(tokens)
+    if not rows:
+        raise ValueError("no points found")
+    return PointSet(n, tuple(encode_point([int(tok) for tok in row])
+                             for row in rows))
+
+
+# Rows beside the single-digit numerals: padded, signed, underscored and
+# non-ASCII digits (int reads them), out of range, not numbers, repeated
+# points, and rows at and past the 640 digits read as one numeral and
+# the interpreter's 4300-digit limit.
+EDGE_FILES = {
+    "padded": "00 1\n", "plus": "+1 0\n", "plus-last": "1 +0\n",
+    "three": "3 0\n", "minus": "-1 0\n", "letter": "x 0\n",
+    "underscore": "1 1_0\n", "arabic-indic": "\u0661 2\n",
+    "duplicate": "0 1\n0 1\n", "padded-both": "01 1\n1 01\n",
+    "three-second": "0 1\n0 3\n", "narrow-first": "2\n2 2\n",
+    "plain": "0 0\n0 2\n", "commented": "1 0 \n# 2 2\n 1  0x\n",
+    "wide-5000": " ".join("1" * 5000) + "\n",
+    "wide-640": " ".join("2" * 640) + "\n",
+    "wide-641": " ".join("1" * 641) + "\n" + " ".join("0" * 641) + "\n",
+    "wide-4301": " ".join("1" * 4301) + "\n" + " ".join("3" * 4301) + "\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES)
+@pytest.mark.parametrize("n", [None, 2])
+def test_parse_pointset_agrees_with_the_token_reader(text, n):
+    # the same PointSet as the reference reader, or ValueError from both
+    try:
+        expected = reference_parse_pointset(text, n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_pointset(text, n)
+    else:
+        assert parse_pointset(text, n) == expected
 
 
 def test_fieldpoly_validation():
