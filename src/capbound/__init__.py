@@ -27,7 +27,7 @@ _EXPORTS = {
     "capsearch": ("PointSet", "SearchResult", "complete_triple",
                   "decode_point", "encode_point", "is_progression_free",
                   "max_capset"),
-    "fixedpoint": ("BigFixed", "icbrt_newton", "pi"),
+    "fixedpoint": ("BigFixed", "icbrt_newton"),
     "qnomial": ("QNomialRow", "mspace_size", "qnomial_row", "row_prefix",
                 "series_coeff_bound"),
     "verifier": ("FieldPoly", "Monomial", "VerifierReport", "clp_split",

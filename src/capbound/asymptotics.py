@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import golden
 from .bounds import sharp_bound
@@ -122,26 +121,22 @@ def trinomial_middle(n: int) -> int:
     return total
 
 
-def verify_recurrence(n_max: int,
-                      d: Callable[[int], int] | None = None) -> RecurrenceCheck:
+def verify_recurrence(n_max: int) -> RecurrenceCheck:
     """Evaluate the three-term recurrence combination exactly for
-    n = 0..n_max-2 and report whether every value is zero.
+    n = 0..n_max-2 on d(n) = trinomial_middle(n) and report whether every
+    value is zero.
 
     Each d(n) is computed once and only the three terms of the current
-    combination are kept.  n_max is capped at RECURRENCE_MAX_N.  d is
-    injectable so a deliberately corrupted sequence can demonstrate that
-    the check actually detects failures.
+    combination are kept.  n_max is capped at RECURRENCE_MAX_N.
     """
     if not 2 <= n_max <= RECURRENCE_MAX_N:
         raise ValueError(f"n_max must be in [2, {RECURRENCE_MAX_N}], "
                          f"got {n_max}")
-    if d is None:
-        d = trinomial_middle
     c0, c1, c2 = golden.RECURRENCE_COEFFS
     first_failure = None
-    d0, d1 = d(0), d(1)
+    d0, d1 = trinomial_middle(0), trinomial_middle(1)
     for n in range(n_max - 1):
-        d2 = d(n + 2)
+        d2 = trinomial_middle(n + 2)
         if c0(n) * d0 + c1(n) * d1 + c2(n) * d2 != 0:
             first_failure = n
             break
@@ -425,8 +420,8 @@ def leading_constant(digits: int = DEFAULT_DIGITS) -> BigFixed:
     q = 3 the saddle root is x0 = (sqrt(33) - 1)/8, the root of
     4x^2 + x - 2, taken from the integer square root that
     _characteristic_root uses; x0, f, the square root and the quotient
-    are floored multiples of 2^-bits, with pi times 2^bits from the same
-    series as `pi`, and the result is converted to decimal once.
+    are floored multiples of 2^-bits, with pi times 2^bits from
+    fixedpoint._pi_scaled, and the result is converted to decimal once.
     """
     _check_digits(digits)
     bits = _bits(digits + GUARD)

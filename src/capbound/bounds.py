@@ -53,7 +53,7 @@ def bound_for_d(n: int, d: int) -> BoundReport:
         raise ValueError(f"n must be nonnegative, got {n}")
     if d < 0 or d > 2 * n:
         raise ValueError(f"d must lie in [0, {2 * n}] for n={n}, got {d}")
-    value = 2 * mspace_size(n, d // 2, 3) + 3**n - mspace_size(n, d, 3)
+    value = 2 * mspace_size(n, d // 2) + 3**n - mspace_size(n, d)
     return BoundReport(n=n, q=3, d=d, value=value, method="for_d")
 
 

@@ -9,9 +9,9 @@ alpha and the leading constant in `asymptotics`) run on integers scaled
 by a power of two, where every rescale is a shift, and convert to
 BigFixed once at the end.
 
-Roots are exact floor roots of integers; pi is computed on either
-radix's unit and rounded half up (toward +infinity) where it is
-returned as a BigFixed.
+Roots are exact floor roots of integers.  pi is _pi_scaled(unit), pi
+times a unit to within 2 units; asymptotics.leading_constant takes it at
+a unit of 2^bits, the one production unit.
 """
 from __future__ import annotations
 
@@ -192,28 +192,15 @@ class BigFixed:
         return self.decimal()
 
 
-def pi(scale: int) -> BigFixed:
-    """pi rounded half up to `scale` decimals, from Chudnovsky's series
-    by binary splitting on integers (Haible and Papanikolaou, "Fast
-    multiprecision evaluation of series of rational numbers", 1998),
-    with 10 more guard digits each time the two ends of its error
-    bracket round apart."""
-    guard = 10
-    while True:
-        unit = 10**guard
-        approx = _pi_scaled(10 ** (scale + guard))
-        low = div_nearest(approx - 2, unit)
-        if low == div_nearest(approx + 2, unit):
-            return BigFixed(low, scale)
-        guard += 10
-
-
 def _pi_scaled(unit: int) -> int:
-    """pi * unit to within 2 units, for a unit of 10^work or 2^bits: pi =
-    426880 sqrt(10005) / S, each term of S at most 2e-14 < 2^-45 of the
-    one before, so bit_length(unit) // 45 + 2 terms leave a tail far
-    below a unit, and the floors and the trims below cost under 1.1
-    units."""
+    """pi * unit to within 2 units, for a unit of 2^bits (the one that
+    asymptotics.leading_constant uses) or 10^digits, from Chudnovsky's
+    series by binary splitting on integers (Haible and Papanikolaou,
+    "Fast multiprecision evaluation of series of rational numbers",
+    1998): pi = 426880 sqrt(10005) / S, each term of S at most 2e-14 <
+    2^-45 of the one before, so bit_length(unit) // 45 + 2 terms leave a
+    tail far below a unit, and the floors and the trims below cost under
+    1.1 units."""
     bits = unit.bit_length()
     q, t = _chudnovsky(1, bits // 45 + 2)[1:]
     d = 13591409 * q + t  # S = d / q over the summed terms

@@ -41,19 +41,27 @@ bound sweeps ask for the same rows again and again.  row_prefix runs the
 same recurrence, unmirrored, up to a given k outside the cache, for
 one-off coefficients; run to (q-1)n it is the whole row by the
 recurrence alone, the reference that mirrored rows are tested against.
-A row whose estimated size ((q-1)n + 1) * n * log2(q) bits exceeds
-MAX_ROW_BITS is refused with ValueError before anything is allocated; a
-prefix is held to the same ceiling.
+A build is refused with ValueError before anything is allocated where
+what it holds at once would exceed MAX_ROW_BITS: each entry's n * log2(q)
+coefficient bits plus four machine words (256 bits), for the row's
+(q-1)n + 1 entries and the q + 1 leading zeros the three-term recurrence
+runs behind (counted at every q); a prefix is held to the same ceiling.
+The one-entry row of n = 0 is (1,) at every q and allocates no pad.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-# Ceiling on the estimated size of one row: 2^30 bits, i.e. 128 MiB.  It
-# admits n = 18,000 at q = 3 (coefficients of about 8,600 digits) and
-# refuses n = 10^5 at q = 3, whose row would take about 4 GB.
+# Ceiling on what one row build holds at once: 2^30 bits, i.e. 128 MiB.
+# It admits n = 18,322 at q = 3 (coefficients of about 8,700 digits) and
+# refuses n = 10^5 at q = 3, whose row would take about 4 GB; at n = 1 it
+# admits q up to 1,938,953.
 MAX_ROW_BITS = 2**30
+# Machine words a build holds per entry besides the entry's digits: the
+# row list's slot and the pad's, the mirrored tuple's and the reversed
+# slice's, 64 bits each.
+_ENTRY_OVERHEAD_BITS = 4 * 64
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,12 @@ def _check_nq(n: int, q: int) -> None:
 
 
 def _check_size(n: int, q: int, length: int) -> None:
-    bits = length * n * math.log2(q)
+    """Refuse a build of `length` entries whose entries, their machine
+    words and the three-term recurrence's q + 1 leading zeros would hold
+    more than MAX_ROW_BITS at once.  A one-entry build runs no
+    recurrence and holds no pad."""
+    held = length if length == 1 else length + q + 1
+    bits = held * (n * math.log2(q) + _ENTRY_OVERHEAD_BITS)
     if bits > MAX_ROW_BITS:
         raise ValueError(
             f"row n={n}, q={q} would take about {bits / 2**23:.0f} MiB, "
@@ -90,6 +103,8 @@ def _recurrence_row(n: int, q: int, top: int) -> list[int]:
     """Coefficients 0..top of P^n, exactly: from the two-term recurrence
     of P * f' = n * P' * f at q = 3 and from the three-term one at every
     other q.  Each division by k is checked."""
+    if top == 0:
+        return [1]
     if q == 3:
         return _trinomial_row(n, top)
     return _three_term_row(n, q, top)
@@ -143,7 +158,7 @@ def _three_term_row(n: int, q: int, top: int) -> list[int]:
 def qnomial_row(n: int, q: int = 3) -> QNomialRow:
     """Exact row of coefficients of (1 + x + ... + x^(q-1))^n.
 
-    Raises ValueError if the row's estimated size is over MAX_ROW_BITS.
+    Raises ValueError if its build would hold more than MAX_ROW_BITS.
     """
     _check_nq(n, q)
     cached = _rows.get((n, q))
@@ -177,7 +192,7 @@ def row_prefix(n: int, q: int, top: int) -> list[int]:
     """Coefficients 0..top of (1 + x + ... + x^(q-1))^n, computed by the
     same recurrence but neither read from nor stored in the row cache:
     for one-off coefficients of rows no caller asks for twice.  The
-    ceiling applies to the prefix's estimated size."""
+    ceiling applies to the prefix's build."""
     _check_nq(n, q)
     if not 0 <= top <= (q - 1) * n:
         raise ValueError(f"top={top} is outside [0, {(q - 1) * n}]")
@@ -197,18 +212,17 @@ def qnomial(n: int, k: int, q: int = 3) -> int:
     return qnomial_row(n, q).coeffs[k]
 
 
-def mspace_size(n: int, d: int, q: int = 3) -> int:
-    """Number of monomials in n variables with every exponent < q and total
-    degree <= d, i.e. sum_{i=0..d} of the row coefficients.
+def mspace_size(n: int, d: int) -> int:
+    """|M(n, d)|: the number of monomials in n variables with every
+    exponent < 3 and total degree <= d, i.e. sum_{i=0..d} of the q = 3
+    row coefficients, the monomial count of F_3^n that the bound family
+    and the verifier read.
 
-    Saturates at q^n once d reaches (q-1)n.
+    Saturates at 3^n once d reaches 2n.
     """
-    _check_nq(n, q)
     if d < 0:
         raise ValueError(f"degree bound d must be nonnegative, got {d}")
-    top = min(d, (q - 1) * n)
-    coeffs = qnomial_row(n, q).coeffs
-    return sum(coeffs[: top + 1])
+    return sum(qnomial_row(n).coeffs[:d + 1])
 
 
 def series_coeff_bound(n: int, q: int) -> int:

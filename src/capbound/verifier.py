@@ -23,6 +23,10 @@ by n bitsliced stages of Yates's algorithm.  The process keeps the last
 set's elimination, with the rows' packed values, so a run over every d
 of one set eliminates it once.  Pair matrices are read off packed values
 with point masks, never built.
+
+Point files hold one point a line as n digits 0, 1 and 2, the form
+format_pointset writes; parse_pointset reads each row as one base-3
+numeral, the point's index in that same order.
 """
 from __future__ import annotations
 
@@ -32,57 +36,45 @@ from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .capsearch import PointSet, encode_point, third_points
+from .capsearch import PointSet, decode_point, third_points
 from .qnomial import mspace_size
 from .stages import Check, Stages
 
 Monomial = tuple[int, ...]
 
 
-def parse_pointset(text: str, n: int | None = None) -> PointSet:
-    """Parse the flat file format: one point per line as space-separated
-    digits, '#' starting a comment.  Every point must have n coordinates
-    (as many as the first where n is None), and every row's width is
-    checked before any point is converted: the cost of converting a
-    point grows with the square of its width.  A text over
-    POINT_FILE_MAX_CHARS characters is refused before any parsing.  Each
-    row is then converted once by _point_index and the PointSet built
-    from the indices, which checks their range and duplicates."""
+def parse_pointset(text: str, n: int) -> PointSet:
+    """Parse the flat file format: one point per line as n space-separated
+    digits 0, 1 or 2, '#' starting a comment.  n above VERIFY_MAX_N is
+    refused first, and a text over POINT_FILE_MAX_CHARS characters before
+    any parsing.  Every row's width and digits are checked before any
+    point is converted, and a row that fails is named by its line
+    number.  Each row is then read as one base-3 numeral, first
+    coordinate most significant, and the PointSet built from the indices
+    checks their range and duplicates."""
+    check_reach(n)
     if len(text) > POINT_FILE_MAX_CHARS:
         raise ValueError(f"point file exceeds {POINT_FILE_MAX_CHARS} "
                          "characters")
     rows = []
-    for raw in text.splitlines():
+    for line, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        if n is None:
-            n = len(tokens)
-        elif len(tokens) != n:
+        if len(tokens) != n:
             raise ValueError(f"point file has dimension {len(tokens)}, "
-                             f"expected {n}")
-        rows.append(tokens)
+                             f"expected {n} (line {line})")
+        if not _TRITS.issuperset(tokens):
+            raise ValueError(f"point file line {line} holds a coordinate "
+                             "other than 0, 1 or 2")
+        rows.append("".join(tokens))
     if not rows:
         raise ValueError("no points found")
-    return PointSet(n, tuple(map(_point_index, rows)))
+    return PointSet(n, tuple(int(row, 3) for row in rows))
 
 
-# The digits of a point file's coordinates, and the widest row read as
-# one base-3 numeral: 640 is the least digit limit the interpreter lets
-# sys.set_int_max_str_digits set, so int(..., 3) never meets the limit.
+# The digits of a point file's coordinates
 _TRITS = frozenset("012")
-_NUMERAL_MAX_WIDTH = 640
-
-
-def _point_index(tokens: list[str]) -> int:
-    """The base-3 index of one row of a point file.  A row of single
-    digits 0, 1 and 2 is one base-3 numeral; any other row (such as
-    "00", "+1", "3" or a row wider than _NUMERAL_MAX_WIDTH) goes token
-    by token through int and encode_point, which give the same index or
-    ValueError."""
-    if len(tokens) <= _NUMERAL_MAX_WIDTH and _TRITS.issuperset(tokens):
-        return int("".join(tokens), 3)
-    return encode_point([int(tok) for tok in tokens])
 
 
 def format_pointset(ps: PointSet) -> str:
@@ -178,14 +170,15 @@ def _add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
 class _Table(NamedTuple):
     """The monomials of F_3^n in tensor order, which a packed coefficient
     vector's bits follow: bit k is the monomial whose exponent vector has
-    base-3 index k, first variable most significant, as points are
-    numbered.  zeros[i] marks the positions whose exponent of variable i
-    is 0; shifted by 3^(n-1-i) and by twice that, it marks exponents 1
-    and 2.  order lists the positions in monomials_up_to's graded-lex
-    order reversed, the order _rref scans.
+    base-3 index k (decode_point(k, n)), first variable most significant,
+    as points are numbered.  degrees[k] is that monomial's degree.
+    zeros[i] marks the positions whose exponent of variable i is 0;
+    shifted by 3^(n-1-i) and by twice that, it marks exponents 1 and 2.
+    order lists the positions in monomials_up_to's graded-lex order
+    reversed, the order _rref scans: by degree, then by index, both
+    descending, since the index orders exponent vectors as lex does.
     """
 
-    monos: list[Monomial]
     degrees: list[int]
     zeros: list[int]
     order: list[int]
@@ -209,15 +202,14 @@ def _table(n: int) -> _Table:
     check_reach(n)
     if n in _tables:
         return _tables[n]
-    monos = list(product(range(3), repeat=n))  # base-3 index order
-    degrees = [sum(m) for m in monos]
-    order = [encode_point(m) for m in reversed(monomials_up_to(n, 2 * n))]
+    degrees = [sum(m) for m in product(range(3), repeat=n)]  # index order
+    order = sorted(range(3**n), key=lambda k: (degrees[k], k), reverse=True)
     # variable i's exponent is 0 in runs of 3^(n-1-i) positions, one run
     # in every 3^(n-i)
     full = (1 << 3**n) - 1
     zeros = [((1 << 3**i) - 1) * (full // ((1 << 3**(i + 1)) - 1))
              for i in reversed(range(n))]
-    _tables[n] = _Table(monos, degrees, zeros, order)
+    _tables[n] = _Table(degrees, zeros, order)
     return _tables[n]
 
 
@@ -227,9 +219,9 @@ def _indicator(table: _Table, x: tuple[int, ...]) -> tuple[int, int]:
     (0, 2, 2) and (0, 1, 2) at y_i^0, y_i^1, y_i^2 for a = 0, 1, 2.  The
     product is nonzero where every factor is, and there 2 where an odd
     number of factors are 2 (2^2 = 1)."""
-    full = (1 << len(table.monos)) - 1
+    stride = len(table.degrees)
+    full = (1 << stride) - 1
     support, odd = full, 0
-    stride = len(table.monos)
     for a, zero in zip(x, table.zeros):
         stride //= 3
         support &= ~(zero << stride if a == 0 else zero)
@@ -375,14 +367,14 @@ def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
         raise ValueError(f"d={d} exceeds the maximal degree {2 * n}")
     elimination, _ = _elimination(S.complement())
     ones, twos, _ = elimination.rows
-    monos = elimination.table.monos
     basis = []
     for r in elimination.basis_rows(d):
         terms = {}
         nonzero = ones[r] | twos[r]
         while nonzero:
             low = nonzero & -nonzero
-            terms[monos[low.bit_length() - 1]] = 1 if ones[r] & low else 2
+            terms[decode_point(low.bit_length() - 1, n)] = (
+                1 if ones[r] & low else 2)
             nonzero ^= low
         basis.append(FieldPoly(n, terms))
     return basis
@@ -563,8 +555,8 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     clock.lap("checks")
     pivots = elimination.rows[2]  # reduced here, on A's first call, and timed
     clock.lap("nullspace")
-    dim_lower = mspace_size(n, d, 3) - (3**n - A.size)
-    support_cap = 2 * mspace_size(n, d // 2, 3)
+    dim_lower = mspace_size(n, d) - (3**n - A.size)
+    support_cap = 2 * mspace_size(n, d // 2)
 
     basis = elimination.basis_values(d)
     outside = ~members
@@ -590,7 +582,7 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
         timings_ms=clock.ms,
         counters={
             "elimination_rows": A.size,
-            "elimination_cols": len(elimination.table.monos),
+            "elimination_cols": len(elimination.table.degrees),
             "elimination_rank": len(pivots),
             "dim_v": dim_v,
             "third_points": third.bit_count(),

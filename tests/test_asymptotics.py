@@ -74,9 +74,11 @@ def test_recurrence_holds_exactly():
     assert check.all_zero and check.first_failure is None
 
 
-def test_recurrence_detects_corruption():
+def test_recurrence_detects_corruption(monkeypatch):
+    # verify_recurrence reads trinomial_middle at call time
     corrupted = lambda n: 91 if n == 2 else trinomial_middle(n)
-    check = verify_recurrence(10, d=corrupted)
+    monkeypatch.setattr(asymptotics, "trinomial_middle", corrupted)
+    check = verify_recurrence(10)
     assert not check.all_zero
     assert check.first_failure == 0
 

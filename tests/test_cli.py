@@ -18,7 +18,7 @@ from capbound.qnomial import qnomial
 from capbound.stages import _str_int
 from capbound.verifier import parse_pointset
 from test_qnomial import inclusion_exclusion
-from test_verifier import _values
+from test_verifier import OTHER_SPELLINGS, _values
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +57,58 @@ def test_oversized_row_exit_2_at_once(capsys):
     assert time.monotonic() - started < 2.0
     assert code == 2 and report is None
     assert err.startswith("error:") and "ceiling" in err
+
+
+# A child that caps its own address space at its size once the CLI is
+# imported plus 128 MiB, the row ceiling, then runs one command.
+CAPPED_CLI = """
+import resource, sys
+import capbound.cli
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh
+                if line.startswith("VmSize:")) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = size + 2**27
+if hard != resource.RLIM_INFINITY:
+    soft = min(soft, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+sys.exit(capbound.cli.main(sys.argv[1:]))
+"""
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="reads VmSize from /proc/self/status")
+
+
+def run_capped(*argv):
+    src = str(Path(capbound.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI,
+                           *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+@needs_proc
+@pytest.mark.parametrize("n,q", [(0, 10**10), (1, 1_938_953), (18, 10**5),
+                                 (18_322, 3)])
+def test_admitted_rows_fit_the_ceiling_above_the_cli(n, q):
+    # the n = 0 row is (1,) at every q; the others are the largest rows
+    # admitted at their q, whose builds held the most (about 60-95 MB)
+    done = run_capped("qnomial", "--n", n, "--k", 0, "--q", q)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["value"] == "1"
+
+
+@needs_proc
+@pytest.mark.parametrize("n,q", [(1, 1_938_954), (1, 10**7), (2, 6 * 10**6),
+                                 (18_323, 3)])
+def test_rows_past_the_ceiling_exit_2_at_once(n, q):
+    # one past the largest admitted row, and long rows of small entries
+    # whose coefficient bits alone stayed under the ceiling (n = 1,
+    # q = 10^7 took 321 MB)
+    started = time.monotonic()
+    done = run_capped("qnomial", "--n", n, "--k", 0, "--q", q)
+    assert time.monotonic() - started < 5.0
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "row ceiling" in done.stderr
 
 
 def test_bound_optimize(capsys):
@@ -233,7 +285,7 @@ def test_search_writes_pointset(tmp_path, capsys):
     assert report["result"]["max_size"] == 4
     assert report["result"]["proven_optimal"] is True
     assert report["result"]["witness"] == ["0 0", "0 1", "1 0", "1 1"]
-    ps = parse_pointset(out.read_text())
+    ps = parse_pointset(out.read_text(), 2)
     assert ps.points == (0, 1, 3, 4)
 
 
@@ -429,12 +481,17 @@ def test_verify_all_quick(capsys):
     code, report, _ = run_cli(capsys, "verify-all", "--level", "quick")
     assert code == 0
     criteria = report["result"]["criteria"]
-    assert [c["name"] for c in criteria] == [
+    names = [
         "1_recurrence_exact", "2_root_and_alpha_digits", "3_growth_table",
         "4_method_independence", "5_identity_chain", "6_oracle_domination",
         "7_proof_core", "8_leading_constant", "9_first_correction",
         "10_property_suites"]
-    assert all(c["pass"] for c in criteria)
+    # the verdicts are the report's checks alone, one per criterion
+    assert [c["name"] for c in report["checks"]] == names
+    assert all(c["pass"] for c in report["checks"])
+    assert [list(c) for c in criteria] == [
+        ["name", "measured", "elapsed_ms", "timings_ms"]] * len(names)
+    assert [c["name"] for c in criteria] == names
     assert all(c["elapsed_ms"] >= 0 for c in criteria)
     measured = {c["name"]: c["measured"] for c in criteria}
     assert measured["2_root_and_alpha_digits"]["alpha_ulp"] <= 1
@@ -715,17 +772,31 @@ def test_oversized_verify_clp_refused_before_reading(tmp_path, capsys,
 def test_verify_clp_refuses_a_wide_point_file_before_encoding(
         tmp_path, capsys, monkeypatch, lines):
     # a point of another width than --n is refused before any point is
-    # converted; converting a point of width w costs time quadratic in w
-    def unconverted(tokens):
+    # converted; converting a point of width w costs time quadratic in w.
+    # A row is converted by int(row, 3), which the verifier's module
+    # namespace shadows here.
+    def unconverted(*args):
         raise AssertionError("a point was converted")
 
-    monkeypatch.setattr(verifier, "_point_index", unconverted)
+    monkeypatch.setattr(verifier, "int", unconverted, raising=False)
     points = tmp_path / "wide.txt"
     points.write_text("\n".join(lines) + "\n")
     code, report, err = run_cli(capsys, "verify-clp", "--n", "4", "--d", "2",
                                 "--set", str(points))
     assert code == 2 and report is None
     assert "point file has dimension" in err and "expected 4" in err
+
+
+@pytest.mark.parametrize("token", OTHER_SPELLINGS)
+def test_verify_clp_refuses_other_spellings(tmp_path, capsys, token):
+    # a point file holds the digits 0, 1 and 2 alone
+    points = tmp_path / "points.txt"
+    points.write_text(f"0 1\n1 {token}\n", encoding="utf-8")
+    code, report, err = run_cli(capsys, "verify-clp", "--n", "2", "--d", "2",
+                                "--set", str(points))
+    assert code == 2 and report is None
+    assert err == ("error: point file line 2 holds a coordinate other than "
+                   "0, 1 or 2\n")
 
 
 @pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)],

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbound import fixedpoint
-from capbound.fixedpoint import (BigFixed, _power_bracket, div_nearest,
-                                 icbrt_newton, pi)
+from capbound.asymptotics import GUARD, MAX_DIGITS, _bits
+from capbound.fixedpoint import (BigFixed, _pi_scaled, _power_bracket,
+                                 div_nearest, icbrt_newton)
 
 
 def test_icbrt_floor_property():
@@ -137,22 +138,31 @@ def test_as_json_is_the_report_form():
 
 
 def test_pi_digits():
-    # rounded (not truncated) at the 40th decimal
-    want = "3.1415926535897932384626433832795028841972"
-    assert pi(40).decimal() == want
-    assert float(pi(20)) == pytest.approx(math.pi, abs=1e-15)
+    # pi * 10^40 = 31415926535897932384626433832795028841971.69...; a value
+    # within 2 units of it lies 1 below to 2 above its floor
+    floor = 31415926535897932384626433832795028841971
+    assert -1 <= _pi_scaled(10**40) - floor <= 2
+    assert _pi_scaled(1 << 64) / 2**64 == pytest.approx(math.pi, abs=1e-15)
 
 
-def arctan_pi(scale):
-    """pi at the given scale by the arctangent identity
+# The arctangent oracle's sums carry this many units of its own past the
+# unit it is asked for.
+ARCTAN_GUARD = 10**10
+
+
+def arctan_pi(unit):
+    """(pi * unit * ARCTAN_GUARD, error) by the arctangent identity
     pi = 16*atan(1/5) - 4*atan(1/239), summed in exact integers: the
-    series pi was computed by before Chudnovsky's, kept as a reference."""
-    work = scale + 10
+    series pi was computed by before Chudnovsky's, kept as a reference.
+    Each term is floored once, so the sum is off by less than one of its
+    units a term, the tail included: error bounds |value - pi * unit *
+    ARCTAN_GUARD|."""
+    work = unit * ARCTAN_GUARD
 
     def atan_inv(k):
-        # atan(1/k) * 10^work as an integer, alternating series
+        # (atan(1/k) * work as an integer, alternating series; its terms)
         total = 0
-        term_num = 10**work // k
+        term_num = work // k
         ksq = k * k
         i = 0
         while term_num:
@@ -160,34 +170,27 @@ def arctan_pi(scale):
             total += sign * (term_num // (2 * i + 1))
             term_num //= ksq
             i += 1
-        return total
+        return total, i + 1
 
-    raw = 16 * atan_inv(5) - 4 * atan_inv(239)
-    return BigFixed(div_nearest(raw, 10**10), scale)
+    fifth, fifth_terms = atan_inv(5)
+    inverse, inverse_terms = atan_inv(239)
+    return (16 * fifth - 4 * inverse,
+            16 * fifth_terms + 4 * inverse_terms)
+
+
+def assert_within_two_units(unit):
+    # |pi * unit - _pi_scaled(unit)| <= 2, the bound _pi_scaled documents
+    value, error = arctan_pi(unit)
+    assert abs(_pi_scaled(unit) * ARCTAN_GUARD - value) <= (
+        2 * ARCTAN_GUARD - error), unit
 
 
 def test_pi_matches_the_arctangent_series():
-    for scale in range(1, 1201):
-        assert pi(scale) == arctan_pi(scale), scale
-    assert pi(30_010) == arctan_pi(30_010)
-
-
-def test_pi_undecided_rounding_adds_guard_digits(monkeypatch):
-    # an approximation whose bracket straddles a rounding boundary must
-    # not be rounded; pi retries with 10 more guard digits
-    scaled = fixedpoint._pi_scaled
-    calls = []
-
-    def straddling(unit):
-        calls.append(unit)
-        if len(calls) == 1:
-            guard = unit // 10**40
-            return scaled(unit) // guard * guard + guard // 2
-        return scaled(unit)
-
-    monkeypatch.setattr(fixedpoint, "_pi_scaled", straddling)
-    assert pi(40).decimal() == "3.1415926535897932384626433832795028841972"
-    assert calls == [10**50, 10**60]
+    # decimal units, and the binary ones leading_constant takes pi at
+    for scale in [*range(1, 1201), 30_010]:
+        assert_within_two_units(10**scale)
+    for digits in [*range(1, 1201), MAX_DIGITS]:
+        assert_within_two_units(1 << _bits(digits + GUARD))
 
 
 @given(st.integers(-10**40, 10**40),

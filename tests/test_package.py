@@ -30,7 +30,7 @@ EXPORTS = {
     "capsearch": ["PointSet", "SearchResult", "complete_triple",
                   "decode_point", "encode_point", "is_progression_free",
                   "max_capset"],
-    "fixedpoint": ["BigFixed", "icbrt_newton", "pi"],
+    "fixedpoint": ["BigFixed", "icbrt_newton"],
     "qnomial": ["QNomialRow", "mspace_size", "qnomial_row", "row_prefix",
                 "series_coeff_bound"],
     "verifier": ["FieldPoly", "Monomial", "VerifierReport", "clp_split",
@@ -137,3 +137,7 @@ def test_star_import_and_unknown_names():
     # a layer's own name that the package never exported stays unknown
     with pytest.raises(AttributeError):
         capbound.check_reach  # noqa: B018
+    # nor does a name the package no longer exports
+    with pytest.raises(AttributeError, match="'pi'"):
+        capbound.pi  # noqa: B018
+    assert len(capbound.__all__) == 45 + len(LAYERS)

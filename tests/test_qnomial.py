@@ -131,7 +131,7 @@ def test_row_ceiling_refuses_before_building():
     with pytest.raises(ValueError, match="outside"):
         row_prefix(4, 3, 9)
     with pytest.raises(ValueError, match="ceiling"):
-        mspace_size(10**6, 2, 3)
+        mspace_size(10**6, 2)
     assert qnomial(10**6, -1, 3) == 0
 
 
@@ -215,19 +215,19 @@ def test_sliding_recurrence_random_triples():
                                        for j in range(q))
 
 
-@pytest.mark.parametrize("n,d,q,expected", [
-    (1, 1, 3, 2),
-    (4, 8, 3, 81),
-    (6, 4, 3, 168),
-    (6, 100, 3, 729),
+@pytest.mark.parametrize("n,d,expected", [
+    (1, 1, 2),
+    (4, 8, 81),
+    (6, 4, 168),
+    (6, 100, 729),
 ])
-def test_mspace_size(n, d, q, expected):
-    assert mspace_size(n, d, q) == expected
+def test_mspace_size(n, d, expected):
+    assert mspace_size(n, d) == expected
 
 
 def test_mspace_monotone_and_saturating():
     for n in (0, 1, 5, 9):
-        values = [mspace_size(n, d, 3) for d in range(0, 2 * n + 3)]
+        values = [mspace_size(n, d) for d in range(0, 2 * n + 3)]
         assert values == sorted(values)
         assert values[-1] == 3**n
 
@@ -257,7 +257,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         qnomial_row(-1, 3)
     with pytest.raises(ValueError):
-        mspace_size(3, -1, 3)
+        mspace_size(3, -1)
     with pytest.raises(ValueError):
         series_coeff_bound(4, 3)
     with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ def test_eval_poly_examples():
 def test_monomial_counts_match_mspace():
     for n in (1, 2, 3):
         for d in range(0, 2 * n + 1):
-            assert len(monomials_up_to(n, d)) == mspace_size(n, d, 3)
+            assert len(monomials_up_to(n, d)) == mspace_size(n, d)
 
 
 def brute_force_vanishing_count(n, d, points):
@@ -552,10 +552,10 @@ def reference_report(n, d, A):
     """verify_support_bound by the FieldPoly route: V_d's basis among
     reference_rows(A), the rows of degree at most d (a row's degree is
     its pivot's), each with its values from eval_poly."""
-    m_d = mspace_size(n, d, 3)
+    m_d = mspace_size(n, d)
     nonzero = [z for P, z in reference_rows(A) if P.degree <= d]
     third = third_points(A)
-    cap = 2 * mspace_size(n, d // 2, 3)
+    cap = 2 * mspace_size(n, d // 2)
     diagonal_ok = not any(z & third for z in nonzero)
     rank = max((bin(z & A.mask).count("1") for z in nonzero), default=0)
     support = max((bin(z).count("1") for z in nonzero), default=0)
@@ -648,17 +648,18 @@ def test_kept_eliminations(monkeypatch):
 def test_pointset_file_roundtrip(tmp_path):
     ps = PointSet(2, (0, 1, 3, 4))
     text = format_pointset(ps)
-    assert parse_pointset(text) == ps
+    assert parse_pointset(text, 2) == ps
     commented = "# a comment\n0 0\n0 1  # inline\n\n1 0\n1 1\n"
-    assert parse_pointset(commented) == ps
-    with pytest.raises(ValueError):
-        parse_pointset("0 0\n1\n")
-    with pytest.raises(ValueError):
-        parse_pointset("# nothing\n")
     assert parse_pointset(commented, 2) == ps
+    with pytest.raises(ValueError, match="line 2"):
+        parse_pointset("0 0\n1\n", 2)
+    with pytest.raises(ValueError, match="no points"):
+        parse_pointset("# nothing\n", 2)
     for wrong in ("0 0 0\n", "0 0\n0 1 2\n", "0\n"):
         with pytest.raises(ValueError, match="has dimension"):
             parse_pointset(wrong, 2)
+    with pytest.raises(ValueError, match="out of reach"):
+        parse_pointset("0 " * (VERIFY_MAX_N + 1) + "\n", VERIFY_MAX_N + 1)
 
 
 @st.composite
@@ -686,10 +687,9 @@ def point_files(draw):
 def test_parse_pointset_reads_what_format_pointset_writes(case):
     ps, text = case
     assert parse_pointset(text, ps.n) == ps
-    assert parse_pointset(text) == ps
 
 
-def reference_parse_pointset(text, n=None):
+def reference_parse_pointset(text, n):
     """The reader before rows were read as base-3 numerals: every token
     through int, every point through encode_point."""
     rows = []
@@ -698,9 +698,7 @@ def reference_parse_pointset(text, n=None):
         if not line:
             continue
         tokens = line.split()
-        if n is None:
-            n = len(tokens)
-        elif len(tokens) != n:
+        if len(tokens) != n:
             raise ValueError(f"point file has dimension {len(tokens)}, "
                              f"expected {n}")
         rows.append(tokens)
@@ -712,8 +710,7 @@ def reference_parse_pointset(text, n=None):
 
 # Rows beside the single-digit numerals: padded, signed, underscored and
 # non-ASCII digits (int reads them), out of range, not numbers, repeated
-# points, and rows at and past the 640 digits read as one numeral and
-# the interpreter's 4300-digit limit.
+# points, and rows far wider than the verifier's reach.
 EDGE_FILES = {
     "padded": "00 1\n", "plus": "+1 0\n", "plus-last": "1 +0\n",
     "three": "3 0\n", "minus": "-1 0\n", "letter": "x 0\n",
@@ -728,17 +725,64 @@ EDGE_FILES = {
 }
 
 
+def first_bad_line(text, n):
+    """The number of the first row of a point file that is not n digits
+    0, 1 and 2, or None."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens and (len(tokens) != n or not set(tokens) <= set("012")):
+            return number
+    return None
+
+
+# n = None stands for the width of the file's first row, the n that a
+# caller reading the file itself would pass.
 @pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES)
 @pytest.mark.parametrize("n", [None, 2])
 def test_parse_pointset_agrees_with_the_token_reader(text, n):
-    # the same PointSet as the reference reader, or ValueError from both
-    try:
-        expected = reference_parse_pointset(text, n)
-    except ValueError:
-        with pytest.raises(ValueError):
+    if n is None:
+        n = len(text.split("\n", 1)[0].split())
+    bad = first_bad_line(text, n)
+    if n > VERIFY_MAX_N:
+        with pytest.raises(ValueError, match="out of reach"):
+            parse_pointset(text, n)
+    elif bad is not None:
+        # a row outside the documented format is refused by its number
+        with pytest.raises(ValueError, match=rf"\bline {bad}\b"):
             parse_pointset(text, n)
     else:
-        assert parse_pointset(text, n) == expected
+        # the same PointSet as the token reader, or ValueError from both
+        try:
+            expected = reference_parse_pointset(text, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_pointset(text, n)
+        else:
+            assert parse_pointset(text, n) == expected
+
+
+# Spellings that int reads as 0, 1 or 2, or that lie outside [0, 2]:
+# none of them is a digit of the point-file format.
+OTHER_SPELLINGS = ["00", "+1", "1_0", "\u0661", "3", "-1", "x"]
+
+
+@pytest.mark.parametrize("token", OTHER_SPELLINGS)
+def test_parse_pointset_refuses_every_other_spelling(token):
+    text = f"0 1\n# a comment\n\n2 {token}  # inline\n1 1\n"
+    with pytest.raises(ValueError, match=r"line 4 holds a coordinate"):
+        parse_pointset(text, 2)
+
+
+def test_table_order_is_the_graded_lex_order_reversed():
+    # the order _rref scans and the monomial of each position, against
+    # the exponent tuples of monomials_up_to encoded one by one
+    for n in range(VERIFY_MAX_N + 1):
+        table = verifier._table(n)
+        reference = list(reversed(monomials_up_to(n, 2 * n)))
+        assert table.order == [encode_point(m) for m in reference]
+        assert [decode_point(k, n) for k in table.order] == reference
+        assert table.degrees == [sum(decode_point(k, n))
+                                 for k in range(3**n)]
 
 
 def test_fieldpoly_validation():
