@@ -5,6 +5,11 @@ caps the heavy inputs (search dimension, row length for the asymptotic
 ladders) so the whole battery finishes in seconds, full level runs the
 real thing.  Every criterion is a hard pass/fail.
 
+Full level also holds each regression pin in `golden` in the criterion
+whose claim it covers, computed by the layer function its command calls,
+with the found values in `measured["pins"]`.  It takes 1.2-1.4 s wall
+(2-core VM, Python 3.11.7), 0.7-0.9 s of it in criterion 7.
+
 Every result carries the values its verdict was decided on (`measured`)
 and its cost (`elapsed_ms`, `timings_ms`), so tests/test_acceptance.py
 holds the full level to its thresholds and time bounds without computing
@@ -13,6 +18,8 @@ anything itself, and `measured` is the same in every run of one commit.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import random
 from dataclasses import dataclass, field, replace
 
@@ -26,11 +33,11 @@ from .asymptotics import (
     leading_constant,
     leading_constant_empirical,
     ratio_check,
+    saddle_point,
     verify_recurrence,
 )
 from .bounds import optimal_bound, sharp_bound, theorem_bound
-from .capsearch import PointSet, max_capset
-from .golden import digit_check, leading_constant_digit_check
+from .capsearch import max_capset
 from .qnomial import qnomial, qnomial_row, row_prefix
 from .stages import Check, Stages
 from .verifier import (
@@ -60,6 +67,20 @@ class CriterionResult:
         return Check(self.name, self.passed, self.detail)
 
 
+def _pinned(result: CriterionResult, found: dict, *pins) -> CriterionResult:
+    """result, with found in measured and failing if found breaks a pin."""
+    failures = golden.pin_failures(found, *pins)
+    verdict = f"broken: {'; '.join(failures)}" if failures else "hold"
+    return replace(result, passed=result.passed and not failures,
+                   detail=f"{result.detail}; pins {verdict}",
+                   measured={**result.measured, "pins": found})
+
+
+def _sha256(**values) -> dict:
+    return {key: hashlib.sha256(str(value).encode()).hexdigest()
+            for key, value in values.items()}
+
+
 def _timed(criterion):
     """Stamp a criterion's result with its wall time."""
     @functools.wraps(criterion)
@@ -77,38 +98,48 @@ def _timed(criterion):
 @_timed
 def c1_recurrence(level: str) -> CriterionResult:
     n_max = 100 if level == "full" else 30
-    check = verify_recurrence(n_max)
+    found = verify_recurrence(n_max)
     return CriterionResult(
-        "1_recurrence_exact", check.all_zero,
-        f"n = 0..{n_max - 2} all exactly zero: {check.all_zero}",
-        {"n_max": n_max, "first_failure": check.first_failure})
+        "1_recurrence_exact", found.check.passed,
+        f"n = 0..{n_max - 2} all exactly zero: {found.all_zero}",
+        {"n_max": n_max, "first_failure": found.first_failure})
 
 
 @_timed
 def c2_root_digits(level: str) -> CriterionResult:
-    root_check, root_ulp = digit_check(
+    root_check, root_ulp = golden.digit_check(
         "characteristic_root", characteristic_root(18),
         golden.CHARACTERISTIC_ROOT_DIGITS)
-    alpha_check, alpha_ulp = digit_check("alpha", alpha(19),
-                                         golden.ALPHA_DIGITS)
-    return CriterionResult(
+    alpha_check, alpha_ulp = golden.digit_check("alpha", alpha(19),
+                                                golden.ALPHA_DIGITS)
+    result = CriterionResult(
         "2_root_and_alpha_digits", root_check.passed and alpha_check.passed,
         f"characteristic_root(18) off by {root_ulp:.3g} ulp, "
         f"alpha(19) off by {alpha_ulp:.3g} ulp",
         {"root_ulp": root_ulp, "alpha_ulp": alpha_ulp})
+    if level == "full":
+        root = characteristic_root(30000)
+        result = _pinned(result, _sha256(
+            alpha=alpha(30000), characteristic_root=root), golden.ALPHA_SHA256)
+    return result
 
 
 @_timed
 def c3_growth_table(level: str) -> CriterionResult:
     distances, failures = {}, []
     for q, pinned in golden.GROWTH_TABLE.items():
-        check, distances[q] = digit_check(f"q={q}", growth_constant(q),
-                                          pinned)
+        check, distances[q] = golden.digit_check(f"q={q}", growth_constant(q),
+                                                 pinned)
         if not check.passed:
             failures.append(f"q={q}: {distances[q]:.2f} ulp")
     detail = "all 15 entries within 1 ulp" if not failures else "; ".join(failures)
-    return CriterionResult("3_growth_table", not failures, detail,
-                           {"ulp": distances})
+    result = CriterionResult("3_growth_table", not failures, detail,
+                             {"ulp": distances})
+    if level == "full":
+        sp = saddle_point(64, 30000)
+        result = _pinned(result, _sha256(x0=sp.x0, constant=sp.constant),
+                         golden.SADDLE_64_SHA256)
+    return result
 
 
 @_timed
@@ -135,8 +166,14 @@ def c5_identity_chain(level: str) -> CriterionResult:
             broken.append(n)
     detail = (f"chain broken at n = {broken}" if broken
               else f"exact for all n = 0, 3, ..., {top}")
-    return CriterionResult("5_identity_chain", not broken, detail,
-                           {"top": top, "broken_at": broken})
+    result = CriterionResult("5_identity_chain", not broken, detail,
+                             {"top": top, "broken_at": broken})
+    if level == "full":
+        entries = [bound(2400).as_json()
+                   for bound in (optimal_bound, theorem_bound, sharp_bound)]
+        result = _pinned(result, _sha256(bounds=json.dumps(
+            entries, sort_keys=True)), golden.BOUNDS_2400_SHA256)
+    return result
 
 
 @_timed
@@ -161,45 +198,64 @@ def c6_oracle_domination(level: str) -> CriterionResult:
     detail = ", ".join(f"n={n}: {run['size']}" for n, run in runs.items())
     detail += (f"; wrong at n = {wrong}" if wrong else " (all proven optimal,"
                " the pinned lex-least witnesses, within the bounds)")
-    return CriterionResult("6_oracle_domination", not wrong, detail,
-                           {"runs": runs}, timings_ms=clock.ms)
+    result = CriterionResult("6_oracle_domination", not wrong, detail,
+                             {"runs": runs}, timings_ms=clock.ms)
+    if level == "full":
+        search = searches[4]
+        report = {**search.counters, **search.prunes,
+                  "nodes_explored": search.nodes_explored}
+        pins = (golden.SEARCH_4_COUNTERS, golden.SEARCH_4_ABOVE,
+                golden.SEARCH_4_BELOW)
+        result = _pinned(result, {key: report[key] for group in pins
+                                  for key in group}, *pins)
+    return result
 
 
 @_timed
 def c7_proof_core(level: str) -> CriterionResult:
-    cases: list[tuple[int, int, PointSet]] = [
-        (1, 1, PointSet(1, (0, 1))),
-    ]
-    witness2 = max_capset(2).witness
-    cases += [(2, d, witness2) for d in (2, 3)]
+    # (n, node budget, the d at which the search's witness is verified)
+    plan = [(1, None, (1,)), (2, None, (2, 3))]
     if level == "full":
-        witness3 = max_capset(3).witness
-        cases += [(3, d, witness3) for d in (3, 4)]
-    reports = [verify_support_bound(n, d, ps) for n, d, ps in cases]
+        plan += [(3, None, (3, 4)), (4, None, range(9)),
+                 (5, golden.CLP_CAP_5_BUDGET, range(11))]
+    reports = []
+    for n, budget, ds in plan:
+        witness = max_capset(n, node_budget=budget).witness
+        reports += [verify_support_bound(n, d, witness) for d in ds]
     failed = [(r.n, r.d) for r in reports if not r.all_ok]
     detail = (f"checks fail at (n, d) = {failed}" if failed
-              else f"{len(cases)} cases, all five checks each")
+              else f"{len(reports)} cases, all five checks each")
     measured = {"cases": [{"n": r.n, "d": r.d,
                            **{c.name: c.passed for c in r.checks}}
                           for r in reports]}
-    return CriterionResult("7_proof_core", not failed, detail, measured)
+    result = CriterionResult("7_proof_core", not failed, detail, measured)
+    if level == "full":
+        result = _pinned(result, {n: tuple((r.dim_v, r.max_support, r.rank)
+                                           for r in reports if r.n == n)
+                                  for n in (4, 5)}, golden.CLP_TRIPLES)
+    return result
 
 
 @_timed
 def c8_leading_constant(level: str) -> CriterionResult:
     value = leading_constant(19)
-    check, rel, digits = leading_constant_digit_check(value)
+    check, rel, digits = golden.leading_constant_digit_check(value)
     samples = (300, 600, 1200, 2400) if level == "full" else (150, 300, 600)
     empirical = leading_constant_empirical(samples)
     emp_rel = abs(empirical - float(value)) / float(value)
     ok_emp = emp_rel < 1e-3
-    return CriterionResult(
+    result = CriterionResult(
         "8_leading_constant", check.passed and ok_emp,
         f"{check.detail}; extrapolation over n={samples} gives "
         f"{empirical:.9f} (relative difference {emp_rel:.2e} vs closed form)",
         {"value": value.as_json(), "rel": rel, "digits": digits,
          "samples": samples, "empirical": empirical,
          "empirical_rel": emp_rel})
+    if level == "full":
+        result = _pinned(result, _sha256(
+            leading_constant=leading_constant(30000)),
+            golden.LEADING_CONSTANT_SHA256)
+    return result
 
 
 @_timed

@@ -70,10 +70,15 @@ GUARD_BITS = 8
 @dataclass(frozen=True)
 class RecurrenceCheck:
     """Whether the recurrence combination vanished for every n up to
-    n_max - 2, and the first n where it did not (None if none)."""
+    n_max - 2, the first n where it did not (None if none), and `check`."""
     n_max: int
     all_zero: bool
     first_failure: int | None
+
+    @property
+    def check(self) -> Check:
+        return Check("recurrence_all_zero", self.all_zero,
+                     f"n = 0..{self.n_max - 2}, exact integers")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ Method = Literal["for_d", "optimal", "theorem", "sharp"]
 class BoundReport:
     """One bound on F_q^n: its exact value, the method that gave it, the
     degree d where one applies, and the cross-check identities, each
-    with its verdict; `checks` gives them as report checks."""
+    with its verdict; `checks` gives them as report checks, and `as_json`
+    the entry `bound` writes, the value a decimal string of any length."""
     n: int
     q: int
     value: int
@@ -45,6 +46,14 @@ class BoundReport:
         return [Check(f"{self.method}:{name}", ok,
                       f"exact identity on n={self.n}")
                 for name, ok in self.identities]
+
+    def as_json(self) -> dict:
+        from .stages import _int_str
+
+        return {"n": self.n, "q": self.q, "d": self.d, "method": self.method,
+                "value": _int_str(self.value),
+                "identities": [{"name": name, "pass": ok}
+                               for name, ok in self.identities]}
 
 
 def bound_for_d(n: int, d: int) -> BoundReport:
@@ -73,9 +82,7 @@ def optimal_bound(n: int) -> BoundReport:
     smallest, and compares it with f(2n) = 2 S(n) = 3^n + a_n (the row is
     a palindrome), which wins only if strictly smaller.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    coeffs = qnomial_row(n, 3).coeffs
+    coeffs = qnomial_row(n, 3).coeffs  # refuses a negative n
     space = 3**n
     best_d, best = 2 * n, space + coeffs[n]
     if n:
@@ -92,9 +99,7 @@ def optimal_bound(n: int) -> BoundReport:
 
 def theorem_bound(n: int) -> BoundReport:
     """The headline bound 3 * sum_{k=0..floor(2n/3)} qnomial(n, k, 3)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    coeffs = qnomial_row(n, 3).coeffs
+    coeffs = qnomial_row(n, 3).coeffs  # refuses a negative n
     value = 3 * sum(coeffs[: (2 * n) // 3 + 1])
     return BoundReport(n=n, q=3, d=None, value=value, method="theorem")
 

@@ -725,6 +725,12 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
     proofs of every dimension below n, which the slice and shell caps
     rest on; near 0 once cached), tables, find, identity, classes, refute.
     """
+    _check_search(n, node_budget)
+    return _Proof(n, node_budget).run()
+
+
+def _check_search(n: int, node_budget: int | None) -> None:
+    """Refuse a search that max_capset would not run."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if node_budget is not None and node_budget < 1:
@@ -741,4 +747,3 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
             "search at n=5 needs a node budget: the exhaustive walk does "
             "not finish in practical time, so only a budgeted lower bound "
             "is available")
-    return _Proof(n, node_budget).run()

@@ -38,7 +38,8 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
-from .capsearch import MAX_BUDGET, is_progression_free, max_capset
+from .capsearch import (MAX_BUDGET, _check_search, is_progression_free,
+                        max_capset)
 from .qnomial import qnomial
 from .stages import Check, Stages, _int_str
 from .verifier import (
@@ -75,11 +76,7 @@ def _cmd_bound(args) -> tuple[dict, list[Check]]:
     if not reports:
         raise ValueError(
             "pick at least one of --d, --optimize-d, --theorem, --sharp")
-    return {"bounds": [{"n": r.n, "q": r.q, "d": r.d, "method": r.method,
-                        "value": _int_str(r.value),
-                        "identities": [{"name": name, "pass": ok}
-                                       for name, ok in r.identities]}
-                       for r in reports],
+    return {"bounds": [r.as_json() for r in reports],
             "timings_ms": clock.ms}, checks
 
 
@@ -180,13 +177,14 @@ def _cmd_verify_recurrence(args) -> tuple[dict, list[Check]]:
     clock = Stages()
     found = verify_recurrence(args.nmax)
     clock.lap("recurrence")
-    result = {"n_max": found.n_max, "all_zero": found.all_zero,
-              "first_failure": found.first_failure, "timings_ms": clock.ms}
-    return result, [Check("recurrence_all_zero", found.all_zero,
-                          f"n = 0..{args.nmax - 2}, exact integers")]
+    return {**vars(found), "timings_ms": clock.ms}, [found.check]
 
 
 def _cmd_search(args) -> tuple[dict, list[Check]]:
+    # refuse --n, --budget, then an unwritable --out, all before the walk
+    _check_search(args.n, args.budget)
+    if args.out:
+        open(args.out, "a", encoding="utf-8").close()
     result = max_capset(args.n, node_budget=args.budget)
     witness_text = format_pointset(result.witness)
     if args.out:

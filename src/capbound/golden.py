@@ -1,9 +1,9 @@
-"""Pinned reference values and the rules that compare fresh digits with them.
+"""Pinned values and the rules that compare fresh results with them.
 
-Every number here is recomputed independently at runtime (closed forms,
-saddle-point root finding, exact coefficient ratios); these copies exist
-so the CLI and the acceptance suite can diff fresh computations against a
-fixed reference.  Digit strings are compared at +-1 unit in their last
+Independent references come first, each recomputed at runtime by
+another route (closed forms, saddle-point root finding, exact ratios,
+search), so the CLI and the acceptance suite can diff fresh results
+against them.  Digit strings are compared at +-1 unit in their last
 place, the leading constant at 10 significant digits.
 
 The growth-table strings are truncated, not rounded: an mpmath oracle
@@ -11,6 +11,10 @@ puts every one of the 15 between 0.05 and 0.97 units in the last place
 below the true constant, never above.  A truncated string can sit almost
 a full unit from the value it stands for, which is why the tolerance is
 1 ulp and not 0.5.
+
+Regression pins come last: the program's own output, fixed when each
+comment says, which nothing outside capbound confirms; they show that a
+change moved it.  `verify-all --level full` holds them.
 """
 from __future__ import annotations
 
@@ -130,3 +134,65 @@ def leading_constant_digit_check(value: BigFixed
               f"{SHARED_DIGITS} by construction of the pinned value")
     return Check(f"matches_reference_to_{SHARED_DIGITS}_significant_digits",
                  digits >= SHARED_DIGITS, detail), rel, digits
+
+
+# Regression pins, each held by the verify-all criterion named beside it.
+# Criterion 2: SHA-256 of the alpha and characteristic-root decimals at
+# 30,000 digits, pinned before both moved from decimal to binary mantissas.
+ALPHA_SHA256 = {
+    "alpha":
+        "cbba4bb42f9871452e963287598365bbd9ecf27dc79f622cb2ef7dd48b7475a9",
+    "characteristic_root":
+        "93c1956a70a0408565e73a1dffdce9c4a9bf4e2188e295a15289635801e5c20d",
+}
+# Criterion 3: SHA-256 of the x0 and constant decimals at q = 64 and 30,000
+# digits, pinned when Newton moved from Horner chains of g to the closed
+# form h.
+SADDLE_64_SHA256 = {
+    "x0": "7720d964e8407cbbb61d85e996e513432ee409d6f7a941d66b8b10ca0893a806",
+    "constant":
+        "4c7c33dcf3fa351c63a509d2d1263e2c63a264f9c3a77128b341a2b6b3699563",
+}
+# Criterion 5: SHA-256 of every bound entry (d, value and identity
+# verdicts) of `bound --n 2400 --optimize-d --theorem --sharp`, dumped
+# with sorted keys, pinned before optimal_bound scanned odd d only and
+# q = 3 rows came from the two-term recurrence.
+BOUNDS_2400_SHA256 = {
+    "bounds":
+        "b04d0081ef84a3696051f5934440748ea0130a2795b604474d86954d5d427d42",
+}
+# Criterion 6, the n = 4 search: one class, its 144 automorphisms the
+# order of the 9-cap's affine stabilizer, which the brute-force AGL(3, 3)
+# test confirms; the refutation prunes by the representative's
+# symmetries; the find walk starts one point below the proven bound (it
+# took 2,254 nodes when it climbed from one point).
+SEARCH_4_COUNTERS = {"full_cap_classes": 1, "class_automorphisms": 144}
+SEARCH_4_ABOVE = {"orbit": 0}
+SEARCH_4_BELOW = {"refute_nodes": 6233, "nodes_explored": 2254}
+# Criterion 7: (dim V, max support, max rank) at each d = 0..2n on the
+# n = 4 witness and the n = 5 cap found within CLP_CAP_5_BUDGET nodes,
+# pinned before the basis was evaluated by the bitsliced transform.
+CLP_CAP_5_BUDGET = 200_000
+CLP_TRIPLES = {4: ((0, 0, 0),) * 5 + ((6, 14, 14), (15, 14, 14), (19, 18, 18),
+                                     (20, 18, 18)),
+               5: ((0, 0, 0),) * 6 + ((2, 16, 16), (22, 20, 20), (36, 25, 25),
+                                     (41, 27, 27), (42, 27, 27))}
+# Criterion 8: SHA-256 of the leading-constant decimal at 30,000 digits,
+# pinned when pi moved from the arctangent series to Chudnovsky's.
+LEADING_CONSTANT_SHA256 = {
+    "leading_constant":
+        "fb48dee698546752f21bd0ffa429324ae10fc747e4d9f1dea381b67b5d244c40",
+}
+
+
+def pin_failures(found: dict, equal: dict, above: dict | None = None,
+                 below: dict | None = None) -> list[str]:
+    """Each pin that found breaks, spelled out: found[key] must equal
+    equal[key] and lie strictly above above[key] and below below[key].
+    Pure, so a test can hold found values to altered pins."""
+    return ([f"{k} {found[k]!r} is not the pinned {v!r}"
+             for k, v in equal.items() if found[k] != v]
+            + [f"{k} {found[k]!r} is not above {v!r}"
+               for k, v in (above or {}).items() if not found[k] > v]
+            + [f"{k} {found[k]!r} is not below {v!r}"
+               for k, v in (below or {}).items() if not found[k] < v])

@@ -9,16 +9,28 @@ criterion that wrongly reports a pass still fails here.  Run as
 Criterion 3 checks every pinned growth constant to within 1 unit in its
 last place; tests/test_asymptotics.py checks the same pinned digits against
 an mpmath oracle independent of capbound.
+
+Criteria 2, 3, 5, 6, 7 and 8 also hold golden's regression pins at full
+level; each full criterion runs once, and the mutation tests compare its
+found pin values with altered pins through golden.pin_failures.
 """
+import functools
 from fractions import Fraction
 
 import pytest
 
-from capbound import acceptance, bounds, golden
+from capbound import acceptance, asymptotics, bounds, golden
+from capbound.cli import main
+from capbound.stages import Check
+
+
+@functools.cache
+def full(criterion):
+    return criterion("full")
 
 
 def run(criterion):
-    result = criterion("full")
+    result = full(criterion)
     status = "PASS" if result.passed else "FAIL"
     print(f"[acceptance] criterion {result.name}: {status} {result.detail} "
           f"in {result.elapsed_ms / 1000:.2f}s")
@@ -33,10 +45,21 @@ def test_criterion_1_recurrence_exact():
     assert result.passed
 
 
+def test_criterion_1_decides_on_the_recurrence_check(monkeypatch, capsys):
+    # criterion 1 and `verify-recurrence` read the one verdict that
+    # RecurrenceCheck.check builds
+    monkeypatch.setattr(asymptotics.RecurrenceCheck, "check", property(
+        lambda self: Check("recurrence_all_zero", False, "forced")))
+    assert not acceptance.c1_recurrence("quick").passed
+    assert main(["verify-recurrence", "--nmax", "30"]) == 1
+    assert '"pass": false, "detail": "forced"' in capsys.readouterr().out
+
+
 def test_criterion_2_root_and_alpha_digits():
     result, measured = run(acceptance.c2_root_digits)
     assert measured["root_ulp"] <= 1
     assert measured["alpha_ulp"] <= 1
+    assert measured["pins"] == golden.ALPHA_SHA256
     assert result.elapsed_ms < 1_000
     assert result.passed
 
@@ -48,6 +71,7 @@ def test_criterion_3_growth_table():
     failures = {q: float(d) for q, d in distances.items() if d > 1}
     assert not failures, (
         f"ulp distances beyond 1 from the pinned reference: {failures}")
+    assert measured["pins"] == golden.SADDLE_64_SHA256
     assert result.elapsed_ms < 5_000
     assert result.passed
 
@@ -65,6 +89,7 @@ def test_criterion_5_exact_identity_chain():
     result, measured = run(acceptance.c5_identity_chain)
     assert measured["top"] == 300
     assert measured["broken_at"] == []
+    assert measured["pins"] == golden.BOUNDS_2400_SHA256
     assert result.elapsed_ms < 30_000
     assert result.passed
 
@@ -99,6 +124,13 @@ def test_criterion_6_oracle_domination():
     # the lexicographically least maximum set, pinned
     assert runs[4]["witness"] == (0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 32,
                                   35, 38, 47, 59, 65, 66, 67, 71, 77)
+    # the n = 4 search's pinned counters and bounds
+    pins = measured["pins"]
+    assert {key: pins[key] for key in golden.SEARCH_4_COUNTERS} \
+        == golden.SEARCH_4_COUNTERS
+    assert pins["orbit"] > golden.SEARCH_4_ABOVE["orbit"]
+    assert all(pins[key] < bound
+               for key, bound in golden.SEARCH_4_BELOW.items())
     assert result.passed
 
 
@@ -108,19 +140,24 @@ def test_quick_battery_measures_the_same_in_every_run():
     first, second = (acceptance.run_all("quick") for _ in range(2))
     assert [c.measured for c in first] == [c.measured for c in second]
     assert set(first[5].timings_ms) == {1, 2, 3}
+    # the regression pins are held at full level alone
+    assert not any("pins" in c.measured for c in first)
 
 
 def test_criterion_7_proof_core_verification():
     result, measured = run(acceptance.c7_proof_core)
     cases = measured["cases"]
     assert [(c["n"], c["d"]) for c in cases] == [(1, 1), (2, 2), (2, 3),
-                                                 (3, 3), (3, 4)]
+                                                 (3, 3), (3, 4)] + [
+        (n, d) for n in (4, 5) for d in range(2 * n + 1)]
     # each case keyed by the names of the verifier's five checks
     for case in cases:
         assert list(case) == ["n", "d", "vanishes_off_set",
                               "pair_matrix_diagonal", "rank_cap",
                               "support_cap", "dimension_bound"], case
         assert all(case[name] is True for name in list(case)[2:]), case
+    # (dim V, max support, rank) on the n = 4 witness and the n = 5 cap
+    assert measured["pins"] == golden.CLP_TRIPLES
     assert result.elapsed_ms < 60_000
     assert result.passed
 
@@ -133,6 +170,7 @@ def test_criterion_8_leading_constant():
     assert measured["digits"] >= 10
     assert measured["samples"] == (300, 600, 1200, 2400)
     assert measured["empirical_rel"] < 1e-3
+    assert measured["pins"] == golden.LEADING_CONSTANT_SHA256
     assert result.elapsed_ms < 300_000
     assert result.passed
 
@@ -163,3 +201,59 @@ def test_criterion_10_property_suites():
     assert cases["eval"] >= 100
     assert measured["failures"] == []
     assert result.passed
+
+
+# Every regression pin, as (criterion, golden name, the pin_failures
+# keyword it is passed as).
+PINS = [
+    (acceptance.c2_root_digits, "ALPHA_SHA256", "equal"),
+    (acceptance.c3_growth_table, "SADDLE_64_SHA256", "equal"),
+    (acceptance.c5_identity_chain, "BOUNDS_2400_SHA256", "equal"),
+    (acceptance.c6_oracle_domination, "SEARCH_4_COUNTERS", "equal"),
+    (acceptance.c6_oracle_domination, "SEARCH_4_ABOVE", "above"),
+    (acceptance.c6_oracle_domination, "SEARCH_4_BELOW", "below"),
+    (acceptance.c7_proof_core, "CLP_TRIPLES", "equal"),
+    (acceptance.c8_leading_constant, "LEADING_CONSTANT_SHA256", "equal"),
+]
+MUTATIONS = [(criterion, name, relation, key)
+             for criterion, name, relation in PINS
+             for key in getattr(golden, name)]
+
+
+def mutated(pin, found):
+    """One hex digit of a digest changed, one entry of a triple list, an
+    exact counter off by one, or a strict bound moved onto the value."""
+    if isinstance(pin, str):
+        return pin[:-1] + ("0" if pin[-1] != "0" else "1")
+    if isinstance(pin, tuple):
+        dim_v, support, rank = pin[-1]
+        return pin[:-1] + ((dim_v, support, rank + 1),)
+    return found if pin != found else pin + 1
+
+
+def pin_kwargs(criterion, **changed):
+    """The pin_failures keywords of a criterion's pins, with changes."""
+    kwargs = {"equal": {}}
+    for pinned_by, name, relation in PINS:
+        if pinned_by is criterion:
+            kwargs[relation] = getattr(golden, name)
+    return {**kwargs, **changed}
+
+
+@pytest.mark.parametrize("criterion,name,relation,key", MUTATIONS,
+                         ids=[f"{name}-{key}" for _, name, _, key in MUTATIONS])
+def test_each_mutated_pin_fails_its_criterion(monkeypatch, criterion, name,
+                                              relation, key):
+    found = full(criterion).measured["pins"]
+    assert golden.pin_failures(found, **pin_kwargs(criterion)) == []
+    pins = getattr(golden, name)
+    altered = {**pins, key: mutated(pins[key], found[key])}
+    # the pure comparison, on the found values of the one full run
+    failures = golden.pin_failures(
+        found, **pin_kwargs(criterion, **{relation: altered}))
+    assert len(failures) == 1 and failures[0].startswith(f"{key} "), failures
+    # and the criterion itself, computed afresh
+    monkeypatch.setattr(golden, name, altered)
+    result = criterion("full")
+    assert not result.passed
+    assert f"pins broken: {key} " in result.detail, result.detail

@@ -81,6 +81,13 @@ def test_recurrence_detects_corruption(monkeypatch):
     check = verify_recurrence(10)
     assert not check.all_zero
     assert check.first_failure == 0
+    assert check.check == Check("recurrence_all_zero", False,
+                                "n = 0..8, exact integers")
+
+
+def test_recurrence_check_is_the_reported_verdict():
+    assert verify_recurrence(30).check == Check(
+        "recurrence_all_zero", True, "n = 0..28, exact integers")
 
 
 def test_recurrence_validates_input():

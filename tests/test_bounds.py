@@ -92,3 +92,18 @@ def test_domain_errors():
         sharp_bound(4)
     with pytest.raises(ValueError):
         theorem_bound(-2)
+
+
+def test_as_json_is_the_entry_bound_writes():
+    # the report's value is a decimal string of any length, the keys in
+    # the order `bound` prints them
+    assert sharp_bound(6).as_json() == {
+        "n": 6, "q": 3, "d": None, "method": "sharp", "value": "414",
+        "identities": [{"name": "equals_bound_for_d_4n_3", "pass": True},
+                       {"name": "equals_series_coeff_bound", "pass": True}]}
+    assert list(bound_for_d(6, 7).as_json()) == ["n", "q", "d", "method",
+                                                 "value", "identities"]
+    value = bound_for_d(9100, 1).as_json()["value"]
+    # 3^9100 + 1 - 9100: 4,342 digits, past str()'s default limit of 4,300
+    assert len(value) == 4342
+    assert int(value[-6:]) == (3**9100 + 1 - 9100) % 10**6

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import capbound
-from capbound import acceptance, asymptotics, golden, verifier
+from capbound import acceptance, asymptotics, cli, golden, verifier
 from capbound.asymptotics import GUARD, MAX_DIGITS, MAX_Q
+from capbound.bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
 from capbound.capsearch import MAX_BUDGET, max_capset
 from capbound.cli import main
 from capbound.qnomial import qnomial
@@ -128,6 +129,14 @@ def test_bound_sharp_checks(capsys):
     names = [c["name"] for c in report["checks"]]
     assert "sharp:equals_bound_for_d_4n_3" in names
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_bound_entries_are_the_reports_as_json(capsys):
+    _, report, _ = run_cli(capsys, "bound", "--n", "30", "--d", "5",
+                           "--optimize-d", "--theorem", "--sharp")
+    assert report["result"]["bounds"] == [
+        bound.as_json() for bound in (bound_for_d(30, 5), optimal_bound(30),
+                                      theorem_bound(30), sharp_bound(30))]
 
 
 def test_bound_requires_a_mode(capsys):
@@ -338,6 +347,54 @@ def test_search_out_of_reach_exit_2(capsys, argv, reason):
     assert code == 2
     assert report is None
     assert err.startswith("error:") and reason in err
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the search walk was entered")
+
+
+def test_search_refuses_an_unwritable_out_before_the_walk(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "max_capset", _no_walk)
+    out = tmp_path / "missing" / "w5.txt"
+    code, report, err = run_cli(capsys, "search", "--n", "5", "--budget",
+                                "300000", "--out", str(out))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "w5.txt" in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("--n", "6", "--budget", "10"), "out of reach"),
+    (("--n", "5"), "needs a node budget"),
+    (("--n", "3", "--budget", "0"), "at least 1"),
+    (("--n", "5", "--budget", str(MAX_BUDGET + 1)), "at most"),
+])
+def test_search_refuses_n_and_budget_before_out(tmp_path, capsys, monkeypatch,
+                                                argv, reason):
+    # those refusals come first, and leave an existing --out as it was
+    monkeypatch.setattr(cli, "max_capset", _no_walk)
+    for out in (tmp_path / "missing" / "w.txt", tmp_path / "kept.txt"):
+        if out.parent.exists():
+            out.write_text("0 0 0\n")
+        code, report, err = run_cli(capsys, "search", *argv, "--out", str(out))
+        assert code == 2 and report is None
+        assert err.startswith("error:") and reason in err
+    assert (tmp_path / "kept.txt").read_text() == "0 0 0\n"
+
+
+def test_search_out_replaces_an_existing_file_after_the_walk(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "w.txt"
+    out.write_text("stale\n" * 10)
+
+    def walk(n, node_budget=None):
+        assert out.read_text() == "stale\n" * 10
+        return max_capset(n, node_budget=node_budget)
+
+    monkeypatch.setattr(cli, "max_capset", walk)
+    assert run_cli(capsys, "search", "--n", "2", "--out", str(out))[0] == 0
+    assert out.read_text() == "0 0\n0 1\n1 0\n1 1\n"
 
 
 @pytest.mark.parametrize("argv", [
