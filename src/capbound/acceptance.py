@@ -5,10 +5,12 @@ caps the heavy inputs (search dimension, row length for the asymptotic
 ladders) so the whole battery finishes in seconds, full level runs the
 real thing.  Every criterion is a hard pass/fail.
 
-Full level also holds each regression pin in `golden` in the criterion
-whose claim it covers, computed by the layer function its command calls,
-with the found values in `measured["pins"]`.  It takes 1.2-1.4 s wall
-(2-core VM, Python 3.11.7), 0.7-0.9 s of it in criterion 7.
+A criterion that covers a command decides on the checks of the layer
+function or property the command calls, so the two cannot disagree;
+criterion 7 verifies pinned sets, not searched ones.  Full level also
+holds each regression pin in `golden` in the criterion whose claim it
+covers, with the found values in `measured["pins"]`.  It takes 0.6-0.9 s
+wall (2-core VM, Python 3.11.7).
 
 Every result carries the values its verdict was decided on (`measured`)
 and its cost (`elapsed_ms`, `timings_ms`), so tests/test_acceptance.py
@@ -24,31 +26,18 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import golden
-from .asymptotics import (
-    alpha,
-    characteristic_root,
-    first_correction_estimate,
-    growth_constant,
-    growth_constant_ratio,
-    leading_constant,
-    leading_constant_empirical,
-    ratio_check,
-    saddle_point,
-    verify_recurrence,
-)
+from .asymptotics import (alpha, characteristic_root,
+                          first_correction_estimate, growth_constant,
+                          growth_constant_ratio, leading_constant,
+                          leading_constant_empirical, ratio_check,
+                          saddle_point, verify_recurrence)
 from .bounds import optimal_bound, sharp_bound, theorem_bound
-from .capsearch import max_capset
+from .capsearch import PointSet, max_capset
 from .qnomial import qnomial, qnomial_row, row_prefix
 from .stages import Check, Stages
-from .verifier import (
-    eval_poly,
-    expand_neg_sum,
-    clp_split,
-    make_poly,
-    monomials_up_to,
-    reconstruct_split,
-    verify_support_bound,
-)
+from .verifier import (clp_split, eval_poly, expand_neg_sum, make_poly,
+                       monomials_up_to, reconstruct_split,
+                       verify_support_bound)
 
 
 @dataclass(frozen=True)
@@ -107,15 +96,13 @@ def c1_recurrence(level: str) -> CriterionResult:
 
 @_timed
 def c2_root_digits(level: str) -> CriterionResult:
-    root_check, root_ulp = golden.digit_check(
-        "characteristic_root", characteristic_root(18),
-        golden.CHARACTERISTIC_ROOT_DIGITS)
-    alpha_check, alpha_ulp = golden.digit_check("alpha", alpha(19),
-                                                golden.ALPHA_DIGITS)
+    places = golden.ALPHA_CHECK_PLACES  # the inputs of `alpha --digits 19`
+    (alpha_check, alpha_ulp), (root_check, root_ulp) = golden.alpha_checks(
+        alpha(places), characteristic_root(places))
     result = CriterionResult(
-        "2_root_and_alpha_digits", root_check.passed and alpha_check.passed,
-        f"characteristic_root(18) off by {root_ulp:.3g} ulp, "
-        f"alpha(19) off by {alpha_ulp:.3g} ulp",
+        "2_root_and_alpha_digits", alpha_check.passed and root_check.passed,
+        f"characteristic_root({places}) off by {root_ulp:.3g} ulp, "
+        f"alpha({places}) off by {alpha_ulp:.3g} ulp",
         {"root_ulp": root_ulp, "alpha_ulp": alpha_ulp})
     if level == "full":
         root = characteristic_root(30000)
@@ -127,9 +114,9 @@ def c2_root_digits(level: str) -> CriterionResult:
 @_timed
 def c3_growth_table(level: str) -> CriterionResult:
     distances, failures = {}, []
-    for q, pinned in golden.GROWTH_TABLE.items():
-        check, distances[q] = golden.digit_check(f"q={q}", growth_constant(q),
-                                                 pinned)
+    for q in golden.GROWTH_TABLE:  # every q of `table`'s default range
+        check, distances[q] = golden.growth_table_check(
+            q, saddle_point(q).constant)
         if not check.passed:
             failures.append(f"q={q}: {distances[q]:.2f} ulp")
     detail = "all 15 entries within 1 ulp" if not failures else "; ".join(failures)
@@ -194,7 +181,8 @@ def c6_oracle_domination(level: str) -> CriterionResult:
              if not (run["proven"]
                      and run["witness"] == golden.LEX_LEAST_WITNESSES[n]
                      and run["size"] <= run["theorem_bound"]
-                     and run["size"] <= run["optimal_bound"])]
+                     and run["size"] <= run["optimal_bound"]
+                     and all(c.passed for c in searches[n].checks))]
     detail = ", ".join(f"n={n}: {run['size']}" for n, run in runs.items())
     detail += (f"; wrong at n = {wrong}" if wrong else " (all proven optimal,"
                " the pinned lex-least witnesses, within the bounds)")
@@ -213,15 +201,14 @@ def c6_oracle_domination(level: str) -> CriterionResult:
 
 @_timed
 def c7_proof_core(level: str) -> CriterionResult:
-    # (n, node budget, the d at which the search's witness is verified)
-    plan = [(1, None, (1,)), (2, None, (2, 3))]
+    # the d at which each pinned set is verified: the lex-least witnesses,
+    # which criterion 6 ties to the search, and the n = 5 cap
+    plan = {1: (1,), 2: (2, 3)}
     if level == "full":
-        plan += [(3, None, (3, 4)), (4, None, range(9)),
-                 (5, golden.CLP_CAP_5_BUDGET, range(11))]
-    reports = []
-    for n, budget, ds in plan:
-        witness = max_capset(n, node_budget=budget).witness
-        reports += [verify_support_bound(n, d, witness) for d in ds]
+        plan.update({3: (3, 4), 4: range(9), 5: range(11)})
+    sets = {**golden.LEX_LEAST_WITNESSES, 5: golden.CLP_CAP_5}
+    reports = [verify_support_bound(n, d, PointSet(n, sets[n]))
+               for n, ds in plan.items() for d in ds]
     failed = [(r.n, r.d) for r in reports if not r.all_ok]
     detail = (f"checks fail at (n, d) = {failed}" if failed
               else f"{len(reports)} cases, all five checks each")

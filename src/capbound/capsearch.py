@@ -52,12 +52,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .affine import FramedCap, orbit_group
-from .stages import Stages
+from .stages import Check, Stages
 
 # Largest node budget a search accepts, so that no budgeted run goes on
-# for more than minutes: at n = 5, 10^6 nodes take 3.5 to 7.6 s (Python
-# 3.11, one core of a shared 2-core VM), so 10^8 take at most about 13
-# minutes.
+# for more than minutes: `search --n 5 --budget 1000000` took 4.7 to 7.3 s
+# (six runs, Python 3.11.7, shared 2-core VM), so 10^8 take 8 to 12 minutes.
 MAX_BUDGET = 10**8
 
 
@@ -134,6 +133,13 @@ class SearchResult:
     timings_ms: dict[str, float] = field(default_factory=dict, compare=False)
     counters: dict[str, int | None] = field(default_factory=dict,
                                             compare=False)
+
+    @property
+    def checks(self) -> list[Check]:
+        """The checks `search` reports: the witness is progression-free."""
+        return [Check("witness_progression_free",
+                      is_progression_free(self.witness),
+                      f"witness of size {self.max_size}")]
 
 
 def complete_triple(a: int, b: int, n: int) -> int:

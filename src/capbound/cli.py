@@ -8,11 +8,12 @@ never matched by a prefix of its name.  A negative int such as `--n -5`
 is a value, which the command's own checks then refuse.  `-h`/`--help`
 prints the top-level or the command's usage on stdout and exits 0.
 
-Checks are stages.Check values, rendered here alone as {name, pass,
-detail}.  Exit codes: 0 when every reported check passes (or there are
-none), 1 when some check fails, 2 for usage and domain errors (message
-on stderr, no JSON).  A reader that closes stdout early (`| head`) cuts
-the report short but changes neither the exit code nor stderr.
+Checks are stages.Check values, made by the layers and rendered here
+alone as {name, pass, detail}.  Exit codes: 0 when every reported check
+passes (or there are none), 1 when some check fails, 2 for usage and
+domain errors (message on stderr, no JSON).  A reader that closes stdout
+early (`| head`) cuts the report short but changes neither the exit code
+nor stderr.
 Arbitrary-precision integers are serialized as decimal strings of any
 length (stages._int_str), fixed-point values as {mantissa, scale, decimal}.
 The report is rendered by json.dumps with its default separators and no
@@ -38,17 +39,11 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .bounds import bound_for_d, optimal_bound, sharp_bound, theorem_bound
-from .capsearch import (MAX_BUDGET, _check_search, is_progression_free,
-                        max_capset)
+from .capsearch import MAX_BUDGET, _check_search, max_capset
 from .qnomial import qnomial
 from .stages import Check, Stages, _int_str
-from .verifier import (
-    POINT_FILE_MAX_CHARS,
-    check_reach,
-    format_pointset,
-    parse_pointset,
-    verify_support_bound,
-)
+from .verifier import (POINT_FILE_MAX_CHARS, check_reach, format_pointset,
+                       parse_pointset, verify_support_bound)
 
 
 def _prime_powers(lo: int, hi: int) -> list[int]:
@@ -123,14 +118,11 @@ def _cmd_table(args) -> tuple[dict, list[Check]]:
     rows, checks = [], []
     for q in _prime_powers(args.qmin, args.qmax):
         sp = saddle_point(q)
-        pinned = golden.GROWTH_TABLE.get(q)
         row = {"q": q, "constant": sp.constant.as_json(),
                "counters": sp.counters, "timings_ms": sp.timings_ms}
-        if pinned is not None:
-            check, _ = golden.digit_check(f"q={q}_matches_reference",
-                                          sp.constant, pinned)
-            row["reference"] = pinned
-            checks.append(check)
+        if q in golden.GROWTH_TABLE:
+            row["reference"] = golden.GROWTH_TABLE[q]
+            checks.append(golden.growth_table_check(q, sp.constant)[0])
         rows.append(row)
     return {"rows": rows}, checks
 
@@ -146,11 +138,7 @@ def _cmd_alpha(args) -> tuple[dict, list[Check]]:
     clock.lap("characteristic_root")
     checks = []
     if args.digits >= golden.ALPHA_CHECK_PLACES:
-        checks = [golden.digit_check("alpha_matches_reference", value,
-                                     golden.ALPHA_DIGITS)[0],
-                  golden.digit_check("characteristic_root_matches_reference",
-                                     root,
-                                     golden.CHARACTERISTIC_ROOT_DIGITS)[0]]
+        checks = [check for check, _ in golden.alpha_checks(value, root)]
     return {"alpha": value.as_json(),
             "characteristic_root": root.as_json(),
             "timings_ms": clock.ms}, checks
@@ -190,9 +178,6 @@ def _cmd_search(args) -> tuple[dict, list[Check]]:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(witness_text)
-    checks = [Check("witness_progression_free",
-                    is_progression_free(result.witness),
-                    f"witness of size {result.max_size}")]
     return {
         "n": result.n,
         "max_size": result.max_size,
@@ -202,7 +187,7 @@ def _cmd_search(args) -> tuple[dict, list[Check]]:
         "proven_optimal": result.proven_optimal,
         "timings_ms": result.timings_ms,
         "counters": result.counters,
-    }, checks
+    }, result.checks
 
 
 def _cmd_verify_clp(args) -> tuple[dict, list[Check]]:

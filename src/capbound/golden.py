@@ -14,7 +14,8 @@ a full unit from the value it stands for, which is why the tolerance is
 
 Regression pins come last: the program's own output, fixed when each
 comment says, which nothing outside capbound confirms; they show that a
-change moved it.  `verify-all --level full` holds them.
+change moved it.  `verify-all --level full` holds them.  One is an input
+of criterion 7, the n = 5 cap; a tier-1 test holds its provenance.
 """
 from __future__ import annotations
 
@@ -115,6 +116,21 @@ def digit_check(name: str, value: BigFixed, pinned: str
     return Check(name, gap <= unit, f"pinned {pinned} ({ulps:.3g} ulp)"), ulps
 
 
+def alpha_checks(value: BigFixed, root: BigFixed
+                 ) -> tuple[tuple[Check, float], tuple[Check, float]]:
+    """The checks `alpha` reports, each with its distance in ulps: alpha,
+    then the characteristic root, within one ulp of its pinned digits."""
+    return (digit_check("alpha_matches_reference", value, ALPHA_DIGITS),
+            digit_check("characteristic_root_matches_reference", root,
+                        CHARACTERISTIC_ROOT_DIGITS))
+
+
+def growth_table_check(q: int, constant: BigFixed) -> tuple[Check, float]:
+    """The check `table` reports on a pinned q's row: its constant within
+    one ulp of GROWTH_TABLE[q]; and the distance in ulps."""
+    return digit_check(f"q={q}_matches_reference", constant, GROWTH_TABLE[q])
+
+
 def leading_constant_digit_check(value: BigFixed
                                  ) -> tuple[Check, float, int]:
     """Significant-digit agreement with the pinned leading constant: the
@@ -169,10 +185,16 @@ BOUNDS_2400_SHA256 = {
 SEARCH_4_COUNTERS = {"full_cap_classes": 1, "class_automorphisms": 144}
 SEARCH_4_ABOVE = {"orbit": 0}
 SEARCH_4_BELOW = {"refute_nodes": 6233, "nodes_explored": 2254}
-# Criterion 7: (dim V, max support, max rank) at each d = 0..2n on the
-# n = 4 witness and the n = 5 cap found within CLP_CAP_5_BUDGET nodes,
-# pinned before the basis was evaluated by the bitsliced transform.
+# Criterion 7: the 42-point cap of F_3^5 that max_capset(5,
+# node_budget=CLP_CAP_5_BUDGET) returns, pinned when the criterion stopped
+# running that search (a tier-1 test holds the search to it), and the
+# (dim V, max support, max rank) at each d = 0..2n on the n = 4 witness
+# and that cap, pinned before the basis was evaluated by the bitsliced
+# transform.
 CLP_CAP_5_BUDGET = 200_000
+CLP_CAP_5 = (0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40, 81, 82,
+             84, 85, 90, 91, 93, 94, 116, 125, 128, 131, 132, 133, 143, 152,
+             155, 158, 159, 160, 197, 206, 209, 212, 213, 214)
 CLP_TRIPLES = {4: ((0, 0, 0),) * 5 + ((6, 14, 14), (15, 14, 14), (19, 18, 18),
                                      (20, 18, 18)),
                5: ((0, 0, 0),) * 6 + ((2, 16, 16), (22, 20, 20), (36, 25, 25),

@@ -13,13 +13,18 @@ an mpmath oracle independent of capbound.
 Criteria 2, 3, 5, 6, 7 and 8 also hold golden's regression pins at full
 level; each full criterion runs once, and the mutation tests compare its
 found pin values with altered pins through golden.pin_failures.
+
+Criteria 1 to 8 decide on the checks their commands report: forcing the
+one check a pair shares to fail fails both the criterion and the command.
 """
 import functools
+import sys
 from fractions import Fraction
 
 import pytest
 
-from capbound import acceptance, asymptotics, bounds, golden
+from capbound import (acceptance, asymptotics, bounds, capsearch, golden,
+                      verifier)
 from capbound.cli import main
 from capbound.stages import Check
 
@@ -45,14 +50,63 @@ def test_criterion_1_recurrence_exact():
     assert result.passed
 
 
-def test_criterion_1_decides_on_the_recurrence_check(monkeypatch, capsys):
-    # criterion 1 and `verify-recurrence` read the one verdict that
-    # RecurrenceCheck.check builds
-    monkeypatch.setattr(asymptotics.RecurrenceCheck, "check", property(
-        lambda self: Check("recurrence_all_zero", False, "forced")))
-    assert not acceptance.c1_recurrence("quick").passed
-    assert main(["verify-recurrence", "--nmax", "30"]) == 1
-    assert '"pass": false, "detail": "forced"' in capsys.readouterr().out
+FORCED = Check("forced_check", False, "forced")
+FORCED_DETAIL = '"pass": false, "detail": "forced"'
+# Each command with the criterion that decides on its checks, the one
+# function or property of a layer that both read (owner.name), a stand-in
+# that fails, and what the command's report then shows.  sharp_bound's
+# identities fail where the series coefficient bound is wrong.
+ONE_ROUTE = {
+    "1-verify-recurrence": (
+        acceptance.c1_recurrence, ["verify-recurrence", "--nmax", "30"],
+        asymptotics.RecurrenceCheck, "check", property(lambda self: FORCED),
+        FORCED_DETAIL),
+    "2-alpha": (
+        acceptance.c2_root_digits, ["alpha", "--digits", "19"],
+        golden, "alpha_checks", lambda value, root: ((FORCED, 0.0),) * 2,
+        FORCED_DETAIL),
+    "3-table": (
+        acceptance.c3_growth_table, ["table"],
+        golden, "growth_table_check", lambda q, constant: (FORCED, 0.0),
+        FORCED_DETAIL),
+    "4-growth": (
+        acceptance.c4_method_independence,
+        ["growth", "--q", "5", "--method", "both"],
+        asymptotics, "ratio_check", lambda saddle, ratio: (FORCED, 0.0),
+        FORCED_DETAIL),
+    "5-bound": (
+        acceptance.c5_identity_chain, ["bound", "--n", "30", "--sharp"],
+        bounds, "series_coeff_bound", lambda n, q: -1,
+        '"name": "sharp:equals_series_coeff_bound", "pass": false'),
+    "6-search": (
+        acceptance.c6_oracle_domination, ["search", "--n", "3"],
+        capsearch.SearchResult, "checks", property(lambda self: [FORCED]),
+        FORCED_DETAIL),
+    "7-verify-clp": (
+        acceptance.c7_proof_core,
+        ["verify-clp", "--n", "2", "--d", "2", "--from-search"],
+        verifier.VerifierReport, "checks", property(lambda self: (FORCED,)),
+        FORCED_DETAIL),
+    "8-leading-constant": (
+        acceptance.c8_leading_constant, ["leading-constant", "--digits", "19"],
+        golden, "leading_constant_digit_check", lambda value: (FORCED, 0.0, 0),
+        FORCED_DETAIL),
+}
+
+
+@pytest.mark.parametrize("pair", ONE_ROUTE)
+def test_each_criterion_decides_on_its_command_check(monkeypatch, capsys,
+                                                     pair):
+    criterion, argv, owner, name, stand_in, shown = ONE_ROUTE[pair]
+    # the stand-in replaces the shared object wherever capbound binds it
+    shared = vars(owner)[name]
+    for module in [owner, *(m for key, m in sys.modules.items()
+                            if key.startswith("capbound."))]:
+        if vars(module).get(name) is shared:
+            monkeypatch.setattr(module, name, stand_in)
+    assert not criterion("quick").passed
+    assert main(argv) == 1
+    assert shown in capsys.readouterr().out
 
 
 def test_criterion_2_root_and_alpha_digits():

@@ -640,6 +640,16 @@ def test_budgeted_n5_rests_on_a_fast_n4_proof():
     assert is_progression_free(result.witness)
 
 
+def test_budgeted_n5_search_returns_the_pinned_cap():
+    # criterion 7 verifies golden.CLP_CAP_5 without searching; this ties
+    # the pinned points to the search that first found them
+    result = max_capset(5, node_budget=golden.CLP_CAP_5_BUDGET)
+    assert result.witness.points == golden.CLP_CAP_5
+    assert result.max_size == len(golden.CLP_CAP_5) == 42
+    assert not result.proven_optimal
+    assert is_progression_free(PointSet(5, golden.CLP_CAP_5))
+
+
 def _invertible_matrices_3():
     """Every invertible 3 x 3 matrix over F_3, as its rows."""
     rows = list(product(range(3), repeat=3))
