@@ -34,17 +34,20 @@ of McKay's isomorph-free generation (1998).  The same certificates,
 from a representative onto itself, give its affine symmetries (see
 the affine module); lifted to F_3^n so that they fix e_1 and the
 slice, they let each extension walk branch only on orbit
-representatives (McKay's isomorph rejection; see _Walker).  Scanning
+representatives (McKay's isomorph rejection; see _Walker), and each of
+the two slices x_1 = 1, 2 the walk fills is capped at the (n-1)
+maximum (see _Extend).  Scanning
 upward, the first size m ruled out gives the upper bound U = m - 1
 (_Proof.upper_bound).  The find walk then starts at best size
 U - 1 and stops at the first U-point set it meets, the lex-least one
-(_Proof.find).  n = 4 is proven in 1,487 nodes (46 classifying the
-9-caps of F_3^3 into one class after 21 frame tries, 656 extending it
-under its 144 symmetries to refute 21 points, instead of 6,233 without
-them, and 785 finding the witness), about 6 ms on a 2-core VM with
-Python 3.11, of which the symmetries and their masks take about 1.5 ms;
-the find walk run out at best size 20 takes 6,007,821 nodes and about
-22 s.
+(_Proof.find).  n = 4 is proven in 1,334 nodes (46 classifying the
+9-caps of F_3^3 into one class after 21 frame tries, 503 extending it
+under its 144 symmetries and the slice cap to refute 21 points, instead
+of 656 without the cap and 6,233 without either, and 785 finding the
+witness), about 9 ms on a 2-core VM with Python 3.11, of which the
+refutation takes about 2 ms and the symmetries and their masks about
+2 ms; the find walk run out at best size 20 takes 6,007,821 nodes and
+about 22 s.
 """
 from __future__ import annotations
 
@@ -193,18 +196,19 @@ def _completion_moves(n: int) -> list[tuple[tuple[int, int, int, int], ...]]:
     is (lifted mask, s*w, dropped mask, (3 - s)*w).  A move depends only
     on (w, s), so the 2n of them are built once and shared.
     """
-    size = 3**n
-    everything = (1 << size) - 1
-    step = {}
+    everything = (1 << 3**n) - 1
+    moves = [()]
     for j in range(n):
         w = 3**j
-        for s in (1, 2):
-            lifted = sum(1 << y for y in range(size) if y // w % 3 < 3 - s)
-            step[j, s] = (lifted, s * w, everything ^ lifted, (3 - s) * w)
-    return [tuple(step[j, -digit % 3]
-                  for j, digit in enumerate(reversed(decode_point(x, n)))
-                  if digit)
-            for x in range(size)]
+        # one bit at the start of each run of 3w points, so that lifted
+        # holds the first (3 - s)*w points of every run
+        period = everything // ((1 << 3 * w) - 1)
+        step = [()]
+        for s in (2, 1):
+            lifted = ((1 << (3 - s) * w) - 1) * period
+            step.append(((lifted, s * w, everything ^ lifted, (3 - s) * w),))
+        moves = [low + move for move in step for low in moves]
+    return moves
 
 
 class _Tables:
@@ -214,8 +218,10 @@ class _Tables:
         size = 3**n
         self.n = n
         self.bit = [1 << i for i in range(size)]
-        self.neg_bit = [1 << encode_point([-c % 3 for c in decode_point(x, n)])
-                        for x in range(size)]
+        neg = [0]
+        for _ in range(n):
+            neg = [3 * y + d for y in neg for d in (0, 2, 1)]
+        self.neg_bit = [1 << y for y in neg]
         self.moves = _completion_moves(n)
         self.pow3 = [3**k for k in range(n + 1)]
         # Points strictly between the unit vector 3^k and the end of the
@@ -231,6 +237,8 @@ class _Tables:
         # shell U_{j+1} minus U_j is two parallel copies of F_3^j, which
         # caps what the not-yet-opened coordinates can ever add.
         self.slice_cap = _proven_max(n - 1)
+        third = self.pow3[n - 1]
+        self.slices = tuple(((1 << third) - 1) << c * third for c in (1, 2))
         shell = [2 * _proven_max(j) for j in range(n)]
         self.future = [sum(shell[k:]) for k in range(n + 1)]
 
@@ -275,6 +283,12 @@ class _Walker:
     fixes the points of S below x and g(x) < x, then g(S) holds those
     points and g(x), so it is lex-smaller than S.  The find walk starts
     with no group.
+
+    Three rules cut the walk, each counted in `prunes`: "cardinality"
+    (the chosen points, the candidates and the shell caps of the
+    unopened coordinates reach no more than the best size), "orbit" (the
+    group above) and "slice" (slice_cap, when set, bounds what the
+    slices x_1 = 1, 2 can still take; see _Extend).
     """
 
     def __init__(self, tables: _Tables, best_size: int,
@@ -283,7 +297,8 @@ class _Walker:
         self.best_size = best_size
         self.node_budget = node_budget
         self.nodes = 0
-        self.prunes = {"cardinality": 0, "orbit": 0}
+        self.prunes = {"cardinality": 0, "orbit": 0, "slice": 0}
+        self.slice_cap: int | None = None
 
     def record(self, mask: int) -> None:
         raise NotImplementedError
@@ -303,6 +318,15 @@ class _Walker:
         if depth + cands.bit_count() + future <= self.best_size:
             prunes["cardinality"] += 1
             return
+        cap = self.slice_cap
+        if cap is not None:
+            room = depth
+            for part in tables.slices:
+                room += min(cap - (mask & part).bit_count(),
+                            (cands & part).bit_count())
+            if room <= self.best_size:
+                prunes["slice"] += 1
+                return
         moves = tables.moves
         neg_bit = tables.neg_bit
         skip = 0
@@ -353,6 +377,15 @@ class _Extend(_Walker):
     fix e_1 and map the candidates onto themselves; with it the walk meets
     only the lex-least m-sets of each orbit, and still meets one when
     any exists.  Without it the walk is the plain one.
+
+    Each slice S_c = {x : x_1 = c} is an affine F_3^(n-1), so a cap meets
+    it in at most slice_cap points, the (n-1) maximum.  Every candidate
+    lies in S_1 or S_2, so a node can reach at most |chosen| plus, for
+    c = 1, 2, the lesser of slice_cap - |chosen & S_c| and
+    |cands & S_c|; the walk cuts it when that is no more than the best
+    size (the "slice" prune), on entering it.  No subtree it cuts holds
+    an m-point set, so the walk still meets one when any exists; with
+    slice_cap None it is the uncapped walk.
     """
 
     def __init__(self, tables: _Tables, rep: tuple[int, ...], m: int,
@@ -361,6 +394,7 @@ class _Extend(_Walker):
         super().__init__(tables, m - 1, node_budget)
         self.rep = rep
         self.group = group
+        self.slice_cap = tables.slice_cap
         self.found: tuple[int, ...] | None = None
 
     def record(self, mask: int) -> None:
@@ -475,7 +509,8 @@ def _full_cap_classes(n: int) -> _FullCapClasses:
     missed, and the call is refused."""
     if n == 0:
         return _FullCapClasses(0, ((0,),), 0,
-                               (("cardinality", 0), ("orbit", 0)), 0)
+                               (("cardinality", 0), ("orbit", 0),
+                                ("slice", 0)), 0)
     tables = _tables(n)
     m = _proven_max(n)
     if not _forces_full_slice(n):
@@ -707,9 +742,12 @@ def max_capset(n: int, node_budget: int | None = None) -> SearchResult:
 
     `prunes` counts the cuts over all walks, the same on every run:
     "cardinality" (candidate count plus shell caps; one per node,
-    remaining run of siblings or child it cuts) and "orbit" (one per
+    remaining run of siblings or child it cuts), "orbit" (one per
     candidate of a refutation's extension walk that an affine symmetry
-    of its representative sends to a smaller candidate, see _Walker).
+    of its representative sends to a smaller candidate, see _Walker) and
+    "slice" (one per node of an extension walk whose two open slices,
+    each capped at the (n-1) maximum, cannot lift it above its best
+    size, see _Extend).
     `counters` splits the nodes by walk (find_nodes, collect_nodes,
     refute_nodes) and gives full_cap_classes (affine classes of maximum
     caps of F_3^(n-1) tried, 0 if none were needed), class_frames_tried

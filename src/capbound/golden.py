@@ -180,10 +180,11 @@ BOUNDS_2400_SHA256 = {
 # Criterion 6, the n = 4 search: one class, its 144 automorphisms the
 # order of the 9-cap's affine stabilizer, which the brute-force AGL(3, 3)
 # test confirms; the refutation prunes by the representative's
-# symmetries; the find walk starts one point below the proven bound (it
-# took 2,254 nodes when it climbed from one point).
+# symmetries and by the cap on its two open slices (it took 6,233 nodes
+# with neither); the find walk starts one point below the proven bound
+# (it took 2,254 nodes when it climbed from one point).
 SEARCH_4_COUNTERS = {"full_cap_classes": 1, "class_automorphisms": 144}
-SEARCH_4_ABOVE = {"orbit": 0}
+SEARCH_4_ABOVE = {"orbit": 0, "slice": 0}
 SEARCH_4_BELOW = {"refute_nodes": 6233, "nodes_explored": 2254}
 # Criterion 7: the 42-point cap of F_3^5 that max_capset(5,
 # node_budget=CLP_CAP_5_BUDGET) returns, pinned when the criterion stopped

@@ -183,6 +183,7 @@ def test_criterion_6_oracle_domination():
     assert {key: pins[key] for key in golden.SEARCH_4_COUNTERS} \
         == golden.SEARCH_4_COUNTERS
     assert pins["orbit"] > golden.SEARCH_4_ABOVE["orbit"]
+    assert pins["slice"] > golden.SEARCH_4_ABOVE["slice"]
     assert all(pins[key] < bound
                for key, bound in golden.SEARCH_4_BELOW.items())
     assert result.passed

@@ -288,12 +288,13 @@ def test_completion_moves_match_complete_triple():
             for lifted, up, dropped, down in moves[x]:
                 moved = ((moved & lifted) << up) | ((moved & dropped) >> down)
             assert moved == sum(1 << complete_triple(x, a, n) for a in chosen)
+        assert _Tables(n).neg_bit == [1 << y for y in negate]
 
 
 def test_prune_counts_repeat():
     first, second = max_capset(3), max_capset(3)
     assert first.prunes == second.prunes
-    assert set(first.prunes) == {"cardinality", "orbit"}
+    assert set(first.prunes) == {"cardinality", "orbit", "slice"}
     assert first.nodes_explored == second.nodes_explored
 
 
@@ -564,12 +565,14 @@ def test_phase_counters_n4():
     assert (c["forced_slice"], c["refuted_size"], c["full_cap_classes"]) == (
         9, 21, 1)
     # charged in full when the classes come from the cache, too
-    assert (c["collect_nodes"], c["refute_nodes"]) == (46, 656)
+    assert (c["collect_nodes"], c["refute_nodes"]) == (46, 503)
     assert c["class_frames_tried"] == 21
     # the 9-cap class of F_3^3 has 144 affine symmetries, and the
-    # refutation skips 114 candidates that one of them sends lower
+    # refutation skips 99 candidates that one of them sends lower and
+    # cuts 202 nodes whose two open slices, 9 points each at most, cannot
+    # hold 21 points
     assert c["class_automorphisms"] == 144
-    assert result.prunes["orbit"] == 114
+    assert result.prunes == {"cardinality": 3299, "orbit": 99, "slice": 202}
     # the full frame search at one origin and one certificate for each
     # of the 8 others; the search at every origin tries 3,024 frames
     assert c["stabilizer_frames_tried"] == 446
@@ -582,7 +585,7 @@ def test_phase_counters_n4():
 
 def test_every_budget_short_of_the_proof_leaves_it_open():
     # every budget at n = 3; at n = 4 a stride of them cuts each phase:
-    # collect (budgets 1-45), refute (46-701) and find (702-1,486)
+    # collect (budgets 1-45), refute (46-548) and find (549-1,333)
     for n, stride in ((3, 1), (4, 37)):
         full = max_capset(n)
         for budget in range(1, full.nodes_explored, stride):
@@ -635,7 +638,7 @@ def test_budgeted_n5_rests_on_a_fast_n4_proof():
     assert result.max_size == 38
     assert not result.proven_optimal
     # no extension walk runs (see test_n5_bound_scan_ends_without_a_bound)
-    assert result.prunes == {"cardinality": 62_650, "orbit": 0}
+    assert result.prunes == {"cardinality": 62_650, "orbit": 0, "slice": 0}
     assert result.counters["refute_nodes"] == 0
     assert is_progression_free(result.witness)
 
@@ -733,22 +736,46 @@ def test_lifted_stabilizers_are_affine_and_fix_the_start(n):
 
 @pytest.mark.parametrize("m", [19, 20, 21])
 def test_orbit_pruned_extension_agrees_with_the_plain_walk(m):
-    # the plain walk, with no group, is the oracle
+    # the plain walk, with no group and no slice cap, is the oracle; the
+    # capped walk, orbit-pruned or not, meets the same first m-point set
     tables = _tables(4)
     caps = _normalized_full_caps(3).found
     assert len(caps) == 18
     for cap in caps:
         group = orbit_group(FramedCap(cap, 3).stabilizer(), 4)
-        pruned = _Extend(tables, cap, m, None, group)
         plain = _Extend(tables, cap, m, None)
-        found, expected = pruned.run(), plain.run()
-        assert (found is None) == (expected is None) == (m == 21)
-        if found is None:
-            assert pruned.nodes < plain.nodes
+        pruned = _Extend(tables, cap, m, None, group)
+        plain.slice_cap = pruned.slice_cap = None
+        capped = _Extend(tables, cap, m, None)
+        both = _Extend(tables, cap, m, None, group)
+        expected = plain.run()
+        assert (expected is None) == (m == 21)
+        for walker in (pruned, capped, both):
+            assert walker.run() == expected
+        if expected is None:
+            # the group and the cap each shorten the refutation, and the
+            # cap shortens the orbit-pruned one too
+            assert max(pruned.nodes, capped.nodes) < plain.nodes
+            assert both.nodes < pruned.nodes
         else:
-            assert len(found) == m
-            assert set(cap) | {27} <= set(found)
-            assert is_progression_free(PointSet(4, found))
+            assert len(expected) == m
+            assert set(cap) | {27} <= set(expected)
+            assert is_progression_free(PointSet(4, expected))
+
+
+def test_a_slice_cap_one_too_low_loses_a_set():
+    # a 20-cap of F_3^4 holding the 9-cap at x_1 = 0 and e_1 has a second
+    # 9-point slice, so a cap of 8 cuts the only subtrees that hold one
+    tables = _tables(4)
+    classes = _full_cap_classes(3)
+    (rep,), (group,) = classes.reps, classes.orbit_groups
+    plain = _Extend(tables, rep, 20, None)
+    plain.slice_cap = None
+    assert plain.run() is not None
+    walker = _Extend(tables, rep, 20, None, group)
+    walker.slice_cap = tables.slice_cap - 1
+    assert walker.run() is None
+    assert walker.prunes["slice"] > 0
 
 
 def all_origins_stabilizer(points: tuple[int, ...],

@@ -325,8 +325,9 @@ def test_search_reports_phase_costs(capsys):
     assert counters["class_frames_tried"] == 21
     assert counters["class_automorphisms"] == 144
     assert counters["stabilizer_frames_tried"] == 446
-    assert set(result["prunes"]) == {"cardinality", "orbit"}
+    assert set(result["prunes"]) == {"cardinality", "orbit", "slice"}
     assert result["prunes"]["orbit"] > 0
+    assert result["prunes"]["slice"] > 0
 
 
 def test_search_with_budget(capsys):
