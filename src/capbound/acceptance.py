@@ -207,7 +207,7 @@ def c7_proof_core(level: str) -> CriterionResult:
     if level == "full":
         plan.update({3: (3, 4), 4: range(9), 5: range(11)})
     sets = {**golden.LEX_LEAST_WITNESSES, 5: golden.CLP_CAP_5}
-    reports = [verify_support_bound(n, d, PointSet(n, sets[n]))
+    reports = [verify_support_bound(PointSet(n, sets[n]), d)
                for n, ds in plan.items() for d in ds]
     failed = [(r.n, r.d) for r in reports if not r.all_ok]
     detail = (f"checks fail at (n, d) = {failed}" if failed

@@ -115,11 +115,6 @@ class PointSet:
     def vectors(self) -> list[tuple[int, ...]]:
         return [decode_point(x, self.n) for x in self.points]
 
-    def complement(self) -> "PointSet":
-        members = set(self.points)
-        rest = tuple(x for x in range(3**self.n) if x not in members)
-        return PointSet(self.n, rest)
-
 
 @dataclass(frozen=True)
 class SearchResult:

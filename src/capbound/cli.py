@@ -7,6 +7,8 @@ option keeps its last value, a flag takes no value, and an option is
 never matched by a prefix of its name.  A negative int such as `--n -5`
 is a value, which the command's own checks then refuse.  `-h`/`--help`
 prints the top-level or the command's usage on stdout and exits 0.
+`verify-clp` reads its set from a point file alone (`--set`), the form
+`search --out` writes.
 
 Checks are stages.Check values, made by the layers and rendered here
 alone as {name, pass, detail}.  Exit codes: 0 when every reported check
@@ -191,13 +193,10 @@ def _cmd_search(args) -> tuple[dict, list[Check]]:
 
 
 def _cmd_verify_clp(args) -> tuple[dict, list[Check]]:
-    if args.set:
-        check_reach(args.n)  # before reading and encoding the file
-        with open(args.set, encoding="utf-8") as fh:
-            ps = parse_pointset(fh.read(POINT_FILE_MAX_CHARS + 1), args.n)
-    else:
-        ps = max_capset(args.n).witness
-    report = verify_support_bound(args.n, args.d, ps)
+    check_reach(args.n)  # before reading and encoding the file
+    with open(args.set, encoding="utf-8") as fh:
+        ps = parse_pointset(fh.read(POINT_FILE_MAX_CHARS + 1), args.n)
+    report = verify_support_bound(ps, args.d)
     return dict(vars(report)), list(report.checks)
 
 
@@ -230,13 +229,11 @@ class _Opt:
 
 
 class _Command:
-    """A command's handler, help line and options; exactly one of the
-    options in one_of must be given."""
-    __slots__ = ("handler", "help", "options", "one_of")
+    """A command's handler, help line and options."""
+    __slots__ = ("handler", "help", "options")
 
-    def __init__(self, handler, help, options, one_of=()):
-        self.handler, self.help = handler, help
-        self.options, self.one_of = options, one_of
+    def __init__(self, handler, help, options):
+        self.handler, self.help, self.options = handler, help, options
 
 
 def _nmax_help() -> str:
@@ -297,10 +294,9 @@ _COMMANDS = {
         _cmd_verify_clp, "replay the rank argument on a set", {
             "--n": _Opt(int, required=True),
             "--d": _Opt(int, required=True),
-            "--set": _Opt(str, help="point file, one point per line"),
-            "--from-search": _Opt(bool, False,
-                                  help="the witness of `search --n N`"),
-        }, one_of=("--set", "--from-search")),
+            "--set": _Opt(str, required=True,
+                          help="point file, as `search --out` writes it"),
+        }),
     "verify-all": _Command(
         _cmd_verify_all, "run the whole verification battery", {
             "--level": _Opt(("quick", "full"), "quick"),
@@ -321,12 +317,8 @@ def _usage(name: str) -> str:
     command = _COMMANDS[name]
     parts = [f"capbound {name} [-h]"]
     for opt_name, opt in command.options.items():
-        if opt_name not in command.one_of:
-            spec = _spec(opt_name, opt)
-            parts.append(spec if opt.required else f"[{spec}]")
-    if command.one_of:
-        parts.append("(" + " | ".join(_spec(o, command.options[o])
-                                      for o in command.one_of) + ")")
+        spec = _spec(opt_name, opt)
+        parts.append(spec if opt.required else f"[{spec}]")
     return " ".join(parts)
 
 
@@ -427,14 +419,6 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                if opt.required and opt_name not in given]
     if missing:
         fail(f"the following arguments are required: {', '.join(missing)}")
-    if command.one_of:
-        chosen = [opt_name for opt_name in command.one_of if opt_name in given]
-        if not chosen:
-            fail(f"one of the arguments {' '.join(command.one_of)} "
-                 "is required")
-        if len(chosen) > 1:
-            fail(f"argument {chosen[1]}: not allowed with argument "
-                 f"{chosen[0]}")
     return SimpleNamespace(command=name, **{
         opt_name[2:].replace("-", "_"): value
         for opt_name, value in values.items()})

@@ -8,6 +8,8 @@ progression-free set has the predicted dimension, its members vanish off
 the set and evaluate to diagonal pair matrices of bounded rank, and their
 supports respect the cap 2*|M(n, floor(d/2))|.  VerifierReport.checks
 names those five checks once, for `verify-clp` and criterion 7.
+vanishing_space_basis returns the same space as FieldPoly values.  Both
+take A itself, read n off it, and refuse the same d and n.
 
 The field is F_3 throughout, where -2*b = b makes the diagonal entries
 P(b).  eval_poly is the single-point evaluator the tests use as an
@@ -352,20 +354,25 @@ def _elimination(A: PointSet) -> tuple[_Elimination, bool]:
     return _last_elimination, False
 
 
-def vanishing_space_basis(n: int, d: int, S: PointSet) -> list[FieldPoly]:
-    """Basis of the degree-<=d polynomials (exponents < 3) vanishing on S.
+def _check_degree(n: int, d: int) -> None:
+    """Raises ValueError for d outside [0, 2n], the degrees of V_d."""
+    if not 0 <= d <= 2 * n:
+        raise ValueError(f"d={d} is outside [0, {2 * n}]")
 
-    The reduced rows of the indicators of the points off S whose pivot
-    (highest graded-lex monomial) lies in M(n, d), ascending: every such
-    polynomial is a combination of those indicators.  Its size is
-    |M(n,d)| - rank >= |M(n,d)| - |S| for the rank of the |S| x |M(n,d)|
-    evaluation matrix.
+
+def vanishing_space_basis(A: PointSet, d: int) -> list[FieldPoly]:
+    """Basis of V_d, the degree-<=d polynomials (exponents < 3) vanishing
+    off A, as FieldPoly values: the same V_d that verify_support_bound
+    checks, read from A's kept elimination, in the form that names each
+    member's monomials.  The basis is the reduced rows of A's indicators
+    whose pivot (highest graded-lex monomial) lies in M(n, d), ascending.
+
+    Raises ValueError for d outside [0, 2n] and for n above
+    VERIFY_MAX_N, before any table is built.
     """
-    if S.n != n:
-        raise ValueError(f"point set lies in dimension {S.n}, not {n}")
-    if d > 2 * n:
-        raise ValueError(f"d={d} exceeds the maximal degree {2 * n}")
-    elimination, _ = _elimination(S.complement())
+    n = A.n
+    _check_degree(n, d)
+    elimination, _ = _elimination(A)
     ones, twos, _ = elimination.rows
     basis = []
     for r in elimination.basis_rows(d):
@@ -525,7 +532,7 @@ class VerifierReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
+def verify_support_bound(A: PointSet, d: int) -> VerifierReport:
     """Replay the rank argument on a concrete progression-free set A.
 
     For a basis of the space V of degree-<=d polynomials vanishing off A,
@@ -535,14 +542,12 @@ def verify_support_bound(n: int, d: int, A: PointSet) -> VerifierReport:
     dim V >= |M(n,d)| - (3^n - |A|).  The basis comes from A's
     elimination, which the process keeps for the next d.
 
-    Raises ValueError for a set that does not lie in dimension n, for n
-    above VERIFY_MAX_N (before any table is built), for d outside
-    [0, 2n], and for a set that is not progression-free.
+    Raises ValueError for d outside [0, 2n] and for n above VERIFY_MAX_N
+    (both before any table is built), and for a set that is not
+    progression-free.
     """
-    if A.n != n:
-        raise ValueError(f"point set lies in dimension {A.n}, not {n}")
-    if not 0 <= d <= 2 * n:
-        raise ValueError(f"d={d} is outside [0, {2 * n}]")
+    n = A.n
+    _check_degree(n, d)
     clock = Stages("table", "nullspace", "checks")
     cached = n in _tables
     _table(n)

@@ -27,6 +27,7 @@ from capbound import (acceptance, asymptotics, bounds, capsearch, golden,
                       verifier)
 from capbound.cli import main
 from capbound.stages import Check
+from test_cli import WITNESS, with_witness
 
 
 @functools.cache
@@ -84,7 +85,7 @@ ONE_ROUTE = {
         FORCED_DETAIL),
     "7-verify-clp": (
         acceptance.c7_proof_core,
-        ["verify-clp", "--n", "2", "--d", "2", "--from-search"],
+        ["verify-clp", "--n", "2", "--d", "2", "--set", WITNESS],
         verifier.VerifierReport, "checks", property(lambda self: (FORCED,)),
         FORCED_DETAIL),
     "8-leading-constant": (
@@ -95,9 +96,10 @@ ONE_ROUTE = {
 
 
 @pytest.mark.parametrize("pair", ONE_ROUTE)
-def test_each_criterion_decides_on_its_command_check(monkeypatch, capsys,
-                                                     pair):
+def test_each_criterion_decides_on_its_command_check(monkeypatch, tmp_path,
+                                                     capsys, pair):
     criterion, argv, owner, name, stand_in, shown = ONE_ROUTE[pair]
+    argv = with_witness(argv, tmp_path, capsys)
     # the stand-in replaces the shared object wherever capbound binds it
     shared = vars(owner)[name]
     for module in [owner, *(m for key, m in sys.modules.items()

@@ -339,8 +339,6 @@ def test_search_with_budget(capsys):
 @pytest.mark.parametrize("argv,reason", [
     (("search", "--n", "5"), "needs a node budget"),
     (("search", "--n", "6", "--budget", "10"), "out of reach"),
-    (("verify-clp", "--n", "5", "--d", "2", "--from-search"),
-     "needs a node budget"),
 ])
 def test_search_out_of_reach_exit_2(capsys, argv, reason):
     # refused before any search table is built, so this returns at once
@@ -426,7 +424,7 @@ def test_verify_clp_renders_the_reports_checks(tmp_path, capsys):
     out = tmp_path / "w.txt"
     out.write_text(verifier.format_pointset(witness))
     for d in range(7):
-        report = verifier.verify_support_bound(3, d, witness)
+        report = verifier.verify_support_bound(witness, d)
         code, cli_report, _ = run_cli(capsys, "verify-clp", "--n", "3",
                                       "--d", str(d), "--set", str(out))
         assert code == 0
@@ -437,14 +435,6 @@ def test_verify_clp_renders_the_reports_checks(tmp_path, capsys):
         "vanishes_off_set", "pair_matrix_diagonal", "rank_cap",
         "support_cap", "dimension_bound"]
     assert report.checks[2].detail == "max rank 8 <= 34"  # at d = 6
-
-
-def test_verify_clp_from_search(capsys):
-    code, report, _ = run_cli(capsys, "verify-clp", "--n", "1", "--d", "1",
-                              "--from-search")
-    assert code == 0
-    assert report["result"]["dim_v"] == 1
-    assert report["result"]["support_cap"] == 2
 
 
 def test_verify_clp_reports_cost(tmp_path, capsys):
@@ -479,7 +469,7 @@ def test_verify_clp_reports_failed_checks(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(verifier._Elimination, "basis_values",
                         lambda self, d: [*basis_values(self, d), one])
     witness = max_capset(2).witness
-    report = verifier.verify_support_bound(2, 2, witness)
+    report = verifier.verify_support_bound(witness, 2)
     assert not report.vanishing_ok
     assert not report.diagonal_ok and not report.rank_ok
     assert not report.all_ok
@@ -572,6 +562,18 @@ def test_verify_all_quick(capsys):
     assert all("warning" not in c for c in criteria)
 
 
+# An argv's stand-in for the point file `search --n 2 --out` writes
+WITNESS = "WITNESS"
+
+
+def with_witness(argv, tmp_path, capsys):
+    """argv with WITNESS replaced by a file `search --n 2 --out` wrote."""
+    out = tmp_path / "w2.txt"
+    assert main(["search", "--n", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return [str(out) if a == WITNESS else a for a in argv]
+
+
 SADDLE_STAGES = {"bisection", "ladder", "newton", "residual", "constant"}
 STAGE_CASES = [
     (["bound", "--n", "30", "--theorem", "--sharp"], None,
@@ -585,7 +587,7 @@ STAGE_CASES = [
     (["verify-recurrence", "--nmax", "50"], None, [{"recurrence"}]),
     (["search", "--n", "3"], None, [{"lower_proofs", "tables", "find",
                                      "identity", "classes", "refute"}]),
-    (["verify-clp", "--n", "2", "--d", "2", "--from-search"], None,
+    (["verify-clp", "--n", "2", "--d", "2", "--set", WITNESS], None,
      [{"table", "nullspace", "checks"}]),
     (["verify-all"], "criteria",
      [set()] * 5 + [{"1", "2", "3"}] + [set()] * 4),
@@ -594,10 +596,11 @@ STAGE_CASES = [
 
 @pytest.mark.parametrize("argv,where,stages", STAGE_CASES,
                          ids=[argv[0] for argv, _, _ in STAGE_CASES])
-def test_every_command_reports_its_stage_times(capsys, argv, where, stages):
+def test_every_command_reports_its_stage_times(tmp_path, capsys, argv, where,
+                                              stages):
     # each timed part of a report (the result, or each table row and
     # verify-all criterion) has timings_ms over its command's stages
-    code, report, _ = run_cli(capsys, *argv)
+    code, report, _ = run_cli(capsys, *with_witness(argv, tmp_path, capsys))
     assert code == 0 and report["elapsed_ms"] >= 0
     parts = report["result"][where] if where else [report["result"]]
     assert [set(part["timings_ms"]) for part in parts] == stages
@@ -606,11 +609,12 @@ def test_every_command_reports_its_stage_times(capsys, argv, where, stages):
 
 @pytest.mark.parametrize("argv", [argv for argv, _, _ in STAGE_CASES],
                          ids=[argv[0] for argv, _, _ in STAGE_CASES])
-def test_every_command_renders_its_checks_in_one_shape(capsys, argv):
+def test_every_command_renders_its_checks_in_one_shape(tmp_path, capsys,
+                                                       argv):
     # cli.main renders every check as exactly {name, pass, detail} and
     # exits 1 iff one of them fails, and prints the report as one line in
     # json.dumps's default form, the one json's C encoder writes
-    code = main(list(argv))
+    code = main(with_witness(argv, tmp_path, capsys))
     out = capsys.readouterr().out
     report = json.loads(out)
     assert out == json.dumps(report) + "\n"
@@ -717,10 +721,10 @@ def test_usage_error_exit_code(capsys):
     (["verify-clp", "--set", "w.txt"],
      "the following arguments are required: --n, --d"),
     (["verify-clp", "--n", "4", "--d", "2"],
-     "one of the arguments --set --from-search is required"),
+     "the following arguments are required: --set"),
     (["verify-clp", "--n", "4", "--d", "2", "--set", "w.txt",
       "--from-search"],
-     "argument --from-search: not allowed with argument --set"),
+     "unrecognized arguments: --from-search"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
@@ -764,7 +768,7 @@ def test_repeated_option_keeps_its_last_value(capsys):
     (["leading-constant", "-h"], ["--digits"]),
     (["verify-recurrence", "-h"], ["--nmax", "2000"]),
     (["search", "-h"], ["--n", "--budget", "--out", str(MAX_BUDGET)]),
-    (["verify-clp", "-h"], ["--n", "--d", "(--set SET | --from-search)"]),
+    (["verify-clp", "-h"], ["--n N --d D --set SET"]),
     (["verify-all", "-h"], ["--level {quick,full}"]),
 ])
 def test_help_exits_0(capsys, argv, names):
@@ -773,6 +777,7 @@ def test_help_exits_0(capsys, argv, names):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.startswith("usage: capbound")
+    assert "|" not in captured.out.splitlines()[0]  # no option groups
     for name in names:
         assert name in captured.out
 
@@ -783,8 +788,6 @@ def test_inputs_are_pinned(tmp_path, capsys):
     reports = [
         run_cli(capsys, "bound", "--n", "6", "--optimize-d")[1],
         run_cli(capsys, "growth", "--q", "3")[1],
-        run_cli(capsys, "verify-clp", "--n", "1", "--d", "1",
-                "--from-search")[1],
     ]
     out = tmp_path / "w.txt"
     run_cli(capsys, "search", "--n", "2", "--out", str(out))
@@ -794,8 +797,7 @@ def test_inputs_are_pinned(tmp_path, capsys):
         [("n", 6), ("optimize_d", True), ("theorem", False),
          ("sharp", False)],
         [("q", 3), ("digits", 40), ("method", "saddle")],
-        [("n", 1), ("d", 1), ("from_search", True)],
-        [("n", 2), ("d", 2), ("set", str(out)), ("from_search", False)],
+        [("n", 2), ("d", 2), ("set", str(out))],
     ]
 
 

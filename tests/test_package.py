@@ -81,12 +81,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def test_fast_commands_load_no_asymptotics():
+def test_fast_commands_load_no_asymptotics(tmp_path):
+    witness = str(tmp_path / "w3.txt")
     modules = loaded_after(CLI_RUN.format(argvs=[
         ["qnomial", "--n", "10", "--k", "7"],
         ["bound", "--n", "6", "--optimize-d", "--theorem"],
-        ["search", "--n", "3"],
-        ["verify-clp", "--n", "2", "--d", "2", "--from-search"]]))
+        ["search", "--n", "3", "--out", witness],
+        ["verify-clp", "--n", "3", "--d", "2", "--set", witness]]))
     assert "capbound.cli" in modules
     unloaded = {"capbound.asymptotics", "capbound.fixedpoint",
                 "capbound.acceptance", "fractions"}

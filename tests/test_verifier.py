@@ -59,6 +59,13 @@ def test_monomial_counts_match_mspace():
             assert len(monomials_up_to(n, d)) == mspace_size(n, d)
 
 
+def complement(S):
+    """The points of F_3^n off S: the polynomials vanishing on S are
+    those vanishing off its complement."""
+    return PointSet(S.n, tuple(x for x in range(3**S.n)
+                               if x not in S.points))
+
+
 def brute_force_vanishing_count(n, d, points):
     """Count all degree-<=d polynomials vanishing on the given points by
     enumerating every coefficient vector."""
@@ -72,12 +79,13 @@ def brute_force_vanishing_count(n, d, points):
 
 
 def test_vanishing_space_examples():
-    basis = vanishing_space_basis(1, 1, PointSet(1, (2,)))
+    # 1 + x spans the degree-1 polynomials vanishing off {0, 1}, at 2
+    basis = vanishing_space_basis(PointSet(1, (0, 1)), 1)
     assert len(basis) == 1
     assert basis[0].terms == {(0,): 1, (1,): 1}
 
-    assert len(vanishing_space_basis(1, 2, PointSet(1, ()))) == 3
-    assert len(vanishing_space_basis(1, 2, PointSet(1, (0, 1, 2)))) == 0
+    assert len(vanishing_space_basis(PointSet(1, (0, 1, 2)), 2)) == 3
+    assert len(vanishing_space_basis(PointSet(1, ()), 2)) == 0
 
 
 def test_vanishing_space_against_enumeration():
@@ -88,7 +96,7 @@ def test_vanishing_space_against_enumeration():
         cases.append((2, rng.randint(0, 3), pts))
     for n, d, pts in cases:
         S = PointSet(n, pts)
-        basis = vanishing_space_basis(n, d, S)
+        basis = vanishing_space_basis(complement(S), d)
         for poly in basis:
             assert poly.degree <= d
             assert all(eval_poly(poly, v) == 0 for v in S.vectors())
@@ -294,7 +302,7 @@ def test_support_size():
 
 
 def test_verify_support_bound_tiny_case():
-    report = verify_support_bound(1, 1, PointSet(1, (0, 1)))
+    report = verify_support_bound(PointSet(1, (0, 1)), 1)
     assert report.dim_v == 1
     assert report.dim_lower_bound == 1
     assert report.max_support == 2
@@ -306,19 +314,26 @@ def test_verify_support_bound_tiny_case():
 def test_verify_support_bound_from_search():
     ps = max_capset(2).witness
     for d in (2, 3):
-        report = verify_support_bound(2, d, ps)
+        report = verify_support_bound(ps, d)
         assert report.all_ok
         assert report.set_size == 4
 
 
 def test_verify_support_bound_preconditions():
-    with pytest.raises(ValueError):
-        verify_support_bound(1, 1, PointSet(1, (0, 1, 2)))
-    with pytest.raises(ValueError, match="dimension"):
-        verify_support_bound(2, 1, PointSet(1, (0, 1)))
-    for d in (-1, 3):
-        with pytest.raises(ValueError, match="outside"):
-            verify_support_bound(1, d, PointSet(1, (0, 1)))
+    with pytest.raises(ValueError, match="not progression-free"):
+        verify_support_bound(PointSet(1, (0, 1, 2)), 1)
+
+
+@pytest.mark.parametrize("entry", [verify_support_bound,
+                                   vanishing_space_basis])
+@pytest.mark.parametrize("n", [1, 3])
+def test_both_entries_refuse_degrees_outside_0_to_2n(entry, n):
+    # V_d is described for d in [0, 2n] alone, by both entries alike
+    A = PointSet(n, (0, 1))
+    for d in (-1, 2 * n + 1):
+        with pytest.raises(ValueError) as refusal:
+            entry(A, d)
+        assert str(refusal.value) == f"d={d} is outside [0, {2 * n}]"
 
 
 def test_progression_refused_before_the_null_space(monkeypatch):
@@ -327,16 +342,18 @@ def test_progression_refused_before_the_null_space(monkeypatch):
     monkeypatch.setattr(verifier, "_last_elimination", None)
     monkeypatch.setattr(verifier, "_rref", no_null_space)
     with pytest.raises(ValueError, match="not progression-free"):
-        verify_support_bound(2, 2, PointSet(2, (0, 1, 2)))
+        verify_support_bound(PointSet(2, (0, 1, 2)), 2)
 
 
 def test_out_of_reach_dimensions_refused_at_once():
-    n = VERIFY_MAX_N + 1
-    started = time.perf_counter()
-    with pytest.raises(ValueError, match="out of reach"):
-        verify_support_bound(n, 2, PointSet(n, (0, 1)))
-    assert time.perf_counter() - started < 0.5
-    assert n not in verifier._tables
+    # before any table, or any 3^n-point set, is built
+    for entry, n, d in ((verify_support_bound, VERIFY_MAX_N + 1, 2),
+                        (vanishing_space_basis, 14, 0)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="out of reach"):
+            entry(PointSet(n, (0,)), d)
+        assert time.perf_counter() - started < 0.5
+        assert n not in verifier._tables
 
 
 # Subsets of F_3^n, n <= 3, with a degree d in [0, 2n].
@@ -355,8 +372,9 @@ def test_packed_values_match_eval_poly(case):
     # the reference route, against eval_poly at every point
     n, d, S = case
     points = list(product(range(3), repeat=n))  # base-3 index order
-    basis = vanishing_space_basis(n, d, S)
-    elimination, kept = verifier._elimination(S.complement())
+    A = complement(S)
+    basis = vanishing_space_basis(A, d)
+    elimination, kept = verifier._elimination(A)
     assert kept
     packed = elimination.basis_values(d)
     assert len(packed) == len(basis)
@@ -417,7 +435,7 @@ def pair_cases(draw):
     extra = draw(st.sets(st.integers(0, 3**n - 1), max_size=3))
     B = PointSet(n, tuple(set(members) | extra))
     # at degree 2n every function on F_3^n is a polynomial
-    basis = vanishing_space_basis(n, 2 * n, B.complement())
+    basis = vanishing_space_basis(B, 2 * n)
     raw: dict = {}
     for P in basis:
         c = draw(st.integers(0, 2))
@@ -442,7 +460,7 @@ def test_packed_checks_match_pair_matrix(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier._Elimination, "basis_values",
                    lambda self, d: [_values(P)])
-        report = verify_support_bound(n, d, A)
+        report = verify_support_bound(A, d)
     outside = [v for x, v in enumerate(product(range(3), repeat=n))
                if x not in A.points]
     assert report.vanishing_ok is not any(eval_poly(P, v) for v in outside)
@@ -480,9 +498,9 @@ def test_affine_images_of_witnesses_verify_alike(case):
     assert image.size == witness.size
     assert is_progression_free(image)
     for d in range(2 * n + 1):
-        report = verify_support_bound(n, d, image)
+        report = verify_support_bound(image, d)
         assert report.all_ok
-        assert report.dim_v == verify_support_bound(n, d, witness).dim_v
+        assert report.dim_v == verify_support_bound(witness, d).dim_v
 
 
 @settings(deadline=None, max_examples=60)
@@ -500,7 +518,7 @@ def test_basis_is_unit_at_its_free_columns(case):
         return matrix_rank([row[:j] for row in evals])
 
     free = [j for j in range(len(monos)) if rank_before(j + 1) == rank_before(j)]
-    basis = vanishing_space_basis(n, d, S)
+    basis = vanishing_space_basis(complement(S), d)
     assert len(basis) == len(free)
     for k, P in enumerate(basis):
         assert [P.terms.get(monos[j], 0) for j in free] == [
@@ -522,12 +540,12 @@ def test_verify_support_bound_n6_product_set(monkeypatch):
     verifier._tables.pop(6, None)
     monkeypatch.setattr(verifier, "_last_elimination", None)
     started = time.perf_counter()
-    report = verify_support_bound(6, 9, A)
+    report = verify_support_bound(A, 9)
     assert time.perf_counter() - started < 2.0
     assert report.all_ok and report.set_size == 80
     assert (report.dim_v, report.rank, report.max_support) == (55, 72, 72)
     assert report.counters["table_cached"] is False
-    full = verify_support_bound(6, 12, A)
+    full = verify_support_bound(A, 12)
     assert full.all_ok and full.dim_v == 80
     assert full.counters["table_cached"] is True
 
@@ -599,7 +617,7 @@ def test_reports_match_the_fieldpoly_route(name):
          "greedy": lambda: greedy_set(n, 18, 5),
          "product": product_set_n6}[kind]()
     for d in range(2 * n + 1):
-        report = verify_support_bound(n, d, A)
+        report = verify_support_bound(A, d)
         assert report == reference_report(n, d, A), d
         assert report.all_ok
 
@@ -621,26 +639,26 @@ def test_kept_eliminations(monkeypatch):
     cold = []
     for d in range(9):  # a cold call computes values for V_d's rows only
         monkeypatch.setattr(verifier, "_last_elimination", None)
-        cold.append(verify_support_bound(4, d, witness))
+        cold.append(verify_support_bound(witness, d))
         assert cold[-1].counters["elimination_cached"] is False
         kept = verifier._last_elimination
         assert kept.A == witness
         assert len(kept.values) == cold[-1].dim_v
     for d in reversed(range(9)):
-        warm = verify_support_bound(4, d, witness)
+        warm = verify_support_bound(witness, d)
         assert warm.counters["elimination_cached"] is True
         assert warm == cold[d] == reference_report(4, d, witness)
     # a translate: the same n and size, but a set of its own, which takes
     # the slot; the witness is then cold again
     shifted = PointSet.from_vectors([v[:-1] + ((v[-1] + 1) % 3,)
                                      for v in witness.vectors()])
-    report = verify_support_bound(4, 5, shifted)
+    report = verify_support_bound(shifted, 5)
     assert report.counters["elimination_cached"] is False
     assert report == reference_report(4, 5, shifted)
     assert verifier._last_elimination.A == shifted
-    assert verify_support_bound(4, 6, shifted).counters[
+    assert verify_support_bound(shifted, 6).counters[
         "elimination_cached"] is True
-    again = verify_support_bound(4, 5, witness)
+    again = verify_support_bound(witness, 5)
     assert again.counters["elimination_cached"] is False
     assert again == cold[5]
 
