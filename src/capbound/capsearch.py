@@ -10,7 +10,9 @@ normalization: the first point is 0, and whenever the walk first leaves
 the span of the coordinates used so far, the new point is the next unit
 vector.  The cardinality bound prunes the walk: chosen points, remaining
 candidates, and caps on the not-yet-opened coordinate shells, each shell
-capped by the exhaustively proven lower-dimensional maxima.
+capped by the exhaustively proven lower-dimensional maxima.  Choosing x
+excludes -x - a for each chosen a, by whole-mask digit moves
+(_completion_moves), the rule third_points also uses for a set's pairs.
 
 A proof has two phases.  The refutation first bounds the maximum from
 the top.  It counts pairs: every m-point set satisfies
@@ -101,6 +103,10 @@ class PointSet:
         if not vectors:
             raise ValueError("cannot infer dimension from an empty vector list")
         n = len(vectors[0])
+        for i, v in enumerate(vectors):
+            if len(v) != n:
+                raise ValueError(f"vector {i} has length {len(v)}, "
+                                 f"vector 0 has length {n}")
         return cls(n, tuple(encode_point(v) for v in vectors))
 
     @property
@@ -152,14 +158,62 @@ def complete_triple(a: int, b: int, n: int) -> int:
     return c
 
 
+@lru_cache(maxsize=None)
+def _digit_zeros(n: int) -> tuple[int, ...]:
+    """Per digit j, the mask of the points of F_3^n whose digit of weight
+    3^j is 0: runs of 3^j points, one at the start of every 3^(j+1)."""
+    everything = (1 << 3**n) - 1
+    return tuple(((1 << 3**j) - 1) * (everything // ((1 << 3**(j + 1)) - 1))
+                 for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _negation(n: int) -> list[int]:
+    """Per point x of F_3^n, the index of -x (each digit d becomes -d)."""
+    neg = [0]
+    for _ in range(n):
+        neg = [3 * y + d for y in neg for d in (0, 2, 1)]
+    return neg
+
+
+@lru_cache(maxsize=None)
+def _completion_moves(n: int) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """Per point x, the digit moves that translate a point mask by -x.
+
+    The point completing (x, a) to a zero-sum triple is -x - a, so the
+    points a chosen set C excludes once x joins it are -C translated by
+    -x.  Adding s to the digit of weight w = 3^j lifts the points whose
+    digit is below 3 - s by s*w and drops the rest by (3 - s)*w; a move
+    is (lifted mask, s*w, dropped mask, (3 - s)*w).  A move depends only
+    on (w, s), so the 2n of them are built once and shared.
+    """
+    everything = (1 << 3**n) - 1
+    moves = [()]
+    for j, zero in enumerate(_digit_zeros(n)):
+        w = 3**j
+        # lifted: the points whose digit is 0 (s = 2), or 0 or 1 (s = 1)
+        step = [()] + [((lifted, s * w, everything ^ lifted, (3 - s) * w),)
+                       for s, lifted in ((2, zero), (1, zero | zero << w))]
+        moves = [low + move for move in step for low in moves]
+    return moves
+
+
+def _translate(mask: int, moves: tuple[tuple[int, int, int, int], ...]) -> int:
+    """A point mask translated by one point's completion moves."""
+    for lifted, up, dropped, down in moves:
+        mask = (mask & lifted) << up | (mask & dropped) >> down
+    return mask
+
+
 def third_points(A: PointSet) -> int:
     """Point mask of {-a-b : a != b in A}, the points that complete a pair
-    of distinct members to a zero-sum triple; each unordered pair is
-    visited once."""
-    third = 0
-    for i, a in enumerate(A.points):
-        for b in A.points[i + 1:]:
-            third |= 1 << complete_triple(a, b, A.n)
+    of distinct members to a zero-sum triple: each member b adds those
+    before it, negated and translated by -b (_completion_moves)."""
+    moves, negation = _completion_moves(A.n), _negation(A.n)
+    third = neg = 0
+    for b in A.points:
+        third |= _translate(neg, moves[b])
+        neg |= 1 << negation[b]
     return third
 
 
@@ -181,50 +235,17 @@ class _Stop(Exception):
     """Ends a walk early once it has what it was started for."""
 
 
-def _completion_moves(n: int) -> list[tuple[tuple[int, int, int, int], ...]]:
-    """Per point x, the digit moves that translate a point mask by -x.
-
-    The point completing (x, a) to a zero-sum triple is -x - a, so the
-    points a chosen set C excludes once x joins it are -C translated by
-    -x.  Adding s to the digit of weight w = 3^j lifts the points whose
-    digit is below 3 - s by s*w and drops the rest by (3 - s)*w; a move
-    is (lifted mask, s*w, dropped mask, (3 - s)*w).  A move depends only
-    on (w, s), so the 2n of them are built once and shared.
-    """
-    everything = (1 << 3**n) - 1
-    moves = [()]
-    for j in range(n):
-        w = 3**j
-        # one bit at the start of each run of 3w points, so that lifted
-        # holds the first (3 - s)*w points of every run
-        period = everything // ((1 << 3 * w) - 1)
-        step = [()]
-        for s in (2, 1):
-            lifted = ((1 << (3 - s) * w) - 1) * period
-            step.append(((lifted, s * w, everything ^ lifted, (3 - s) * w),))
-        moves = [low + move for move in step for low in moves]
-    return moves
-
-
 class _Tables:
     """The per-n tables every walk of F_3^n reads."""
 
     def __init__(self, n: int):
-        size = 3**n
         self.n = n
-        self.bit = [1 << i for i in range(size)]
-        neg = [0]
-        for _ in range(n):
-            neg = [3 * y + d for y in neg for d in (0, 2, 1)]
-        self.neg_bit = [1 << y for y in neg]
+        self.neg_bit = [1 << y for y in _negation(n)]
         self.moves = _completion_moves(n)
         self.pow3 = [3**k for k in range(n + 1)]
         # Points strictly between the unit vector 3^k and the end of the
         # (k+1)-coordinate span: the fresh candidates when a coordinate opens.
-        self.opening_mask = [
-            ((1 << self.pow3[k + 1]) - 1) & ~((1 << (self.pow3[k] + 1)) - 1)
-            for k in range(n)
-        ]
+        self.opening_mask = [(1 << 3 * w) - (2 << w) for w in self.pow3[:n]]
         # A progression-free set meets each hyperplane {x : u.x = v} in a
         # progression-free subset of an affine F_3^(n-1), so the
         # refutation caps a slice at the (n-1)-dimensional maximum, which
@@ -232,8 +253,8 @@ class _Tables:
         # shell U_{j+1} minus U_j is two parallel copies of F_3^j, which
         # caps what the not-yet-opened coordinates can ever add.
         self.slice_cap = _proven_max(n - 1)
-        third = self.pow3[n - 1]
-        self.slices = tuple(((1 << third) - 1) << c * third for c in (1, 2))
+        self.slices = tuple(_digit_zeros(n)[-1] << c * self.pow3[n - 1]
+                            for c in (1, 2))
         shell = [2 * _proven_max(j) for j in range(n)]
         self.future = [sum(shell[k:]) for k in range(n + 1)]
 
@@ -245,7 +266,7 @@ def _tables(n: int) -> _Tables:
 
 
 def _points(mask: int) -> tuple[int, ...]:
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+    return tuple(x for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 class _Walker:
@@ -352,12 +373,9 @@ class _Walker:
                      tuple(g for g in group if g[0] & low) if group else ())
         if k < n:
             x = tables.pow3[k]
-            excluded = neg
-            for lifted, up, dropped, down in moves[x]:
-                excluded = ((excluded & lifted) << up
-                            | (excluded & dropped) >> down)
-            self.dfs(mask | tables.bit[x], neg | neg_bit[x],
-                     tables.opening_mask[k] & ~excluded, k + 1)
+            self.dfs(mask | 1 << x, neg | neg_bit[x],
+                     tables.opening_mask[k] & ~_translate(neg, moves[x]),
+                     k + 1)
 
 
 class _Extend(_Walker):
@@ -399,14 +417,10 @@ class _Extend(_Walker):
     def run(self) -> tuple[int, ...] | None:
         tables = self.tables
         e1 = tables.pow3[tables.n - 1]
-        neg = 0
-        for x in self.rep:
-            neg |= tables.neg_bit[x]
-        excluded = neg
-        for lifted, up, dropped, down in tables.moves[e1]:
-            excluded = (excluded & lifted) << up | (excluded & dropped) >> down
-        mask = sum(tables.bit[x] for x in self.rep) | tables.bit[e1]
-        above = ((1 << 3**tables.n) - 1) & ~((tables.bit[e1] << 1) - 1)
+        neg = sum(tables.neg_bit[x] for x in self.rep)
+        excluded = _translate(neg, tables.moves[e1])
+        mask = sum(1 << x for x in self.rep) | 1 << e1
+        above = (1 << 3**tables.n) - (2 << e1)
         try:
             self.dfs(mask, neg | tables.neg_bit[e1], above & ~excluded,
                      tables.n, self.group)

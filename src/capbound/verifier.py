@@ -24,7 +24,9 @@ basis element's values at all 3^n points come from its own coefficients
 by n bitsliced stages of Yates's algorithm.  The process keeps the last
 set's elimination, with the rows' packed values, so a run over every d
 of one set eliminates it once.  Pair matrices are read off packed values
-with point masks, never built.
+with point masks, never built; the search supplies the masks, by its
+completion moves for the off-diagonal points (capsearch.third_points)
+and its digit masks for the stages (capsearch._digit_zeros).
 
 Point files hold one point a line as n digits 0, 1 and 2, the form
 format_pointset writes; parse_pointset reads each row as one base-3
@@ -38,7 +40,8 @@ from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .capsearch import PointSet, decode_point, third_points
+from .capsearch import (PointSet, _digit_zeros, _points, decode_point,
+                        third_points)
 from .qnomial import mspace_size
 from .stages import Check, Stages
 
@@ -174,15 +177,15 @@ class _Table(NamedTuple):
     vector's bits follow: bit k is the monomial whose exponent vector has
     base-3 index k (decode_point(k, n)), first variable most significant,
     as points are numbered.  degrees[k] is that monomial's degree.
-    zeros[i] marks the positions whose exponent of variable i is 0;
-    shifted by 3^(n-1-i) and by twice that, it marks exponents 1 and 2.
+    zeros[j] marks the positions whose digit of weight 3^j (variable n-j)
+    is 0; shifted by 3^j and by twice that, it marks exponents 1 and 2.
     order lists the positions in monomials_up_to's graded-lex order
     reversed, the order _rref scans: by degree, then by index, both
     descending, since the index orders exponent vectors as lex does.
     """
 
     degrees: list[int]
-    zeros: list[int]
+    zeros: tuple[int, ...]
     order: list[int]
 
 
@@ -206,12 +209,7 @@ def _table(n: int) -> _Table:
         return _tables[n]
     degrees = [sum(m) for m in product(range(3), repeat=n)]  # index order
     order = sorted(range(3**n), key=lambda k: (degrees[k], k), reverse=True)
-    # variable i's exponent is 0 in runs of 3^(n-1-i) positions, one run
-    # in every 3^(n-i)
-    full = (1 << 3**n) - 1
-    zeros = [((1 << 3**i) - 1) * (full // ((1 << 3**(i + 1)) - 1))
-             for i in reversed(range(n))]
-    _tables[n] = _Table(degrees, zeros, order)
+    _tables[n] = _Table(degrees, _digit_zeros(n), order)
     return _tables[n]
 
 
@@ -224,7 +222,7 @@ def _indicator(table: _Table, x: tuple[int, ...]) -> tuple[int, int]:
     stride = len(table.degrees)
     full = (1 << stride) - 1
     support, odd = full, 0
-    for a, zero in zip(x, table.zeros):
+    for a, zero in zip(x, reversed(table.zeros)):
         stride //= 3
         support &= ~(zero << stride if a == 0 else zero)
         odd ^= full if a == 1 else zero << 2 * stride
@@ -240,7 +238,7 @@ def _evaluate(table: _Table, ones: int, twos: int) -> tuple[int, int]:
     exponents 0, 1, 2 to the values c0, c0 + c1 + c2 and c0 - c1 + c2 at
     0, 1, 2.  One stage per variable applies it to every slice at once."""
     stride = 1
-    for zero in reversed(table.zeros):
+    for zero in table.zeros:
         a1, a2 = ones & zero, twos & zero
         b1, b2 = ones >> stride & zero, twos >> stride & zero
         c1, c2 = ones >> 2 * stride & zero, twos >> 2 * stride & zero
@@ -374,17 +372,9 @@ def vanishing_space_basis(A: PointSet, d: int) -> list[FieldPoly]:
     _check_degree(n, d)
     elimination, _ = _elimination(A)
     ones, twos, _ = elimination.rows
-    basis = []
-    for r in elimination.basis_rows(d):
-        terms = {}
-        nonzero = ones[r] | twos[r]
-        while nonzero:
-            low = nonzero & -nonzero
-            terms[decode_point(low.bit_length() - 1, n)] = (
-                1 if ones[r] & low else 2)
-            nonzero ^= low
-        basis.append(FieldPoly(n, terms))
-    return basis
+    return [FieldPoly(n, {decode_point(k, n): 1 if ones[r] >> k & 1 else 2
+                          for k in _points(ones[r] | twos[r])})
+            for r in elimination.basis_rows(d)]
 
 
 # Three of the per-element checks of verify_support_bound, on P's packed

@@ -7,16 +7,22 @@ identity, the classes of maximum caps with their affine certificates
 root), their affine symmetries (found by origin cosets and checked
 against the frame search at every origin and a brute-force stabilizer)
 and the extension walk, orbit-pruned and plain."""
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capbound import affine, golden
+import capbound
+from capbound import affine, capsearch, golden
 from capbound.affine import FramedCap, lift, orbit_group
 from capbound.capsearch import (
     PointSet,
@@ -32,6 +38,9 @@ from capbound.capsearch import (
     _tables,
     _Walker,
     _completion_moves,
+    _digit_zeros,
+    _negation,
+    _translate,
     complete_triple,
     decode_point,
     encode_point,
@@ -281,14 +290,98 @@ def test_completion_moves_match_complete_triple():
         moves = _completion_moves(n)
         negate = [encode_point([-c % 3 for c in decode_point(a, n)])
                   for a in range(3**n)]
+        assert _negation(n) == negate
+        assert _digit_zeros(n) == tuple(
+            sum(1 << x for x in range(3**n) if decode_point(x, n)[-1 - j] == 0)
+            for j in range(n))
         for _ in range(100):
             chosen = rng.sample(range(3**n), rng.randint(1, 3**n))
             x = rng.randrange(3**n)
-            moved = sum(1 << negate[a] for a in chosen)
-            for lifted, up, dropped, down in moves[x]:
-                moved = ((moved & lifted) << up) | ((moved & dropped) >> down)
+            moved = _translate(sum(1 << negate[a] for a in chosen), moves[x])
             assert moved == sum(1 << complete_triple(x, a, n) for a in chosen)
-        assert _Tables(n).neg_bit == [1 << y for y in negate]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, 3**n - 1), max_size=60))))
+@example((1, {2}))
+@example((4, {7, 50}))
+@example((1, set(range(3))))
+@example((2, set(range(9))))
+@example((3, set(range(27))))
+def test_third_points_is_the_pairwise_completion(case):
+    # the mask moves against complete_triple, the per-pair reference, over
+    # every unordered pair of distinct members
+    n, points = case
+    A = PointSet(n, tuple(points))
+    assert third_points(A) == sum(
+        1 << c for c in {complete_triple(a, b, n)
+                         for a, b in combinations(A.points, 2)})
+
+
+def product_set(*dims: int) -> PointSet:
+    """The product of the lex-least witnesses of F_3^d for d in dims, a
+    cap of F_3^sum(dims): three points that sum to zero do so in every
+    factor, which in a cap forces them to agree there, so they coincide."""
+    vectors = [()]
+    for d in dims:
+        factor = PointSet(d, golden.LEX_LEAST_WITNESSES[d]).vectors()
+        vectors = [v + w for v in vectors for w in factor]
+    return PointSet.from_vectors(vectors)
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (4, 4, 1)])
+def test_progression_checks_run_without_the_search(monkeypatch, dims):
+    # the completion rule is built from n alone: no maximum of a lower
+    # dimension, which the search's own tables rest on, is asked for
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_capset called")
+
+    monkeypatch.setattr(capsearch, "max_capset", refuse)
+    for builder in (_digit_zeros, _negation, _completion_moves):
+        builder.cache_clear()
+    A = product_set(*dims)
+    assert is_progression_free(A)
+    c = complete_triple(A.points[0], A.points[-1], A.n)
+    assert third_points(A) >> c & 1
+    assert not is_progression_free(PointSet(A.n, A.points + (c,)))
+
+
+# A fresh interpreter checks W4 x W4 x W1 (800 points of F_3^9), then the
+# set with a point added that completes a pair: the seconds each check
+# takes, with the rule's tables built in the first, and the growth of
+# peak RSS (KiB on Linux) over the bare import.
+N9_CHECK = """
+import json, resource, sys, time
+from capbound.capsearch import PointSet, complete_triple, is_progression_free
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+A = PointSet(9, tuple(json.loads(sys.argv[1])))
+start = time.perf_counter()
+free = is_progression_free(A)
+first = time.perf_counter() - start
+c = complete_triple(A.points[0], A.points[-1], 9)
+start = time.perf_counter()
+spoilt = is_progression_free(PointSet(9, A.points + (c,)))
+second = time.perf_counter() - start
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+print(json.dumps([free, first, spoilt, second, grown]))
+"""
+
+
+def test_progression_check_at_n9_in_a_fresh_process():
+    points = product_set(4, 4, 1).points
+    assert len(points) == 800
+    src = str(Path(capbound.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", N9_CHECK,
+                           json.dumps(points)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    free, first, spoilt, second, grown = json.loads(done.stdout)
+    assert free is True and spoilt is False
+    assert first < 0.1 and second < 0.1
+    if sys.platform == "linux":
+        assert grown < 10 * 1024
 
 
 def test_prune_counts_repeat():
@@ -350,6 +443,19 @@ def test_capset_validation():
         PointSet(1, (0, 0))
     with pytest.raises(ValueError):
         max_capset(0)
+
+
+def test_from_vectors_refuses_ragged_input():
+    # n comes from the first vector; a shorter or longer one after it
+    # would be read as a numeral of another width
+    with pytest.raises(ValueError, match="vector 1 has length 1, vector 0 "
+                                         "has length 2"):
+        PointSet.from_vectors([(0, 0), (2,)])
+    with pytest.raises(ValueError, match="vector 1 has length 1"):
+        PointSet.from_vectors([(0, 1), (1,)])
+    with pytest.raises(ValueError, match="vector 2 has length 3"):
+        PointSet.from_vectors([(0, 1), (1, 1), (1, 1, 1)])
+    assert PointSet.from_vectors([(0, 1), (1, 1)]) == PointSet(2, (1, 4))
 
 
 @lru_cache(maxsize=None)
